@@ -8,7 +8,8 @@ observed trajectory, a deterministic truncated-grid recursion, and a
 particle filter that scales past what the grid can hold.
 """
 
-from .exact import ExactError, QContext, loglik_events, loglik_lineages, q_factor
+from .exact import (ExactError, QContext, event_factor, hidden_birth_factor,
+                    loglik_events, loglik_lineages, q_factor)
 from .filtering import (Ensemble, EventDiagnostics, FilterConfig,
                         FilterDiagnostics, FilterError, ReplicateResult,
                         SMCResult, WeightGrid, boundary_flux, event_schedule,
@@ -22,10 +23,10 @@ from .genealogy import (Ball, Genealogy, GenealogyError, Inventory,
                         genealogy_to_json, inventory_of, lineage_count,
                         new_genealogy, prune, read_genealogy, to_newick,
                         validate_genealogy, write_genealogy)
-from .models import (MODELS, LBDPParams, PiecewiseConstant, S2IRParams,
-                     SIRParams, SIRSParams, build_model, lbdp_spec,
-                     lbdp_truncation, s2ir_spec, s2ir_truncation, sir_spec,
-                     sir_truncation, sirs_spec, sirs_truncation)
+from .models import (MODELS, TRUNCATIONS, LBDPParams, PiecewiseConstant,
+                     S2IRParams, SIRParams, SIRSParams, build_model, lbdp_spec,
+                     lbdp_truncation, model_params, s2ir_spec, s2ir_truncation,
+                     sir_spec, sir_truncation, sirs_spec, sirs_truncation)
 from .population import (EventType, History, IntegrationError, Jump,
                          JumpSequence, ModelReport, ModelSpec, SimulationError,
                          StateLattice, forward_generator, history_log_density,
@@ -35,5 +36,3 @@ from .population import (EventType, History, IntegrationError, Jump,
                          write_trajectory)
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,8 +28,8 @@ from .exact import ExactError, loglik_events, loglik_lineages
 from .filtering import (FilterConfig, FilterError, WeightGrid, boundary_flux,
                         oracle_loglik, replicate_loglik, smc_loglik)
 from .genealogy import (GenealogyError, NewickError, build_genealogy, prune,
-                        read_genealogy, to_newick, write_genealogy)
-from .models import MODELS, build_model, lbdp_truncation, s2ir_truncation, sir_truncation
+                        read_genealogy, to_newick, validate_genealogy, write_genealogy)
+from .models import MODELS, TRUNCATIONS, model_params
 from .population import (History, IntegrationError, JumpSequence, SimulationError,
                          read_trajectory, simulate, to_history, write_trajectory)
 
@@ -166,12 +166,14 @@ def _provenance(config, seed: int) -> dict:
             "seed": seed}
 
 
-def _build_spec(config):
+def _build_model(config, params=None, where: str = "config.model.params"):
+    """The model's params dataclass and spec; ``params`` replaces the config's mapping."""
     model = config["model"]
     try:
-        return build_model(model["name"], model["params"], mu=model.get("mu", 1.0))
+        obj = model_params(model["name"], model["params"] if params is None else params)
+        return obj, MODELS[model["name"]][1](obj, mu=model.get("mu", 1.0))
     except ValueError as exc:
-        raise ConfigError(f"config.model.params: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _input_path(config, key: str) -> Path:
@@ -180,6 +182,33 @@ def _input_path(config, key: str) -> Path:
         raise ConfigError(f"config.inputs.{key} is required for this command")
     p = Path(inputs[key])
     return p if p.is_absolute() else config["_dir"] / p
+
+
+def _read_input(config, key: str, reader):
+    """``reader(path)`` on ``config.inputs.<key>``; a path that cannot be read is a config error."""
+    path = _input_path(config, key)
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"config.inputs.{key}: cannot read {path}: "
+                          f"{exc.strerror or exc}") from None
+
+
+def _read_genealogy(config):
+    """The input genealogy; malformed or structurally invalid content is a GenealogyError."""
+    g = _read_input(config, "genealogy", read_genealogy)
+    problems = validate_genealogy(g)
+    if problems:
+        raise GenealogyError(f"config.inputs.genealogy: {problems[0]}")
+    return g
+
+
+def _read_trajectory(path):
+    """`read_trajectory`; malformed content is a config error, like a history without aux."""
+    try:
+        return read_trajectory(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config.inputs.trajectory: malformed {path}: {exc}") from None
 
 
 def _filter_config(section: dict, seed: int) -> FilterConfig:
@@ -192,31 +221,16 @@ def _filter_config(section: dict, seed: int) -> FilterConfig:
     )
 
 
-def _truncation(config, spec):
-    section = config.get("oracle", {})
-    params = spec.params
-    if spec.name == "lbdp":
-        if "n_max" not in section:
-            raise ConfigError("config.oracle.n_max is required for model lbdp")
-        from .models import LBDPParams
-        return lbdp_truncation(LBDPParams(**params), section["n_max"])
-    if spec.name in ("sir", "sirs"):
-        from .models import SIRParams
-        keep = {k: params[k] for k in ("transmission_rate", "recovery_rate",
-                                       "sampling_rate", "s0", "i0", "r0")}
-        if isinstance(keep["transmission_rate"], dict):
-            keep["transmission_rate"] = 0.0
-        return sir_truncation(SIRParams(**keep))
-    if spec.name == "s2ir":
-        from .models import S2IRParams
-        return s2ir_truncation(S2IRParams(**params))
-    raise ConfigError(f"no truncation rule for model {spec.name!r}")
+def _truncation(name: str, params, n_max: int | None):
+    if n_max is None and name == "lbdp":
+        raise ConfigError("config.oracle.n_max is required for model lbdp")
+    return TRUNCATIONS[name](params, n_max)
 
 
 def cmd_simulate(args, config, out: Path) -> int:
     if "simulate" not in config:
         raise ConfigError("config.simulate is required for this command")
-    spec = _build_spec(config)
+    _, spec = _build_model(config)
     seed = _resolve_seed(args, config)
     prov = _provenance(config, seed)
     rng = np.random.default_rng(seed)
@@ -237,8 +251,7 @@ def cmd_simulate(args, config, out: Path) -> int:
 
 def cmd_prune(args, config, out: Path) -> int:
     seed = _resolve_seed(args, config)
-    g = read_genealogy(_input_path(config, "genealogy"))
-    visible = prune(g)
+    visible = prune(_read_genealogy(config))
     prov = _provenance(config, seed)
     write_genealogy(out / "genealogy_visible.json", visible, provenance=prov)
     tmp = out / "genealogy_visible.nwk.tmp"
@@ -249,11 +262,11 @@ def cmd_prune(args, config, out: Path) -> int:
 
 
 def cmd_filter(args, config, out: Path) -> int:
-    spec = _build_spec(config)
+    _, spec = _build_model(config)
     seed = _resolve_seed(args, config)
     section = config.get("filter", {})
     fc = _filter_config(section, seed)
-    v = read_genealogy(_input_path(config, "genealogy"))
+    v = _read_genealogy(config)
     n_reps = section.get("n_reps", 1)
     prov = _provenance(config, seed)
     if n_reps == 1:
@@ -267,10 +280,8 @@ def cmd_filter(args, config, out: Path) -> int:
                   "provenance": prov}
         shown = res.loglik
     else:
-        rep0_seed = np.random.SeedSequence(seed).spawn(n_reps)[0]
-        smc_loglik(spec, v, fc, rng=np.random.default_rng(rep0_seed)) \
-            .diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
         rep = replicate_loglik(spec, v, fc, n_reps)
+        rep.diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
         result = {"mean": rep.mean, "se": rep.se,
                   "estimates": list(rep.estimates),
                   "n_particles": fc.n_particles,
@@ -284,12 +295,12 @@ def cmd_filter(args, config, out: Path) -> int:
 
 
 def cmd_oracle(args, config, out: Path) -> int:
-    spec = _build_spec(config)
+    params, spec = _build_model(config)
     seed = _resolve_seed(args, config)
-    v = read_genealogy(_input_path(config, "genealogy"))
+    v = _read_genealogy(config)
     section = config.get("oracle", {})
     tol = section.get("tol", 1e-8)
-    truncation = _truncation(config, spec)
+    truncation = _truncation(config["model"]["name"], params, section.get("n_max"))
     loglik, grid = oracle_loglik(spec, v, truncation, tol=tol, return_grid=True)
     flux = boundary_flux(spec, grid, t=v.time)
     result = {"loglik": loglik, "tol": tol, "n_states": int(len(grid.states)),
@@ -300,9 +311,9 @@ def cmd_oracle(args, config, out: Path) -> int:
 
 
 def cmd_exact(args, config, out: Path) -> int:
-    spec = _build_spec(config)
+    _, spec = _build_model(config)
     seed = _resolve_seed(args, config)
-    traj, _header = read_trajectory(_input_path(config, "trajectory"))
+    traj, _header = _read_input(config, "trajectory", _read_trajectory)
     if isinstance(traj, History) or not isinstance(traj, JumpSequence):
         raise ConfigError("config.inputs.trajectory: full jump records with the "
                           "aux column are required for the exact routes")
@@ -331,33 +342,23 @@ def cmd_profile(args, config, out: Path) -> int:
         raise ConfigError(f"config.profile.parameter: model {name!r} has no "
                           f"parameter {param!r}")
     seed = _resolve_seed(args, config)
-    v = read_genealogy(_input_path(config, "genealogy"))
+    v = _read_genealogy(config)
     values = section["values"]
     include_oracle = section.get("include_oracle", False)
     sub_seeds = np.random.SeedSequence(seed).generate_state(len(values), dtype=np.uint64)
     n_reps = section.get("n_reps", 1)
     rows = []
+    n_max = section.get("n_max", config.get("oracle", {}).get("n_max"))
     for value, sub in zip(values, sub_seeds):
-        params = dict(model["params"])
-        params[param] = value
-        try:
-            spec = build_model(name, params, mu=model.get("mu", 1.0))
-        except ValueError as exc:
-            raise ConfigError(f"config.profile.values: {exc}") from None
+        params, spec = _build_model(config, {**model["params"], param: value},
+                                    where="config.profile.values")
         fc = _filter_config(section, int(sub))
         rep = replicate_loglik(spec, v, fc, n_reps)
         row = {"value": value, "mean": rep.mean, "se": rep.se,
                "n_particles": fc.n_particles, "n_reps": n_reps,
                "collapsed": rep.collapse_count}
         if include_oracle:
-            oracle_config = dict(config)
-            oracle_config["model"] = {"name": name, "params": params,
-                                      "mu": model.get("mu", 1.0)}
-            if "n_max" in section:
-                oracle_config["oracle"] = {**config.get("oracle", {}),
-                                           "n_max": section["n_max"]}
-            truncation = _truncation(oracle_config, spec)
-            row["oracle"] = oracle_loglik(spec, v, truncation,
+            row["oracle"] = oracle_loglik(spec, v, _truncation(name, params, n_max),
                                           tol=config.get("oracle", {}).get("tol", 1e-8))
         rows.append(row)
     header = ["value", "mean", "se", "n_particles", "n_reps", "collapsed"]

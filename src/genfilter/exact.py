@@ -10,6 +10,13 @@ history of population events, which must agree:
   factor per event according to how the visible genealogy classifies its
   time (coalescence, direct descent, leaf, or unobserved birth).
 
+The per-event combinatorial factors of the likelihood recursion live here,
+once: `event_factor` for the three genealogy event kinds and
+`hidden_birth_factor` for a birth the genealogy does not see.
+`loglik_events`, the particle filter and the grid oracle
+(`genfilter.filtering`) all call them; `q_factor` is the independent
+lineage-by-lineage reference they are checked against.
+
 Root nodes at time 0 belong to the initial condition, not to the event
 record, and contribute no factor.
 """
@@ -30,8 +37,39 @@ class ExactError(RuntimeError):
     """Raised when a genealogy and history are structurally inconsistent."""
 
 
-def _choose2(n: int) -> int:
+def _choose2(n):
     return n * (n - 1) // 2
+
+
+def event_factor(kind: str, size, ell: int) -> np.ndarray:
+    """Combinatorial factor of one genealogy event, vectorised over ``size``.
+
+    ``size`` is the focal size and ``ell`` the lineage count just after the
+    event.  A coalescence picks its pair, 1/C(size, 2); a direct descent
+    picks the sampled lineage, 1/size; a leaf samples an individual off
+    every tracked lineage, 1 - ell/size.  The factor is 0 when ``size`` is
+    below ``ell`` or below the individuals the event itself needs (two for a
+    coalescence, one for a sample).
+    """
+    size = np.asarray(size, dtype=float)
+    # the floors only keep the discarded branch of np.where finite
+    if kind == "coalescence":
+        return np.where(size >= max(ell, 2), 1.0 / np.maximum(_choose2(size), 1.0), 0.0)
+    if kind == "direct":
+        return np.where(size >= max(ell, 1), 1.0 / np.maximum(size, 1.0), 0.0)
+    if kind == "leaf":
+        return np.where(size >= max(ell, 1), 1.0 - ell / np.maximum(size, 1.0), 0.0)
+    raise ValueError(f"unknown genealogy event kind {kind!r}")
+
+
+def hidden_birth_factor(size, ell: int) -> np.ndarray:
+    """Probability that a birth at focal size ``size`` joined no two of ``ell`` lineages.
+
+    1 - C(ell, 2)/C(size, 2), vectorised over ``size``; 1 when fewer than
+    two lineages are tracked, and 0 when ``size`` is below ``ell``.
+    """
+    size = np.asarray(size, dtype=float)
+    return np.where(size >= ell, 1.0 - _choose2(ell) / np.maximum(_choose2(size), 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -164,38 +202,23 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     total = 0.0
     for t, k, _, post in iter_transitions(spec, h):
         ev = spec.events[k]
-        size = spec.focal(post)
         kind = pending.pop(t, None)
-        if kind == "coalescence":
+        if kind is None:
+            if ev.is_sample:
+                raise ExactError(f"history sample at t={t} has no matching genealogy node")
             if not ev.is_birth:
+                continue
+            factor = hidden_birth_factor(spec.focal(post), crossing(t))
+        else:
+            if kind == "coalescence" and not ev.is_birth:
                 raise ExactError(f"coalescence at t={t} matches non-birth event {ev.name!r}")
-            pairs = _choose2(size)
-            if pairs <= 0:
-                return -math.inf
-            total -= math.log(pairs)
-        elif kind == "direct":
-            if not ev.is_sample:
-                raise ExactError(f"direct descent at t={t} matches non-sample event {ev.name!r}")
-            if size <= 0:
-                return -math.inf
-            total -= math.log(size)
-        elif kind == "leaf":
-            if not ev.is_sample:
-                raise ExactError(f"leaf at t={t} matches non-sample event {ev.name!r}")
-            live = crossing(t)
-            if size <= 0 or live >= size:
-                return -math.inf
-            total += math.log1p(-live / size) if live else 0.0
-        elif ev.is_birth:
-            live = crossing(t)
-            held = _choose2(live)
-            if held:
-                pairs = _choose2(size)
-                if pairs <= held:
-                    return -math.inf
-                total += math.log1p(-held / pairs)
-        elif ev.is_sample:
-            raise ExactError(f"history sample at t={t} has no matching genealogy node")
+            if kind != "coalescence" and not ev.is_sample:
+                what = "direct descent" if kind == "direct" else kind
+                raise ExactError(f"{what} at t={t} matches non-sample event {ev.name!r}")
+            factor = event_factor(kind, spec.focal(post), crossing(t))
+        if factor <= 0.0:
+            return -math.inf
+        total += math.log(factor)
     if pending:
         t = min(pending)
         raise ExactError(f"genealogy event at t={t} is absent from the history")

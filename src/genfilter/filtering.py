@@ -13,6 +13,13 @@ Two routes, useful as cross-checks on each other:
   deterministically over a finite state truncation, which makes it an
   accuracy oracle at small scale.
 
+Both routes weight with the same recursion as the closed form in
+`genfilter.exact`: rate/mu times `event_factor` at each genealogy event,
+and `hidden_birth_factor` at each birth between events.  Those factors are
+written once, in `genfilter.exact`; this module only applies them, to
+particles or to grid weights.  Every rate is read through
+`ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
+
 States whose focal size drops below the number of lineages the genealogy
 requires carry zero weight throughout.  Coordinates declared as bookkeeping
 on the model (pure event counters) are projected out of the internal state.
@@ -22,16 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse import coo_matrix, diags
 from scipy.special import logsumexp
 
+from .exact import event_factor, hidden_birth_factor
 from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
-from .population import ModelSpec, StateLattice, ensure_rng, integrate_linear
+from .population import ModelSpec, StateLattice, _rate_integral, ensure_rng, integrate_linear
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -124,12 +132,16 @@ class SMCResult:
 
 @dataclass
 class ReplicateResult:
-    """Mean and standard error over independent filter replicates."""
+    """Mean and standard error over independent filter replicates.
+
+    ``diagnostics`` are those of replicate 0.
+    """
 
     mean: float
     se: float
     estimates: tuple[float, ...]
     collapse_count: int
+    diagnostics: FilterDiagnostics
 
 
 @dataclass
@@ -149,9 +161,11 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     """Classified event times of a visible genealogy, in sequence order.
 
     Root nodes (which hold their own green ball) describe the initial
-    condition and are not events.
+    condition and are not events.  Two events at one time are rejected:
+    each needs the lineage count between them.
     """
     out = []
+    seen = set()
     for n in v.nodes:
         greens = [b for b in n.pocket if b.color == GREEN]
         has_blue = any(b.color == BLUE for b in n.pocket)
@@ -167,91 +181,49 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
             kind = "leaf"
         else:
             raise FilterError(f"node {n.name}: pocket is not of visible-genealogy form")
+        if n.time in seen:
+            raise FilterError(f"two genealogy events share time {n.time}")
+        seen.add(n.time)
         out.append((n.time, kind))
     return tuple(out)
 
 
-def _choose2_arr(n: np.ndarray) -> np.ndarray:
-    return n * (n - 1) / 2.0
-
-
-class _FilterModel:
-    """Model wrapper with bookkeeping coordinates projected out."""
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.n_active = len(spec.active_dims)
-        self.U = spec.displacements[:, :self.n_active]
-        self.mu = spec.mu
-        self.birth_events = [k for k, ev in enumerate(spec.events) if ev.is_birth]
-        self.death_events = [k for k, ev in enumerate(spec.events) if ev.is_death]
-        self.sample_events = [k for k, ev in enumerate(spec.events) if ev.is_sample]
-
-    def project(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.int64)[..., :self.n_active]
-
-    def rates_at(self, t: float, states: np.ndarray) -> np.ndarray:
-        return self.spec.rate_matrix(t, states)
-
-    def focal(self, states) -> np.ndarray:
-        return self.spec.focal_sizes(states)
-
-    def channels_for(self, kind: str) -> list[int]:
-        events = self.birth_events if kind == "coalescence" else self.sample_events
-        if not events:
-            raise FilterError(
-                f"genealogy has a {kind} event but the model has no matching channel")
-        return events
+def _channels(spec: ModelSpec, kind: str) -> np.ndarray:
+    """Channels that can produce a genealogy event of ``kind``."""
+    mask = spec.birth_mask if kind == "coalescence" else spec.sample_mask
+    channels = np.flatnonzero(mask)
+    if not len(channels):
+        raise FilterError(f"genealogy has a {kind} event but the model has no matching channel")
+    return channels
 
 
 def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
     """Draw ``n`` particles from the initial distribution (projected state)."""
     rng = ensure_rng(rng)
-    fm = _FilterModel(spec)
-    states = np.empty((n, fm.n_active), dtype=np.int64)
+    states = np.empty((n, len(spec.active_dims)), dtype=np.int64)
     for i in range(n):
-        states[i] = fm.project(spec.init_sample(rng))
+        states[i] = np.asarray(spec.init_sample(rng), dtype=np.int64)[:len(spec.active_dims)]
     return Ensemble(states, np.zeros(n))
 
 
-def _sample_rate_integral(fm: _FilterModel, x: np.ndarray, a: float, b: float) -> float:
-    """Integral of the total sampling rate on [a, b] at frozen state x."""
-    spec = fm.spec
-    total = 0.0
-    for k in fm.sample_events:
-        if spec.time_dependent[k]:
-            pts = sorted(p for p in spec.rate_breakpoints if a < p < b)
-            cuts = [a, *pts, b]
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                val, _ = quad(lambda s: spec.rates[k](s, x), lo, hi,
-                              epsabs=1e-14, epsrel=1e-9, limit=200)
-                total += val
-        else:
-            total += float(np.asarray(spec.rates[k](a, x))) * (b - a)
-    return total
-
-
-def _propagate_const(fm, states, logw, t0, t1, ell, rng, survival: bool):
+def _propagate_const(spec, states, logw, t0, t1, ell, rng, survival: bool):
     """Vectorized exact simulation of all particles from t0 to t1.
 
     All particles draw from the shared stream every round regardless of
     whether they still move, so the output is invariant to which particles
     finish first.
     """
-    spec = fm.spec
     n = len(logw)
     k_count = spec.n_events
     t = np.full(n, t0)
     done = ~np.isfinite(logw)
     t[done] = t1
-    c2_ell = ell * (ell - 1) / 2.0
-    sample_cols = np.asarray(fm.sample_events, dtype=np.intp)
+    sample_cols = np.flatnonzero(spec.sample_mask)
     while not done.all():
         active = ~done
-        rates = fm.rates_at(t0, states)
-        np.maximum(rates, 0.0, out=rates)
-        g_rate = rates[:, sample_cols].sum(axis=1) if len(sample_cols) else np.zeros(n)
-        if survival and len(sample_cols):
+        rates = spec.rate_matrix(t0, states)
+        g_rate = rates[:, sample_cols].sum(axis=1)
+        if survival:
             rates[:, sample_cols] = 0.0
         total = rates.sum(axis=1)
         draws = rng.exponential(size=n)
@@ -268,38 +240,37 @@ def _propagate_const(fm, states, logw, t0, t1, ell, rng, survival: bool):
         np.minimum(choice, k_count - 1, out=choice)
         idx = np.flatnonzero(fires)
         if len(idx):
-            states[idx] += fm.U[choice[idx]]
+            states[idx] += spec.active_displacements[choice[idx]]
             t[idx] = t_next[idx]
             picked = choice[idx]
             born = idx[spec.birth_mask[picked]]
             if len(born):
-                size = fm.focal(states[born]).astype(float)
-                pairs = _choose2_arr(size)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    factor = np.where(pairs > 0.0, 1.0 - c2_ell / np.where(pairs > 0, pairs, 1.0),
-                                      1.0 if c2_ell == 0.0 else 0.0)
-                factor = np.where(size >= ell, factor, 0.0)
                 with np.errstate(divide="ignore"):
-                    logw[born] += np.where(factor > 0.0, np.log(np.maximum(factor, 1e-300)), -np.inf)
+                    logw[born] += np.log(hidden_birth_factor(spec.focal_sizes(states[born]), ell))
             died = idx[spec.death_mask[picked]]
             if len(died):
-                bad = died[fm.focal(states[died]) < ell]
+                bad = died[spec.focal_sizes(states[died]) < ell]
                 logw[bad] = -np.inf
-            if not survival and len(sample_cols):
-                hit = idx[spec.sample_mask[picked]]
-                logw[hit] = -np.inf
+            if not survival:
+                logw[idx[spec.sample_mask[picked]]] = -np.inf
         finished = active & ~fires
         t[finished] = t1
         done |= finished | ~np.isfinite(logw)
     return states, logw
 
 
-def _propagate_tv(fm, states, logw, t0, t1, ell, rng, survival: bool):
+@lru_cache(maxsize=4096)
+def _log_hidden_birth(size: int, ell: int) -> float:
+    """log `hidden_birth_factor` of one particle; thinning asks for few distinct values."""
+    factor = float(hidden_birth_factor(size, ell))
+    return math.log(factor) if factor > 0.0 else -math.inf
+
+
+def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
     """Per-particle thinning when some rates vary with time between jumps."""
-    spec = fm.spec
     allowed = [k for k in range(spec.n_events)
                if not (survival and spec.events[k].is_sample)]
-    c2_ell = ell * (ell - 1) / 2.0
+    sample_cols = [k for k in range(spec.n_events) if spec.events[k].is_sample]
     for i in range(len(logw)):
         if not math.isfinite(logw[i]):
             continue
@@ -316,7 +287,7 @@ def _propagate_tv(fm, states, logw, t0, t1, ell, rng, survival: bool):
                     cur = cur + rng.exponential() / bound
                     if cur > t1:
                         break
-                    r = np.array([spec.rates[k](cur, x) for k in allowed], dtype=float)
+                    r = spec.rate_matrix(cur, x)[allowed]
                     tot = float(r.sum())
                     if tot > bound * (1.0 + 1e-12):
                         raise FilterError(
@@ -327,21 +298,17 @@ def _propagate_tv(fm, states, logw, t0, t1, ell, rng, survival: bool):
                         break
             stop = t1 if jump is None else jump[0]
             if survival:
-                logw[i] -= _sample_rate_integral(fm, x, t, stop)
+                logw[i] -= _rate_integral(spec, x, t, stop, channels=sample_cols)
             if jump is None:
                 break
             t, k = jump
             ev = spec.events[k]
-            x += fm.U[k]
+            x += spec.active_displacements[k]
             if ev.is_birth:
-                size = float(fm.focal(x))
-                pairs = size * (size - 1) / 2.0
-                factor = 1.0 - c2_ell / pairs if pairs > 0 else (1.0 if c2_ell == 0 else 0.0)
-                if size < ell or factor <= 0.0:
-                    logw[i] = -np.inf
+                logw[i] += _log_hidden_birth(spec.focal(x), ell)
+                if logw[i] == -np.inf:
                     break
-                logw[i] += math.log(factor)
-            elif ev.is_death and fm.focal(x) < ell:
+            elif ev.is_death and spec.focal(x) < ell:
                 logw[i] = -np.inf
                 break
             elif ev.is_sample and not survival:
@@ -362,7 +329,6 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     """
     if weighting not in WEIGHTING_MODES:
         raise ValueError(f"weighting must be one of {WEIGHTING_MODES}")
-    fm = _FilterModel(spec)
     ell = LineageFunction(v)(t0)
     states = particles.states.copy()
     logw = particles.log_weights.copy()
@@ -370,40 +336,28 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
         raise ValueError("t1 < t0")
     if t1 > t0:
         step = _propagate_tv if spec.any_time_dependent else _propagate_const
-        states, logw = step(fm, states, logw, t0, t1, ell,
+        states, logw = step(spec, states, logw, t0, t1, ell,
                             ensure_rng(rng), weighting == "analytic-survival")
     return Ensemble(states, logw)
 
 
-def _event_terms(fm, states, e, kind, ell_post):
-    """Per-particle, per-channel weight contributions for one event update."""
-    channels = fm.channels_for(kind)
-    n = len(states)
-    terms = np.zeros((n, len(channels)))
+def _event_terms(spec, states, e, kind, ell_post):
+    """Per-state, per-channel weight contributions rate/mu * factor for one event."""
+    channels = _channels(spec, kind)
+    rates = spec.rate_matrix(e, states)
+    terms = np.empty((len(states), len(channels)))
     for j, k in enumerate(channels):
-        alpha = np.maximum(np.asarray(fm.spec.rates[k](e, states), dtype=float), 0.0)
-        size = fm.focal(states + fm.U[k]).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if kind == "coalescence":
-                pairs = _choose2_arr(size)
-                weight = np.where((size >= max(ell_post, 2)) & (pairs > 0),
-                                  1.0 / np.where(pairs > 0, pairs, 1.0), 0.0)
-            elif kind == "direct":
-                weight = np.where((size >= max(ell_post, 1)),
-                                  1.0 / np.where(size > 0, size, 1.0), 0.0)
-            else:  # leaf
-                weight = np.where(size >= max(ell_post, 1),
-                                  1.0 - ell_post / np.where(size > 0, size, 1.0), 0.0)
-        terms[:, j] = alpha / fm.mu * weight
+        size = spec.focal_sizes(states + spec.active_displacements[k])
+        terms[:, j] = rates[:, k] / spec.mu * event_factor(kind, size, ell_post)
     return channels, terms
 
 
-def _apply_event(fm, states, logw, e, kind, ell_post, rng):
+def _apply_event(spec, states, logw, e, kind, ell_post, rng):
     """Weight and move all particles through one genealogy event, in place."""
-    channels, terms = _event_terms(fm, states, e, kind, ell_post)
+    channels, terms = _event_terms(spec, states, e, kind, ell_post)
     total = terms.sum(axis=1)
     with np.errstate(divide="ignore"):
-        logw += np.where(total > 0.0, np.log(np.maximum(total, 1e-300)), -np.inf)
+        logw += np.log(total)
     if len(channels) == 1:
         choice = np.zeros(len(states), dtype=np.intp)
     else:
@@ -411,7 +365,7 @@ def _apply_event(fm, states, logw, e, kind, ell_post, rng):
         cum = np.cumsum(terms, axis=1)
         choice = (u[:, None] * total[:, None] > cum).sum(axis=1)
         np.minimum(choice, len(channels) - 1, out=choice)
-    moves = np.asarray([fm.U[k] for k in channels], dtype=np.int64)
+    moves = spec.active_displacements[channels]
     live = np.isfinite(logw)
     states[live] += moves[choice[live]]
     return states, logw
@@ -426,8 +380,7 @@ def event_update(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     combinatorial factor; the state move is sampled proportionally to the
     summands.  A particle with no compatible channel mass goes to -inf.
     """
-    fm = _FilterModel(spec)
-    states, logw = _apply_event(fm, particles.states.copy(),
+    states, logw = _apply_event(spec, particles.states.copy(),
                                 particles.log_weights.copy(), e, kind,
                                 LineageFunction(v)(e), ensure_rng(rng))
     return Ensemble(states, logw)
@@ -465,13 +418,12 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     and the ensemble is resampled when the effective sample size drops
     below ``ess_threshold * n_particles``.  Deterministic given the seed.
     """
-    fm = _FilterModel(spec)
     schedule = event_schedule(v)
     crossing = LineageFunction(v)
     rng = ensure_rng(config.seed if rng is None else rng)
     ens = init_ensemble(spec, config.n_particles, rng)
     states, logw = ens.states, ens.log_weights
-    logw[fm.focal(states) < crossing(0.0)] = -np.inf
+    logw[spec.focal_sizes(states) < crossing(0.0)] = -np.inf
     survival = config.weighting == "analytic-survival"
     step = _propagate_tv if spec.any_time_dependent else _propagate_const
     diag = FilterDiagnostics()
@@ -479,8 +431,8 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     t = 0.0
     for e, kind in schedule:
         if e > t:
-            states, logw = step(fm, states, logw, t, e, crossing(t), rng, survival)
-        states, logw = _apply_event(fm, states, logw, e, kind, crossing(e), rng)
+            states, logw = step(spec, states, logw, t, e, crossing(t), rng, survival)
+        states, logw = _apply_event(spec, states, logw, e, kind, crossing(e), rng)
         lmw = float(logsumexp(logw) - math.log(len(logw)))
         if not math.isfinite(lmw):
             diag.events.append(EventDiagnostics(e, kind, -math.inf, 0.0, False))
@@ -497,7 +449,7 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
         diag.events.append(EventDiagnostics(e, kind, lmw, ess, resampled))
         t = e
     if v.time > t:
-        states, logw = step(fm, states, logw, t, v.time, crossing(t), rng, survival)
+        states, logw = step(spec, states, logw, t, v.time, crossing(t), rng, survival)
     lmw = float(logsumexp(logw) - math.log(len(logw)))
     if not math.isfinite(lmw):
         diag.collapsed = True
@@ -515,45 +467,40 @@ def replicate_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     recorded and excluded from the mean.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(n_reps)
-    vals = np.array([smc_loglik(spec, v, config, rng=np.random.default_rng(s)).loglik
-                     for s in seeds])
+    runs = [smc_loglik(spec, v, config, rng=np.random.default_rng(s)) for s in seeds]
+    vals = np.array([r.loglik for r in runs])
+    diagnostics = runs[0].diagnostics
     finite = np.isfinite(vals)
     k = int(finite.sum())
     if k == 0:
-        return ReplicateResult(-math.inf, math.nan, tuple(vals), n_reps)
+        return ReplicateResult(-math.inf, math.nan, tuple(vals), n_reps, diagnostics)
     mean = float(vals[finite].mean())
     se = float(vals[finite].std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
-    return ReplicateResult(mean, se, tuple(vals), n_reps - k)
+    return ReplicateResult(mean, se, tuple(vals), n_reps - k, diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # Deterministic truncated-grid oracle.
 
-def _interval_generator(fm, lattice, t, ell, compat):
+def _interval_generator(spec, lattice, t, ell, compat):
     """Sparse operator for the between-events weight flow at lineage count ell.
 
     Sampling channels act as pure killing (outflow without inflow); birth
     inflow is damped by the no-coalescence probability; inflow into states
     inconsistent with the lineage count is dropped.
     """
-    spec = fm.spec
     rates = spec.rate_matrix(t, lattice.states)
-    np.maximum(rates, 0.0, out=rates)
-    size = fm.focal(lattice.states).astype(float)
-    c2_ell = ell * (ell - 1) / 2.0
+    size = spec.focal_sizes(lattice.states)
     rows, cols, data = [], [], []
     for k in range(spec.n_events):
         if spec.events[k].is_sample:
             continue
-        src, dst = lattice.transition(fm.U[k])
+        src, dst = lattice.transition(spec.active_displacements[k])
         if not len(src):
             continue
         vals = rates[src, k]
-        if spec.events[k].is_birth and c2_ell > 0.0:
-            pairs = _choose2_arr(size[dst])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = np.where(pairs > 0.0, 1.0 - c2_ell / np.where(pairs > 0, pairs, 1.0), 0.0)
-            vals = vals * np.maximum(factor, 0.0)
+        if spec.events[k].is_birth:
+            vals = vals * hidden_birth_factor(size[dst], ell)
         vals = vals * compat[dst]
         rows.append(dst)
         cols.append(src)
@@ -565,27 +512,12 @@ def _interval_generator(fm, lattice, t, ell, compat):
     return mat + diags(-rates.sum(axis=1))
 
 
-def _grid_event_update(fm, lattice, w, e, kind, ell_post):
-    channels = fm.channels_for(kind)
-    size = fm.focal(lattice.states).astype(float)
+def _grid_event_update(spec, lattice, w, e, kind, ell_post):
+    channels, terms = _event_terms(spec, lattice.states, e, kind, ell_post)
     new = np.zeros_like(w)
-    for k in channels:
-        src, dst = lattice.transition(fm.U[k])
-        if not len(src):
-            continue
-        alpha = np.maximum(np.asarray(fm.spec.rates[k](e, lattice.states[src]), dtype=float), 0.0)
-        sz = size[dst]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if kind == "coalescence":
-                pairs = _choose2_arr(sz)
-                g = np.where((sz >= max(ell_post, 2)) & (pairs > 0),
-                             1.0 / np.where(pairs > 0, pairs, 1.0), 0.0)
-            elif kind == "direct":
-                g = np.where(sz >= max(ell_post, 1), 1.0 / np.where(sz > 0, sz, 1.0), 0.0)
-            else:
-                g = np.where(sz >= max(ell_post, 1),
-                             1.0 - ell_post / np.where(sz > 0, sz, 1.0), 0.0)
-        new[dst] += alpha / fm.mu * np.maximum(g, 0.0) * w[src]
+    for j, k in enumerate(channels):
+        src, dst = lattice.transition(spec.active_displacements[k])
+        new[dst] += terms[src, j] * w[src]
     return new
 
 
@@ -600,14 +532,14 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     Probability on states with fewer focal individuals than required
     lineages is zeroed, including at time zero.
     """
-    fm = _FilterModel(spec)
+    n_active = len(spec.active_dims)
     full = [tuple(int(c) for c in s) for s in truncation]
-    proj = StateLattice((s[:fm.n_active] for s in full), fm.n_active)
+    proj = StateLattice((s[:n_active] for s in full), n_active)
     w = np.zeros(proj.size)
     for s in full:
-        row = proj.row_of(s[:fm.n_active])
+        row = proj.row_of(s[:n_active])
         w[row] += float(spec.init_pmf(np.asarray(s, dtype=np.int64)))
-    size = fm.focal(proj.states)
+    size = spec.focal_sizes(proj.states)
     crossing = LineageFunction(v)
     schedule = event_schedule(v)
     w[size < crossing(0.0)] = 0.0
@@ -619,9 +551,9 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
         w = w * compat
         if spec.any_time_dependent:
             def rhs(t, vec):
-                return _interval_generator(fm, proj, t, ell, compat) @ vec
+                return _interval_generator(spec, proj, t, ell, compat) @ vec
         else:
-            mat = _interval_generator(fm, proj, t0, ell, compat)
+            mat = _interval_generator(spec, proj, t0, ell, compat)
 
             def rhs(t, vec):
                 return mat @ vec
@@ -630,7 +562,7 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     t = 0.0
     for e, kind in schedule:
         w = advance(w, t, e, crossing(t))
-        w = _grid_event_update(fm, proj, w, e, kind, crossing(e))
+        w = _grid_event_update(spec, proj, w, e, kind, crossing(e))
         t = e
     w = advance(w, t, v.time, crossing(t))
     total = float(w.sum())
@@ -653,15 +585,16 @@ def boundary_flux(spec: ModelSpec, weights, t: float = 0.0) -> float:
         items = [(tuple(int(v) for v in s), float(wt)) for s, wt in weights.items()]
     member = {s for s, _ in items}
     width = len(next(iter(member))) if member else spec.d
+    states = np.array([s for s, _ in items], dtype=np.int64).reshape(len(items), width)
+    rates = spec.rate_matrix(t, states)
     flux = 0.0
-    for s, wt in items:
+    for x, rate_row, (_, wt) in zip(states, rates, items):
         if wt == 0.0:
             continue
-        x = np.asarray(s, dtype=np.int64)
         for k in range(spec.n_events):
             target = tuple((x + spec.displacements[k][:width]).tolist())
             if target not in member:
-                rate = float(np.asarray(spec.rates[k](t, x)))
+                rate = float(rate_row[k])
                 if rate > 0.0:
                     flux += wt * rate
     return flux

@@ -719,4 +719,10 @@ def write_genealogy(path, g: Genealogy, provenance=None) -> Path:
 
 
 def read_genealogy(path) -> Genealogy:
-    return genealogy_from_json(json.loads(Path(path).read_text()))
+    """Read a genealogy written by `write_genealogy`; content that is not JSON is a GenealogyError."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as err:
+        raise GenealogyError(f"{path} is not valid JSON: {err}") from None
+    return genealogy_from_json(obj)

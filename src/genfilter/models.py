@@ -14,6 +14,7 @@ supplied bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -46,11 +47,11 @@ class PiecewiseConstant:
             raise ValueError("values must be nonnegative")
 
     def __call__(self, t: float) -> float:
-        return self.values[int(np.searchsorted(self.times, t, side="right"))]
+        return self.values[bisect_right(self.times, t)]
 
     def max_on(self, t0: float, t1: float) -> float:
-        lo = int(np.searchsorted(self.times, t0, side="right"))
-        hi = int(np.searchsorted(self.times, t1, side="left"))
+        lo = bisect_right(self.times, t0)
+        hi = bisect_left(self.times, t1)
         return max(self.values[lo:hi + 1])
 
     def to_dict(self) -> dict:
@@ -353,11 +354,28 @@ MODELS: dict[str, tuple[type, Callable]] = {
 }
 
 
+# Grid-oracle state sets, called as ``truncation(params, n_max)``.  Only lbdp,
+# whose population is unbounded, reads the cap; the epidemic models conserve
+# their population and enumerate every state it allows.
+TRUNCATIONS: dict[str, Callable] = {
+    "lbdp": lbdp_truncation,
+    "sir": lambda params, n_max: sir_truncation(params),
+    "sirs": lambda params, n_max: sirs_truncation(params),
+    "s2ir": lambda params, n_max: s2ir_truncation(params),
+}
+
+
 def build_model(name: str, params: Mapping, mu: float = 1.0) -> ModelSpec:
     """Construct a registered model from a plain parameter mapping."""
+    obj = model_params(name, params)
+    return MODELS[name][1](obj, mu=mu)
+
+
+def model_params(name: str, params: Mapping):
+    """The params dataclass of a registered model, from a plain mapping."""
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}; choose from {sorted(MODELS)}")
-    cls, builder = MODELS[name]
+    cls, _ = MODELS[name]
     fields = {f for f in cls.__dataclass_fields__}
     unknown = set(params) - fields
     if unknown:
@@ -366,7 +384,6 @@ def build_model(name: str, params: Mapping, mu: float = 1.0) -> ModelSpec:
     if "transmission_rate" in kwargs:
         kwargs["transmission_rate"] = _as_rate(kwargs["transmission_rate"])
     try:
-        obj = cls(**kwargs)
+        return cls(**kwargs)
     except TypeError as exc:
         raise ValueError(f"model {name!r}: {exc}") from None
-    return builder(obj, mu=mu)

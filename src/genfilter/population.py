@@ -146,6 +146,7 @@ class ModelSpec:
         self.n_events = len(events)
         self.displacements = np.array([ev.displacement for ev in events],
                                       dtype=np.int64).reshape(self.n_events, d)
+        self.active_displacements = self.displacements[:, :len(self.active_dims)]
         self.birth_mask = np.array([ev.is_birth for ev in events], dtype=bool)
         self.death_mask = np.array([ev.is_death for ev in events], dtype=bool)
         self.sample_mask = np.array([ev.is_sample for ev in events], dtype=bool)
@@ -160,11 +161,21 @@ class ModelSpec:
         return float(np.asarray(self.rates[k](t, np.asarray(x, dtype=np.int64))))
 
     def rate_matrix(self, t: float, states) -> np.ndarray:
-        """All channel rates at once; shape ``states.shape[:-1] + (n_events,)``."""
+        """All channel rates at once; shape ``states.shape[:-1] + (n_events,)``.
+
+        A negative or non-finite rate is a defect of the model, not a value
+        to clamp: it raises `SimulationError` naming the channel, the time
+        and the state.
+        """
         states = np.asarray(states, dtype=np.int64)
         out = np.empty(states.shape[:-1] + (self.n_events,), dtype=float)
         for k, fn in enumerate(self.rates):
             out[..., k] = fn(t, states)
+        if out.size and not (out.min() >= 0.0 and out.max() < math.inf):
+            *row, k = np.argwhere(~(out >= 0.0) | np.isinf(out))[0]
+            raise SimulationError(
+                f"model {self.name!r}: channel {self.events[k].name!r} has rate "
+                f"{out[(*row, k)]} at t={t} in state {tuple(states[tuple(row)].tolist())}")
         return out
 
     def total_rate(self, t: float, x) -> float:
@@ -376,8 +387,8 @@ def iter_transitions(spec: ModelSpec, obj):
         yield t, k, pre, x.copy()
 
 
-def _rate_integral(spec: ModelSpec, x, t0: float, t1: float) -> float:
-    """Integral of the total rate over [t0, t1] at frozen state ``x``.
+def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> float:
+    """Integral of the summed rate of ``channels`` (default: all) over [t0, t1] at frozen ``x``.
 
     Exact for constant channels; adaptive quadrature (split at declared
     breakpoints) for time-dependent ones.
@@ -385,9 +396,10 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float) -> float:
     if t1 <= t0:
         return 0.0
     x = np.asarray(x, dtype=np.int64)
+    channels = range(spec.n_events) if channels is None else channels
     const = 0.0
-    varying = [k for k in range(spec.n_events) if spec.time_dependent[k]]
-    for k in range(spec.n_events):
+    varying = [k for k in channels if spec.time_dependent[k]]
+    for k in channels:
         if k not in varying:
             const += spec.rate(k, t0, x)
     total = const * (t1 - t0)

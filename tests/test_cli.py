@@ -123,6 +123,16 @@ def test_filter_replicates(tmp_path):
     assert result["se"] > 0
     vals = np.array(result["estimates"], dtype=float)
     assert np.isclose(result["mean"], vals.mean())
+    # diagnostics.csv comes from replicate 0 of the same seed stream
+    spec = gf.build_model("lbdp", LBDP_PARAMS)
+    v = gf.read_genealogy(out / "genealogy_visible.json")
+    rep0 = np.random.default_rng(np.random.SeedSequence(11).spawn(6)[0])
+    want = gf.smc_loglik(spec, v, gf.FilterConfig(200, seed=11), rng=rep0)
+    assert result["estimates"][0] == want.loglik
+    want.diagnostics.to_csv(tmp_path / "want.csv")
+    got = (res_dir / "diagnostics.csv").read_text().splitlines()
+    assert [ln for ln in got if not ln.startswith("#")] == \
+        (tmp_path / "want.csv").read_text().splitlines()
 
 
 def test_filter_rerun_is_byte_identical(tmp_path):
@@ -178,6 +188,16 @@ def test_oracle_requires_n_max_for_lbdp(tmp_path, capsys):
                           inputs={"genealogy": str(out / "genealogy_visible.json")})
     assert run("oracle", "--config", config, "--out", tmp_path / "o") == 2
     assert "config.oracle.n_max" in capsys.readouterr().err
+
+
+def test_oracle_rejects_tied_event_times(tmp_path, capsys):
+    # both leaves at t=0.7: each needs the lineage count the other leaves behind
+    path = gf.write_genealogy(tmp_path / "tied.json",
+                              gf.from_newick("((r1:0.5,r2:0.5):0.2);"))
+    config = write_config(tmp_path, name="oracle.json", inputs={"genealogy": str(path)},
+                          oracle={"n_max": 30})
+    assert run("oracle", "--config", config, "--out", tmp_path / "o") == 1
+    assert "share time" in capsys.readouterr().err
 
 
 def test_exact_routes_agree(tmp_path):
@@ -284,6 +304,39 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
                                             "sampling_rate": 0.0, "n0": 2}})
     assert run("simulate", "--config", config, "--out", tmp_path / "o") == 1
     assert "error:" in capsys.readouterr().err
+
+
+NOT_A_GENEALOGY = {"time": 1.0, "nodes": [
+    {"name": 0, "time": 0.0, "pocket": [{"color": "green", "name": 0}]}]}
+
+
+@pytest.mark.parametrize("command,key,content,code", [
+    ("filter", "genealogy", None, 2),
+    ("filter", "genealogy", "{nope", 1),
+    ("oracle", "genealogy", json.dumps({"time": 1.0}), 1),
+    ("prune", "genealogy", json.dumps(NOT_A_GENEALOGY), 1),
+    ("exact", "trajectory", None, 2),
+    ("exact", "trajectory", "time,event,aux\n", 2),
+])
+def test_bad_input_file_is_a_named_error(tmp_path, command, key, content, code):
+    """Unreadable paths are config errors; malformed content fails the run; no traceback."""
+    target = tmp_path / "input"
+    if content is not None and key == "genealogy":
+        target.write_text(content)
+    elif content is not None:
+        target.with_suffix(".json").write_text(json.dumps(
+            {"kind": "jumps", "events": ["birth"], "x0": [1, 0], "t_end": 1.0}))
+        target.with_suffix(".csv").write_text(content)
+    config = write_config(tmp_path, name="bad.json", inputs={key: str(target)},
+                          oracle={"n_max": 20})
+    proc = subprocess.run([sys.executable, "-m", "genfilter", command, "--config", str(config),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == code, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if content is None:
+        assert f"config.inputs.{key}" in proc.stderr
 
 
 def test_relative_input_resolves_against_config_dir(tmp_path):

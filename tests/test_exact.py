@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genfilter as gf
 from genfilter.exact import ExactError, QContext, q_factor
@@ -68,6 +70,50 @@ def test_q_factor_counting_incompatibilities():
 
 
 # ---------------------------------------------------------------------------
+# Shared event factors
+
+
+def reference_factor(kind, size, ell):
+    """The recursion's factors, spelt out case by case."""
+    if kind == "hidden birth":
+        if size < ell:
+            return 0.0
+        return 1.0 - math.comb(ell, 2) / math.comb(size, 2) if ell >= 2 else 1.0
+    if size < max(ell, 2 if kind == "coalescence" else 1):
+        return 0.0
+    if kind == "coalescence":
+        return 1.0 / math.comb(size, 2)
+    return 1.0 / size if kind == "direct" else 1.0 - ell / size
+
+
+EDGE_CASES = sorted(
+    {(size, ell) for ell in range(4) for size in (ell - 1, ell, ell + 1)}
+    | {(size, ell) for size in range(3) for ell in range(3)})
+
+
+@pytest.mark.parametrize("kind", ["coalescence", "direct", "leaf", "hidden birth"])
+@pytest.mark.parametrize("size,ell", EDGE_CASES)
+def test_factor_edges(kind, size, ell):
+    def factor(sizes):
+        if kind == "hidden birth":
+            return gf.hidden_birth_factor(sizes, ell)
+        return gf.event_factor(kind, sizes, ell)
+
+    with np.errstate(all="raise"):
+        got = float(factor(size))
+        batch = factor(np.array([size, size + 5, max(size - 5, 0)]))
+    assert got == pytest.approx(reference_factor(kind, size, ell), rel=1e-15, abs=0)
+    assert 0.0 <= got <= 1.0
+    assert batch[0] == got
+    assert batch[1] == pytest.approx(reference_factor(kind, size + 5, ell), rel=1e-15, abs=0)
+
+
+def test_event_factor_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="birth"):
+        gf.event_factor("birth", 3, 1)
+
+
+# ---------------------------------------------------------------------------
 # Whole-trajectory routes
 
 
@@ -115,6 +161,25 @@ def test_routes_agree_on_random_sir():
         b = gf.loglik_events(spec, gf.to_history(traj), visible)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
         done += 1
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(["lbdp", "sir"]),
+       rates=st.tuples(*(st.floats(0.1, 1.5),) * 3),
+       size=st.integers(1, 4))
+def test_routes_agree_on_random_models(seed, model, rates, size):
+    if model == "lbdp":
+        spec = lbdp(*rates, size)
+    else:
+        beta = rates[0] / 15.0
+        spec = gf.sir_spec(gf.SIRParams(beta, rates[1], rates[2], s0=5 * size + 10, i0=size))
+    traj = gf.simulate(spec, 1.5, np.random.default_rng(seed))
+    visible = gf.prune(gf.build_genealogy(spec, traj)[0])
+    a = gf.loglik_lineages(spec, traj)
+    b = gf.loglik_events(spec, gf.to_history(traj), visible)
+    assert math.isfinite(a) and a <= 1e-12
+    assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
 def forest_key(v):

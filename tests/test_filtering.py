@@ -387,6 +387,35 @@ def test_boundary_flux_from_dict():
     assert flux == pytest.approx(0.5 * 0.3 + 0.5 * 1.6)
 
 
+def test_tied_event_times_are_rejected():
+    # two leaves at t=0.7 would both be weighted with the count left after both
+    spec = sir(0.5, 1.0, 1.0, 6, 3)
+    truncation = gf.sir_truncation(gf.SIRParams(0.5, 1.0, 1.0, 6, 3))
+    tied = gf.from_newick("((r1:0.5,r2:0.5):0.2);")
+    assert gf.validate_genealogy(tied) == []
+    with pytest.raises(FilterError, match="share time 0.7"):
+        gf.smc_loglik(spec, tied, FilterConfig(50, seed=1))
+    with pytest.raises(FilterError, match="share time 0.7"):
+        gf.oracle_loglik(spec, tied, truncation)
+    apart = gf.from_newick("((r1:0.5,r2:0.5000001):0.2);")
+    assert math.isfinite(gf.oracle_loglik(spec, apart, truncation))
+
+
+def test_negative_rate_is_a_model_error():
+    # the death rate 0.5 n - 0.75 turns negative once a death takes n from 2 to 1
+    base = lbdp(0.0, 1.0, 0.5, 2)
+    spec = gf.ModelSpec("leaky", 2, base.events,
+                        (base.rates[0], lambda t, x: 0.5 * x[..., 0] - 0.75, base.rates[2]),
+                        base.init_sample, base.init_pmf, base.focal_size,
+                        bookkeeping_dims=(1,))
+    with pytest.raises(gf.SimulationError, match="'death' has rate -0.25"):
+        gf.simulate(spec, 100.0, np.random.default_rng(3))
+    with pytest.raises(gf.SimulationError, match="'death' has rate -0.25"):
+        gf.smc_loglik(spec, empty_visible(20.0), FilterConfig(50, seed=4))
+    with pytest.raises(gf.SimulationError, match="'death' has rate -0.25"):
+        gf.oracle_loglik(spec, empty_visible(1.0), [(1, 0), (2, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Time-varying rates
 
