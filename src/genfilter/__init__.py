@@ -30,7 +30,7 @@ from .models import (MODELS, TRUNCATIONS, LBDPParams, PiecewiseConstant,
 from .population import (EventType, History, IntegrationError, Jump,
                          JumpSequence, ModelReport, ModelSpec, SimulationError,
                          StateLattice, forward_generator, history_log_density,
-                         integrate_linear, jump_log_density, kfe_integrate,
+                         integrate_epochs, integrate_linear, jump_log_density, kfe_integrate,
                          read_trajectory, simulate, state_at, state_before,
                          to_history, validate_model, write_history,
                          write_trajectory)

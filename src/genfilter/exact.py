@@ -41,8 +41,8 @@ def _choose2(n):
     return n * (n - 1) // 2
 
 
-def event_factor(kind: str, size, ell: int) -> np.ndarray:
-    """Combinatorial factor of one genealogy event, vectorised over ``size``.
+def event_factor(kind: str, size, ell) -> np.ndarray:
+    """Combinatorial factor of one genealogy event, vectorised over ``size`` and ``ell``.
 
     ``size`` is the focal size and ``ell`` the lineage count just after the
     event.  A coalescence picks its pair, 1/C(size, 2); a direct descent
@@ -54,18 +54,18 @@ def event_factor(kind: str, size, ell: int) -> np.ndarray:
     size = np.asarray(size, dtype=float)
     # the floors only keep the discarded branch of np.where finite
     if kind == "coalescence":
-        return np.where(size >= max(ell, 2), 1.0 / np.maximum(_choose2(size), 1.0), 0.0)
+        return np.where(size >= np.maximum(ell, 2), 1.0 / np.maximum(_choose2(size), 1.0), 0.0)
     if kind == "direct":
-        return np.where(size >= max(ell, 1), 1.0 / np.maximum(size, 1.0), 0.0)
+        return np.where(size >= np.maximum(ell, 1), 1.0 / np.maximum(size, 1.0), 0.0)
     if kind == "leaf":
-        return np.where(size >= max(ell, 1), 1.0 - ell / np.maximum(size, 1.0), 0.0)
+        return np.where(size >= np.maximum(ell, 1), 1.0 - ell / np.maximum(size, 1.0), 0.0)
     raise ValueError(f"unknown genealogy event kind {kind!r}")
 
 
-def hidden_birth_factor(size, ell: int) -> np.ndarray:
+def hidden_birth_factor(size, ell) -> np.ndarray:
     """Probability that a birth at focal size ``size`` joined no two of ``ell`` lineages.
 
-    1 - C(ell, 2)/C(size, 2), vectorised over ``size``; 1 when fewer than
+    1 - C(ell, 2)/C(size, 2), vectorised over ``size`` and ``ell``; 1 when fewer than
     two lineages are tracked, and 0 when ``size`` is below ``ell``.
     """
     size = np.asarray(size, dtype=float)
@@ -192,34 +192,47 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     channel kind (births for coalescences, samples for direct descents and
     leaves); a missing or mismatched time is a structural failure.  Counting
     incompatibilities (too few individuals for the required lineages) give
-    -inf.
+    -inf.  The pass only classifies events; each factor is then evaluated
+    once, on the arrays of every event of its kind.
     """
     if any(b.color == "black" for n in visible.nodes for b in n.pocket):
         raise ExactError("expected a visible genealogy (no extant individuals)")
-    vkind = _classify_visible(visible)
-    crossing = LineageFunction(visible)
-    pending = dict(vkind)
-    total = 0.0
-    for t, k, _, post in iter_transitions(spec, h):
+    pending = _classify_visible(visible)
+    by_kind: dict[str, list[int]] = {"hidden birth": [], "coalescence": [],
+                                     "direct": [], "leaf": []}
+    for i, (t, k) in enumerate(h.events):
         ev = spec.events[k]
         kind = pending.pop(t, None)
         if kind is None:
             if ev.is_sample:
                 raise ExactError(f"history sample at t={t} has no matching genealogy node")
-            if not ev.is_birth:
-                continue
-            factor = hidden_birth_factor(spec.focal(post), crossing(t))
-        else:
-            if kind == "coalescence" and not ev.is_birth:
-                raise ExactError(f"coalescence at t={t} matches non-birth event {ev.name!r}")
-            if kind != "coalescence" and not ev.is_sample:
-                what = "direct descent" if kind == "direct" else kind
-                raise ExactError(f"{what} at t={t} matches non-sample event {ev.name!r}")
-            factor = event_factor(kind, spec.focal(post), crossing(t))
-        if factor <= 0.0:
-            return -math.inf
-        total += math.log(factor)
+            if ev.is_birth:
+                by_kind["hidden birth"].append(i)
+            continue
+        if kind == "coalescence" and not ev.is_birth:
+            raise ExactError(f"coalescence at t={t} matches non-birth event {ev.name!r}")
+        if kind != "coalescence" and not ev.is_sample:
+            what = "direct descent" if kind == "direct" else kind
+            raise ExactError(f"{what} at t={t} matches non-sample event {ev.name!r}")
+        by_kind[kind].append(i)
     if pending:
         t = min(pending)
         raise ExactError(f"genealogy event at t={t} is absent from the history")
+    if not h.events:
+        return 0.0
+    times, channels = zip(*h.events)
+    post = np.asarray(h.x0, dtype=np.int64) + np.cumsum(spec.displacements[list(channels)], axis=0)
+    size = spec.focal_sizes(post)
+    ell = LineageFunction(visible).at(times)
+    total = 0.0
+    for kind, idx in by_kind.items():
+        if not idx:
+            continue
+        if kind == "hidden birth":
+            factor = hidden_birth_factor(size[idx], ell[idx])
+        else:
+            factor = event_factor(kind, size[idx], ell[idx])
+        if not (factor > 0.0).all():
+            return -math.inf
+        total += float(np.log(factor).sum())
     return total

@@ -20,6 +20,14 @@ written once, in `genfilter.exact`; this module only applies them, to
 particles or to grid weights.  Every rate is read through
 `ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
 
+Rates that are piecewise constant in time (`ModelSpec.piecewise_constant`,
+set for every `PiecewiseConstant` rate) take the constant-rate path one
+epoch at a time: each interval between genealogy events is cut at the
+model's rate breakpoints, particles are propagated with the rates at each
+epoch's start, and the oracle builds one generator per epoch.  Only rates
+that vary continuously within an epoch use per-particle thinning and a
+generator rebuilt at every integrator step.
+
 States whose focal size drops below the number of lineages the genealogy
 requires carry zero weight throughout.  Coordinates declared as bookkeeping
 on the model (pure event counters) are projected out of the internal state.
@@ -39,7 +47,7 @@ from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
-from .population import ModelSpec, StateLattice, _rate_integral, ensure_rng, integrate_linear
+from .population import ModelSpec, StateLattice, _rate_integral, ensure_rng, integrate_epochs
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -267,7 +275,7 @@ def _log_hidden_birth(size: int, ell: int) -> float:
 
 
 def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Per-particle thinning when some rates vary with time between jumps."""
+    """Per-particle thinning when some rates vary continuously between jumps."""
     allowed = [k for k in range(spec.n_events)
                if not (survival and spec.events[k].is_sample)]
     sample_cols = [k for k in range(spec.n_events) if spec.events[k].is_sample]
@@ -317,6 +325,15 @@ def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
     return states, logw
 
 
+def _propagate(spec, states, logw, t0, t1, ell, rng, survival: bool):
+    """Advance particles across [t0, t1]: constant rates per epoch, or thinning."""
+    if spec.varies_within_epochs:
+        return _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival)
+    for a, b in spec.epochs(t0, t1):
+        states, logw = _propagate_const(spec, states, logw, a, b, ell, rng, survival)
+    return states, logw
+
+
 def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
                        t0: float, t1: float, rng,
                        weighting: str = "analytic-survival") -> Ensemble:
@@ -335,9 +352,8 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     if t1 < t0:
         raise ValueError("t1 < t0")
     if t1 > t0:
-        step = _propagate_tv if spec.any_time_dependent else _propagate_const
-        states, logw = step(spec, states, logw, t0, t1, ell,
-                            ensure_rng(rng), weighting == "analytic-survival")
+        states, logw = _propagate(spec, states, logw, t0, t1, ell,
+                                  ensure_rng(rng), weighting == "analytic-survival")
     return Ensemble(states, logw)
 
 
@@ -425,13 +441,12 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     states, logw = ens.states, ens.log_weights
     logw[spec.focal_sizes(states) < crossing(0.0)] = -np.inf
     survival = config.weighting == "analytic-survival"
-    step = _propagate_tv if spec.any_time_dependent else _propagate_const
     diag = FilterDiagnostics()
     loglik = 0.0
     t = 0.0
     for e, kind in schedule:
         if e > t:
-            states, logw = step(spec, states, logw, t, e, crossing(t), rng, survival)
+            states, logw = _propagate(spec, states, logw, t, e, crossing(t), rng, survival)
         states, logw = _apply_event(spec, states, logw, e, kind, crossing(e), rng)
         lmw = float(logsumexp(logw) - math.log(len(logw)))
         if not math.isfinite(lmw):
@@ -449,7 +464,7 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
         diag.events.append(EventDiagnostics(e, kind, lmw, ess, resampled))
         t = e
     if v.time > t:
-        states, logw = step(spec, states, logw, t, v.time, crossing(t), rng, survival)
+        states, logw = _propagate(spec, states, logw, t, v.time, crossing(t), rng, survival)
     lmw = float(logsumexp(logw) - math.log(len(logw)))
     if not math.isfinite(lmw):
         diag.collapsed = True
@@ -525,8 +540,9 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
                   return_grid: bool = False):
     """Deterministic log likelihood of a visible genealogy on a truncation.
 
-    Integrates the between-events flow with an adaptive explicit RK pair and
-    applies the exact event updates, starting from the initial distribution
+    Integrates the between-events flow with an adaptive explicit RK pair,
+    one generator per epoch of the model's rates, and applies the exact
+    event updates, starting from the initial distribution
     restricted to the truncation.  The caller asserts that the truncation
     loses negligible probability flux (`boundary_flux` helps check).
     Probability on states with fewer focal individuals than required
@@ -548,16 +564,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
         if t1 <= t0:
             return w
         compat = (size >= ell).astype(float)
-        w = w * compat
-        if spec.any_time_dependent:
-            def rhs(t, vec):
-                return _interval_generator(spec, proj, t, ell, compat) @ vec
-        else:
-            mat = _interval_generator(spec, proj, t0, ell, compat)
-
-            def rhs(t, vec):
-                return mat @ vec
-        return integrate_linear(rhs, w, t0, t1, tol)
+        return integrate_epochs(spec, lambda t: _interval_generator(spec, proj, t, ell, compat),
+                                w * compat, t0, t1, tol)
 
     t = 0.0
     for e, kind in schedule:

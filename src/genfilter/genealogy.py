@@ -362,6 +362,11 @@ class LineageFunction:
         idx = int(np.searchsorted(self.breaks, t, side="right")) - 1
         return int(self.values[idx]) if idx >= 0 else 0
 
+    def at(self, times) -> np.ndarray:
+        """The count at each of ``times`` at once."""
+        counts = np.concatenate(([0], self.values))
+        return counts[np.searchsorted(self.breaks, np.asarray(times, dtype=float), side="right")]
+
 
 def lineage_count(g: Genealogy, t: float) -> int:
     return LineageFunction(g)(t)

@@ -9,7 +9,8 @@ particle filter, and the truncated-grid oracle.
 
 The transmission rate of the epidemic models may be a `PiecewiseConstant`
 function of time, in which case simulation uses thinning against the
-supplied bounds.
+supplied bounds, and the filter and the grid routes work one epoch between
+breakpoints at a time at constant rates.
 """
 
 from __future__ import annotations
@@ -163,7 +164,11 @@ class SIRParams:
 
 
 def _si_product(beta):
-    """Infection rate beta(t) * s * i, with thinning bound if time-varying."""
+    """Infection rate beta(t) * s * i, and whether it is piecewise constant in t.
+
+    A `PiecewiseConstant` beta also gives a thinning bound for `simulate` and
+    its breakpoints, between which the rate is constant.
+    """
     if isinstance(beta, PiecewiseConstant):
         rate = lambda t, x: beta(t) * x[..., 0] * x[..., 1]
         bound = lambda t0, t1, x: beta.max_on(t0, t1) * float(x[..., 0] * x[..., 1])
@@ -206,6 +211,7 @@ def sir_spec(params: SIRParams, mu: float = 1.0) -> ModelSpec:
         rate_bounds=(bound, None, None) if bound is not None else None,
         time_dependent=(varying, False, False),
         rate_breakpoints=breaks,
+        piecewise_constant=varying,
         bookkeeping_dims=(3,),
         params=SIRParams(beta, gamma, psi, s0, i0, r0).to_dict(),
     )
@@ -273,6 +279,7 @@ def sirs_spec(params: SIRSParams, mu: float = 1.0) -> ModelSpec:
         rate_bounds=(bound, None, None, None) if bound is not None else None,
         time_dependent=(varying, False, False, False),
         rate_breakpoints=breaks,
+        piecewise_constant=varying,
         bookkeeping_dims=(3,),
         params=SIRSParams(beta, gamma, psi, sigma, s0, i0, r0).to_dict(),
     )

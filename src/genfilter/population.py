@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, quad
 from scipy.sparse import coo_matrix, diags
 
 DEFAULT_MAX_JUMPS = 10_000_000
@@ -99,15 +99,25 @@ class ModelSpec:
     time_dependent : sequence of bool or None
         Which channels' rates vary with t between jumps.  None means none do.
     rate_breakpoints : tuple of float
-        Times where rates may jump discontinuously; quadrature splits there.
+        Times where rates may jump discontinuously.  They cut every interval
+        into epochs (`epochs`); quadrature splits there.
     bookkeeping_dims : tuple of int
         Trailing coordinates that no rate or focal size reads (pure event
         counters).  The filter may project them out of its internal state.
+    piecewise_constant : bool
+        Whether the time-dependent channels are constant within each epoch,
+        as every `PiecewiseConstant` rate is.  The particle filter then runs
+        its constant-rate propagation once per epoch, the grid routes build
+        one generator per epoch, and rate integrals are sums of rate times
+        epoch length.  Rates that vary continuously (False) keep thinning in
+        the filter, a generator rebuilt at every integrator step, and
+        quadrature.
     """
 
     def __init__(self, name, d, events, rates, init_sample, init_pmf, focal_size,
                  mu=1.0, rate_bounds=None, time_dependent=None, rate_breakpoints=(),
-                 bookkeeping_dims=(), max_jumps=DEFAULT_MAX_JUMPS, params=None):
+                 bookkeeping_dims=(), max_jumps=DEFAULT_MAX_JUMPS, params=None,
+                 piecewise_constant=False):
         events = tuple(events)
         if len(rates) != len(events):
             raise ValueError("need exactly one rate function per event")
@@ -134,7 +144,8 @@ class ModelSpec:
         self.time_dependent = tuple(bool(f) for f in time_dependent)
         if len(self.time_dependent) != len(events):
             raise ValueError("time_dependent must have one flag per event")
-        self.rate_breakpoints = tuple(float(t) for t in rate_breakpoints)
+        self.rate_breakpoints = tuple(sorted(float(t) for t in rate_breakpoints))
+        self.piecewise_constant = bool(piecewise_constant)
         bookkeeping_dims = tuple(sorted(int(i) for i in bookkeeping_dims))
         if bookkeeping_dims and bookkeeping_dims != tuple(range(d - len(bookkeeping_dims), d)):
             raise ValueError("bookkeeping_dims must be a trailing block of coordinates")
@@ -152,13 +163,23 @@ class ModelSpec:
         self.sample_mask = np.array([ev.is_sample for ev in events], dtype=bool)
         self.marked_mask = self.birth_mask | self.death_mask | self.sample_mask
         self.any_time_dependent = any(self.time_dependent)
+        self.varies_within_epochs = self.any_time_dependent and not self.piecewise_constant
 
     def __repr__(self):
         return f"ModelSpec({self.name!r}, d={self.d}, events={len(self.events)})"
 
+    def epochs(self, t0: float, t1: float) -> list[tuple[float, float]]:
+        """[t0, t1] cut at the rate breakpoints strictly inside it, as (start, end) pairs."""
+        cuts = [p for p in self.rate_breakpoints if t0 < p < t1]
+        return list(zip([t0, *cuts], [*cuts, t1]))
+
     def rate(self, k: int, t: float, x) -> float:
-        """Rate of channel ``k`` at time ``t`` in state ``x``."""
-        return float(np.asarray(self.rates[k](t, np.asarray(x, dtype=np.int64))))
+        """Rate of channel ``k`` at time ``t`` in state ``x``, checked like `rate_matrix`."""
+        x = np.asarray(x, dtype=np.int64)
+        r = float(np.asarray(self.rates[k](t, x)))
+        if not 0.0 <= r < math.inf:
+            raise self._rate_error(k, r, t, x)
+        return r
 
     def rate_matrix(self, t: float, states) -> np.ndarray:
         """All channel rates at once; shape ``states.shape[:-1] + (n_events,)``.
@@ -173,10 +194,13 @@ class ModelSpec:
             out[..., k] = fn(t, states)
         if out.size and not (out.min() >= 0.0 and out.max() < math.inf):
             *row, k = np.argwhere(~(out >= 0.0) | np.isinf(out))[0]
-            raise SimulationError(
-                f"model {self.name!r}: channel {self.events[k].name!r} has rate "
-                f"{out[(*row, k)]} at t={t} in state {tuple(states[tuple(row)].tolist())}")
+            raise self._rate_error(k, out[(*row, k)], t, states[tuple(row)])
         return out
+
+    def _rate_error(self, k, r, t, x) -> SimulationError:
+        return SimulationError(
+            f"model {self.name!r}: channel {self.events[k].name!r} has rate "
+            f"{r} at t={t} in state {tuple(x.tolist())}")
 
     def total_rate(self, t: float, x) -> float:
         return float(self.rate_matrix(t, x).sum())
@@ -222,16 +246,18 @@ def validate_model(spec: ModelSpec, probe_states: Iterable, times=(0.0,)) -> Mod
     probed = 0
     for raw in probe_states:
         x = np.asarray(raw, dtype=np.int64)
+        state = tuple(x.tolist())
         probed += 1
         for t in times:
             total = 0.0
             for k, ev in enumerate(spec.events):
-                r = spec.rate(k, t, x)
+                # read unchecked: a bad rate is reported here, not raised
+                r = float(np.asarray(spec.rates[k](t, x)))
                 if not math.isfinite(r):
-                    violations.append(f"state {tuple(x)}, event {ev.name!r}, t={t}: rate {r} not finite")
+                    violations.append(f"state {state}, event {ev.name!r}, t={t}: rate {r} not finite")
                     continue
                 if r < 0:
-                    violations.append(f"state {tuple(x)}, event {ev.name!r}, t={t}: negative rate {r}")
+                    violations.append(f"state {state}, event {ev.name!r}, t={t}: negative rate {r}")
                     continue
                 total += r
                 if r > 0:
@@ -239,10 +265,10 @@ def validate_model(spec: ModelSpec, probe_states: Iterable, times=(0.0,)) -> Mod
                     expect = int(ev.is_birth) - int(ev.is_death)
                     if delta != expect:
                         violations.append(
-                            f"state {tuple(x)}, event {ev.name!r}: focal size changes by "
+                            f"state {state}, event {ev.name!r}: focal size changes by "
                             f"{delta}, markers require {expect}")
             if not math.isfinite(total):
-                violations.append(f"state {tuple(x)}, t={t}: total rate not finite")
+                violations.append(f"state {state}, t={t}: total rate not finite")
     return ModelReport(violations, probed)
 
 
@@ -390,27 +416,27 @@ def iter_transitions(spec: ModelSpec, obj):
 def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> float:
     """Integral of the summed rate of ``channels`` (default: all) over [t0, t1] at frozen ``x``.
 
-    Exact for constant channels; adaptive quadrature (split at declared
-    breakpoints) for time-dependent ones.
+    A sum of rate times epoch length, each rate read at its epoch's start;
+    channels whose rates vary continuously within an epoch use adaptive
+    quadrature on each epoch instead.
     """
     if t1 <= t0:
         return 0.0
     x = np.asarray(x, dtype=np.int64)
     channels = range(spec.n_events) if channels is None else channels
-    const = 0.0
-    varying = [k for k in channels if spec.time_dependent[k]]
-    for k in channels:
-        if k not in varying:
-            const += spec.rate(k, t0, x)
-    total = const * (t1 - t0)
-    if varying:
-        def f(s):
-            return sum(spec.rate(k, s, x) for k in varying)
-        pts = sorted(p for p in spec.rate_breakpoints if t0 < p < t1)
-        cuts = [t0, *pts, t1]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            val, _ = quad(f, a, b, epsabs=1e-14, epsrel=1e-9, limit=200)
-            total += val
+    varying = [k for k in channels if spec.time_dependent[k]] if spec.varies_within_epochs else []
+    steady = [k for k in channels if k not in varying]
+
+    def f(s):
+        return sum(spec.rate(k, s, x) for k in varying)
+    total = 0.0
+    for a, b in spec.epochs(t0, t1):
+        rate = 0.0
+        for k in steady:
+            rate += spec.rate(k, a, x)
+        total += rate * (b - a)
+        if varying:
+            total += quad(f, a, b, epsabs=1e-14, epsrel=1e-9, limit=200)[0]
     return total
 
 
@@ -522,16 +548,41 @@ def forward_generator(spec: ModelSpec, lattice: StateLattice, t: float):
 
 
 def integrate_linear(rhs, w, t0: float, t1: float, tol: float) -> np.ndarray:
-    """Advance w' = rhs(t, w) from t0 to t1 with an adaptive embedded RK pair."""
+    """Advance w' = rhs(t, w) from t0 to t1 with an adaptive embedded RK pair.
+
+    Only the current state is kept, not the accepted steps.
+    """
     if t1 < t0:
         raise ValueError("t1 < t0")
     if t1 == t0:
         return w.copy()
-    sol = solve_ivp(rhs, (t0, t1), w, method="RK45", rtol=tol, atol=tol * 1e-6)
-    if not sol.success:
-        reached = sol.t[-1] if len(sol.t) else t0
-        raise IntegrationError(f"forward integration failed near t={reached}: {sol.message}")
-    return sol.y[:, -1]
+    solver = RK45(rhs, t0, w, t1, rtol=tol, atol=tol * 1e-6)
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status == "failed":
+        raise IntegrationError(f"forward integration failed near t={solver.t}: {message}")
+    return solver.y
+
+
+def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
+                     tol: float) -> np.ndarray:
+    """Advance w' = generator(t) @ w from t0 to t1, one epoch of ``spec`` at a time.
+
+    ``generator(t)`` builds the sparse operator at time ``t``.  It is built
+    once per epoch, at the epoch's start, unless some rate varies within
+    epochs; then it is rebuilt at every right-hand-side evaluation.
+    """
+    for a, b in spec.epochs(t0, t1):
+        if spec.varies_within_epochs:
+            def rhs(t, v):
+                return generator(t) @ v
+        else:
+            mat = generator(a)
+
+            def rhs(t, v):
+                return mat @ v
+        w = integrate_linear(rhs, w, a, b, tol)
+    return w
 
 
 def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float,
@@ -549,15 +600,7 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
         if row is None:
             raise ValueError(f"w0 state {tuple(state)} is outside the truncation")
         w[row] = val
-    if spec.any_time_dependent:
-        def rhs(t, v):
-            return forward_generator(spec, lattice, t) @ v
-    else:
-        A = forward_generator(spec, lattice, t0)
-
-        def rhs(t, v):
-            return A @ v
-    w = integrate_linear(rhs, w, t0, t1, tol)
+    w = integrate_epochs(spec, lambda t: forward_generator(spec, lattice, t), w, t0, t1, tol)
     return {tuple(int(v) for v in s): float(w[i]) for i, s in enumerate(lattice.states)}
 
 

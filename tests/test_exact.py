@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import genfilter as gf
 from genfilter.exact import ExactError, QContext, q_factor
-from genfilter.population import History, Jump, JumpSequence, state_before
+from genfilter.population import History, Jump, JumpSequence, iter_transitions, state_before
 
 
 def lbdp(lam, delta, psi, n0):
@@ -182,6 +182,34 @@ def test_routes_agree_on_random_models(seed, model, rates, size):
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
+def per_event_loglik(spec, h, visible):
+    """`loglik_events` as one scalar factor call per history event."""
+    kinds = {t: kind for t, kind in gf.event_schedule(visible)}
+    crossing = gf.LineageFunction(visible)
+    total = 0.0
+    for t, k, _, post in iter_transitions(spec, h):
+        if t in kinds:
+            factor = gf.event_factor(kinds[t], spec.focal(post), crossing(t))
+        elif spec.events[k].is_birth:
+            factor = gf.hidden_birth_factor(spec.focal(post), crossing(t))
+        else:
+            continue
+        total += math.log(factor) if factor > 0.0 else -math.inf
+    return total
+
+
+def test_event_route_matches_per_event_loop():
+    params = gf.SIRParams(0.0025, 1.0, 0.3, 990, 10)
+    spec = gf.sir_spec(params)
+    traj = gf.simulate(spec, 2.0, np.random.default_rng(5))
+    visible = gf.prune(gf.build_genealogy(spec, traj)[0])
+    h = gf.to_history(traj)
+    assert len(gf.event_schedule(visible)) >= 30
+    want = per_event_loglik(spec, h, visible)
+    assert math.isfinite(want)
+    assert abs(gf.loglik_events(spec, h, visible) - want) <= 1e-12 * abs(want)
+
+
 def forest_key(v):
     # initial individuals are exchangeable, so the likelihood is for the
     # forest as a multiset of trees, not for a particular root labelling
@@ -287,6 +315,15 @@ def test_event_route_counting_impossibility_is_minus_inf():
     visible = two_leaf_visible()
     h = History(1.0, (2, 0), ((0.4, DEATH), (0.5, SAMPLE), (0.6, SAMPLE)))
     assert gf.loglik_events(spec, h, visible) == -math.inf
+
+
+def test_event_route_checks_structure_before_counting():
+    # the death makes the leaf impossible, and the last sample has no node:
+    # the structural failure wins over the -inf
+    spec = lbdp(1.0, 0.5, 0.8, 2)
+    h = History(1.0, (2, 0), ((0.4, DEATH), (0.5, SAMPLE), (0.6, SAMPLE), (0.8, SAMPLE)))
+    with pytest.raises(ExactError, match="no matching genealogy node"):
+        gf.loglik_events(spec, h, two_leaf_visible())
 
 
 def test_lineage_route_counting_impossibility_is_minus_inf():

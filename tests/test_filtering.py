@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import genfilter as gf
-from genfilter.filtering import FilterConfig, FilterError
+from genfilter.filtering import WEIGHTING_MODES, FilterConfig, FilterError
 
 
 def lbdp(lam, delta, psi, n0, mu=1.0):
@@ -428,5 +428,117 @@ def test_smc_time_dependent_sir_matches_oracle():
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
     exact = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
     rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=29), 12)
+    assert rep.collapse_count == 0
+    assert abs(rep.mean - exact) <= 3 * rep.se
+
+
+# ---------------------------------------------------------------------------
+# Piecewise-constant rates: one constant-rate epoch at a time
+
+
+def piecewise_sir(times, values):
+    params = gf.SIRParams(gf.PiecewiseConstant(times, values), 0.5, 0.6, 6, 2)
+    return params, gf.sir_spec(params)
+
+
+def declared_continuous(spec):
+    """The same rates declared as varying continuously, with no breakpoints."""
+    return gf.ModelSpec(spec.name, spec.d, spec.events, spec.rates, spec.init_sample,
+                        spec.init_pmf, spec.focal_size, mu=spec.mu,
+                        rate_bounds=spec.rate_bounds, time_dependent=spec.time_dependent,
+                        bookkeeping_dims=spec.bookkeeping_dims)
+
+
+@lru_cache(maxsize=None)
+def piecewise_visible():
+    spec = sir(0.9, 0.5, 0.6, 6, 2)
+    traj = simulate_with_samples(spec, 2.0, 28, 2, 6)
+    return gf.prune(gf.build_genealogy(spec, traj)[0])
+
+
+def awkward_breakpoints(v):
+    """Breakpoints at the first event time, at the horizon and past it, and
+    two inside the longest event-free stretch, which is returned as well."""
+    times = [e for e, _ in gf.event_schedule(v)]
+    a, b = max(zip([0.0, *times], [*times, v.time]), key=lambda ab: ab[1] - ab[0])
+    inside = (a + (b - a) / 3, a + 2 * (b - a) / 3)
+    return tuple(sorted({times[0], *inside, v.time, v.time + 1.0})), [a, *inside, b]
+
+
+def spy_on_steps(monkeypatch):
+    """Record the intervals `_propagate_const` and `integrate_linear` run; forbid thinning."""
+    steps = {"filter": [], "oracle": []}
+    const, linear = gf.filtering._propagate_const, gf.population.integrate_linear
+
+    def propagate_const(spec, states, logw, t0, t1, *rest):
+        steps["filter"].append((t0, t1))
+        return const(spec, states, logw, t0, t1, *rest)
+
+    def integrate_linear(rhs, w, t0, t1, tol):
+        steps["oracle"].append((t0, t1))
+        return linear(rhs, w, t0, t1, tol)
+
+    def thinning(*args):
+        raise AssertionError("piecewise-constant rates entered the thinning path")
+    monkeypatch.setattr(gf.filtering, "_propagate_const", propagate_const)
+    monkeypatch.setattr(gf.population, "integrate_linear", integrate_linear)
+    monkeypatch.setattr(gf.filtering, "_propagate_tv", thinning)
+    return steps
+
+
+def test_piecewise_epochs_tile_the_schedule(monkeypatch):
+    v = piecewise_visible()
+    breaks, stretch = awkward_breakpoints(v)
+    params, spec = piecewise_sir(breaks, tuple(0.3 + 0.2 * i for i in range(len(breaks) + 1)))
+    steps = spy_on_steps(monkeypatch)
+    times = [e for e, _ in gf.event_schedule(v)]
+    assert times[0] in spec.rate_breakpoints
+    cuts = sorted({0.0, *times, v.time, *(p for p in breaks if p < v.time)})
+    want = list(zip(cuts[:-1], cuts[1:]))
+
+    res = gf.smc_loglik(spec, v, FilterConfig(200, seed=3))
+    assert math.isfinite(res.loglik)
+    assert steps["filter"] == want
+    assert math.isfinite(gf.oracle_loglik(spec, v, gf.sir_truncation(params)))
+    assert steps["oracle"] == want
+
+    steps["filter"].clear()
+    ens = gf.init_ensemble(spec, 50, np.random.default_rng(5))
+    for weighting in WEIGHTING_MODES:
+        gf.propagate_interval(spec, ens, v, stretch[0], stretch[-1],
+                              np.random.default_rng(6), weighting)
+    assert steps["filter"] == 2 * list(zip(stretch[:-1], stretch[1:]))
+
+
+def test_piecewise_oracle_matches_continuous_declaration():
+    v = piecewise_visible()
+    first = gf.event_schedule(v)[0][0]
+    params, spec = piecewise_sir((0.4, first), (0.9, 0.3, 0.6))
+    truncation = gf.sir_truncation(params)
+    continuous = declared_continuous(spec)
+    assert continuous.varies_within_epochs and not spec.varies_within_epochs
+    by_epoch = gf.oracle_loglik(spec, v, truncation, tol=1e-11)
+    rebuilt = gf.oracle_loglik(continuous, v, truncation, tol=1e-11)
+    assert abs(by_epoch - rebuilt) < 1e-7
+
+
+def test_piecewise_smc_is_deterministic_for_a_seed():
+    params, spec = piecewise_sir((0.4, 1.1), (0.9, 0.3, 0.6))
+    v = piecewise_visible()
+    a = gf.smc_loglik(spec, v, FilterConfig(300, seed=12))
+    b = gf.smc_loglik(spec, v, FilterConfig(300, seed=12))
+    assert a.loglik == b.loglik
+    assert a.diagnostics.ess_trace == b.diagnostics.ess_trace
+
+
+@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+def test_smc_two_breakpoint_sirs_matches_oracle(weighting):
+    beta = gf.PiecewiseConstant((0.5, 1.2), (0.9, 0.25, 0.6))
+    params = gf.SIRSParams(beta, 0.5, 0.6, 0.8, 6, 2)
+    spec = gf.sirs_spec(params)
+    traj = simulate_with_samples(spec, 2.0, 31, 2, 6)
+    v = gf.prune(gf.build_genealogy(spec, traj)[0])
+    exact = gf.oracle_loglik(spec, v, gf.sirs_truncation(params))
+    rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=37, weighting=weighting), 12)
     assert rep.collapse_count == 0
     assert abs(rep.mean - exact) <= 3 * rep.se

@@ -215,6 +215,17 @@ def test_lineage_count_matches_edge_crossing():
             assert fn(t) == expect, (t, windows)
 
 
+def test_lineage_function_at_matches_scalar_calls():
+    spec = lbdp(1.2, 0.6, 0.9, 2)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        traj = gf.simulate(spec, 2.0, rng)
+        v = gf.prune(gf.build_genealogy(spec, traj)[0])
+        fn = gf.LineageFunction(v)
+        ts = np.concatenate([fn.breaks, rng.uniform(-0.2, 2.2, size=12)])
+        assert fn.at(ts).tolist() == [fn(t) for t in ts]
+
+
 def test_attach_times_direct_descent_chain():
     # one individual sampled twice: the second lineage attaches at the first
     # sample's node (direct descent)

@@ -8,7 +8,7 @@ from scipy.integrate import dblquad, quad
 
 import genfilter as gf
 from genfilter.population import (Jump, JumpSequence, History, SimulationError,
-                                  state_at, state_before, to_history,
+                                  _rate_integral, state_at, state_before, to_history,
                                   history_log_density, jump_log_density)
 
 
@@ -268,6 +268,29 @@ def test_history_density_zero_rate_event_is_impossible():
     assert history_log_density(spec, h) == -math.inf
 
 
+def leaky_death_spec():
+    # the death rate 0.5 n - 0.75 turns negative once a death takes n from 2 to 1
+    base = lbdp(0.0, 1.0, 0.5, 2)
+    return gf.ModelSpec("leaky", 2, base.events,
+                        (base.rates[0], lambda t, x: 0.5 * x[..., 0] - 0.75, base.rates[2]),
+                        base.init_sample, base.init_pmf, base.focal_size,
+                        bookkeeping_dims=(1,))
+
+
+def test_history_density_rejects_negative_rates():
+    spec = leaky_death_spec()
+    h = History(5.0, (2, 0), ((0.5, 1),))
+    with pytest.raises(SimulationError, match="'death' has rate -0.25 at t=0.5 in state \\(1, 0\\)"):
+        history_log_density(spec, h)
+    with pytest.raises(SimulationError, match="'death' has rate -0.25"):
+        _rate_integral(spec, (1, 0), 0.5, 5.0)
+
+
+def test_validate_model_reports_negative_rates_with_plain_states():
+    report = gf.validate_model(leaky_death_spec(), [(1, 0), (2, 0)])
+    assert report.violations == ["state (1, 0), event 'death', t=0.0: negative rate -0.25"]
+
+
 # ---------------------------------------------------------------------------
 # Master equation
 
@@ -338,6 +361,59 @@ def test_kfe_time_dependent_survival():
     h = History(horizon, (1,), ())
     prob = math.exp(history_log_density(spec, h)) * math.exp(-spec.mu * horizon)
     assert abs(prob - p) < 1e-12
+
+
+def piecewise_death_spec(piecewise_constant=True):
+    delta = gf.PiecewiseConstant(times=(0.6, 0.9), values=(2.0, 0.3, 1.1))
+    events = (gf.EventType("death", (-1, 0), is_death=True), gf.EventType("tick", (0, 1)))
+    return delta, make_spec(
+        events, (lambda t, x: delta(t) * x[..., 0], lambda t, x: 0.25 + 0.0 * x[..., 0]),
+        (1, 0), lambda x: x[..., 0],
+        rate_bounds=(lambda t0, t1, x: delta.max_on(t0, t1) * float(x[..., 0]), None),
+        time_dependent=(True, False), rate_breakpoints=delta.times,
+        piecewise_constant=piecewise_constant)
+
+
+def test_epochs_cut_at_breakpoints_strictly_inside():
+    _, spec = piecewise_death_spec()
+    assert spec.epochs(0.0, 2.0) == [(0.0, 0.6), (0.6, 0.9), (0.9, 2.0)]
+    assert spec.epochs(0.6, 0.9) == [(0.6, 0.9)]
+    assert spec.epochs(0.7, 0.9) == [(0.7, 0.9)]
+    assert spec.epochs(0.0, 0.5) == [(0.0, 0.5)]
+    assert spec.epochs(1.0, 3.0) == [(1.0, 3.0)]
+    assert spec.varies_within_epochs is False
+    assert piecewise_death_spec(False)[1].varies_within_epochs is True
+    assert lbdp(1.0, 1.0, 1.0, 2).epochs(0.0, 1.0) == [(0.0, 1.0)]
+
+
+def test_rate_integral_is_exact_on_piecewise_rates():
+    delta, spec = piecewise_death_spec()
+    x = (3, 0)
+    want = 3 * (2.0 * 0.6 + 0.3 * 0.3 + 1.1 * (1.7 - 0.9)) + 0.25 * (1.7 - 0.1) - 3 * 2.0 * 0.1
+    assert abs(_rate_integral(spec, x, 0.1, 1.7) - want) <= 1e-14 * want
+    assert abs(_rate_integral(spec, x, 0.1, 1.7, channels=[1]) - 0.25 * 1.6) <= 1e-15
+    # the same rates declared continuous go through quadrature and agree
+    _, continuous = piecewise_death_spec(False)
+    assert _rate_integral(continuous, x, 0.1, 1.7) == pytest.approx(want, rel=1e-9)
+
+
+def test_kfe_and_history_density_on_declared_piecewise_rates():
+    _, spec = piecewise_death_spec()
+    horizon = 1.4
+    integral = 2.0 * 0.6 + 0.3 * 0.3 + 1.1 * (horizon - 0.9)
+    survival = integral + 0.25 * horizon
+    # ticks leave the truncation, so (1, 0) keeps the mass of no event at all
+    pmf = gf.kfe_integrate(spec, [(0, 0), (1, 0)], {(1, 0): 1.0}, 0.0, horizon, tol=1e-10)
+    assert abs(pmf[(1, 0)] - math.exp(-survival)) < 1e-8
+    h = History(horizon, (1, 0), ())
+    assert abs(history_log_density(spec, h) - (spec.mu * horizon - survival)) < 1e-14
+
+
+def test_integrate_linear_names_the_failure_time():
+    def rhs(t, w):
+        return np.full_like(w, np.nan) if t > 0.5 else -w
+    with pytest.raises(gf.IntegrationError, match="failed near t=0"):
+        gf.integrate_linear(rhs, np.ones(2), 0.0, 1.0, 1e-6)
 
 
 def test_thinning_detects_a_lying_bound():
