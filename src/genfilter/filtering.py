@@ -20,13 +20,13 @@ written once, in `genfilter.exact`; this module only applies them, to
 particles or to grid weights.  Every rate is read through
 `ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
 
-Rates that are piecewise constant in time (`ModelSpec.piecewise_constant`,
-set for every `PiecewiseConstant` rate) take the constant-rate path one
-epoch at a time: each interval between genealogy events is cut at the
-model's rate breakpoints, particles are propagated with the rates at each
-epoch's start, and the oracle builds one generator per epoch.  Only rates
-that vary continuously within an epoch use per-particle thinning and a
-generator rebuilt at every integrator step.
+Both routes work one epoch at a time: each interval between genealogy
+events is cut at the model's rate breakpoints.  Within an epoch a channel
+without a rate bound is constant, so particles are propagated with the
+rates at the epoch's start and the oracle builds one generator per epoch.
+When some channel has a rate bound, its rate varies continuously: particles
+then draw their jumps by thinning (`population._next_jump_thinned`) and the
+oracle rebuilds the generator at every integrator step.
 
 States whose focal size drops below the number of lineages the genealogy
 requires carry zero weight throughout.  Coordinates declared as bookkeeping
@@ -47,7 +47,8 @@ from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
-from .population import ModelSpec, StateLattice, _rate_integral, ensure_rng, integrate_epochs
+from .population import (ModelSpec, StateLattice, _next_jump_thinned, _rate_integral,
+                         ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -275,7 +276,7 @@ def _log_hidden_birth(size: int, ell: int) -> float:
 
 
 def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Per-particle thinning when some rates vary continuously between jumps."""
+    """Per-particle thinning across one epoch [t0, t1], for rates with a bound."""
     allowed = [k for k in range(spec.n_events)
                if not (survival and spec.events[k].is_sample)]
     sample_cols = [k for k in range(spec.n_events) if spec.events[k].is_sample]
@@ -285,25 +286,7 @@ def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
         t = t0
         x = states[i]
         while True:
-            bound = sum(spec.rate_bound(k, t, t1, x) for k in allowed)
-            if bound <= 0.0:
-                jump = None
-            else:
-                jump = None
-                cur = t
-                while True:
-                    cur = cur + rng.exponential() / bound
-                    if cur > t1:
-                        break
-                    r = spec.rate_matrix(cur, x)[allowed]
-                    tot = float(r.sum())
-                    if tot > bound * (1.0 + 1e-12):
-                        raise FilterError(
-                            f"total rate {tot} exceeds its bound {bound} on [{t}, {t1}]")
-                    if rng.random() * bound <= tot:
-                        pick = int(np.searchsorted(np.cumsum(r), rng.random() * tot, side="right"))
-                        jump = (cur, allowed[min(pick, len(allowed) - 1)])
-                        break
+            jump = _next_jump_thinned(spec, t, t1, x, rng, allowed)
             stop = t1 if jump is None else jump[0]
             if survival:
                 logw[i] -= _rate_integral(spec, x, t, stop, channels=sample_cols)
@@ -326,11 +309,14 @@ def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
 
 
 def _propagate(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Advance particles across [t0, t1]: constant rates per epoch, or thinning."""
-    if spec.varies_within_epochs:
-        return _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival)
+    """Advance particles across [t0, t1] one epoch at a time.
+
+    Each epoch runs at constant rates, or by thinning when some channel has
+    a rate bound.
+    """
+    step = _propagate_tv if spec.varies_within_epochs else _propagate_const
     for a, b in spec.epochs(t0, t1):
-        states, logw = _propagate_const(spec, states, logw, a, b, ell, rng, survival)
+        states, logw = step(spec, states, logw, a, b, ell, rng, survival)
     return states, logw
 
 
@@ -583,26 +569,25 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
 def boundary_flux(spec: ModelSpec, weights, t: float = 0.0) -> float:
     """Instantaneous probability flux out of the set of weighted states.
 
-    ``weights`` maps states to mass (a dict or a WeightGrid).  A large value
-    relative to the integration tolerance means the truncation is too small.
+    ``weights`` maps states to mass (a dict or a WeightGrid).  The flux is
+    mass times rate, summed over the rows each channel takes off the
+    `StateLattice` of those states.  A large value relative to the
+    integration tolerance means the truncation is too small.
     """
     if isinstance(weights, WeightGrid):
-        items = [(tuple(int(v) for v in s), float(wt))
-                 for s, wt in zip(weights.states, weights.weights)]
+        states, mass = weights.states, weights.weights
     else:
-        items = [(tuple(int(v) for v in s), float(wt)) for s, wt in weights.items()]
-    member = {s for s, _ in items}
-    width = len(next(iter(member))) if member else spec.d
-    states = np.array([s for s, _ in items], dtype=np.int64).reshape(len(items), width)
-    rates = spec.rate_matrix(t, states)
+        states, mass = list(weights), list(weights.values())
+    if not len(mass):
+        return 0.0
+    states = np.asarray(states, dtype=np.int64)
+    lattice = StateLattice(states, states.shape[1])
+    w = np.zeros(lattice.size)
+    np.add.at(w, [lattice.index[s] for s in map(tuple, states.tolist())], mass)
+    rates = spec.rate_matrix(t, lattice.states)
     flux = 0.0
-    for x, rate_row, (_, wt) in zip(states, rates, items):
-        if wt == 0.0:
-            continue
-        for k in range(spec.n_events):
-            target = tuple((x + spec.displacements[k][:width]).tolist())
-            if target not in member:
-                rate = float(rate_row[k])
-                if rate > 0.0:
-                    flux += wt * rate
+    for k in range(spec.n_events):
+        off = np.ones(lattice.size, dtype=bool)
+        off[lattice.transition(spec.displacements[k][:lattice.d])[0]] = False
+        flux += float(w[off] @ rates[off, k])
     return flux

@@ -8,14 +8,15 @@ batched states, so the same model drives single-path simulation, the
 particle filter, and the truncated-grid oracle.
 
 The transmission rate of the epidemic models may be a `PiecewiseConstant`
-function of time, in which case simulation uses thinning against the
-supplied bounds, and the filter and the grid routes work one epoch between
-breakpoints at a time at constant rates.
+function of time.  Its breakpoints become the model's rate breakpoints, and
+every route (simulation, filter, grid oracle, path density) works one epoch
+between breakpoints at a time, at constant rates.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -42,6 +43,8 @@ class PiecewiseConstant:
         object.__setattr__(self, "values", values)
         if len(values) != len(times) + 1:
             raise ValueError("need exactly one more value than breakpoints")
+        if not all(math.isfinite(v) for v in times + values):
+            raise ValueError("breakpoints and values must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(v < 0 for v in values):
@@ -49,11 +52,6 @@ class PiecewiseConstant:
 
     def __call__(self, t: float) -> float:
         return self.values[bisect_right(self.times, t)]
-
-    def max_on(self, t0: float, t1: float) -> float:
-        lo = bisect_right(self.times, t0)
-        hi = bisect_left(self.times, t1)
-        return max(self.values[lo:hi + 1])
 
     def to_dict(self) -> dict:
         return {"times": list(self.times), "values": list(self.values)}
@@ -164,19 +162,13 @@ class SIRParams:
 
 
 def _si_product(beta):
-    """Infection rate beta(t) * s * i, and whether it is piecewise constant in t.
-
-    A `PiecewiseConstant` beta also gives a thinning bound for `simulate` and
-    its breakpoints, between which the rate is constant.
-    """
+    """Infection rate beta(t) * s * i, and the breakpoints of beta."""
     if isinstance(beta, PiecewiseConstant):
-        rate = lambda t, x: beta(t) * x[..., 0] * x[..., 1]
-        bound = lambda t0, t1, x: beta.max_on(t0, t1) * float(x[..., 0] * x[..., 1])
-        return rate, bound, True, beta.times
+        return (lambda t, x: beta(t) * x[..., 0] * x[..., 1]), beta.times
     b = float(beta)
     if b < 0:
         raise ValueError("transmission_rate must be nonnegative")
-    return (lambda t, x: b * x[..., 0] * x[..., 1]), None, False, ()
+    return (lambda t, x: b * x[..., 0] * x[..., 1]), ()
 
 
 def sir_spec(params: SIRParams, mu: float = 1.0) -> ModelSpec:
@@ -189,7 +181,7 @@ def sir_spec(params: SIRParams, mu: float = 1.0) -> ModelSpec:
     s0 = _check_count("s0", params.s0)
     i0 = _check_count("i0", params.i0)
     r0 = _check_count("r0", params.r0)
-    infection, bound, varying, breaks = _si_product(beta)
+    infection, breaks = _si_product(beta)
     init_sample, init_pmf = _point_mass(np.array([s0, i0, r0, 0]))
     return ModelSpec(
         name="sir",
@@ -208,10 +200,7 @@ def sir_spec(params: SIRParams, mu: float = 1.0) -> ModelSpec:
         init_pmf=init_pmf,
         focal_size=lambda x: x[..., 1],
         mu=mu,
-        rate_bounds=(bound, None, None) if bound is not None else None,
-        time_dependent=(varying, False, False),
         rate_breakpoints=breaks,
-        piecewise_constant=varying,
         bookkeeping_dims=(3,),
         params=SIRParams(beta, gamma, psi, s0, i0, r0).to_dict(),
     )
@@ -255,7 +244,7 @@ def sirs_spec(params: SIRSParams, mu: float = 1.0) -> ModelSpec:
     s0 = _check_count("s0", params.s0)
     i0 = _check_count("i0", params.i0)
     r0 = _check_count("r0", params.r0)
-    infection, bound, varying, breaks = _si_product(beta)
+    infection, breaks = _si_product(beta)
     init_sample, init_pmf = _point_mass(np.array([s0, i0, r0, 0]))
     return ModelSpec(
         name="sirs",
@@ -276,10 +265,7 @@ def sirs_spec(params: SIRSParams, mu: float = 1.0) -> ModelSpec:
         init_pmf=init_pmf,
         focal_size=lambda x: x[..., 1],
         mu=mu,
-        rate_bounds=(bound, None, None, None) if bound is not None else None,
-        time_dependent=(varying, False, False, False),
         rate_breakpoints=breaks,
-        piecewise_constant=varying,
         bookkeeping_dims=(3,),
         params=SIRSParams(beta, gamma, psi, sigma, s0, i0, r0).to_dict(),
     )

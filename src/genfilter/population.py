@@ -94,30 +94,24 @@ class ModelSpec:
     mu : float
         Rate of the Poisson base measure used by the density functions.
     rate_bounds : sequence of callables or None
-        Per-event ``bound(t0, t1, x)`` dominating the rate on [t0, t1] at
-        fixed ``x``; required only for channels flagged time-dependent.
-    time_dependent : sequence of bool or None
-        Which channels' rates vary with t between jumps.  None means none do.
+        One entry per event: None for a channel whose rate is constant
+        between breakpoints, or ``bound(t0, t1, x)`` dominating a rate that
+        varies continuously in t, on [t0, t1] at fixed ``x``.  A bound is what
+        declares a channel continuous: within each epoch the routes then thin
+        against it, rebuild the generator at every integrator step and
+        integrate the rate by quadrature.  None means no channel has a bound.
     rate_breakpoints : tuple of float
-        Times where rates may jump discontinuously.  They cut every interval
-        into epochs (`epochs`); quadrature splits there.
+        Times where rates may jump.  They cut every interval into epochs
+        (`epochs`); every route restarts there and reads a channel without
+        a bound at the epoch's start time.
     bookkeeping_dims : tuple of int
         Trailing coordinates that no rate or focal size reads (pure event
         counters).  The filter may project them out of its internal state.
-    piecewise_constant : bool
-        Whether the time-dependent channels are constant within each epoch,
-        as every `PiecewiseConstant` rate is.  The particle filter then runs
-        its constant-rate propagation once per epoch, the grid routes build
-        one generator per epoch, and rate integrals are sums of rate times
-        epoch length.  Rates that vary continuously (False) keep thinning in
-        the filter, a generator rebuilt at every integrator step, and
-        quadrature.
     """
 
     def __init__(self, name, d, events, rates, init_sample, init_pmf, focal_size,
-                 mu=1.0, rate_bounds=None, time_dependent=None, rate_breakpoints=(),
-                 bookkeeping_dims=(), max_jumps=DEFAULT_MAX_JUMPS, params=None,
-                 piecewise_constant=False):
+                 mu=1.0, rate_bounds=None, rate_breakpoints=(),
+                 bookkeeping_dims=(), max_jumps=DEFAULT_MAX_JUMPS, params=None):
         events = tuple(events)
         if len(rates) != len(events):
             raise ValueError("need exactly one rate function per event")
@@ -138,14 +132,11 @@ class ModelSpec:
         self.mu = float(mu)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        self.rate_bounds = tuple(rate_bounds) if rate_bounds is not None else None
-        if time_dependent is None:
-            time_dependent = (False,) * len(events)
-        self.time_dependent = tuple(bool(f) for f in time_dependent)
-        if len(self.time_dependent) != len(events):
-            raise ValueError("time_dependent must have one flag per event")
+        self.rate_bounds = (None,) * len(events) if rate_bounds is None else tuple(rate_bounds)
+        if len(self.rate_bounds) != len(events) or not all(
+                b is None or callable(b) for b in self.rate_bounds):
+            raise ValueError("rate_bounds must have one callable or None per event")
         self.rate_breakpoints = tuple(sorted(float(t) for t in rate_breakpoints))
-        self.piecewise_constant = bool(piecewise_constant)
         bookkeeping_dims = tuple(sorted(int(i) for i in bookkeeping_dims))
         if bookkeeping_dims and bookkeeping_dims != tuple(range(d - len(bookkeeping_dims), d)):
             raise ValueError("bookkeeping_dims must be a trailing block of coordinates")
@@ -162,8 +153,8 @@ class ModelSpec:
         self.death_mask = np.array([ev.is_death for ev in events], dtype=bool)
         self.sample_mask = np.array([ev.is_sample for ev in events], dtype=bool)
         self.marked_mask = self.birth_mask | self.death_mask | self.sample_mask
-        self.any_time_dependent = any(self.time_dependent)
-        self.varies_within_epochs = self.any_time_dependent and not self.piecewise_constant
+        self.varies_within_epochs = any(b is not None for b in self.rate_bounds)
+        self.any_time_dependent = bool(self.rate_breakpoints) or self.varies_within_epochs
 
     def __repr__(self):
         return f"ModelSpec({self.name!r}, d={self.d}, events={len(self.events)})"
@@ -178,7 +169,7 @@ class ModelSpec:
         x = np.asarray(x, dtype=np.int64)
         r = float(np.asarray(self.rates[k](t, x)))
         if not 0.0 <= r < math.inf:
-            raise self._rate_error(k, r, t, x)
+            raise self._rate_error(k, f"rate {r} at t={t}", x)
         return r
 
     def rate_matrix(self, t: float, states) -> np.ndarray:
@@ -194,26 +185,31 @@ class ModelSpec:
             out[..., k] = fn(t, states)
         if out.size and not (out.min() >= 0.0 and out.max() < math.inf):
             *row, k = np.argwhere(~(out >= 0.0) | np.isinf(out))[0]
-            raise self._rate_error(k, out[(*row, k)], t, states[tuple(row)])
+            raise self._rate_error(k, f"rate {out[(*row, k)]} at t={t}", states[tuple(row)])
         return out
 
-    def _rate_error(self, k, r, t, x) -> SimulationError:
-        return SimulationError(
-            f"model {self.name!r}: channel {self.events[k].name!r} has rate "
-            f"{r} at t={t} in state {tuple(x.tolist())}")
+    def _rate_error(self, k, what, x) -> SimulationError:
+        return SimulationError(f"model {self.name!r}: channel {self.events[k].name!r} has "
+                               f"{what} in state {tuple(x.tolist())}")
 
     def total_rate(self, t: float, x) -> float:
         return float(self.rate_matrix(t, x).sum())
 
     def rate_bound(self, k: int, t0: float, t1: float, x) -> float:
-        """An upper bound for channel ``k`` on [t0, t1] at state ``x``."""
-        if self.rate_bounds is not None and self.rate_bounds[k] is not None:
-            return float(self.rate_bounds[k](t0, t1, np.asarray(x, dtype=np.int64)))
-        if not self.time_dependent[k]:
+        """An upper bound for channel ``k`` on [t0, t1] at state ``x``.
+
+        [t0, t1] lies within one epoch, so a channel without a bound is
+        constant there and its rate at ``t0`` bounds it.  A supplied bound
+        that is negative or not finite raises `SimulationError` naming the
+        channel, the interval and the state.
+        """
+        if self.rate_bounds[k] is None:
             return self.rate(k, t0, x)
-        raise SimulationError(
-            f"model {self.name!r}: channel {self.events[k].name!r} is time-dependent "
-            f"but no rate bound was supplied")
+        x = np.asarray(x, dtype=np.int64)
+        b = float(self.rate_bounds[k](t0, t1, x))
+        if not 0.0 <= b < math.inf:
+            raise self._rate_error(k, f"rate bound {b} on [{t0}, {t1}]", x)
+        return b
 
     def focal_sizes(self, states) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)
@@ -312,10 +308,11 @@ def _pick_channel(rng, rates, total) -> int:
 def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -> JumpSequence:
     """Draw an exact trajectory on [0, t_end].
 
-    Constant-rate stretches use the usual exponential-clock recipe; if any
-    channel is flagged time-dependent the next jump is drawn by thinning
-    against the caller-supplied rate bounds, and a realized rate exceeding
-    its bound is a hard failure naming the interval.  Marked events draw an
+    The horizon is walked one epoch (`ModelSpec.epochs`) at a time.  Within
+    an epoch the next jump comes from exponential clocks at the rates of the
+    epoch's start, or, when some channel has a rate bound, by thinning
+    against the bounds on [t, epoch end]; a realized rate exceeding its
+    bound is a hard failure naming the interval.  Marked events draw an
     auxiliary number uniformly over the focal subpopulation just before the
     jump.  Identical (spec, seed, t_end) give identical output.
     """
@@ -325,42 +322,48 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
     if x.shape != (spec.d,):
         raise SimulationError(f"init_sample returned shape {x.shape}, expected ({spec.d},)")
     x0 = tuple(int(v) for v in x)
-    t = 0.0
     jumps: list[Jump] = []
-    while True:
-        if spec.any_time_dependent:
-            hit = _next_jump_thinned(spec, t, t_end, x, rng)
-        else:
-            rates = spec.rate_matrix(t, x)
-            total = float(rates.sum())
-            if total <= 0.0:
-                hit = None
+    for a, b in spec.epochs(0.0, t_end):
+        t = a
+        while True:
+            if spec.varies_within_epochs:
+                hit = _next_jump_thinned(spec, t, b, x, rng)
             else:
-                t_next = t + rng.exponential() / total
-                hit = None if t_next > t_end else (t_next, _pick_channel(rng, rates, total))
-        if hit is None:
-            break
-        t, k = hit
-        ev = spec.events[k]
-        if ev.is_marked:
-            size = spec.focal(x)
-            if size <= 0:
-                raise SimulationError(
-                    f"marked event {ev.name!r} fired at t={t} with focal size 0")
-            aux = int(rng.integers(size))
-        else:
-            aux = 0
-        x = x + spec.displacements[k]
-        jumps.append(Jump(t, k, aux))
-        if len(jumps) > cap:
-            raise SimulationError(f"jump count exceeded cap {cap} before t={t_end}")
+                rates = spec.rate_matrix(a, x)
+                total = float(rates.sum())
+                if total <= 0.0:
+                    hit = None
+                else:
+                    t_next = t + rng.exponential() / total
+                    hit = None if t_next > b else (t_next, _pick_channel(rng, rates, total))
+            if hit is None:
+                break
+            t, k = hit
+            ev = spec.events[k]
+            if ev.is_marked:
+                size = spec.focal(x)
+                if size <= 0:
+                    raise SimulationError(
+                        f"marked event {ev.name!r} fired at t={t} with focal size 0")
+                aux = int(rng.integers(size))
+            else:
+                aux = 0
+            x = x + spec.displacements[k]
+            jumps.append(Jump(t, k, aux))
+            if len(jumps) > cap:
+                raise SimulationError(f"jump count exceeded cap {cap} before t={t_end}")
     return JumpSequence(x0, tuple(jumps), float(t_end))
 
 
-def _next_jump_thinned(spec, t, t_end, x, rng):
-    """Next jump by thinning against per-channel bounds valid on [t, t_end]."""
+def _next_jump_thinned(spec, t, t_end, x, rng, channels=None):
+    """Next jump of ``channels`` (default: all) by thinning against their bounds on [t, t_end].
+
+    [t, t_end] lies within one epoch.  Returns ``(time, channel)``, or None
+    when no candidate is accepted before ``t_end``.
+    """
+    channels = list(range(spec.n_events)) if channels is None else channels
     bound = 0.0
-    for k in range(spec.n_events):
+    for k in channels:
         bound += spec.rate_bound(k, t, t_end, x)
     if bound <= 0.0:
         return None
@@ -369,13 +372,13 @@ def _next_jump_thinned(spec, t, t_end, x, rng):
         cur = cur + rng.exponential() / bound
         if cur > t_end:
             return None
-        rates = spec.rate_matrix(cur, x)
+        rates = spec.rate_matrix(cur, x)[channels]
         total = float(rates.sum())
         if total > bound * (1.0 + 1e-12):
             raise SimulationError(
                 f"total rate {total} exceeds its bound {bound} on [{t}, {t_end}]")
         if rng.random() * bound <= total:
-            return cur, _pick_channel(rng, rates, total)
+            return cur, channels[_pick_channel(rng, rates, total)]
 
 
 def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
@@ -416,16 +419,16 @@ def iter_transitions(spec: ModelSpec, obj):
 def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> float:
     """Integral of the summed rate of ``channels`` (default: all) over [t0, t1] at frozen ``x``.
 
-    A sum of rate times epoch length, each rate read at its epoch's start;
-    channels whose rates vary continuously within an epoch use adaptive
-    quadrature on each epoch instead.
+    A channel without a rate bound contributes its rate at each epoch's
+    start times the epoch's length; a channel with a bound varies
+    continuously and is integrated by adaptive quadrature on each epoch.
     """
     if t1 <= t0:
         return 0.0
     x = np.asarray(x, dtype=np.int64)
     channels = range(spec.n_events) if channels is None else channels
-    varying = [k for k in channels if spec.time_dependent[k]] if spec.varies_within_epochs else []
-    steady = [k for k in channels if k not in varying]
+    varying = [k for k in channels if spec.rate_bounds[k] is not None]
+    steady = [k for k in channels if spec.rate_bounds[k] is None]
 
     def f(s):
         return sum(spec.rate(k, s, x) for k in varying)
@@ -515,13 +518,10 @@ class StateLattice:
         cached = self._transitions.get(key)
         if cached is not None:
             return cached
-        src, dst = [], []
-        for i, s in enumerate(self.states):
-            j = self.index.get(tuple(s + np.asarray(key, dtype=np.int64))) if key != () else i
-            if j is not None:
-                src.append(i)
-                dst.append(j)
-        out = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+        targets = map(tuple, (self.states + np.asarray(key, dtype=np.int64)).tolist())
+        dst = np.array([self.index.get(s, -1) for s in targets], dtype=np.int64)
+        src = np.flatnonzero(dst >= 0)
+        out = (src, dst[src])
         self._transitions[key] = out
         return out
 
@@ -569,8 +569,8 @@ def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
     """Advance w' = generator(t) @ w from t0 to t1, one epoch of ``spec`` at a time.
 
     ``generator(t)`` builds the sparse operator at time ``t``.  It is built
-    once per epoch, at the epoch's start, unless some rate varies within
-    epochs; then it is rebuilt at every right-hand-side evaluation.
+    once per epoch, at the epoch's start, unless some channel has a rate
+    bound; then it is rebuilt at every right-hand-side evaluation.
     """
     for a, b in spec.epochs(t0, t1):
         if spec.varies_within_epochs:

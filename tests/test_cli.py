@@ -339,6 +339,24 @@ def test_bad_input_file_is_a_named_error(tmp_path, command, key, content, code):
         assert f"config.inputs.{key}" in proc.stderr
 
 
+@pytest.mark.parametrize("field,bad", [("times", math.nan), ("times", math.inf),
+                                       ("values", math.nan)])
+def test_non_finite_piecewise_rate_is_a_config_error(tmp_path, field, bad):
+    """json reads NaN and Infinity; a step-function rate must reject them, not crash."""
+    beta = {"times": [0.5], "values": [0.04, 0.02]}
+    beta[field][0] = bad
+    config = write_config(tmp_path, model={"name": "sir", "params": {
+        "transmission_rate": beta, "recovery_rate": 1.0, "sampling_rate": 1.0,
+        "s0": 20, "i0": 2}})
+    proc = subprocess.run([sys.executable, "-m", "genfilter", "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=checkout_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "config.model.params" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_relative_input_resolves_against_config_dir(tmp_path):
     out = simulated(tmp_path)
     nested = tmp_path / "cfg"

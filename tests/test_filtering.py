@@ -442,10 +442,12 @@ def piecewise_sir(times, values):
 
 
 def declared_continuous(spec):
-    """The same rates declared as varying continuously, with no breakpoints."""
+    """The same rates declared as varying continuously: a bound on infection, no breakpoints."""
+    beta_max = max(spec.params["transmission_rate"]["values"])
+    bound = lambda t0, t1, x: beta_max * float(x[..., 0] * x[..., 1])
     return gf.ModelSpec(spec.name, spec.d, spec.events, spec.rates, spec.init_sample,
                         spec.init_pmf, spec.focal_size, mu=spec.mu,
-                        rate_bounds=spec.rate_bounds, time_dependent=spec.time_dependent,
+                        rate_bounds=(bound, None, None),
                         bookkeeping_dims=spec.bookkeeping_dims)
 
 
@@ -542,3 +544,53 @@ def test_smc_two_breakpoint_sirs_matches_oracle(weighting):
     rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=37, weighting=weighting), 12)
     assert rep.collapse_count == 0
     assert abs(rep.mean - exact) <= 3 * rep.se
+
+
+# ---------------------------------------------------------------------------
+# Continuously varying rates: a channel with a bound is thinned
+
+
+def sinusoidal_sir(breakpoint=None):
+    """SIR with beta(t) = 0.9 (1 + 0.5 sin 2 pi t), bounded by 1.5 * 0.9.
+
+    A ``breakpoint`` scales beta by 0.4 from there on, and the bound with it.
+    """
+    base = sir(0.9, 0.5, 0.6, 6, 2)
+    cut = math.inf if breakpoint is None else breakpoint
+
+    def level(t):
+        return 0.9 if t < cut else 0.36
+
+    def infection(t, x):
+        return level(t) * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0] * x[..., 1]
+
+    def bound(t0, t1, x):
+        return 1.5 * level(t0) * float(x[..., 0] * x[..., 1])
+    return gf.ModelSpec("sir-sin", base.d, base.events, (infection, *base.rates[1:]),
+                        base.init_sample, base.init_pmf, base.focal_size,
+                        rate_bounds=(bound, None, None),
+                        rate_breakpoints=() if breakpoint is None else (breakpoint,),
+                        bookkeeping_dims=base.bookkeeping_dims)
+
+
+@pytest.mark.parametrize("breakpoint", [None, 0.5])
+@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint):
+    spec = sinusoidal_sir(breakpoint)
+    assert spec.varies_within_epochs
+    v = coalescence_visible()
+    exact = gf.oracle_loglik(spec, v, gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2)))
+    steps = []
+    thinning = gf.filtering._propagate_tv
+
+    def propagate_tv(spec, states, logw, t0, t1, *rest):
+        steps.append((t0, t1))
+        return thinning(spec, states, logw, t0, t1, *rest)
+    monkeypatch.setattr(gf.filtering, "_propagate_tv", propagate_tv)
+    rep = gf.replicate_loglik(spec, v, FilterConfig(300, seed=41, weighting=weighting), 10)
+    assert rep.collapse_count == 0
+    assert abs(rep.mean - exact) <= 3 * rep.se
+    assert steps
+    if breakpoint is not None:
+        assert not any(a < breakpoint < b for a, b in steps)
+        assert any(b == breakpoint for a, b in steps)

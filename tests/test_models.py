@@ -27,14 +27,6 @@ def test_piecewise_constant_is_right_continuous():
     assert pc(10.0) == 0.25
 
 
-def test_piecewise_constant_max_on():
-    pc = gf.PiecewiseConstant((1.0, 2.0), (0.5, 2.0, 0.25))
-    assert pc.max_on(0.0, 0.5) == 0.5
-    assert pc.max_on(0.9, 1.1) == 2.0
-    assert pc.max_on(0.0, 3.0) == 2.0
-    assert pc.max_on(2.0, 5.0) == 0.25
-
-
 def test_piecewise_constant_validation():
     with pytest.raises(ValueError, match="one more value"):
         gf.PiecewiseConstant((1.0,), (0.5,))
@@ -42,6 +34,10 @@ def test_piecewise_constant_validation():
         gf.PiecewiseConstant((2.0, 1.0), (0.5, 1.0, 2.0))
     with pytest.raises(ValueError, match="nonnegative"):
         gf.PiecewiseConstant((1.0,), (0.5, -1.0))
+    for times, values in (((math.nan,), (0.5, 1.0)), ((math.inf,), (0.5, 1.0)),
+                          ((1.0,), (0.5, math.nan)), ((1.0,), (math.inf, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            gf.PiecewiseConstant(times, values)
 
 
 def test_piecewise_constant_to_dict():
@@ -176,12 +172,14 @@ def test_time_dependent_sir_bound():
     beta = gf.PiecewiseConstant((1.0,), (0.4, 1.5))
     spec = gf.sir_spec(gf.SIRParams(beta, 0.8, 0.5, 5, 4))
     assert spec.any_time_dependent
-    assert spec.time_dependent == (True, False, False)
+    # a step function is constant between its breakpoints: no bound needed
+    assert spec.rate_bounds == (None, None, None)
+    assert not spec.varies_within_epochs
     assert spec.rate_breakpoints == (1.0,)
     x = np.array([5, 4, 0, 0])
-    assert spec.rate_bound(0, 0.0, 2.0, x) == pytest.approx(1.5 * 20)
-    assert spec.rate_bound(0, 0.0, 0.5, x) == pytest.approx(0.4 * 20)
-    # constant channels fall back to their current rate
+    # within an epoch the rate at its start bounds a channel without a bound
+    assert spec.rate_bound(0, 0.0, 1.0, x) == pytest.approx(0.4 * 20)
+    assert spec.rate_bound(0, 1.0, 2.0, x) == pytest.approx(1.5 * 20)
     assert spec.rate_bound(1, 0.0, 2.0, x) == pytest.approx(0.8 * 4)
     assert spec.rate(0, 0.5, x) == pytest.approx(0.4 * 20)
     assert spec.rate(0, 1.5, x) == pytest.approx(1.5 * 20)

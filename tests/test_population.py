@@ -1,6 +1,7 @@
 """Simulation, path densities, and the master-equation integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,21 +304,8 @@ def test_kfe_pure_death_survival_probability():
     assert abs(sum(pmf.values()) - 1.0) < 1e-8
 
 
-def test_kfe_matches_simulated_endpoint_distribution():
-    spec = lbdp(0.9, 0.5, 0.0, 2)
-    horizon = 1.5
-    n_max = 40
-    trunc = [(n, 0) for n in range(n_max + 1)]
-    pmf = gf.kfe_integrate(spec, trunc, {(2, 0): 1.0}, 0.0, horizon)
-    rng = np.random.default_rng(17)
-    reps = 10000
-    counts = np.zeros(n_max + 1)
-    for _ in range(reps):
-        traj = gf.simulate(spec, horizon, rng)
-        n = int(state_at(spec, traj, horizon)[0])
-        counts[min(n, n_max)] += 1
-    # chi-square over pooled buckets with expected count >= 10
-    expected = np.array([pmf[(n, 0)] for n in range(n_max + 1)]) * reps
+def chi_square_within_4_sigma(expected, counts):
+    """Pearson chi-square over buckets with expected count >= 10, the rest pooled."""
     order = np.argsort(-expected)
     chi2, used, rest_e, rest_o = 0.0, 0, 0.0, 0.0
     for idx in order:
@@ -335,6 +323,44 @@ def test_kfe_matches_simulated_endpoint_distribution():
     assert chi2 < df + 4 * math.sqrt(2 * df), (chi2, df)
 
 
+def test_kfe_matches_simulated_endpoint_distribution():
+    spec = lbdp(0.9, 0.5, 0.0, 2)
+    horizon = 1.5
+    n_max = 40
+    trunc = [(n, 0) for n in range(n_max + 1)]
+    pmf = gf.kfe_integrate(spec, trunc, {(2, 0): 1.0}, 0.0, horizon)
+    rng = np.random.default_rng(17)
+    reps = 10000
+    counts = np.zeros(n_max + 1)
+    for _ in range(reps):
+        traj = gf.simulate(spec, horizon, rng)
+        n = int(state_at(spec, traj, horizon)[0])
+        counts[min(n, n_max)] += 1
+    expected = np.array([pmf[(n, 0)] for n in range(n_max + 1)]) * reps
+    chi_square_within_4_sigma(expected, counts)
+
+
+def test_per_epoch_simulation_matches_kfe_on_two_breakpoint_sirs():
+    # exponential clocks restart at each breakpoint of beta; the law at the
+    # horizon must still solve the master equation epoch by epoch
+    beta = gf.PiecewiseConstant((0.5, 1.2), (0.9, 0.25, 0.6))
+    params = gf.SIRSParams(beta, 0.5, 0.0, 0.8, 6, 2)
+    spec = gf.sirs_spec(params)
+    assert spec.rate_breakpoints == (0.5, 1.2) and not spec.varies_within_epochs
+    horizon = 2.0
+    trunc = gf.sirs_truncation(params)
+    pmf = gf.kfe_integrate(spec, trunc, {(6, 2, 0, 0): 1.0}, 0.0, horizon, tol=1e-10)
+    index = {s: i for i, s in enumerate(trunc)}
+    rng = np.random.default_rng(43)
+    reps = 6000
+    counts = np.zeros(len(trunc))
+    for _ in range(reps):
+        traj = gf.simulate(spec, horizon, rng)
+        counts[index[tuple(int(v) for v in state_at(spec, traj, horizon))]] += 1
+    expected = np.array([pmf[s] for s in trunc]) * reps
+    chi_square_within_4_sigma(expected, counts)
+
+
 def test_kfe_time_dependent_survival():
     # one-channel pure death with a piecewise rate; survival is
     # exp(-integral of the rate)
@@ -342,8 +368,7 @@ def test_kfe_time_dependent_survival():
     events = (gf.EventType("death", (-1,), is_death=True),)
     spec = make_spec(events, (lambda t, x: delta(t) * x[..., 0],), (1,),
                      lambda x: x[..., 0],
-                     rate_bounds=(lambda t0, t1, x: delta.max_on(t0, t1) * float(x[..., 0]),),
-                     time_dependent=(True,),
+                     rate_bounds=(lambda t0, t1, x: max(delta.values) * float(x[..., 0]),),
                      rate_breakpoints=delta.times)
     horizon = 1.4
     integral = 2.0 * 0.6 + 0.3 * (horizon - 0.6)
@@ -363,15 +388,15 @@ def test_kfe_time_dependent_survival():
     assert abs(prob - p) < 1e-12
 
 
-def piecewise_death_spec(piecewise_constant=True):
+def piecewise_death_spec(bounded=False):
+    """A step-function death rate; ``bounded`` declares it continuous by giving a bound."""
     delta = gf.PiecewiseConstant(times=(0.6, 0.9), values=(2.0, 0.3, 1.1))
     events = (gf.EventType("death", (-1, 0), is_death=True), gf.EventType("tick", (0, 1)))
+    bound = lambda t0, t1, x: max(delta.values) * float(x[..., 0])
     return delta, make_spec(
         events, (lambda t, x: delta(t) * x[..., 0], lambda t, x: 0.25 + 0.0 * x[..., 0]),
         (1, 0), lambda x: x[..., 0],
-        rate_bounds=(lambda t0, t1, x: delta.max_on(t0, t1) * float(x[..., 0]), None),
-        time_dependent=(True, False), rate_breakpoints=delta.times,
-        piecewise_constant=piecewise_constant)
+        rate_bounds=(bound if bounded else None, None), rate_breakpoints=delta.times)
 
 
 def test_epochs_cut_at_breakpoints_strictly_inside():
@@ -382,7 +407,7 @@ def test_epochs_cut_at_breakpoints_strictly_inside():
     assert spec.epochs(0.0, 0.5) == [(0.0, 0.5)]
     assert spec.epochs(1.0, 3.0) == [(1.0, 3.0)]
     assert spec.varies_within_epochs is False
-    assert piecewise_death_spec(False)[1].varies_within_epochs is True
+    assert piecewise_death_spec(bounded=True)[1].varies_within_epochs is True
     assert lbdp(1.0, 1.0, 1.0, 2).epochs(0.0, 1.0) == [(0.0, 1.0)]
 
 
@@ -393,7 +418,7 @@ def test_rate_integral_is_exact_on_piecewise_rates():
     assert abs(_rate_integral(spec, x, 0.1, 1.7) - want) <= 1e-14 * want
     assert abs(_rate_integral(spec, x, 0.1, 1.7, channels=[1]) - 0.25 * 1.6) <= 1e-15
     # the same rates declared continuous go through quadrature and agree
-    _, continuous = piecewise_death_spec(False)
+    _, continuous = piecewise_death_spec(bounded=True)
     assert _rate_integral(continuous, x, 0.1, 1.7) == pytest.approx(want, rel=1e-9)
 
 
@@ -420,19 +445,39 @@ def test_thinning_detects_a_lying_bound():
     events = (gf.EventType("death", (-1,), is_death=True),)
     spec = make_spec(events, (lambda t, x: (2.0 + t) * x[..., 0],), (1,),
                      lambda x: x[..., 0],
-                     rate_bounds=(lambda t0, t1, x: 0.5,),
-                     time_dependent=(True,))
+                     rate_bounds=(lambda t0, t1, x: 0.5,))
     with pytest.raises(SimulationError, match="exceeds its bound"):
         gf.simulate(spec, 5.0, np.random.default_rng(3))
 
 
-def test_rate_bound_required_for_time_dependent_channel():
+def test_model_spec_needs_one_bound_entry_per_event():
     events = (gf.EventType("death", (-1,), is_death=True),)
-    spec = make_spec(events, (lambda t, x: (2.0 + t) * x[..., 0],), (1,),
-                     lambda x: x[..., 0],
-                     time_dependent=(True,))
-    with pytest.raises(SimulationError, match="rate bound"):
-        gf.simulate(spec, 5.0, np.random.default_rng(3))
+    rates = (lambda t, x: 1.0 * x[..., 0],)
+    for bounds in ((), (None, None), (0.5,)):
+        with pytest.raises(ValueError, match="one callable or None per event"):
+            make_spec(events, rates, (1,), lambda x: x[..., 0], rate_bounds=bounds)
+
+
+class NoCandidates(np.random.Generator):
+    """A generator that fails the test if a thinning candidate time is drawn."""
+
+    def exponential(self, *args, **kwargs):
+        raise AssertionError("a candidate time was drawn")
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_bad_rate_bound_is_a_model_error(value):
+    events = (gf.EventType("death", (-1,), is_death=True),)
+    spec = make_spec(events, (lambda t, x: 2.0 * x[..., 0],), (3,), lambda x: x[..., 0],
+                     rate_bounds=(lambda t0, t1, x: value,))
+    message = rf"'death' has rate bound {value} on \[0.0, 5.0\] in state \(3,\)"
+    with pytest.raises(SimulationError, match=message):
+        gf.simulate(spec, 5.0, NoCandidates(np.random.PCG64(3)))
+    visible = gf.prune(replace(gf.new_genealogy(1), time=5.0))
+    for weighting in ("analytic-survival", "rejection"):
+        with pytest.raises(SimulationError, match=message):
+            gf.smc_loglik(spec, visible, gf.FilterConfig(20, weighting=weighting),
+                          rng=NoCandidates(np.random.PCG64(4)))
 
 
 # ---------------------------------------------------------------------------
