@@ -47,8 +47,8 @@ from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
-from .population import (ModelSpec, StateLattice, _next_jump_thinned, _rate_integral,
-                         ensure_rng, integrate_epochs)
+from .population import (IntegrationError, ModelSpec, StateLattice, _next_jump_thinned,
+                         _rate_integral, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -157,13 +157,16 @@ class ReplicateResult:
 class WeightGrid:
     """Partial weights over a truncation at a fixed time.
 
-    These are unnormalized filter weights, not a posterior over states; their
-    sum is the likelihood accumulated so far.
+    These are unnormalized filter weights, not a posterior over states:
+    ``exp(log_scale) * weights.sum()`` is the likelihood accumulated so far.
+    The scale is kept apart so that the weights stay representable on long
+    genealogies.
     """
 
     states: np.ndarray
     weights: np.ndarray
     time: float
+    log_scale: float = 0.0
 
 
 def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
@@ -208,63 +211,55 @@ def _channels(spec: ModelSpec, kind: str) -> np.ndarray:
 
 def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
     """Draw ``n`` particles from the initial distribution (projected state)."""
-    rng = ensure_rng(rng)
-    states = np.empty((n, len(spec.active_dims)), dtype=np.int64)
-    for i in range(n):
-        states[i] = np.asarray(spec.init_sample(rng), dtype=np.int64)[:len(spec.active_dims)]
-    return Ensemble(states, np.zeros(n))
+    states = np.asarray(spec.init_sample(ensure_rng(rng), n), dtype=np.int64)
+    if states.shape != (n, spec.d):
+        raise FilterError(f"init_sample returned shape {states.shape}, expected ({n}, {spec.d})")
+    return Ensemble(states[:, :len(spec.active_dims)].copy(), np.zeros(n))
 
 
 def _propagate_const(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Vectorized exact simulation of all particles from t0 to t1.
+    """Exact simulation of the live particles across one constant-rate epoch [t0, t1].
 
-    All particles draw from the shared stream every round regardless of
-    whether they still move, so the output is invariant to which particles
-    finish first.
+    Works in place on an index set of the particles that are live (finite
+    log weight) and have not yet passed t1: only those read rates at t0,
+    take a waiting time and, under analytic survival, pay the sampling rate
+    times their dwell, and only those that jump before t1 pick a channel.
+    A particle leaves the set when its next jump would pass t1 or its
+    weight becomes -inf, so a dead particle is never touched.  Each round
+    still draws one waiting time and one channel uniform per particle of
+    the whole ensemble, and a particle uses the draws at its own row, so
+    the output is the same as if every particle were stepped every round.
     """
     n = len(logw)
-    k_count = spec.n_events
-    t = np.full(n, t0)
-    done = ~np.isfinite(logw)
-    t[done] = t1
-    sample_cols = np.flatnonzero(spec.sample_mask)
-    while not done.all():
-        active = ~done
-        rates = spec.rate_matrix(t0, states)
-        g_rate = rates[:, sample_cols].sum(axis=1)
+    idx = np.flatnonzero(np.isfinite(logw))
+    t = np.full(len(idx), t0)
+    while len(idx):
+        rates = spec.rate_matrix(t0, states[idx])
         if survival:
-            rates[:, sample_cols] = 0.0
+            g_rate = rates[:, spec.sample_mask].sum(axis=1)
+            rates[:, spec.sample_mask] = 0.0
         total = rates.sum(axis=1)
-        draws = rng.exponential(size=n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(total > 0.0, draws / np.where(total > 0.0, total, 1.0), np.inf)
-        t_next = t + dt
-        fires = active & (t_next < t1)
+        t_next = t + np.divide(rng.exponential(size=n)[idx], total,
+                               out=np.full(len(idx), np.inf), where=total > 0.0)
+        fires = t_next < t1
         if survival:
-            dwell = np.minimum(t_next, t1) - t
-            logw[active] -= g_rate[active] * dwell[active]
-        u = rng.random(size=n)
-        cum = np.cumsum(rates, axis=1)
-        choice = (u[:, None] * total[:, None] > cum).sum(axis=1)
-        np.minimum(choice, k_count - 1, out=choice)
-        idx = np.flatnonzero(fires)
-        if len(idx):
-            states[idx] += spec.active_displacements[choice[idx]]
-            t[idx] = t_next[idx]
-            picked = choice[idx]
-            born = idx[spec.birth_mask[picked]]
-            if len(born):
-                with np.errstate(divide="ignore"):
-                    logw[born] += np.log(hidden_birth_factor(spec.focal_sizes(states[born]), ell))
-            died = idx[spec.death_mask[picked]]
-            if len(died):
-                bad = died[spec.focal_sizes(states[died]) < ell]
-                logw[bad] = -np.inf
-            if not survival:
-                logw[idx[spec.sample_mask[picked]]] = -np.inf
-        finished = active & ~fires
-        t[finished] = t1
-        done |= finished | ~np.isfinite(logw)
+            logw[idx] -= g_rate * (np.minimum(t_next, t1) - t)
+        idx, t, rates, total = idx[fires], t_next[fires], rates[fires], total[fires]
+        u = rng.random(size=n)[idx]
+        choice = (u[:, None] * total[:, None] > np.cumsum(rates, axis=1)).sum(axis=1)
+        np.minimum(choice, spec.n_events - 1, out=choice)
+        states[idx] += spec.active_displacements[choice]
+        born = idx[spec.birth_mask[choice]]
+        if len(born):
+            with np.errstate(divide="ignore"):
+                logw[born] += np.log(hidden_birth_factor(spec.focal_sizes(states[born]), ell))
+        died = idx[spec.death_mask[choice]]
+        if len(died):
+            logw[died[spec.focal_sizes(states[died]) < ell]] = -np.inf
+        if not survival:
+            logw[idx[spec.sample_mask[choice]]] = -np.inf
+        live = np.isfinite(logw[idx])
+        idx, t = idx[live], t[live]
     return states, logw
 
 
@@ -533,6 +528,12 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     loses negligible probability flux (`boundary_flux` helps check).
     Probability on states with fewer focal individuals than required
     lineages is zeroed, including at time zero.
+
+    After every event update the weights are divided by their sum and the
+    log of that sum is carried, as `smc_loglik` carries its log mean weight,
+    so the integrator's error control always works on mass of order one.
+    A weight that the integrator drives negative by more than ``tol`` times
+    the mass it started from raises `IntegrationError` naming the interval.
     """
     n_active = len(spec.active_dims)
     full = [tuple(int(c) for c in s) for s in truncation]
@@ -550,19 +551,27 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
         if t1 <= t0:
             return w
         compat = (size >= ell).astype(float)
-        return integrate_epochs(spec, lambda t: _interval_generator(spec, proj, t, ell, compat),
-                                w * compat, t0, t1, tol)
+        out = integrate_epochs(spec, lambda t: _interval_generator(spec, proj, t, ell, compat),
+                               w * compat, t0, t1, tol)
+        if out.min() < -tol * w.sum():
+            raise IntegrationError(f"grid weight {out.min():.3g} on [{t0}, {t1}] is negative "
+                                   f"beyond tolerance {tol} of the mass {w.sum():.3g}")
+        return out
 
-    t = 0.0
+    log_scale, t = 0.0, 0.0
     for e, kind in schedule:
         w = advance(w, t, e, crossing(t))
         w = _grid_event_update(spec, proj, w, e, kind, crossing(e))
+        total = float(w.sum())
+        if total > 0.0:
+            w /= total
+            log_scale += math.log(total)
         t = e
     w = advance(w, t, v.time, crossing(t))
     total = float(w.sum())
-    loglik = math.log(total) if total > 0.0 else -math.inf
+    loglik = log_scale + math.log(total) if total > 0.0 else -math.inf
     if return_grid:
-        return loglik, WeightGrid(proj.states.copy(), w.copy(), v.time)
+        return loglik, WeightGrid(proj.states.copy(), w.copy(), v.time, log_scale)
     return loglik
 
 
@@ -571,8 +580,10 @@ def boundary_flux(spec: ModelSpec, weights, t: float = 0.0) -> float:
 
     ``weights`` maps states to mass (a dict or a WeightGrid).  The flux is
     mass times rate, summed over the rows each channel takes off the
-    `StateLattice` of those states.  A large value relative to the
-    integration tolerance means the truncation is too small.
+    `StateLattice` of those states.  A WeightGrid contributes its weights
+    without their ``log_scale``, so the flux is relative to the likelihood
+    accumulated so far.  A large value relative to the integration tolerance
+    means the truncation is too small.
     """
     if isinstance(weights, WeightGrid):
         states, mass = weights.states, weights.weights

@@ -62,9 +62,14 @@ def _as_rate(value) -> float | PiecewiseConstant:
         return value
     if isinstance(value, Mapping):
         return PiecewiseConstant(tuple(value["times"]), tuple(value["values"]))
-    out = float(value)
-    if out < 0:
-        raise ValueError("rates must be nonnegative")
+    return _rates(value)[0]
+
+
+def _rates(*values) -> list[float]:
+    """``values`` as floats; a negative, NaN or infinite rate is a ValueError."""
+    out = [float(v) for v in values]
+    if not all(0.0 <= v < math.inf for v in out):
+        raise ValueError(f"rates must be finite and nonnegative, got {out}")
     return out
 
 
@@ -78,8 +83,8 @@ def _check_count(name: str, value) -> int:
 def _point_mass(x0: np.ndarray):
     x0 = np.asarray(x0, dtype=np.int64)
 
-    def init_sample(rng):
-        return x0.copy()
+    def init_sample(rng, n):
+        return np.tile(x0, (n, 1))
 
     def init_pmf(x):
         return 1.0 if np.array_equal(np.asarray(x, dtype=np.int64), x0) else 0.0
@@ -103,11 +108,7 @@ class LBDPParams:
 
 def lbdp_spec(params: LBDPParams, mu: float = 1.0) -> ModelSpec:
     """State (n, sampled): population size plus a sampling counter."""
-    lam = float(params.birth_rate)
-    delta = float(params.death_rate)
-    psi = float(params.sampling_rate)
-    if min(lam, delta, psi) < 0:
-        raise ValueError("rates must be nonnegative")
+    lam, delta, psi = _rates(params.birth_rate, params.death_rate, params.sampling_rate)
     n0 = _check_count("n0", params.n0)
     init_sample, init_pmf = _point_mass(np.array([n0, 0]))
     return ModelSpec(
@@ -161,23 +162,17 @@ class SIRParams:
         }
 
 
-def _si_product(beta):
-    """Infection rate beta(t) * s * i, and the breakpoints of beta."""
+def _si_product(beta: float | PiecewiseConstant):
+    """Infection rate beta(t) * s * i, and the breakpoints of beta (checked by `_as_rate`)."""
     if isinstance(beta, PiecewiseConstant):
         return (lambda t, x: beta(t) * x[..., 0] * x[..., 1]), beta.times
-    b = float(beta)
-    if b < 0:
-        raise ValueError("transmission_rate must be nonnegative")
-    return (lambda t, x: b * x[..., 0] * x[..., 1]), ()
+    return (lambda t, x: beta * x[..., 0] * x[..., 1]), ()
 
 
 def sir_spec(params: SIRParams, mu: float = 1.0) -> ModelSpec:
     """State (s, i, r, sampled); infection is the birth event on i."""
     beta = _as_rate(params.transmission_rate)
-    gamma = float(params.recovery_rate)
-    psi = float(params.sampling_rate)
-    if min(gamma, psi) < 0:
-        raise ValueError("rates must be nonnegative")
+    gamma, psi = _rates(params.recovery_rate, params.sampling_rate)
     s0 = _check_count("s0", params.s0)
     i0 = _check_count("i0", params.i0)
     r0 = _check_count("r0", params.r0)
@@ -236,11 +231,7 @@ class SIRSParams:
 def sirs_spec(params: SIRSParams, mu: float = 1.0) -> ModelSpec:
     """State (s, i, r, sampled); waning is unmarked since i is unchanged."""
     beta = _as_rate(params.transmission_rate)
-    gamma = float(params.recovery_rate)
-    psi = float(params.sampling_rate)
-    sigma = float(params.waning_rate)
-    if min(gamma, psi, sigma) < 0:
-        raise ValueError("rates must be nonnegative")
+    gamma, psi, sigma = _rates(params.recovery_rate, params.sampling_rate, params.waning_rate)
     s0 = _check_count("s0", params.s0)
     i0 = _check_count("i0", params.i0)
     r0 = _check_count("r0", params.r0)
@@ -296,12 +287,8 @@ class S2IRParams:
 
 def s2ir_spec(params: S2IRParams, mu: float = 1.0) -> ModelSpec:
     """State (s1, s2, i, sampled); recovered individuals are not tracked."""
-    b1 = float(params.transmission_rate_1)
-    b2 = float(params.transmission_rate_2)
-    gamma = float(params.recovery_rate)
-    psi = float(params.sampling_rate)
-    if min(b1, b2, gamma, psi) < 0:
-        raise ValueError("rates must be nonnegative")
+    b1, b2, gamma, psi = _rates(params.transmission_rate_1, params.transmission_rate_2,
+                                params.recovery_rate, params.sampling_rate)
     s1_0 = _check_count("s1_0", params.s1_0)
     s2_0 = _check_count("s2_0", params.s2_0)
     i0 = _check_count("i0", params.i0)

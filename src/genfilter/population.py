@@ -84,8 +84,8 @@ class ModelSpec:
         One rate per event, ``rate(t, x) -> nonnegative``, broadcasting over
         leading axes of ``x``.
     init_sample, init_pmf
-        Sampler ``rng -> state`` and pmf ``state -> probability`` of the
-        initial distribution.
+        Sampler ``(rng, n) -> array of n states, shape (n, d)`` and pmf
+        ``state -> probability`` of the initial distribution.
     focal_size
         Size of the focal subpopulation, ``x -> int``, broadcasting like a
         rate.  Whenever an event has positive rate the focal size must change
@@ -191,9 +191,6 @@ class ModelSpec:
     def _rate_error(self, k, what, x) -> SimulationError:
         return SimulationError(f"model {self.name!r}: channel {self.events[k].name!r} has "
                                f"{what} in state {tuple(x.tolist())}")
-
-    def total_rate(self, t: float, x) -> float:
-        return float(self.rate_matrix(t, x).sum())
 
     def rate_bound(self, k: int, t0: float, t1: float, x) -> float:
         """An upper bound for channel ``k`` on [t0, t1] at state ``x``.
@@ -318,9 +315,10 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
     """
     rng = ensure_rng(rng)
     cap = spec.max_jumps if max_jumps is None else int(max_jumps)
-    x = np.asarray(spec.init_sample(rng), dtype=np.int64)
-    if x.shape != (spec.d,):
-        raise SimulationError(f"init_sample returned shape {x.shape}, expected ({spec.d},)")
+    x = np.asarray(spec.init_sample(rng, 1), dtype=np.int64)
+    if x.shape != (1, spec.d):
+        raise SimulationError(f"init_sample returned shape {x.shape}, expected (1, {spec.d})")
+    x = x[0]
     x0 = tuple(int(v) for v in x)
     jumps: list[Jump] = []
     for a, b in spec.epochs(0.0, t_end):

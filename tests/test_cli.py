@@ -357,6 +357,23 @@ def test_non_finite_piecewise_rate_is_a_config_error(tmp_path, field, bad):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key,bad", [("transmission_rate", math.nan),
+                                     ("transmission_rate", math.inf),
+                                     ("recovery_rate", math.nan)])
+def test_non_finite_scalar_rate_is_a_config_error(tmp_path, key, bad):
+    params = {"transmission_rate": 0.04, "recovery_rate": 1.0, "sampling_rate": 1.0,
+              "s0": 20, "i0": 2}
+    params[key] = bad
+    config = write_config(tmp_path, model={"name": "sir", "params": params})
+    proc = subprocess.run([sys.executable, "-m", "genfilter", "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=checkout_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "config.model.params" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_relative_input_resolves_against_config_dir(tmp_path):
     out = simulated(tmp_path)
     nested = tmp_path / "cfg"

@@ -99,6 +99,32 @@ def test_init_ensemble_projects_bookkeeping():
     assert (ens.states == np.array([9, 2, 0])).all()
 
 
+def test_initial_law_is_drawn_in_one_batch():
+    base = lbdp(1.0, 0.5, 0.2, 3)
+    calls = []
+
+    def init_sample(rng, n):
+        calls.append(n)
+        return np.column_stack([rng.poisson(4.0, n), np.zeros(n, dtype=np.int64)])
+    spec = gf.ModelSpec("poisson-start", base.d, base.events, base.rates, init_sample,
+                        base.init_pmf, base.focal_size, bookkeeping_dims=(1,))
+    ens = gf.init_ensemble(spec, 2000, np.random.default_rng(0))
+    assert calls == [2000]
+    assert ens.states.shape == (2000, 1)
+    assert abs(ens.states.mean() - 4.0) < 4 * math.sqrt(4.0 / 2000)
+    # simulate draws a batch of one and starts from its row
+    traj = gf.simulate(spec, 0.5, np.random.default_rng(1))
+    assert traj.x0 == (int(np.random.default_rng(1).poisson(4.0, 1)[0]), 0)
+
+    flat = gf.ModelSpec("flat", base.d, base.events, base.rates,
+                        lambda rng, n: np.zeros(2 * n, dtype=np.int64),
+                        base.init_pmf, base.focal_size, bookkeeping_dims=(1,))
+    with pytest.raises(FilterError, match=r"shape \(20,\), expected \(10, 2\)"):
+        gf.init_ensemble(flat, 10, np.random.default_rng(0))
+    with pytest.raises(gf.SimulationError, match=r"shape \(2,\), expected \(1, 2\)"):
+        gf.simulate(flat, 0.5, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Interval propagation
 
@@ -149,6 +175,43 @@ def test_propagate_reweights_hidden_births():
         want = sum(math.log(1.0 - 1.0 / (m * (m - 1) / 2.0))
                    for m in range(3, int(size) + 1))
         assert logw == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+def test_propagate_const_touches_only_live_unfinished_particles(weighting):
+    # a recovery at i = ell = 2 is fatal; a third of the particles start dead
+    spec = sir(0.3, 0.5, 0.3, 8, 3)
+    rng = np.random.default_rng(1)
+    n = 300
+    states = np.column_stack([rng.integers(4, 9, n), rng.integers(2, 5, n), np.zeros(n, int)])
+    logw = np.where(rng.random(n) < 1 / 3, -np.inf, rng.normal(size=n))
+    dead0, states0 = ~np.isfinite(logw), states.copy()
+    rounds = []  # per round: rows the rates were read for, live mask, states
+
+    def due():
+        """Particles that must read rates now; checks that the dead stayed put."""
+        live = np.isfinite(logw)
+        if not rounds:
+            return live
+        _, was_live, was = rounds[-1]
+        assert (states[~was_live] == was[~was_live]).all()
+        assert (logw[~was_live] == -np.inf).all()
+        # a particle reads rates again exactly when it jumped last round and is
+        # still live; with sampling off or fatal, a live jumper has moved
+        return (states != was).any(axis=1) & live
+
+    def rate_matrix(t, rows):
+        assert len(rows) == due().sum()
+        rounds.append((len(rows), np.isfinite(logw), states.copy()))
+        return gf.ModelSpec.rate_matrix(spec, t, rows)
+    spec.rate_matrix = rate_matrix
+    gf.filtering._propagate_const(spec, states, logw, 0.0, 1.0, 2, np.random.default_rng(2),
+                                  weighting == "analytic-survival")
+    assert not due().any()
+    sizes = [r[0] for r in rounds]
+    assert sizes[0] == n - dead0.sum() and len(sizes) > 3 and sizes[-1] < sizes[0] / 4
+    assert 0 < np.isfinite(logw).sum() < sizes[0]
+    assert (states[dead0] == states0[dead0]).all()
 
 
 def test_propagate_interval_validates():
@@ -240,14 +303,15 @@ def test_smc_pure_sampling_has_zero_variance():
         assert not res.diagnostics.collapsed
 
 
-def test_smc_seed_determinism():
+@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+def test_smc_seed_determinism(weighting):
     spec = lbdp(1.4, 0.5, 0.9, 1)
     traj = simulate_with_samples(spec, 2.0, 19, 2, 10)
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
-    a = gf.smc_loglik(spec, v, FilterConfig(300, seed=7))
-    b = gf.smc_loglik(spec, v, FilterConfig(300, seed=7))
-    c = gf.smc_loglik(spec, v, FilterConfig(300, seed=8))
-    assert a.loglik == b.loglik
+    a = gf.smc_loglik(spec, v, FilterConfig(300, seed=7, weighting=weighting))
+    b = gf.smc_loglik(spec, v, FilterConfig(300, seed=7, weighting=weighting))
+    c = gf.smc_loglik(spec, v, FilterConfig(300, seed=8, weighting=weighting))
+    assert math.isfinite(a.loglik) and a.loglik == b.loglik
     assert a.diagnostics.events == b.diagnostics.events
     assert a.loglik != c.loglik
 
@@ -376,6 +440,54 @@ def test_oracle_rejects_infeasible_initial_condition():
     # two lineages at time zero need at least two individuals
     spec = lbdp(0.0, 0.0, 0.5, 1)
     assert gf.oracle_loglik(spec, two_leaf_visible(), [(1, 0)]) == -math.inf
+
+
+@lru_cache(maxsize=None)
+def sir100_visible(horizon):
+    """First draw of population-100 SIR from seed 101: 26 samples by T=2, 70 by T=3."""
+    params = gf.SIRParams(0.04, 1.0, 1.0, 97, 3)
+    spec = gf.sir_spec(params)
+    traj = gf.simulate(spec, horizon, np.random.default_rng(101))
+    return params, spec, gf.prune(gf.build_genealogy(spec, traj)[0])
+
+
+def test_oracle_keeps_its_scale_on_a_long_genealogy():
+    # 107 events take the likelihood to about e^-54, far below the integrator's
+    # absolute tolerance, so the grid weights must be renormalised as they go
+    params, spec, v = sir100_visible(3.0)
+    ll = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
+    # the same call at tol 1e-11 gives -54.12752829; a matrix exponential
+    # (scipy's expm_multiply) per event-free interval agrees with that to 1e-9
+    assert ll == pytest.approx(-54.12752829, abs=2e-6)
+    rep = gf.replicate_loglik(spec, v, FilterConfig(2000, seed=3), 8)
+    assert rep.collapse_count == 0
+    assert abs(rep.mean - ll) <= 4 * rep.se
+
+
+def test_oracle_converges_in_tol_on_a_medium_genealogy():
+    params, spec, v = sir100_visible(2.0)
+    truncation = gf.sir_truncation(params)
+    coarse = gf.oracle_loglik(spec, v, truncation, tol=1e-8)
+    fine = gf.oracle_loglik(spec, v, truncation, tol=1e-11)
+    assert abs(coarse - fine) < 1e-6
+
+
+@pytest.mark.parametrize("leak,raises", [(1e-6, True), (1e-10, False)])
+def test_oracle_rejects_negative_mass_beyond_tolerance(monkeypatch, leak, raises):
+    spec = lbdp(0.5, 0.3, 0.6, 2)
+    truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
+    integrate = gf.filtering.integrate_epochs
+
+    def leaky(*args):
+        out = integrate(*args)
+        out[0] -= leak
+        return out
+    monkeypatch.setattr(gf.filtering, "integrate_epochs", leaky)
+    if raises:
+        with pytest.raises(gf.IntegrationError, match=r"on \[0.0, 0.5\] is negative"):
+            gf.oracle_loglik(spec, two_leaf_visible(), truncation)
+    else:
+        assert math.isfinite(gf.oracle_loglik(spec, two_leaf_visible(), truncation))
 
 
 def test_boundary_flux_from_dict():

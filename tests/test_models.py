@@ -110,6 +110,22 @@ def test_negative_rates_rejected():
         gf.sir_spec(gf.SIRParams(0.3, 0.8, 0.5, 5, 2.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rates_rejected(bad):
+    builders = [
+        lambda r: gf.lbdp_spec(gf.LBDPParams(1.0, r, 0.2, 1)),
+        lambda r: gf.sir_spec(gf.SIRParams(r, 0.8, 0.5, 5, 4)),
+        lambda r: gf.sir_spec(gf.SIRParams(0.3, 0.8, r, 5, 4)),
+        lambda r: gf.sirs_spec(gf.SIRSParams(0.3, 0.8, 0.5, r, 5, 4)),
+        lambda r: gf.s2ir_spec(gf.S2IRParams(0.3, r, 0.7, 0.6, 3, 2, 2)),
+        lambda r: gf.build_model("sir", {"transmission_rate": r, "recovery_rate": 1.0,
+                                         "sampling_rate": 1.0, "s0": 5, "i0": 1}),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
+
 # ---------------------------------------------------------------------------
 # Marker consistency probed over state grids
 
@@ -135,7 +151,7 @@ def test_validate_model_flags_focal_size_mismatch():
         d=1,
         events=(gf.EventType("sampling", (1,), is_sample=True),),
         rates=(lambda t, x: 1.0,),
-        init_sample=lambda rng: np.array([1]),
+        init_sample=lambda rng, n: np.ones((n, 1), dtype=np.int64),
         init_pmf=lambda x: 1.0,
         focal_size=lambda x: x[..., 0],
     )

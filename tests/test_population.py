@@ -21,8 +21,8 @@ def make_spec(events, rates, x0, focal, d=None, **kw):
     x0 = np.asarray(x0, dtype=np.int64)
     d = len(x0) if d is None else d
 
-    def init_sample(rng):
-        return x0.copy()
+    def init_sample(rng, n):
+        return np.tile(x0, (n, 1))
 
     def init_pmf(x):
         return 1.0 if np.array_equal(np.asarray(x), x0) else 0.0
