@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .exact import ExactError, loglik_events, loglik_lineages
-from .filtering import (FilterConfig, FilterError, WeightGrid, boundary_flux,
-                        oracle_loglik, replicate_loglik, smc_loglik)
+from .filtering import (RESAMPLING_METHODS, WEIGHTING_MODES, FilterConfig, FilterError,
+                        boundary_flux, oracle_loglik, replicate_loglik, smc_loglik)
 from .genealogy import (GenealogyError, NewickError, build_genealogy, prune,
                         read_genealogy, to_newick, validate_genealogy, write_genealogy)
 from .models import MODELS, TRUNCATIONS, model_params
@@ -42,8 +42,8 @@ _FILTER_PROPS = {
     "n_particles": {"type": "integer", "minimum": 1},
     "n_reps": {"type": "integer", "minimum": 1},
     "ess_threshold": {"type": "number", "minimum": 0, "maximum": 1},
-    "resampling": {"enum": ["systematic", "multinomial"]},
-    "weighting": {"enum": ["analytic-survival", "rejection"]},
+    "resampling": {"enum": list(RESAMPLING_METHODS)},
+    "weighting": {"enum": list(WEIGHTING_MODES)},
 }
 
 _SCHEMA = {
@@ -212,19 +212,23 @@ def _read_trajectory(path):
 
 
 def _filter_config(section: dict, seed: int) -> FilterConfig:
-    return FilterConfig(
-        n_particles=section.get("n_particles", 1000),
-        seed=seed,
-        ess_threshold=section.get("ess_threshold", 0.5),
-        resampling=section.get("resampling", "systematic"),
-        weighting=section.get("weighting", "analytic-survival"),
-    )
+    """The filter settings the section gives; `FilterConfig` supplies the rest."""
+    keys = ("n_particles", "ess_threshold", "resampling", "weighting")
+    return FilterConfig(seed=seed, **{k: section[k] for k in keys if k in section})
 
 
 def _truncation(name: str, params, n_max: int | None):
     if n_max is None and name == "lbdp":
         raise ConfigError("config.oracle.n_max is required for model lbdp")
     return TRUNCATIONS[name](params, n_max)
+
+
+def _write_visible(out: Path, visible, prov: dict) -> None:
+    """``genealogy_visible.json`` and, atomically, ``genealogy_visible.nwk``."""
+    write_genealogy(out / "genealogy_visible.json", visible, provenance=prov)
+    tmp = out / "genealogy_visible.nwk.tmp"
+    tmp.write_text(to_newick(visible))
+    os.replace(tmp, out / "genealogy_visible.nwk")
 
 
 def cmd_simulate(args, config, out: Path) -> int:
@@ -240,23 +244,14 @@ def cmd_simulate(args, config, out: Path) -> int:
     write_trajectory(out / "trajectory", spec, traj, seed=seed, provenance=prov)
     g, _ = build_genealogy(spec, traj)
     write_genealogy(out / "genealogy_full.json", g, provenance=prov)
-    visible = prune(g)
-    write_genealogy(out / "genealogy_visible.json", visible, provenance=prov)
-    tmp = out / "genealogy_visible.nwk.tmp"
-    tmp.write_text(to_newick(visible))
-    os.replace(tmp, out / "genealogy_visible.nwk")
+    _write_visible(out, prune(g), prov)
     print(f"simulated {len(traj.jumps)} jumps over [0, {horizon}] -> {out}")
     return 0
 
 
 def cmd_prune(args, config, out: Path) -> int:
     seed = _resolve_seed(args, config)
-    visible = prune(_read_genealogy(config))
-    prov = _provenance(config, seed)
-    write_genealogy(out / "genealogy_visible.json", visible, provenance=prov)
-    tmp = out / "genealogy_visible.nwk.tmp"
-    tmp.write_text(to_newick(visible))
-    os.replace(tmp, out / "genealogy_visible.nwk")
+    _write_visible(out, prune(_read_genealogy(config)), _provenance(config, seed))
     print(f"pruned genealogy -> {out}")
     return 0
 

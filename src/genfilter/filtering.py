@@ -22,11 +22,12 @@ particles or to grid weights.  Every rate is read through
 
 Both routes work one epoch at a time: each interval between genealogy
 events is cut at the model's rate breakpoints.  Within an epoch a channel
-without a rate bound is constant, so particles are propagated with the
-rates at the epoch's start and the oracle builds one generator per epoch.
-When some channel has a rate bound, its rate varies continuously: particles
-then draw their jumps by thinning (`population._next_jump_thinned`) and the
-oracle rebuilds the generator at every integrator step.
+without a rate bound is constant, and a channel with one varies
+continuously.  Particles cross an epoch in one kernel (`_propagate_epoch`):
+it runs every channel without a bound at its rate at the epoch's start and
+thins only the channels with a bound, reading their rates again at each
+candidate time.  The oracle builds one generator per epoch, or rebuilds it
+at every integrator step when some channel has a bound.
 
 States whose focal size drops below the number of lineages the genealogy
 requires carry zero weight throughout.  Coordinates declared as bookkeeping
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,7 +47,7 @@ from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
-from .population import (IntegrationError, ModelSpec, StateLattice, _next_jump_thinned,
+from .population import (IntegrationError, ModelSpec, SimulationError, StateLattice,
                          _rate_integral, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
@@ -66,7 +66,7 @@ class FilterConfig:
     ensemble is resampled after an event update.
     """
 
-    n_particles: int
+    n_particles: int = 1000
     seed: int | None = None
     ess_threshold: float = 0.5
     resampling: str = "systematic"
@@ -217,101 +217,90 @@ def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
     return Ensemble(states[:, :len(spec.active_dims)].copy(), np.zeros(n))
 
 
-def _propagate_const(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Exact simulation of the live particles across one constant-rate epoch [t0, t1].
+def _propagate_epoch(spec, states, logw, t0, t1, ell, rng, survival: bool):
+    """Simulation of the live particles across one epoch [t0, t1], in place.
 
-    Works in place on an index set of the particles that are live (finite
-    log weight) and have not yet passed t1: only those read rates at t0,
-    take a waiting time and, under analytic survival, pay the sampling rate
-    times their dwell, and only those that jump before t1 pick a channel.
-    A particle leaves the set when its next jump would pass t1 or its
-    weight becomes -inf, so a dead particle is never touched.  Each round
-    still draws one waiting time and one channel uniform per particle of
-    the whole ensemble, and a particle uses the draws at its own row, so
-    the output is the same as if every particle were stepped every round.
+    Works on an index set of the particles that are live (finite log weight)
+    and have not yet passed t1: only those read rates and take a candidate
+    time.  A particle leaves the set when its next candidate would pass t1
+    or its weight becomes -inf, so a dead particle is never touched.
+
+    Each round, a channel without a rate bound runs at its rate at t0 and a
+    channel with one at `ModelSpec.rate_bound` on [t, t1]: the bounded
+    channels are thinned (Lewis & Shedler 1979).  The channel uniform u also
+    decides acceptance: a candidate is rejected when u times the clock's
+    total exceeds the summed rates at the candidate time, for which only the
+    bounded channels are read again.  A rejected particle stays in the set
+    at its candidate time; a rate above its bound raises `SimulationError`.
+    Under analytic survival the sampling channels are off the clock, and
+    their rate integral over each dwell leaves the log weight.
+
+    Each round draws one waiting time and one channel uniform per particle
+    of the whole ensemble, and a particle uses the draws at its own row.
     """
     n = len(logw)
+    thinned = np.flatnonzero(spec.bound_mask & ~(survival & spec.sample_mask)).tolist()
+    # off the clock under survival: constant sampling rates pay rate times
+    # dwell, bounded ones their integral
+    sample_const = spec.sample_mask & ~spec.bound_mask
+    sample_quad = np.flatnonzero(spec.sample_mask & spec.bound_mask).tolist()
     idx = np.flatnonzero(np.isfinite(logw))
     t = np.full(len(idx), t0)
     while len(idx):
-        rates = spec.rate_matrix(t0, states[idx])
+        x = states[idx]
+        rates = spec.rate_matrix(t0, x)
         if survival:
-            g_rate = rates[:, spec.sample_mask].sum(axis=1)
+            g_rate = rates[:, sample_const].sum(axis=1)
             rates[:, spec.sample_mask] = 0.0
+        for k in thinned:
+            rates[:, k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
         total = rates.sum(axis=1)
         t_next = t + np.divide(rng.exponential(size=n)[idx], total,
                                out=np.full(len(idx), np.inf), where=total > 0.0)
         fires = t_next < t1
         if survival:
-            logw[idx] -= g_rate * (np.minimum(t_next, t1) - t)
+            stop = np.minimum(t_next, t1)
+            logw[idx] -= g_rate * (stop - t)
+            if sample_quad:
+                logw[idx] -= [_rate_integral(spec, xi, a, b, channels=sample_quad)
+                              for xi, a, b in zip(x, t, stop)]
+        start = t
         idx, t, rates, total = idx[fires], t_next[fires], rates[fires], total[fires]
-        u = rng.random(size=n)[idx]
-        choice = (u[:, None] * total[:, None] > np.cumsum(rates, axis=1)).sum(axis=1)
+        u = rng.random(size=n)[idx] * total
+        jumped = idx
+        if thinned:
+            x = x[fires]
+            for k in thinned:
+                rates[:, k] = [spec.rate(k, a, xi) for a, xi in zip(t, x)]
+            actual = rates.sum(axis=1)
+            over = np.flatnonzero(actual > total * (1.0 + 1e-12))
+            if len(over):
+                j = over[0]
+                raise SimulationError(f"total rate {actual[j]} exceeds its bound {total[j]} "
+                                      f"on [{start[fires][j]}, {t1}]")
+            accept = u <= actual
+            jumped, u, rates = idx[accept], u[accept], rates[accept]
+        choice = (u[:, None] > np.cumsum(rates, axis=1)).sum(axis=1)
         np.minimum(choice, spec.n_events - 1, out=choice)
-        states[idx] += spec.active_displacements[choice]
-        born = idx[spec.birth_mask[choice]]
+        states[jumped] += spec.active_displacements[choice]
+        born = jumped[spec.birth_mask[choice]]
         if len(born):
             with np.errstate(divide="ignore"):
                 logw[born] += np.log(hidden_birth_factor(spec.focal_sizes(states[born]), ell))
-        died = idx[spec.death_mask[choice]]
+        died = jumped[spec.death_mask[choice]]
         if len(died):
             logw[died[spec.focal_sizes(states[died]) < ell]] = -np.inf
         if not survival:
-            logw[idx[spec.sample_mask[choice]]] = -np.inf
+            logw[jumped[spec.sample_mask[choice]]] = -np.inf
         live = np.isfinite(logw[idx])
         idx, t = idx[live], t[live]
     return states, logw
 
 
-@lru_cache(maxsize=4096)
-def _log_hidden_birth(size: int, ell: int) -> float:
-    """log `hidden_birth_factor` of one particle; thinning asks for few distinct values."""
-    factor = float(hidden_birth_factor(size, ell))
-    return math.log(factor) if factor > 0.0 else -math.inf
-
-
-def _propagate_tv(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Per-particle thinning across one epoch [t0, t1], for rates with a bound."""
-    allowed = [k for k in range(spec.n_events)
-               if not (survival and spec.events[k].is_sample)]
-    sample_cols = [k for k in range(spec.n_events) if spec.events[k].is_sample]
-    for i in range(len(logw)):
-        if not math.isfinite(logw[i]):
-            continue
-        t = t0
-        x = states[i]
-        while True:
-            jump = _next_jump_thinned(spec, t, t1, x, rng, allowed)
-            stop = t1 if jump is None else jump[0]
-            if survival:
-                logw[i] -= _rate_integral(spec, x, t, stop, channels=sample_cols)
-            if jump is None:
-                break
-            t, k = jump
-            ev = spec.events[k]
-            x += spec.active_displacements[k]
-            if ev.is_birth:
-                logw[i] += _log_hidden_birth(spec.focal(x), ell)
-                if logw[i] == -np.inf:
-                    break
-            elif ev.is_death and spec.focal(x) < ell:
-                logw[i] = -np.inf
-                break
-            elif ev.is_sample and not survival:
-                logw[i] = -np.inf
-                break
-    return states, logw
-
-
 def _propagate(spec, states, logw, t0, t1, ell, rng, survival: bool):
-    """Advance particles across [t0, t1] one epoch at a time.
-
-    Each epoch runs at constant rates, or by thinning when some channel has
-    a rate bound.
-    """
-    step = _propagate_tv if spec.varies_within_epochs else _propagate_const
+    """Advance particles across [t0, t1] one epoch at a time."""
     for a, b in spec.epochs(t0, t1):
-        states, logw = step(spec, states, logw, a, b, ell, rng, survival)
+        states, logw = _propagate_epoch(spec, states, logw, a, b, ell, rng, survival)
     return states, logw
 
 

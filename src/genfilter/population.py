@@ -97,9 +97,10 @@ class ModelSpec:
         One entry per event: None for a channel whose rate is constant
         between breakpoints, or ``bound(t0, t1, x)`` dominating a rate that
         varies continuously in t, on [t0, t1] at fixed ``x``.  A bound is what
-        declares a channel continuous: within each epoch the routes then thin
-        against it, rebuild the generator at every integrator step and
-        integrate the rate by quadrature.  None means no channel has a bound.
+        declares a channel continuous.  Within each epoch `simulate` and the
+        filter then thin it against its bound, called one state at a time; the
+        grid routes rebuild the generator at every integrator step, and rate
+        integrals use quadrature.  None means no channel has a bound.
     rate_breakpoints : tuple of float
         Times where rates may jump.  They cut every interval into epochs
         (`epochs`); every route restarts there and reads a channel without
@@ -153,7 +154,8 @@ class ModelSpec:
         self.death_mask = np.array([ev.is_death for ev in events], dtype=bool)
         self.sample_mask = np.array([ev.is_sample for ev in events], dtype=bool)
         self.marked_mask = self.birth_mask | self.death_mask | self.sample_mask
-        self.varies_within_epochs = any(b is not None for b in self.rate_bounds)
+        self.bound_mask = np.array([b is not None for b in self.rate_bounds], dtype=bool)
+        self.varies_within_epochs = bool(self.bound_mask.any())
         self.any_time_dependent = bool(self.rate_breakpoints) or self.varies_within_epochs
 
     def __repr__(self):
@@ -353,15 +355,14 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
     return JumpSequence(x0, tuple(jumps), float(t_end))
 
 
-def _next_jump_thinned(spec, t, t_end, x, rng, channels=None):
-    """Next jump of ``channels`` (default: all) by thinning against their bounds on [t, t_end].
+def _next_jump_thinned(spec, t, t_end, x, rng):
+    """Next jump by thinning against the channels' bounds on [t, t_end].
 
     [t, t_end] lies within one epoch.  Returns ``(time, channel)``, or None
     when no candidate is accepted before ``t_end``.
     """
-    channels = list(range(spec.n_events)) if channels is None else channels
     bound = 0.0
-    for k in channels:
+    for k in range(spec.n_events):
         bound += spec.rate_bound(k, t, t_end, x)
     if bound <= 0.0:
         return None
@@ -370,13 +371,13 @@ def _next_jump_thinned(spec, t, t_end, x, rng, channels=None):
         cur = cur + rng.exponential() / bound
         if cur > t_end:
             return None
-        rates = spec.rate_matrix(cur, x)[channels]
+        rates = spec.rate_matrix(cur, x)
         total = float(rates.sum())
         if total > bound * (1.0 + 1e-12):
             raise SimulationError(
                 f"total rate {total} exceeds its bound {bound} on [{t}, {t_end}]")
         if rng.random() * bound <= total:
-            return cur, channels[_pick_channel(rng, rates, total)]
+            return cur, _pick_channel(rng, rates, total)
 
 
 def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:

@@ -178,7 +178,7 @@ def test_propagate_reweights_hidden_births():
 
 
 @pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_propagate_const_touches_only_live_unfinished_particles(weighting):
+def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
     # a recovery at i = ell = 2 is fatal; a third of the particles start dead
     spec = sir(0.3, 0.5, 0.3, 8, 3)
     rng = np.random.default_rng(1)
@@ -205,7 +205,7 @@ def test_propagate_const_touches_only_live_unfinished_particles(weighting):
         rounds.append((len(rows), np.isfinite(logw), states.copy()))
         return gf.ModelSpec.rate_matrix(spec, t, rows)
     spec.rate_matrix = rate_matrix
-    gf.filtering._propagate_const(spec, states, logw, 0.0, 1.0, 2, np.random.default_rng(2),
+    gf.filtering._propagate_epoch(spec, states, logw, 0.0, 1.0, 2, np.random.default_rng(2),
                                   weighting == "analytic-survival")
     assert not due().any()
     sizes = [r[0] for r in rounds]
@@ -580,13 +580,13 @@ def awkward_breakpoints(v):
 
 
 def spy_on_steps(monkeypatch):
-    """Record the intervals `_propagate_const` and `integrate_linear` run; forbid thinning."""
+    """Record the intervals `_propagate_epoch` and `integrate_linear` run; forbid thinning."""
     steps = {"filter": [], "oracle": []}
-    const, linear = gf.filtering._propagate_const, gf.population.integrate_linear
+    epoch, linear = gf.filtering._propagate_epoch, gf.population.integrate_linear
 
-    def propagate_const(spec, states, logw, t0, t1, *rest):
+    def propagate_epoch(spec, states, logw, t0, t1, *rest):
         steps["filter"].append((t0, t1))
-        return const(spec, states, logw, t0, t1, *rest)
+        return epoch(spec, states, logw, t0, t1, *rest)
 
     def integrate_linear(rhs, w, t0, t1, tol):
         steps["oracle"].append((t0, t1))
@@ -594,9 +594,9 @@ def spy_on_steps(monkeypatch):
 
     def thinning(*args):
         raise AssertionError("piecewise-constant rates entered the thinning path")
-    monkeypatch.setattr(gf.filtering, "_propagate_const", propagate_const)
+    monkeypatch.setattr(gf.filtering, "_propagate_epoch", propagate_epoch)
     monkeypatch.setattr(gf.population, "integrate_linear", integrate_linear)
-    monkeypatch.setattr(gf.filtering, "_propagate_tv", thinning)
+    monkeypatch.setattr(gf.ModelSpec, "rate_bound", thinning)
     return steps
 
 
@@ -637,12 +637,12 @@ def test_piecewise_oracle_matches_continuous_declaration():
 
 
 def test_piecewise_smc_is_deterministic_for_a_seed():
-    params, spec = piecewise_sir((0.4, 1.1), (0.9, 0.3, 0.6))
     v = piecewise_visible()
-    a = gf.smc_loglik(spec, v, FilterConfig(300, seed=12))
-    b = gf.smc_loglik(spec, v, FilterConfig(300, seed=12))
-    assert a.loglik == b.loglik
-    assert a.diagnostics.ess_trace == b.diagnostics.ess_trace
+    for spec in (piecewise_sir((0.4, 1.1), (0.9, 0.3, 0.6))[1], sinusoidal_sir(0.5)):
+        a = gf.smc_loglik(spec, v, FilterConfig(300, seed=12))
+        b = gf.smc_loglik(spec, v, FilterConfig(300, seed=12))
+        assert a.loglik == b.loglik
+        assert a.diagnostics.ess_trace == b.diagnostics.ess_trace
 
 
 @pytest.mark.parametrize("weighting", WEIGHTING_MODES)
@@ -662,43 +662,52 @@ def test_smc_two_breakpoint_sirs_matches_oracle(weighting):
 # Continuously varying rates: a channel with a bound is thinned
 
 
-def sinusoidal_sir(breakpoint=None):
-    """SIR with beta(t) = 0.9 (1 + 0.5 sin 2 pi t), bounded by 1.5 * 0.9.
+def sinusoidal_sir(breakpoint=None, channel="infection"):
+    """SIR(beta 0.9, gamma 0.5, psi 0.6) whose infection or sampling rate is
+    multiplied by 1 + 0.5 sin 2 pi t and bounded by 1.5 times the constant rate.
 
-    A ``breakpoint`` scales beta by 0.4 from there on, and the bound with it.
+    A ``breakpoint`` scales that channel's rate by 0.4 from there on, and the
+    bound with it.
     """
     base = sir(0.9, 0.5, 0.6, 6, 2)
+    k = [ev.name for ev in base.events].index(channel)
+    constant = base.rates[k]
     cut = math.inf if breakpoint is None else breakpoint
 
     def level(t):
-        return 0.9 if t < cut else 0.36
+        return 1.0 if t < cut else 0.4
 
-    def infection(t, x):
-        return level(t) * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0] * x[..., 1]
+    def rate(t, x):
+        return level(t) * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * constant(t, x)
 
     def bound(t0, t1, x):
-        return 1.5 * level(t0) * float(x[..., 0] * x[..., 1])
-    return gf.ModelSpec("sir-sin", base.d, base.events, (infection, *base.rates[1:]),
+        return 1.5 * level(t0) * float(constant(t0, x))
+    rates, bounds = list(base.rates), [None] * base.n_events
+    rates[k], bounds[k] = rate, bound
+    return gf.ModelSpec(f"sir-sin-{channel}", base.d, base.events, rates,
                         base.init_sample, base.init_pmf, base.focal_size,
-                        rate_bounds=(bound, None, None),
+                        rate_bounds=bounds,
                         rate_breakpoints=() if breakpoint is None else (breakpoint,),
                         bookkeeping_dims=base.bookkeeping_dims)
 
 
-@pytest.mark.parametrize("breakpoint", [None, 0.5])
+# the infection cases keep their ids ("None", "0.5")
+@pytest.mark.parametrize("breakpoint, channel", [
+    (None, "infection"), (0.5, "infection"), (None, "sampling"), (0.5, "sampling")],
+    ids=["None", "0.5", "None-sampling", "0.5-sampling"])
 @pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint):
-    spec = sinusoidal_sir(breakpoint)
+def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint, channel):
+    spec = sinusoidal_sir(breakpoint, channel)
     assert spec.varies_within_epochs
     v = coalescence_visible()
     exact = gf.oracle_loglik(spec, v, gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2)))
     steps = []
-    thinning = gf.filtering._propagate_tv
+    epoch = gf.filtering._propagate_epoch
 
-    def propagate_tv(spec, states, logw, t0, t1, *rest):
+    def propagate_epoch(spec, states, logw, t0, t1, *rest):
         steps.append((t0, t1))
-        return thinning(spec, states, logw, t0, t1, *rest)
-    monkeypatch.setattr(gf.filtering, "_propagate_tv", propagate_tv)
+        return epoch(spec, states, logw, t0, t1, *rest)
+    monkeypatch.setattr(gf.filtering, "_propagate_epoch", propagate_epoch)
     rep = gf.replicate_loglik(spec, v, FilterConfig(300, seed=41, weighting=weighting), 10)
     assert rep.collapse_count == 0
     assert abs(rep.mean - exact) <= 3 * rep.se

@@ -448,6 +448,10 @@ def test_thinning_detects_a_lying_bound():
                      rate_bounds=(lambda t0, t1, x: 0.5,))
     with pytest.raises(SimulationError, match="exceeds its bound"):
         gf.simulate(spec, 5.0, np.random.default_rng(3))
+    visible = gf.prune(replace(gf.new_genealogy(1), time=5.0))
+    for weighting in ("analytic-survival", "rejection"):
+        with pytest.raises(SimulationError, match=r"exceeds its bound 0.5 on \[0.0, 5.0\]"):
+            gf.smc_loglik(spec, visible, gf.FilterConfig(20, seed=3, weighting=weighting))
 
 
 def test_model_spec_needs_one_bound_entry_per_event():
