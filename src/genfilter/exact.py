@@ -17,8 +17,9 @@ once: `event_factor` for the three genealogy event kinds and
 (`genfilter.filtering`) all call them; `q_factor` is the independent
 lineage-by-lineage reference they are checked against.
 
-Root nodes at time 0 belong to the initial condition, not to the event
-record, and contribute no factor.
+Root nodes (which hold their own green ball) belong to the initial
+condition, not to the event record, and contribute no factor; any other
+node at a time t <= 0 is an `ExactError`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genealogy import (Genealogy, GenealogyError, LineageFunction, build_genealogy,
-                        embedded_chain, event_times, prune)
+from .genealogy import (GREEN, Genealogy, LineageFunction, build_genealogy, embedded_chain,
+                        prune)
 from .population import History, JumpSequence, ModelSpec, iter_transitions
 
 
@@ -168,20 +169,22 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
 
 
 def _classify_visible(visible: Genealogy) -> dict[float, str]:
-    """Map each positive node time of a visible genealogy to its event kind."""
-    ets = event_times(visible)
+    """Map each event time of a visible genealogy to its event kind.
+
+    A root holds its own green ball and belongs to the initial condition;
+    every other node is an event and must come after time 0.
+    """
     out: dict[float, str] = {}
-    for t, kind in ((t, "coalescence") for t in ets.coalescence if t > 0):
-        if t in out:
-            raise ExactError(f"two genealogy events share time {t}; cannot match history")
-        out[t] = kind
-    for tset, kind in ((ets.direct, "direct"), (ets.leaf, "leaf")):
-        for t in tset:
-            if t <= 0:
-                raise ExactError(f"sampling node at time {t} cannot precede the process")
-            if t in out:
-                raise ExactError(f"two genealogy events share time {t}; cannot match history")
-            out[t] = kind
+    for n in visible.nodes:
+        greens = [b for b in n.pocket if b.color == GREEN]
+        if any(b.name == n.name for b in greens):
+            continue
+        kind = "coalescence" if len(greens) == 2 else "direct" if greens else "leaf"
+        if n.time <= 0:
+            raise ExactError(f"{kind} node at time {n.time} cannot precede the process")
+        if n.time in out:
+            raise ExactError(f"two genealogy events share time {n.time}; cannot match history")
+        out[n.time] = kind
     return out
 
 

@@ -23,11 +23,13 @@ particles or to grid weights.  Every rate is read through
 Both routes work one epoch at a time: each interval between genealogy
 events is cut at the model's rate breakpoints.  Within an epoch a channel
 without a rate bound is constant, and a channel with one varies
-continuously.  Particles cross an epoch in one kernel (`_propagate_epoch`):
-it runs every channel without a bound at its rate at the epoch's start and
-thins only the channels with a bound, reading their rates again at each
-candidate time.  The oracle builds one generator per epoch, or rebuilds it
-at every integrator step when some channel has a bound.
+continuously.  Particles cross an epoch in one kernel (`_propagate_epoch`)
+that draws jumps by the rule of `genfilter.population.simulate`: every
+channel without a bound runs at its rate at the epoch's start, only the
+channels with a bound are thinned, and they alone are read again at each
+candidate time.  The oracle's generator is `forward_generator`'s assembly
+with its inflow scaled per state and channel; it is built once per epoch,
+or rebuilt at every integrator step when some channel has a bound.
 
 States whose focal size drops below the number of lineages the genealogy
 requires carry zero weight throughout.  Coordinates declared as bookkeeping
@@ -42,12 +44,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
 from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
-from .population import (IntegrationError, ModelSpec, SimulationError, StateLattice,
+from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _generator,
                          _rate_integral, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
@@ -173,8 +174,9 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     """Classified event times of a visible genealogy, in sequence order.
 
     Root nodes (which hold their own green ball) describe the initial
-    condition and are not events.  Two events at one time are rejected:
-    each needs the lineage count between them.
+    condition and are not events; every other node must come after time 0.
+    Two events at one time are rejected: each needs the lineage count
+    between them.
     """
     out = []
     seen = set()
@@ -193,6 +195,8 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
             kind = "leaf"
         else:
             raise FilterError(f"node {n.name}: pocket is not of visible-genealogy form")
+        if n.time <= 0:
+            raise FilterError(f"node {n.name}: {kind} at t={n.time} cannot precede the process")
         if n.time in seen:
             raise FilterError(f"two genealogy events share time {n.time}")
         seen.add(n.time)
@@ -273,11 +277,7 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rng, survival: bool):
             for k in thinned:
                 rates[:, k] = [spec.rate(k, a, xi) for a, xi in zip(t, x)]
             actual = rates.sum(axis=1)
-            over = np.flatnonzero(actual > total * (1.0 + 1e-12))
-            if len(over):
-                j = over[0]
-                raise SimulationError(f"total rate {actual[j]} exceeds its bound {total[j]} "
-                                      f"on [{start[fires][j]}, {t1}]")
+            _check_bound(actual, total, start[fires], t1)
             accept = u <= actual
             jumped, u, rates = idx[accept], u[accept], rates[accept]
         choice = (u[:, None] > np.cumsum(rates, axis=1)).sum(axis=1)
@@ -474,27 +474,11 @@ def _interval_generator(spec, lattice, t, ell, compat):
     inflow is damped by the no-coalescence probability; inflow into states
     inconsistent with the lineage count is dropped.
     """
-    rates = spec.rate_matrix(t, lattice.states)
-    size = spec.focal_sizes(lattice.states)
-    rows, cols, data = [], [], []
-    for k in range(spec.n_events):
-        if spec.events[k].is_sample:
-            continue
-        src, dst = lattice.transition(spec.active_displacements[k])
-        if not len(src):
-            continue
-        vals = rates[src, k]
-        if spec.events[k].is_birth:
-            vals = vals * hidden_birth_factor(size[dst], ell)
-        vals = vals * compat[dst]
-        rows.append(dst)
-        cols.append(src)
-        data.append(vals)
-    mat = coo_matrix((np.concatenate(data) if data else [],
-                      (np.concatenate(rows) if rows else [],
-                       np.concatenate(cols) if cols else [])),
-                     shape=(lattice.size, lattice.size)).tocsr()
-    return mat + diags(-rates.sum(axis=1))
+    hidden = hidden_birth_factor(spec.focal_sizes(lattice.states), ell)[:, None]
+    scale = np.where(spec.birth_mask, hidden, 1.0) * compat[:, None]
+    scale[:, spec.sample_mask] = 0.0
+    return _generator(lattice, spec.active_displacements,
+                      spec.rate_matrix(t, lattice.states), scale)
 
 
 def _grid_event_update(spec, lattice, w, e, kind, ell_post):

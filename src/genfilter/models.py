@@ -171,33 +171,41 @@ def _si_product(beta: float | PiecewiseConstant):
 
 def sir_spec(params: SIRParams, mu: float = 1.0) -> ModelSpec:
     """State (s, i, r, sampled); infection is the birth event on i."""
+    return _sir_family("sir", params, mu)
+
+
+def _sir_family(name: str, params, mu: float, waning=()) -> ModelSpec:
+    """SIR on (s, i, r, sampled), plus waning r -> s at the one rate in ``waning`` if given."""
     beta = _as_rate(params.transmission_rate)
-    gamma, psi = _rates(params.recovery_rate, params.sampling_rate)
+    gamma, psi, *sigma = _rates(params.recovery_rate, params.sampling_rate, *waning)
     s0 = _check_count("s0", params.s0)
     i0 = _check_count("i0", params.i0)
     r0 = _check_count("r0", params.r0)
     infection, breaks = _si_product(beta)
     init_sample, init_pmf = _point_mass(np.array([s0, i0, r0, 0]))
+    events = [
+        EventType("infection", (-1, 1, 0, 0), is_birth=True),
+        EventType("recovery", (0, -1, 1, 0), is_death=True),
+        EventType("sampling", (0, 0, 0, 1), is_sample=True),
+    ]
+    rates = [infection, lambda t, x: gamma * x[..., 1], lambda t, x: psi * x[..., 1]]
+    values = SIRParams(beta, gamma, psi, s0, i0, r0).to_dict()
+    if sigma:
+        events.append(EventType("waning", (1, 0, -1, 0)))
+        rates.append(lambda t, x: sigma[0] * x[..., 2])
+        values["waning_rate"] = sigma[0]
     return ModelSpec(
-        name="sir",
+        name=name,
         d=4,
-        events=(
-            EventType("infection", (-1, 1, 0, 0), is_birth=True),
-            EventType("recovery", (0, -1, 1, 0), is_death=True),
-            EventType("sampling", (0, 0, 0, 1), is_sample=True),
-        ),
-        rates=(
-            infection,
-            lambda t, x: gamma * x[..., 1],
-            lambda t, x: psi * x[..., 1],
-        ),
+        events=events,
+        rates=rates,
         init_sample=init_sample,
         init_pmf=init_pmf,
         focal_size=lambda x: x[..., 1],
         mu=mu,
         rate_breakpoints=breaks,
         bookkeeping_dims=(3,),
-        params=SIRParams(beta, gamma, psi, s0, i0, r0).to_dict(),
+        params=values,
     )
 
 
@@ -230,36 +238,7 @@ class SIRSParams:
 
 def sirs_spec(params: SIRSParams, mu: float = 1.0) -> ModelSpec:
     """State (s, i, r, sampled); waning is unmarked since i is unchanged."""
-    beta = _as_rate(params.transmission_rate)
-    gamma, psi, sigma = _rates(params.recovery_rate, params.sampling_rate, params.waning_rate)
-    s0 = _check_count("s0", params.s0)
-    i0 = _check_count("i0", params.i0)
-    r0 = _check_count("r0", params.r0)
-    infection, breaks = _si_product(beta)
-    init_sample, init_pmf = _point_mass(np.array([s0, i0, r0, 0]))
-    return ModelSpec(
-        name="sirs",
-        d=4,
-        events=(
-            EventType("infection", (-1, 1, 0, 0), is_birth=True),
-            EventType("recovery", (0, -1, 1, 0), is_death=True),
-            EventType("sampling", (0, 0, 0, 1), is_sample=True),
-            EventType("waning", (1, 0, -1, 0)),
-        ),
-        rates=(
-            infection,
-            lambda t, x: gamma * x[..., 1],
-            lambda t, x: psi * x[..., 1],
-            lambda t, x: sigma * x[..., 2],
-        ),
-        init_sample=init_sample,
-        init_pmf=init_pmf,
-        focal_size=lambda x: x[..., 1],
-        mu=mu,
-        rate_breakpoints=breaks,
-        bookkeeping_dims=(3,),
-        params=SIRSParams(beta, gamma, psi, sigma, s0, i0, r0).to_dict(),
-    )
+    return _sir_family("sirs", params, mu, (params.waning_rate,))
 
 
 sirs_truncation = sir_truncation

@@ -98,9 +98,11 @@ class ModelSpec:
         between breakpoints, or ``bound(t0, t1, x)`` dominating a rate that
         varies continuously in t, on [t0, t1] at fixed ``x``.  A bound is what
         declares a channel continuous.  Within each epoch `simulate` and the
-        filter then thin it against its bound, called one state at a time; the
-        grid routes rebuild the generator at every integrator step, and rate
-        integrals use quadrature.  None means no channel has a bound.
+        filter then thin that channel alone against its bound, called one
+        state at a time, while every other channel runs at its rate at the
+        epoch's start; the grid routes rebuild the generator at every
+        integrator step, and rate integrals use quadrature.  None means no
+        channel has a bound.
     rate_breakpoints : tuple of float
         Times where rates may jump.  They cut every interval into epochs
         (`epochs`); every route restarts there and reads a channel without
@@ -298,22 +300,18 @@ def to_history(traj: JumpSequence) -> History:
     return History(traj.t_end, traj.x0, tuple((j.time, j.event) for j in traj.jumps))
 
 
-def _pick_channel(rng, rates, total) -> int:
-    u = rng.random() * total
-    k = int(np.searchsorted(np.cumsum(rates), u, side="right"))
-    return min(k, len(rates) - 1)
-
-
 def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -> JumpSequence:
     """Draw an exact trajectory on [0, t_end].
 
-    The horizon is walked one epoch (`ModelSpec.epochs`) at a time.  Within
-    an epoch the next jump comes from exponential clocks at the rates of the
-    epoch's start, or, when some channel has a rate bound, by thinning
-    against the bounds on [t, epoch end]; a realized rate exceeding its
-    bound is a hard failure naming the interval.  Marked events draw an
-    auxiliary number uniformly over the focal subpopulation just before the
-    jump.  Identical (spec, seed, t_end) give identical output.
+    The horizon is walked one epoch (`ModelSpec.epochs`) at a time, by the
+    filter kernel's rule.  A channel without a rate bound runs at its rate
+    at the epoch's start; one with a bound is thinned against
+    `ModelSpec.rate_bound` on [t, epoch end] (Lewis & Shedler 1979).  One
+    uniform times the clock's total both accepts a candidate time (when at
+    most the summed rates there, with only the bounded channels read again)
+    and picks the channel.  A rejected candidate keeps its time.  Marked
+    events draw an auxiliary number uniformly over the focal subpopulation
+    just before the jump.  Identical (spec, seed, t_end) give identical output.
     """
     rng = ensure_rng(rng)
     cap = spec.max_jumps if max_jumps is None else int(max_jumps)
@@ -322,23 +320,29 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
         raise SimulationError(f"init_sample returned shape {x.shape}, expected (1, {spec.d})")
     x = x[0]
     x0 = tuple(int(v) for v in x)
+    bounded = np.flatnonzero(spec.bound_mask).tolist()
     jumps: list[Jump] = []
     for a, b in spec.epochs(0.0, t_end):
         t = a
         while True:
-            if spec.varies_within_epochs:
-                hit = _next_jump_thinned(spec, t, b, x, rng)
-            else:
-                rates = spec.rate_matrix(a, x)
-                total = float(rates.sum())
-                if total <= 0.0:
-                    hit = None
-                else:
-                    t_next = t + rng.exponential() / total
-                    hit = None if t_next > b else (t_next, _pick_channel(rng, rates, total))
-            if hit is None:
+            rates = spec.rate_matrix(a, x)
+            for k in bounded:
+                rates[k] = spec.rate_bound(k, t, b, x)
+            total = float(rates.sum())
+            if total <= 0.0:
                 break
-            t, k = hit
+            start, t = t, t + rng.exponential() / total
+            if t > b:
+                break
+            u = rng.random() * total
+            if bounded:
+                for k in bounded:
+                    rates[k] = spec.rate(k, t, x)
+                actual = float(rates.sum())
+                _check_bound(actual, total, start, b)
+                if u > actual:
+                    continue
+            k = min(int(np.searchsorted(np.cumsum(rates), u, side="right")), spec.n_events - 1)
             ev = spec.events[k]
             if ev.is_marked:
                 size = spec.focal(x)
@@ -355,29 +359,18 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
     return JumpSequence(x0, tuple(jumps), float(t_end))
 
 
-def _next_jump_thinned(spec, t, t_end, x, rng):
-    """Next jump by thinning against the channels' bounds on [t, t_end].
+def _check_bound(actual, bound, start, end) -> None:
+    """Raise `SimulationError` if a thinning candidate's summed rate exceeds its bound.
 
-    [t, t_end] lies within one epoch.  Returns ``(time, channel)``, or None
-    when no candidate is accepted before ``t_end``.
+    ``actual`` is read at the candidate, ``bound`` is what it was drawn
+    against on [start, end]: scalars, or arrays with one entry per candidate.
     """
-    bound = 0.0
-    for k in range(spec.n_events):
-        bound += spec.rate_bound(k, t, t_end, x)
-    if bound <= 0.0:
-        return None
-    cur = t
-    while True:
-        cur = cur + rng.exponential() / bound
-        if cur > t_end:
-            return None
-        rates = spec.rate_matrix(cur, x)
-        total = float(rates.sum())
-        if total > bound * (1.0 + 1e-12):
-            raise SimulationError(
-                f"total rate {total} exceeds its bound {bound} on [{t}, {t_end}]")
-        if rng.random() * bound <= total:
-            return cur, _pick_channel(rng, rates, total)
+    actual, bound, start = np.atleast_1d(actual, bound, start)
+    over = np.flatnonzero(actual > bound * (1.0 + 1e-12))
+    if len(over):
+        j = over[0]
+        raise SimulationError(f"total rate {actual[j]} exceeds its bound {bound[j]} "
+                              f"on [{start[j]}, {end}]")
 
 
 def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
@@ -531,19 +524,31 @@ def forward_generator(spec: ModelSpec, lattice: StateLattice, t: float):
     Probability flowing to states outside the lattice is discarded, so the
     truncated solution is a lower bound on the true law.
     """
-    R = spec.rate_matrix(t, lattice.states)
+    return _generator(lattice, spec.displacements, spec.rate_matrix(t, lattice.states))
+
+
+def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
+    """Sparse generator from rows x channels ``rates``: every row loses its total rate.
+
+    Channel k carries ``rates[src, k]`` from row src to src + its
+    displacement, times ``inflow_scale[dst, k]`` when a scale is given; a
+    channel whose scale is all zero adds no entries.
+    """
     rows, cols, data = [], [], []
-    for k in range(spec.n_events):
-        src, dst = lattice.transition(spec.displacements[k])
+    for k, disp in enumerate(displacements):
+        if inflow_scale is not None and not inflow_scale[:, k].any():
+            continue
+        src, dst = lattice.transition(disp)
         if len(src):
             rows.append(dst)
             cols.append(src)
-            data.append(R[src, k])
+            data.append(rates[src, k] if inflow_scale is None
+                        else rates[src, k] * inflow_scale[dst, k])
     A = coo_matrix((np.concatenate(data) if data else [],
                     (np.concatenate(rows) if rows else [],
                      np.concatenate(cols) if cols else [])),
                    shape=(lattice.size, lattice.size)).tocsr()
-    return A + diags(-R.sum(axis=1))
+    return A + diags(-rates.sum(axis=1))
 
 
 def integrate_linear(rhs, w, t0: float, t1: float, tol: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,28 @@ def test_oracle_rejects_tied_event_times(tmp_path, capsys):
                           oracle={"n_max": 30})
     assert run("oracle", "--config", config, "--out", tmp_path / "o") == 1
     assert "share time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newick", ["(r0:0);", "((r0:0.5,r1:0.4):0);"])
+def test_event_at_time_zero_is_rejected_by_every_route(tmp_path, capsys, newick):
+    # only a root (a node holding its own green ball) may sit at t = 0; every
+    # route must reject a leaf or a coalescence there, not weigh it its own way
+    params = {"birth_rate": 1.0, "death_rate": 0.5, "sampling_rate": 0.8, "n0": 2}
+    spec = gf.lbdp_spec(gf.LBDPParams(**params))
+    v = replace(gf.from_newick(newick), time=1.0)
+    with pytest.raises(gf.FilterError, match="t=0.0 cannot precede the process"):
+        gf.smc_loglik(spec, v, gf.FilterConfig(50, seed=1))
+    with pytest.raises(gf.FilterError, match="t=0.0 cannot precede the process"):
+        gf.oracle_loglik(spec, v, gf.lbdp_truncation(gf.LBDPParams(**params), 20))
+    h = gf.History(1.0, (2, 0), ((0.4, 2), (0.5, 2)))
+    with pytest.raises(gf.ExactError, match="time 0.0 cannot precede the process"):
+        gf.loglik_events(spec, h, v)
+    path = gf.write_genealogy(tmp_path / "zero.json", v)
+    config = write_config(tmp_path, name="filter.json", inputs={"genealogy": str(path)},
+                          model={"name": "lbdp", "params": params},
+                          filter={"n_particles": 50})
+    assert run("filter", "--config", config, "--out", tmp_path / "f") == 1
+    assert "cannot precede the process" in capsys.readouterr().err
 
 
 def test_exact_routes_agree(tmp_path):

@@ -113,6 +113,21 @@ def test_simulate_is_deterministic_for_a_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("params, horizon, seed, n_jumps, n_samples, last", [
+    (gf.SIRParams(0.0025, 1, 0.3, 990, 10), 4.0, 5, 1298, 151,
+     Jump(3.9900670720022506, 1, 85)),
+    (gf.SIRParams(0.04, 1, 1, 97, 3), 1.0, 101, 26, 5, Jump(0.9989372771039068, 1, 9)),
+], ids=["sir1000-seed5", "sir100-seed101"])
+def test_simulate_stream_is_pinned_without_bounds(params, horizon, seed, n_jumps,
+                                                  n_samples, last):
+    # the benchmark's population-1000 and population-100 fixtures are these draws
+    spec = gf.sir_spec(params)
+    traj = gf.simulate(spec, horizon, np.random.default_rng(seed))
+    assert len(traj.jumps) == n_jumps
+    assert sum(spec.events[j.event].is_sample for j in traj.jumps) == n_samples
+    assert traj.jumps[-1] == last
+
+
 def test_simulate_marked_aux_lies_in_focal_range():
     spec = lbdp(1.0, 0.5, 0.7, 4)
     rng = np.random.default_rng(7)
@@ -340,6 +355,19 @@ def test_kfe_matches_simulated_endpoint_distribution():
     chi_square_within_4_sigma(expected, counts)
 
 
+def simulated_law_matches_kfe(spec, trunc, x0, horizon, seed, reps=6000):
+    """Chi-square of simulated states at ``horizon`` against `kfe_integrate` on ``trunc``."""
+    pmf = gf.kfe_integrate(spec, trunc, {x0: 1.0}, 0.0, horizon, tol=1e-10)
+    index = {s: i for i, s in enumerate(trunc)}
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(trunc))
+    for _ in range(reps):
+        traj = gf.simulate(spec, horizon, rng)
+        counts[index[tuple(int(v) for v in state_at(spec, traj, horizon))]] += 1
+    expected = np.array([pmf[s] for s in trunc]) * reps
+    chi_square_within_4_sigma(expected, counts)
+
+
 def test_per_epoch_simulation_matches_kfe_on_two_breakpoint_sirs():
     # exponential clocks restart at each breakpoint of beta; the law at the
     # horizon must still solve the master equation epoch by epoch
@@ -347,18 +375,16 @@ def test_per_epoch_simulation_matches_kfe_on_two_breakpoint_sirs():
     params = gf.SIRSParams(beta, 0.5, 0.0, 0.8, 6, 2)
     spec = gf.sirs_spec(params)
     assert spec.rate_breakpoints == (0.5, 1.2) and not spec.varies_within_epochs
-    horizon = 2.0
-    trunc = gf.sirs_truncation(params)
-    pmf = gf.kfe_integrate(spec, trunc, {(6, 2, 0, 0): 1.0}, 0.0, horizon, tol=1e-10)
-    index = {s: i for i, s in enumerate(trunc)}
-    rng = np.random.default_rng(43)
-    reps = 6000
-    counts = np.zeros(len(trunc))
-    for _ in range(reps):
-        traj = gf.simulate(spec, horizon, rng)
-        counts[index[tuple(int(v) for v in state_at(spec, traj, horizon))]] += 1
-    expected = np.array([pmf[s] for s in trunc]) * reps
-    chi_square_within_4_sigma(expected, counts)
+    simulated_law_matches_kfe(spec, gf.sirs_truncation(params), (6, 2, 0, 0), 2.0, 43)
+
+
+def test_thinned_simulation_matches_kfe_beside_an_unbounded_channel():
+    # one uniform both accepts a candidate against the bounded death and
+    # picks between it and the unbounded tick
+    _, spec = piecewise_death_spec(bounded=True)
+    assert spec.bound_mask.tolist() == [True, False]
+    trunc = [(n, ticks) for n in (0, 1) for ticks in range(13)]
+    simulated_law_matches_kfe(spec, trunc, (1, 0), 1.4, 47)
 
 
 def test_kfe_time_dependent_survival():
