@@ -17,9 +17,10 @@ once: `event_factor` for the three genealogy event kinds and
 (`genfilter.filtering`) all call them; `q_factor` is the independent
 lineage-by-lineage reference they are checked against.
 
-Root nodes (which hold their own green ball) belong to the initial
-condition, not to the event record, and contribute no factor; any other
-node at a time t <= 0 is an `ExactError`.
+Both routes take the genealogy's events from `genealogy.event_schedule`: a
+fault of the genealogy alone, such as a non-root node at t <= 0, is the
+`GenealogyError` it raises, and an `ExactError` means that the genealogy and
+the history do not fit each other.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genealogy import (GREEN, Genealogy, LineageFunction, build_genealogy, embedded_chain,
-                        prune)
+from .genealogy import (Genealogy, LineageFunction, build_genealogy, embedded_chain,
+                        event_schedule, prune)
 from .population import History, JumpSequence, ModelSpec, iter_transitions
 
 
@@ -168,39 +169,18 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
     return total
 
 
-def _classify_visible(visible: Genealogy) -> dict[float, str]:
-    """Map each event time of a visible genealogy to its event kind.
-
-    A root holds its own green ball and belongs to the initial condition;
-    every other node is an event and must come after time 0.
-    """
-    out: dict[float, str] = {}
-    for n in visible.nodes:
-        greens = [b for b in n.pocket if b.color == GREEN]
-        if any(b.name == n.name for b in greens):
-            continue
-        kind = "coalescence" if len(greens) == 2 else "direct" if greens else "leaf"
-        if n.time <= 0:
-            raise ExactError(f"{kind} node at time {n.time} cannot precede the process")
-        if n.time in out:
-            raise ExactError(f"two genealogy events share time {n.time}; cannot match history")
-        out[n.time] = kind
-    return out
-
-
 def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     """Log conditional probability of ``visible`` given the history, one pass.
 
     Every genealogy event time must appear in the history with a matching
     channel kind (births for coalescences, samples for direct descents and
-    leaves); a missing or mismatched time is a structural failure.  Counting
+    leaves); a missing or mismatched time is an `ExactError`, while a
+    genealogy `event_schedule` rejects raises its `GenealogyError`.  Counting
     incompatibilities (too few individuals for the required lineages) give
     -inf.  The pass only classifies events; each factor is then evaluated
     once, on the arrays of every event of its kind.
     """
-    if any(b.color == "black" for n in visible.nodes for b in n.pocket):
-        raise ExactError("expected a visible genealogy (no extant individuals)")
-    pending = _classify_visible(visible)
+    pending = dict(event_schedule(visible))
     by_kind: dict[str, list[int]] = {"hidden birth": [], "coalescence": [],
                                      "direct": [], "leaf": []}
     for i, (t, k) in enumerate(h.events):

@@ -20,6 +20,10 @@ written once, in `genfilter.exact`; this module only applies them, to
 particles or to grid weights.  Every rate is read through
 `ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
 
+Both routes make one walk, `_stretches`, over `genealogy.event_schedule`: a
+stretch of constant lineage count, then its event.  A genealogy the schedule
+rejects raises its `GenealogyError` on both.
+
 Both routes work one epoch at a time: each interval between genealogy
 events is cut at the model's rate breakpoints.  Within an epoch a channel
 without a rate bound is constant, and a channel with one varies
@@ -31,9 +35,9 @@ candidate time.  The oracle's generator is `forward_generator`'s assembly
 with its inflow scaled per state and channel; it is built once per epoch,
 or rebuilt at every integrator step when some channel has a bound.
 
-States whose focal size drops below the number of lineages the genealogy
-requires carry zero weight throughout.  Coordinates declared as bookkeeping
-on the model (pure event counters) are projected out of the internal state.
+States with fewer focal individuals than the genealogy's lineages carry zero
+weight from each stretch's start.  Coordinates declared as bookkeeping on the
+model (pure event counters) are projected out of the internal state.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
-from .genealogy import BLACK, BLUE, GREEN, Genealogy, LineageFunction
+from .genealogy import Genealogy, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _generator,
                          _rate_integral, ensure_rng, integrate_epochs)
 
@@ -170,38 +174,17 @@ class WeightGrid:
     log_scale: float = 0.0
 
 
-def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
-    """Classified event times of a visible genealogy, in sequence order.
+def _stretches(v: Genealogy):
+    """``(t, e, ell, kind, ell_post)`` per stretch [t, e] of ``ell`` lineages.
 
-    Root nodes (which hold their own green ball) describe the initial
-    condition and are not events; every other node must come after time 0.
-    Two events at one time are rejected: each needs the lineage count
-    between them.
+    Each stretch ends in an event of ``kind`` that leaves ``ell_post``
+    lineages, and a last one ends at ``v.time`` with ``kind`` None.
     """
-    out = []
-    seen = set()
-    for n in v.nodes:
-        greens = [b for b in n.pocket if b.color == GREEN]
-        has_blue = any(b.color == BLUE for b in n.pocket)
-        if any(b.name == n.name for b in greens):
-            continue
-        if any(b.color == BLACK for b in n.pocket):
-            raise FilterError(f"node {n.name}: genealogy still has extant individuals; prune first")
-        if len(greens) == 2:
-            kind = "coalescence"
-        elif len(greens) == 1 and has_blue:
-            kind = "direct"
-        elif not greens and has_blue:
-            kind = "leaf"
-        else:
-            raise FilterError(f"node {n.name}: pocket is not of visible-genealogy form")
-        if n.time <= 0:
-            raise FilterError(f"node {n.name}: {kind} at t={n.time} cannot precede the process")
-        if n.time in seen:
-            raise FilterError(f"two genealogy events share time {n.time}")
-        seen.add(n.time)
-        out.append((n.time, kind))
-    return tuple(out)
+    schedule, crossing, t = event_schedule(v), LineageFunction(v), 0.0
+    for e, kind in schedule:
+        yield t, e, crossing(t), kind, crossing(e)
+        t = e
+    yield t, v.time, crossing(t), None, None
 
 
 def _channels(spec: ModelSpec, kind: str) -> np.ndarray:
@@ -404,27 +387,27 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     and the ensemble is resampled when the effective sample size drops
     below ``ess_threshold * n_particles``.  Deterministic given the seed.
     """
-    schedule = event_schedule(v)
-    crossing = LineageFunction(v)
     rng = ensure_rng(config.seed if rng is None else rng)
     ens = init_ensemble(spec, config.n_particles, rng)
     states, logw = ens.states, ens.log_weights
-    logw[spec.focal_sizes(states) < crossing(0.0)] = -np.inf
     survival = config.weighting == "analytic-survival"
     diag = FilterDiagnostics()
     loglik = 0.0
-    t = 0.0
-    for e, kind in schedule:
+    for t, e, ell, kind, ell_post in _stretches(v):
+        logw[spec.focal_sizes(states) < ell] = -np.inf
         if e > t:
-            states, logw = _propagate(spec, states, logw, t, e, crossing(t), rng, survival)
-        states, logw = _apply_event(spec, states, logw, e, kind, crossing(e), rng)
+            states, logw = _propagate(spec, states, logw, t, e, ell, rng, survival)
+        if kind is not None:
+            states, logw = _apply_event(spec, states, logw, e, kind, ell_post, rng)
         lmw = float(logsumexp(logw) - math.log(len(logw)))
         if not math.isfinite(lmw):
-            diag.events.append(EventDiagnostics(e, kind, -math.inf, 0.0, False))
-            diag.collapsed = True
-            diag.collapse_time = e
+            if kind is not None:
+                diag.events.append(EventDiagnostics(e, kind, -math.inf, 0.0, False))
+            diag.collapsed, diag.collapse_time = True, e
             return SMCResult(-math.inf, diag)
         loglik += lmw
+        if kind is None:
+            break
         logw -= lmw
         ess = _ess(logw)
         resampled = ess < config.ess_threshold * len(logw)
@@ -432,15 +415,7 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
             states, logw = _resample(rng, states, logw, config.resampling)
             diag.resample_count += 1
         diag.events.append(EventDiagnostics(e, kind, lmw, ess, resampled))
-        t = e
-    if v.time > t:
-        states, logw = _propagate(spec, states, logw, t, v.time, crossing(t), rng, survival)
-    lmw = float(logsumexp(logw) - math.log(len(logw)))
-    if not math.isfinite(lmw):
-        diag.collapsed = True
-        diag.collapse_time = v.time
-        return SMCResult(-math.inf, diag)
-    return SMCResult(loglik + lmw, diag)
+    return SMCResult(loglik, diag)
 
 
 def replicate_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
@@ -500,7 +475,7 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     restricted to the truncation.  The caller asserts that the truncation
     loses negligible probability flux (`boundary_flux` helps check).
     Probability on states with fewer focal individuals than required
-    lineages is zeroed, including at time zero.
+    lineages is zeroed at the start of every stretch, time zero included.
 
     After every event update the weights are divided by their sum and the
     log of that sum is carried, as `smc_loglik` carries its log mean weight,
@@ -509,38 +484,29 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     the mass it started from raises `IntegrationError` naming the interval.
     """
     n_active = len(spec.active_dims)
-    full = [tuple(int(c) for c in s) for s in truncation]
-    proj = StateLattice((s[:n_active] for s in full), n_active)
+    full = np.array(list(truncation), dtype=np.int64, ndmin=2)
+    proj = StateLattice(full[:, :n_active], n_active)
     w = np.zeros(proj.size)
-    for s in full:
-        row = proj.row_of(s[:n_active])
-        w[row] += float(spec.init_pmf(np.asarray(s, dtype=np.int64)))
+    np.add.at(w, proj.rows(full[:, :n_active]), [float(spec.init_pmf(s)) for s in full])
     size = spec.focal_sizes(proj.states)
-    crossing = LineageFunction(v)
-    schedule = event_schedule(v)
-    w[size < crossing(0.0)] = 0.0
-
-    def advance(w, t0, t1, ell):
-        if t1 <= t0:
-            return w
-        compat = (size >= ell).astype(float)
-        out = integrate_epochs(spec, lambda t: _interval_generator(spec, proj, t, ell, compat),
-                               w * compat, t0, t1, tol)
-        if out.min() < -tol * w.sum():
-            raise IntegrationError(f"grid weight {out.min():.3g} on [{t0}, {t1}] is negative "
-                                   f"beyond tolerance {tol} of the mass {w.sum():.3g}")
-        return out
-
-    log_scale, t = 0.0, 0.0
-    for e, kind in schedule:
-        w = advance(w, t, e, crossing(t))
-        w = _grid_event_update(spec, proj, w, e, kind, crossing(e))
+    log_scale = 0.0
+    for t, e, ell, kind, ell_post in _stretches(v):
+        compat = size >= ell
+        w[~compat] = 0.0
+        if e > t:
+            out = integrate_epochs(spec, lambda a: _interval_generator(spec, proj, a, ell, compat),
+                                   w, t, e, tol)
+            if out.min() < -tol * w.sum():
+                raise IntegrationError(f"grid weight {out.min():.3g} on [{t}, {e}] is negative "
+                                       f"beyond tolerance {tol} of the mass {w.sum():.3g}")
+            w = out
+        if kind is None:
+            break
+        w = _grid_event_update(spec, proj, w, e, kind, ell_post)
         total = float(w.sum())
         if total > 0.0:
             w /= total
             log_scale += math.log(total)
-        t = e
-    w = advance(w, t, v.time, crossing(t))
     total = float(w.sum())
     loglik = log_scale + math.log(total) if total > 0.0 else -math.inf
     if return_grid:
@@ -567,7 +533,7 @@ def boundary_flux(spec: ModelSpec, weights, t: float = 0.0) -> float:
     states = np.asarray(states, dtype=np.int64)
     lattice = StateLattice(states, states.shape[1])
     w = np.zeros(lattice.size)
-    np.add.at(w, [lattice.index[s] for s in map(tuple, states.tolist())], mass)
+    np.add.at(w, lattice.rows(states), mass)
     rates = spec.rate_matrix(t, lattice.states)
     flux = 0.0
     for k in range(spec.n_events):

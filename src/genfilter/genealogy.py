@@ -11,7 +11,10 @@ Birth, sample, and death updates follow the swap discipline that keeps the
 black balls in bijection with the inventory of extant individuals.  Pruning
 every extant individual yields the visible genealogy: the part ancestral to
 the samples, whose pockets are green-green (coalescence), green-blue (direct
-descent), or red-blue (leaf).
+descent), or red-blue (leaf).  `event_schedule`, the one classifier of its
+nodes, gives every likelihood route its events; a genealogy it rejects
+(unpruned, another pocket form, a non-root node at t <= 0, tied events) is a
+`GenealogyError` on every route.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -38,6 +41,8 @@ BLUE = "blue"
 RED = "red"
 
 _COLORS = (GREEN, BLACK, BLUE, RED)
+# sorted pocket colors of the three event kinds of a visible genealogy
+_VISIBLE_KINDS = {(GREEN, GREEN): "coalescence", (BLUE, GREEN): "direct", (BLUE, RED): "leaf"}
 
 
 class GenealogyError(RuntimeError):
@@ -339,6 +344,32 @@ def event_times(g: Genealogy) -> EventTimeSets:
     return EventTimeSets(*(tuple(sorted(v)) for v in (all_e, internal, coal, leaf, samp, direct)))
 
 
+def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
+    """Classified event times of a visible genealogy, in sequence order.
+
+    Root nodes (which hold their own green ball) describe the initial
+    condition and are not events; every other node must come after time 0.
+    Two events at one time are rejected: each needs the lineage count
+    between them.
+    """
+    out: dict[float, str] = {}
+    for n in v.nodes:
+        colors = tuple(sorted(b.color for b in n.pocket))
+        if BLACK in colors:
+            raise GenealogyError(f"node {n.name}: extant individual; prune to a visible genealogy")
+        if Ball(GREEN, n.name) in n.pocket:
+            continue
+        kind = _VISIBLE_KINDS.get(colors)
+        if kind is None:
+            raise GenealogyError(f"node {n.name}: pocket is not of visible-genealogy form")
+        if n.time <= 0:
+            raise GenealogyError(f"node {n.name}: {kind} at t={n.time} cannot precede the process")
+        if n.time in out:
+            raise GenealogyError(f"two genealogy events share time {n.time}")
+        out[n.time] = kind
+    return tuple(out.items())
+
+
 class LineageFunction:
     """Right-continuous count of visible-genealogy lineages over time.
 
@@ -441,7 +472,8 @@ def validate_genealogy(g: Genealogy) -> list[str]:
 
     Verifies pocket sizes, node times against the genealogy time, ordering of
     the node sequence, ball uniqueness, the parent-ordering rule for green
-    balls, and that every node's own green ball exists somewhere.
+    balls, that every node's own green ball exists somewhere, and that only a
+    root sits at t <= 0.  Tied event times are valid; `event_schedule` rejects them.
     """
     problems = []
     pos = {}
@@ -475,6 +507,8 @@ def validate_genealogy(g: Genealogy) -> list[str]:
     for n in g.nodes:
         if n.name not in green_holders:
             problems.append(f"node {n.name}: its green ball exists nowhere")
+        elif n.time <= 0 and green_holders[n.name] != n.name:
+            problems.append(f"node {n.name}: a non-root at t={n.time} cannot precede the process")
     return problems
 
 

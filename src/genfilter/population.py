@@ -486,23 +486,41 @@ def jump_log_density(spec: ModelSpec, traj: JumpSequence) -> float:
 
 
 class StateLattice:
-    """A finite, ordered set of lattice states with per-displacement maps."""
+    """Finite lattice states in lexicographic row order, with per-displacement maps.
+
+    Rows are looked up by index in the states' bounding box (under 2**63 cells).
+    """
 
     def __init__(self, states, d: int):
-        rows = sorted({tuple(int(v) for v in s) for s in states})
-        if not rows:
+        arr = np.array(states if isinstance(states, np.ndarray) else list(states),
+                       dtype=np.int64, ndmin=2)
+        if not arr.size:
             raise ValueError("empty truncation")
-        for r in rows:
-            if len(r) != d:
-                raise ValueError(f"state {r} is not length {d}")
+        if arr.ndim != 2 or arr.shape[1] != d:
+            raise ValueError(f"states are not all of length {d}")
         self.d = d
-        self.states = np.array(rows, dtype=np.int64).reshape(len(rows), d)
-        self.size = len(rows)
-        self.index = {r: i for i, r in enumerate(rows)}
+        self._lo = arr.min(axis=0)
+        self._box = tuple(arr.max(axis=0) - self._lo + 1)
+        self._keys = np.unique(np.ravel_multi_index((arr - self._lo).T, self._box))
+        self.states = np.column_stack(np.unravel_index(self._keys, self._box)) + self._lo
+        self.size = len(self._keys)
         self._transitions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
+    def rows(self, states) -> np.ndarray:
+        """Row of each of ``states`` (an (n, d) array), -1 for a state off the lattice."""
+        q = np.asarray(states, dtype=np.int64)
+        if q.size and q.shape[-1] != self.d:
+            raise ValueError(f"states are not all of length {self.d}")
+        q = q.reshape(-1, self.d) - self._lo
+        inside = ((q >= 0) & (q < self._box)).all(axis=1)
+        keys = np.full(len(q), -1)
+        keys[inside] = np.ravel_multi_index(q[inside].T, self._box)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.size - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
+
     def row_of(self, state) -> int | None:
-        return self.index.get(tuple(int(v) for v in state))
+        row = int(self.rows([state])[0])
+        return row if row >= 0 else None
 
     def transition(self, displacement) -> tuple[np.ndarray, np.ndarray]:
         """Rows (src, dst) for which src + displacement stays on the lattice."""
@@ -510,8 +528,7 @@ class StateLattice:
         cached = self._transitions.get(key)
         if cached is not None:
             return cached
-        targets = map(tuple, (self.states + np.asarray(key, dtype=np.int64)).tolist())
-        dst = np.array([self.index.get(s, -1) for s in targets], dtype=np.int64)
+        dst = self.rows(self.states + np.asarray(key, dtype=np.int64))
         src = np.flatnonzero(dst >= 0)
         out = (src, dst[src])
         self._transitions[key] = out
@@ -565,7 +582,9 @@ def integrate_linear(rhs, w, t0: float, t1: float, tol: float) -> np.ndarray:
         message = solver.step()
     if solver.status == "failed":
         raise IntegrationError(f"forward integration failed near t={solver.t}: {message}")
-    return solver.y
+    w = solver.y
+    solver.__dict__.clear()  # RK45 is in a reference cycle: free its arrays now, not at a gc pass
+    return w
 
 
 def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
@@ -599,13 +618,12 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
     """
     lattice = StateLattice(truncation, spec.d)
     w = np.zeros(lattice.size)
-    for state, val in w0.items():
-        row = lattice.row_of(state)
-        if row is None:
-            raise ValueError(f"w0 state {tuple(state)} is outside the truncation")
-        w[row] = val
+    rows = lattice.rows(list(w0))
+    if (rows < 0).any():
+        raise ValueError(f"w0 state {list(w0)[np.argmax(rows < 0)]} is outside the truncation")
+    w[rows] = list(w0.values())
     w = integrate_epochs(spec, lambda t: forward_generator(spec, lattice, t), w, t0, t1, tol)
-    return {tuple(int(v) for v in s): float(w[i]) for i, s in enumerate(lattice.states)}
+    return dict(zip(map(tuple, lattice.states.tolist()), w.tolist()))
 
 
 # ---------------------------------------------------------------------------

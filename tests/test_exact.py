@@ -305,7 +305,7 @@ def test_event_route_structural_failures():
     with pytest.raises(ExactError, match="absent from the history"):
         gf.loglik_events(spec, History(1.0, (1, 0), (
             (0.3, BIRTH), (0.5, SAMPLE))), visible)
-    with pytest.raises(ExactError, match="visible"):
+    with pytest.raises(gf.GenealogyError, match="visible"):
         gf.loglik_events(spec, good, g)
 
 

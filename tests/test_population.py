@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 import genfilter as gf
@@ -309,6 +311,26 @@ def test_validate_model_reports_negative_rates_with_plain_states():
 
 # ---------------------------------------------------------------------------
 # Master equation
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(states=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1),
+       probes=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5))))
+def test_state_lattice_rows_match_a_dict_of_tuples(states, probes):
+    # duplicates collapse to one row; rows keep lexicographic order, and a
+    # probe off the lattice, in its bounding box or outside it, maps to -1
+    lattice = gf.StateLattice(states, 2)
+    ordered = sorted(set(states))
+    reference = {s: i for i, s in enumerate(ordered)}
+    assert lattice.states.tolist() == [list(s) for s in ordered]
+    queries = states + probes
+    assert lattice.rows(queries).tolist() == [reference.get(s, -1) for s in queries]
+    assert [lattice.row_of(s) for s in queries] == [reference.get(s) for s in queries]
+    for disp in ((1, 0), (0, -1), (2, -2)):
+        src, dst = lattice.transition(disp)
+        want = [(i, reference[(a + disp[0], b + disp[1])]) for i, (a, b) in enumerate(ordered)
+                if (a + disp[0], b + disp[1]) in reference]
+        assert list(zip(src.tolist(), dst.tolist())) == want
 
 
 def test_kfe_pure_death_survival_probability():
