@@ -5,7 +5,10 @@ history of population events, which must agree:
 
 * `loglik_lineages` walks the samples in order and multiplies, for every
   (lineage, history event) pair, the probability that the event's uniform
-  member choice did or did not involve that lineage (`q_factor`);
+  member choice did or did not involve that lineage (`q_factor`).  It makes
+  one array evaluation per lineage, over the events in the lineage's
+  window, and counts the earlier lineages crossing each event from sorted
+  prefixes of their attachment and sample times;
 * `loglik_events` makes a single pass over the history, contributing one
   factor per event according to how the visible genealogy classifies its
   time (coalescence, direct descent, leaf, or unobserved birth).
@@ -15,7 +18,8 @@ once: `event_factor` for the three genealogy event kinds and
 `hidden_birth_factor` for a birth the genealogy does not see.
 `loglik_events`, the particle filter and the grid oracle
 (`genfilter.filtering`) all call them; `q_factor` is the independent
-lineage-by-lineage reference they are checked against.
+lineage-by-lineage reference they are checked against, and
+`loglik_lineages` calls none of them.
 
 Both routes take the genealogy's events from `genealogy.event_schedule`: a
 fault of the genealogy alone, such as a non-root node at t <= 0, is the
@@ -29,10 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .genealogy import (Genealogy, LineageFunction, build_genealogy, embedded_chain,
                         event_schedule, prune)
-from .population import History, JumpSequence, ModelSpec, iter_transitions
+from .population import History, JumpSequence, ModelSpec
 
 
 class ExactError(RuntimeError):
@@ -76,96 +81,100 @@ def hidden_birth_factor(size, ell) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QContext:
-    """Everything `q_factor` needs about one (lineage, history event) pair.
+    """Everything `q_factor` needs about (lineage, history event) pairs.
 
     ``focal`` is the focal size just after the event; ``lineages`` counts the
     earlier samples' lineages crossing the event time.  The window is
     [attachment, sample) of the current lineage; ``at_prior_attachment``
-    flags event times where an earlier lineage already attached.
+    flags event times where an earlier lineage already attached.  Each field
+    may be a scalar or an array, describing one pair or, elementwise after
+    broadcasting, many pairs at once.
     """
 
-    kind: str                 # "birth", "sample", or "other"
-    focal: int
-    lineages: int
-    in_window: bool
-    at_attachment: bool
-    at_prior_attachment: bool
-    attach_kind: str = "root"  # of the current lineage: root/coalescence/direct
+    kind: ArrayLike            # "birth", "sample", or "other"
+    focal: ArrayLike
+    lineages: ArrayLike
+    in_window: ArrayLike
+    at_attachment: ArrayLike
+    at_prior_attachment: ArrayLike
+    attach_kind: ArrayLike = "root"  # of the current lineage: root/coalescence/direct
 
 
-def q_factor(ctx: QContext) -> tuple[float, bool]:
-    """Probability that one history event is consistent with one lineage.
+def q_factor(ctx: QContext) -> tuple[float | np.ndarray, bool | np.ndarray]:
+    """Probability that a history event is consistent with a lineage.
 
     Returns ``(value, compatible)``; ``compatible`` is False when a counting
     denominator vanishes, meaning no assignment of the event's member choice
     can produce the genealogy (the value is then 0).  Branches are resolved
-    in a fixed order, earlier sections winning.
+    in a fixed order, earlier sections winning.  Array fields give arrays,
+    evaluated elementwise; scalar fields give a Python ``float`` and ``bool``.
     """
-    if not ctx.in_window or ctx.kind == "other" or ctx.at_prior_attachment:
-        return 1.0, True
-    free = ctx.focal - ctx.lineages
-    if ctx.kind == "sample":
-        if not ctx.at_attachment:
-            if free <= 0:
-                return 0.0, False
-            return 1.0 - 1.0 / free, True
-        if ctx.attach_kind != "direct" or free <= 0:
-            return 0.0, False
-        return 1.0 / free, True
-    # birth
-    pairs = _choose2(ctx.focal) - _choose2(ctx.lineages)
-    if not ctx.at_attachment:
-        if pairs <= 0:
-            return 0.0, False
-        return 1.0 - ctx.lineages / pairs, True
-    if ctx.attach_kind != "coalescence" or pairs <= 0:
-        return 0.0, False
-    return 1.0 / pairs, True
+    kind = np.asarray(ctx.kind)
+    focal = np.asarray(ctx.focal)
+    lineages = np.asarray(ctx.lineages)
+    at_attachment = np.asarray(ctx.at_attachment, dtype=bool)
+    neutral = ~np.asarray(ctx.in_window, dtype=bool) | (kind == "other") \
+        | np.asarray(ctx.at_prior_attachment, dtype=bool)
+    sample = kind == "sample"
+    free = focal - lineages
+    pairs = _choose2(focal) - _choose2(lineages)
+    # a sample picks one free individual, a birth one pair not both on lineages
+    denom = np.where(sample, free, pairs)
+    hosts = np.where(sample, "direct", "coalescence") == np.asarray(ctx.attach_kind)
+    compatible = neutral | ((denom > 0) & (~at_attachment | hosts))
+    # the floor only keeps the discarded branches of np.select finite
+    floor = np.maximum(denom, 1)
+    value = np.select([neutral, ~compatible, at_attachment, sample],
+                      [1.0, 0.0, 1.0 / floor, 1.0 - 1.0 / floor],
+                      1.0 - lineages / floor)
+    if value.ndim == 0:
+        return float(value), bool(compatible)
+    return value, compatible
 
 
 def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
     """Log conditional probability of the visible genealogy, lineage by lineage.
 
-    Builds and prunes the genealogy of ``traj``, then accumulates `q_factor`
-    over every lineage and every history event inside its window.  A
-    trajectory with no samples gives 0 (empty product).
+    Builds and prunes the genealogy of ``traj``, then multiplies `q_factor`
+    over every lineage and every history event inside its window, with one
+    array evaluation per lineage.  The earlier lineages crossing an event
+    time t are counted from sorted prefixes of the attachment and sample
+    times: #{attach <= t} - #{sample <= t}, since no lineage is sampled
+    before it attaches.  A trajectory with no samples gives 0 (empty
+    product).
     """
     visible = prune(build_genealogy(spec, traj)[0])
     chain = embedded_chain(visible)
     if not chain:
         return 0.0
 
-    times, kinds, focal = [], [], []
-    for t, k, _, post in iter_transitions(spec, traj):
-        times.append(t)
-        ev = spec.events[k]
-        kinds.append("birth" if ev.is_birth else "sample" if ev.is_sample else "other")
-        focal.append(spec.focal(post))
-    times = np.asarray(times)
+    times = np.array([j.time for j in traj.jumps])
+    channels = np.array([j.event for j in traj.jumps], dtype=np.int64)
+    post = np.asarray(traj.x0, dtype=np.int64) + np.cumsum(spec.displacements[channels], axis=0)
+    focal = spec.focal_sizes(post)
+    kinds = np.where(spec.birth_mask[channels], "birth",
+                     np.where(spec.sample_mask[channels], "sample", "other"))
+    attach = np.array([r.attach_time for r in chain])
+    sample = np.array([r.sample_time for r in chain])
 
     total = 0.0
     for j, rec in enumerate(chain):
-        a_j, s_j = rec.attach_time, rec.sample_time
-        prior_attachments = {r.attach_time for r in chain[:j]}
-        lo = int(np.searchsorted(times, a_j, side="left"))
-        hi = int(np.searchsorted(times, s_j, side="left"))
-        for k in range(lo, hi):
-            t_k = float(times[k])
-            crossing = sum(1 for r in chain[:j]
-                           if r.attach_time <= t_k < r.sample_time)
-            ctx = QContext(
-                kind=kinds[k],
-                focal=focal[k],
-                lineages=crossing,
-                in_window=True,
-                at_attachment=(t_k == a_j),
-                at_prior_attachment=(t_k in prior_attachments),
-                attach_kind=rec.attach_kind,
-            )
-            q, _ = q_factor(ctx)
-            if q <= 0.0:
-                return -math.inf
-            total += math.log(q)
+        lo, hi = np.searchsorted(times, [rec.attach_time, rec.sample_time], side="left")
+        t = times[lo:hi]
+        prior = np.sort(attach[:j])
+        attached = np.searchsorted(prior, t, side="right")
+        q, _ = q_factor(QContext(
+            kind=kinds[lo:hi],
+            focal=focal[lo:hi],
+            lineages=attached - np.searchsorted(np.sort(sample[:j]), t, side="right"),
+            in_window=True,
+            at_attachment=t == rec.attach_time,
+            at_prior_attachment=attached > np.searchsorted(prior, t, side="left"),
+            attach_kind=rec.attach_kind,
+        ))
+        if not (q > 0.0).all():
+            return -math.inf
+        total += float(np.log(q).sum())
     return total
 
 

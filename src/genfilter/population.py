@@ -439,26 +439,77 @@ def history_log_density(spec: ModelSpec, h: History) -> float:
     """Log density of a history against the rate-``mu`` Poisson base measure.
 
     Returns -inf when the initial state has zero mass or some realized event
-    has zero rate at its own jump time.
+    has zero rate at its own jump time.  The history is read one epoch
+    (`ModelSpec.epochs`) at a time: one checked `rate_matrix` call over the
+    states that dwell in the epoch gives each channel without a rate bound
+    its survival (rates times dwell) and each jump out of them its rate.  A
+    channel with a bound is integrated by quadrature and read at the jump
+    itself, as is a jump out of a state that does not dwell in the epoch (a
+    tie, or a jump at a breakpoint).  When the epoch's call meets a negative
+    or NaN rate, its states are read again one at a time from when each is
+    entered, so the `SimulationError` names the first bad state at that
+    time, unless an impossible jump comes first.
     """
-    x = np.asarray(h.x0, dtype=np.int64)
-    p0 = float(spec.init_pmf(x))
+    x0 = np.asarray(h.x0, dtype=np.int64)
+    p0 = float(spec.init_pmf(x0))
     if p0 <= 0.0:
         return -math.inf
+    times = np.array([t for t, _ in h.events], dtype=float)
+    channels = np.array([k for _, k in h.events], dtype=np.int64)
+    ok = (times > 0.0) & (times <= h.horizon) & (np.diff(times, prepend=0.0) >= 0.0)
+    if not ok.all():
+        raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {h.horizon}] "
+                         f"or unordered")
+    # state i holds on [starts[i], ends[i]] and is left by jump i
+    states = x0 + np.cumsum(np.vstack([np.zeros_like(x0)[None], spec.displacements[channels]]),
+                            axis=0)
+    starts = np.concatenate(([0.0], times))
+    ends = np.append(times, h.horizon)
+    bounded = np.flatnonzero(spec.bound_mask).tolist()
+
+    def terms(t, a, b, idx, n_jumps):
+        """(survival, log jump rates) on epoch [a, b] of states ``idx``, read at ``t``.
+
+        The first ``n_jumps`` of ``idx`` are left by jumps in the epoch.
+        """
+        dwell = np.maximum(np.minimum(ends[idx], b) - np.maximum(starts[idx], a), 0.0)
+        held = idx[dwell > 0.0]
+        rates = spec.rate_matrix(t, states[held])
+        survival = float(rates[:, ~spec.bound_mask].sum(axis=1) @ dwell[dwell > 0.0])
+        if bounded:
+            for i in held:
+                survival += _rate_integral(spec, states[i], max(starts[i], a), min(ends[i], b),
+                                           channels=bounded)
+        jumps = idx[:n_jumps]
+        k = channels[jumps]
+        read = (dwell[:n_jumps] > 0.0) & ~spec.bound_mask[k]
+        r = np.empty(n_jumps)
+        r[read] = rates[np.searchsorted(held, jumps[read]), k[read]]
+        for j in np.flatnonzero(~read):
+            r[j] = spec.rate(k[j], times[jumps[j]], states[jumps[j]])
+        if not (r > 0.0).all():
+            return survival, -math.inf
+        return survival, float(np.log(r / spec.mu).sum())
+
     logp = math.log(p0)
     survival = 0.0
-    t_prev = 0.0
-    for t, k in h.events:
-        if not 0.0 < t <= h.horizon or t < t_prev:
-            raise ValueError(f"event time {t} is outside (0, {h.horizon}] or unordered")
-        survival += _rate_integral(spec, x, t_prev, t)
-        r = spec.rate(k, t, x)
-        if r <= 0.0:
-            return -math.inf
-        logp += math.log(r / spec.mu)
-        x = x + spec.displacements[k]
-        t_prev = t
-    survival += _rate_integral(spec, x, t_prev, h.horizon)
+    epochs = spec.epochs(0.0, h.horizon)
+    for e, (a, b) in enumerate(epochs):
+        # jumps in [a, b) belong to this epoch, and jumps at the horizon to the last
+        lo = int(np.searchsorted(times, a, side="left"))
+        hi = int(np.searchsorted(times, b, side="right" if e == len(epochs) - 1 else "left"))
+        # the states these jumps leave, and the one entered last before b
+        idx = np.arange(lo, max(int(np.searchsorted(times, b, side="left")) + 1, hi))
+        try:
+            parts = [terms(a, a, b, idx, hi - lo)]
+        except SimulationError:
+            parts = (terms(max(starts[i], a), a, b, np.array([i]), int(i < hi))
+                     for i in idx)
+        for dens, logr in parts:
+            if logr == -math.inf:
+                return -math.inf
+            survival += dens
+            logp += logr
     return logp + spec.mu * h.horizon - survival
 
 

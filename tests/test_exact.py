@@ -69,6 +69,26 @@ def test_q_factor_counting_incompatibilities():
                         at_attachment=True, attach_kind="coalescence")) == (0.0, False)
 
 
+def test_q_factor_on_arrays_matches_scalar_calls():
+    # every combination of the context's fields, which covers each branch:
+    # neutral, sample and birth in the interior and at the attachment, and
+    # each counting incompatibility
+    combos = list(itertools.product(
+        ["birth", "sample", "other"], range(5), range(4), [True, False], [True, False],
+        [True, False], ["root", "coalescence", "direct"]))
+    fields = ("kind", "focal", "lineages", "in_window", "at_attachment",
+              "at_prior_attachment", "attach_kind")
+    columns = {f: np.array(col) for f, col in zip(fields, zip(*combos))}
+    values, compatible = q_factor(QContext(**columns))
+    assert values.shape == compatible.shape == (len(combos),)
+    for i, combo in enumerate(combos):
+        value, ok = q_factor(QContext(*combo))
+        assert type(value) is float and type(ok) is bool
+        assert (values[i], compatible[i]) == (value, ok), combo
+    assert compatible.any() and not compatible.all()
+    assert {1.0, 0.0} < set(values.tolist())
+
+
 # ---------------------------------------------------------------------------
 # Shared event factors
 
@@ -180,6 +200,123 @@ def test_routes_agree_on_random_models(seed, model, rates, size):
     b = gf.loglik_events(spec, gf.to_history(traj), visible)
     assert math.isfinite(a) and a <= 1e-12
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def per_pair_loglik_lineages(spec, traj):
+    """`loglik_lineages` as one scalar `q_factor` call per (lineage, event) pair."""
+    visible = gf.prune(gf.build_genealogy(spec, traj)[0])
+    chain = gf.embedded_chain(visible)
+    if not chain:
+        return 0.0
+
+    times, kinds, focal = [], [], []
+    for t, k, _, post in iter_transitions(spec, traj):
+        times.append(t)
+        ev = spec.events[k]
+        kinds.append("birth" if ev.is_birth else "sample" if ev.is_sample else "other")
+        focal.append(spec.focal(post))
+    times = np.asarray(times)
+
+    total = 0.0
+    for j, rec in enumerate(chain):
+        a_j, s_j = rec.attach_time, rec.sample_time
+        prior_attachments = {r.attach_time for r in chain[:j]}
+        lo = int(np.searchsorted(times, a_j, side="left"))
+        hi = int(np.searchsorted(times, s_j, side="left"))
+        for k in range(lo, hi):
+            t_k = float(times[k])
+            crossing = sum(1 for r in chain[:j]
+                           if r.attach_time <= t_k < r.sample_time)
+            ctx = QContext(
+                kind=kinds[k],
+                focal=focal[k],
+                lineages=crossing,
+                in_window=True,
+                at_attachment=(t_k == a_j),
+                at_prior_attachment=(t_k in prior_attachments),
+                attach_kind=rec.attach_kind,
+            )
+            q, _ = q_factor(ctx)
+            if q <= 0.0:
+                return -math.inf
+            total += math.log(q)
+    return total
+
+
+def with_cull(spec, displacement):
+    """``spec`` plus an unmarked channel that removes a focal individual.
+
+    No valid model has one: the focal size falls below the individuals the
+    genealogy tracks, so the lineage counts can become impossible (-inf).
+    """
+    events = (*spec.events, gf.EventType("cull", displacement))
+    return gf.ModelSpec(spec.name + "+cull", spec.d, events,
+                        (*spec.rates, lambda t, x: 0.0 * x[..., 0]),
+                        spec.init_sample, spec.init_pmf, spec.focal_size,
+                        bookkeeping_dims=spec.bookkeeping_dims)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(["lbdp", "sir"]),
+       rates=st.tuples(*(st.floats(0.1, 1.5),) * 3),
+       size=st.integers(1, 4),
+       culls=st.integers(0, 3))
+def test_lineage_route_matches_per_pair_reference(seed, model, rates, size, culls):
+    if model == "lbdp":
+        spec, cull = lbdp(*rates, size), (-1, 1)
+    else:
+        beta = rates[0] / 15.0
+        spec = gf.sir_spec(gf.SIRParams(beta, rates[1], rates[2], s0=5 * size + 10, i0=size))
+        cull = (0, -1, 0, 0)
+    rng = np.random.default_rng(seed)
+    traj = gf.simulate(spec, 1.5, rng)
+    if culls:
+        spec = with_cull(spec, cull)
+        extra = [Jump(float(t), spec.n_events - 1) for t in rng.uniform(0.0, 1.5, culls)]
+        traj = JumpSequence(traj.x0, tuple(sorted([*traj.jumps, *extra], key=lambda j: j.time)),
+                            traj.t_end)
+    want = per_pair_loglik_lineages(spec, traj)
+    got = gf.loglik_lineages(spec, traj)
+    if want == -math.inf or got == -math.inf:
+        assert want == got == -math.inf
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_lineage_route_reaches_minus_inf_with_the_reference():
+    # after the cull one individual is counted, yet the first sample must
+    # avoid the second lineage, which runs on to 0.6
+    spec = with_cull(lbdp(0.0, 0.0, 1.0, 2), (-1, 1))
+    traj = JumpSequence((2, 0), (Jump(0.4, 3), Jump(0.5, SAMPLE, 0), Jump(0.6, SAMPLE, 1)), 1.0)
+    assert per_pair_loglik_lineages(spec, traj) == -math.inf
+    assert gf.loglik_lineages(spec, traj) == -math.inf
+
+
+def test_routes_agree_on_a_long_sir_genealogy():
+    spec = gf.sir_spec(gf.SIRParams(0.0025, 1.0, 0.3, 990, 10))
+    traj = gf.simulate(spec, 4.0, np.random.default_rng(5))
+    visible = gf.prune(gf.build_genealogy(spec, traj)[0])
+    assert len(gf.embedded_chain(visible)) >= 150
+    a = gf.loglik_lineages(spec, traj)
+    b = gf.loglik_events(spec, gf.to_history(traj), visible)
+    assert math.isfinite(a)
+    assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def test_lineage_route_calls_q_factor_once_per_lineage(monkeypatch):
+    spec = gf.sir_spec(gf.SIRParams(0.12, 0.8, 0.9, s0=18, i0=3))
+    traj = gf.simulate(spec, 3.0, np.random.default_rng(52))
+    lineages = len(gf.embedded_chain(gf.prune(gf.build_genealogy(spec, traj)[0])))
+    assert lineages >= 5
+    calls = []
+
+    def counting(ctx):
+        calls.append(ctx)
+        return q_factor(ctx)
+    monkeypatch.setattr(gf.exact, "q_factor", counting)
+    assert math.isfinite(gf.loglik_lineages(spec, traj))
+    assert len(calls) == lineages
 
 
 def per_event_loglik(spec, h, visible):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genfilter as gf
 from genfilter.genealogy import (BLACK, BLUE, GREEN, RED, Ball, Genealogy,
@@ -341,6 +343,27 @@ def test_newick_round_trip_preserves_shape_labels_times():
         for a, b in zip(ets_a, ets_b):
             assert np.allclose(a, b, rtol=0, atol=1e-9)
         done += 1
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(["lbdp", "sir"]),
+       rates=st.tuples(*(st.floats(0.1, 1.5),) * 3),
+       size=st.integers(1, 4))
+def test_newick_round_trip_keeps_node_count_and_schedule(seed, model, rates, size):
+    if model == "lbdp":
+        spec = lbdp(*rates, size)
+    else:
+        spec = gf.sir_spec(gf.SIRParams(rates[0] / 15.0, rates[1], rates[2],
+                                        s0=5 * size + 10, i0=size))
+    traj = gf.simulate(spec, 2.0, np.random.default_rng(seed))
+    v = gf.prune(gf.build_genealogy(spec, traj)[0])
+    back = gf.from_newick(gf.to_newick(v))
+    assert len(back.nodes) == len(v.nodes)
+    want, got = gf.event_schedule(v), gf.event_schedule(back)
+    assert [kind for _, kind in got] == [kind for _, kind in want]
+    # branch lengths print to 17 digits; times are sums of them down the tree
+    assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=1e-12, atol=1e-12)
 
 
 def test_from_newick_rejects_malformed_input():

@@ -482,6 +482,112 @@ def test_kfe_and_history_density_on_declared_piecewise_rates():
     assert abs(history_log_density(spec, h) - (spec.mu * horizon - survival)) < 1e-14
 
 
+def per_event_history_log_density(spec, h):
+    """`history_log_density` as it was first written: scalar rate reads, one event at a time."""
+    x = np.asarray(h.x0, dtype=np.int64)
+    p0 = float(spec.init_pmf(x))
+    if p0 <= 0.0:
+        return -math.inf
+    logp = math.log(p0)
+    survival = 0.0
+    t_prev = 0.0
+    for t, k in h.events:
+        if not 0.0 < t <= h.horizon or t < t_prev:
+            raise ValueError(f"event time {t} is outside (0, {h.horizon}] or unordered")
+        survival += _rate_integral(spec, x, t_prev, t)
+        r = spec.rate(k, t, x)
+        if r <= 0.0:
+            return -math.inf
+        logp += math.log(r / spec.mu)
+        x = x + spec.displacements[k]
+        t_prev = t
+    survival += _rate_integral(spec, x, t_prev, h.horizon)
+    return logp + spec.mu * h.horizon - survival
+
+
+def density_outcome(fn, spec, h):
+    try:
+        return fn(spec, h)
+    except SimulationError as err:
+        return str(err)
+
+
+def assert_density_matches_reference(spec, h):
+    want = density_outcome(per_event_history_log_density, spec, h)
+    got = density_outcome(history_log_density, spec, h)
+    if isinstance(want, str) or want == -math.inf:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def stepped_sir(s0=20, i0=3):
+    beta = gf.PiecewiseConstant(times=(0.5, 1.0), values=(0.1, 0.04, 0.15))
+    return gf.sir_spec(gf.SIRParams(beta, 0.8, 0.9, s0=s0, i0=i0))
+
+
+# (spec, x0, horizon): constant rates, steps, a bounded channel, negative rates
+DENSITY_MODELS = {
+    "lbdp": lambda: (lbdp(1.2, 0.6, 0.9, 3), (3, 0), 1.5),
+    "sir-steps": lambda: (stepped_sir(), (20, 3, 0, 0), 1.5),
+    "death-steps": lambda: (piecewise_death_spec()[1], (3, 0), 1.4),
+    "death-bounded": lambda: (piecewise_death_spec(bounded=True)[1], (3, 0), 1.4),
+    "leaky": lambda: (leaky_death_spec(), (2, 0), 1.0),
+}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(model=st.sampled_from(sorted(DENSITY_MODELS)), data=st.data())
+def test_history_density_matches_per_event_reference(model, data):
+    # random histories, possible or not: jumps at breakpoints, tied jumps,
+    # jumps at the horizon, zero-rate jumps and states with negative rates
+    spec, x0, horizon = DENSITY_MODELS[model]()
+    time = st.one_of(st.floats(0.0, horizon, exclude_min=True),
+                     st.sampled_from([*spec.rate_breakpoints, horizon]))
+    events = data.draw(st.lists(st.tuples(time, st.integers(0, spec.n_events - 1)),
+                                max_size=12))
+    assert_density_matches_reference(spec, History(horizon, x0, tuple(sorted(events))))
+
+
+@pytest.mark.parametrize("spec,horizon,seed", [
+    (gf.sir_spec(gf.SIRParams(0.0025, 1.0, 0.3, 990, 10)), 4.0, 5),
+    (stepped_sir(s0=97), 1.5, 11),
+], ids=["sir1000", "sir-steps"])
+def test_history_density_matches_per_event_reference_on_simulated_histories(spec, horizon, seed):
+    h = to_history(gf.simulate(spec, horizon, np.random.default_rng(seed)))
+    assert len(h.events) >= 100
+    assert_density_matches_reference(spec, h)
+
+
+def test_history_density_reads_rates_once_per_epoch(monkeypatch):
+    spec = stepped_sir(s0=97)
+    h = to_history(gf.simulate(spec, 1.5, np.random.default_rng(11)))
+    calls = {"rate_matrix": 0, "rate": 0}
+    rate_matrix, rate = gf.ModelSpec.rate_matrix, gf.ModelSpec.rate
+
+    def counting_rate_matrix(self, t, states):
+        calls["rate_matrix"] += 1
+        return rate_matrix(self, t, states)
+
+    def counting_rate(self, k, t, x):
+        calls["rate"] += 1
+        return rate(self, k, t, x)
+    monkeypatch.setattr(gf.ModelSpec, "rate_matrix", counting_rate_matrix)
+    monkeypatch.setattr(gf.ModelSpec, "rate", counting_rate)
+    assert math.isfinite(history_log_density(spec, h))
+    assert 0 < calls["rate_matrix"] <= 2 * len(spec.epochs(0.0, h.horizon))
+    assert calls["rate"] == 0
+
+
+def test_history_density_impossible_jump_wins_over_a_later_negative_rate():
+    # the second death leaves n = -1, where every rate is negative; the death
+    # into it already had rate zero
+    spec = lbdp(1.0, 1.0, 0.0, 1)
+    h = History(1.0, (1, 0), ((0.2, 1), (0.5, 1)))
+    assert history_log_density(spec, h) == -math.inf
+    assert per_event_history_log_density(spec, h) == -math.inf
+
+
 def test_integrate_linear_names_the_failure_time():
     def rhs(t, w):
         return np.full_like(w, np.nan) if t > 0.5 else -w
