@@ -21,7 +21,7 @@ once: `event_factor` for the three genealogy event kinds and
 lineage-by-lineage reference they are checked against, and
 `loglik_lineages` calls none of them.
 
-Both routes take the genealogy's events from `genealogy.event_schedule`: a
+`loglik_events` takes the genealogy's events from `event_schedule`: a
 fault of the genealogy alone, such as a non-root node at t <= 0, is the
 `GenealogyError` it raises, and an `ExactError` means that the genealogy and
 the history do not fit each other.
@@ -136,12 +136,12 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
     """Log conditional probability of the visible genealogy, lineage by lineage.
 
     Builds and prunes the genealogy of ``traj``, then multiplies `q_factor`
-    over every lineage and every history event inside its window, with one
-    array evaluation per lineage.  The earlier lineages crossing an event
-    time t are counted from sorted prefixes of the attachment and sample
-    times: #{attach <= t} - #{sample <= t}, since no lineage is sampled
-    before it attaches.  A trajectory with no samples gives 0 (empty
-    product).
+    over every lineage and every history event in its window, one array
+    evaluation per lineage and no call to `event_factor`, so it stays an
+    independent check on `loglik_events`.  Earlier lineages crossing an
+    event time t are counted from sorted prefixes of attachment and sample
+    times, #{attach <= t} - #{sample <= t}, as none is sampled before it
+    attaches.  A trajectory with no samples gives 0 (empty product).
     """
     visible = prune(build_genealogy(spec, traj)[0])
     chain = embedded_chain(visible)
