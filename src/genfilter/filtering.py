@@ -9,7 +9,7 @@ Two routes, useful as cross-checks on each other:
   simulates sampling events and kills particles that produce one, while
   ``analytic-survival`` (the default) disables sampling channels and applies
   the exact survival weight, which lowers variance at equal cost.
-* `oracle_loglik` integrates the same unnormalized filtering recursion
+* `oracle_loglik` evaluates the same unnormalized filtering recursion
   deterministically over a finite state truncation, which makes it an
   accuracy oracle at small scale.
 
@@ -32,8 +32,11 @@ that draws jumps by the rule of `genfilter.population.simulate`: every
 channel without a bound runs at its rate at the epoch's start, only the
 channels with a bound are thinned, and they alone are read again at each
 candidate time.  The oracle's generator is `forward_generator`'s assembly
-with its inflow scaled per state and channel; it is built once per epoch,
-or rebuilt at every integrator step when some channel has a bound.
+with its inflow scaled per state and channel, which keeps it a
+sub-generator: nonnegative off the diagonal, columns summing to at most 0.
+It is built once per epoch and the epoch is one exact uniformization step
+(`integrate_epochs`); only when some channel has a bound is it rebuilt at
+every RK45 step instead.
 
 States with fewer focal individuals than the genealogy's lineages carry zero
 weight from each stretch's start.  Coordinates declared as bookkeeping on the
@@ -52,8 +55,8 @@ from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, LineageFunction, event_schedule
-from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _generator,
-                         _rate_integral, ensure_rng, integrate_epochs)
+from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
+                         _generator, _rate_integral, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -469,25 +472,35 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
                   return_grid: bool = False):
     """Deterministic log likelihood of a visible genealogy on a truncation.
 
-    Integrates the between-events flow with an adaptive explicit RK pair,
-    one generator per epoch of the model's rates, and applies the exact
-    event updates, starting from the initial distribution
-    restricted to the truncation.  The caller asserts that the truncation
-    loses negligible probability flux (`boundary_flux` helps check).
-    Probability on states with fewer focal individuals than required
-    lineages is zeroed at the start of every stretch, time zero included.
+    Starts from the initial distribution restricted to the truncation,
+    read by one ``spec.init_pmf`` call over all its states, advances the
+    between-events flow with `integrate_epochs` and applies the exact event
+    updates.  Each epoch of constant rates is one uniformization step whose
+    series leaves out at most ``tol * 1e-6`` of the mass; an epoch where a
+    channel has a rate bound is integrated by RK45 at relative tolerance
+    ``tol``.  The caller asserts that the truncation loses negligible
+    probability flux (`boundary_flux` helps check).  Probability on states
+    with fewer focal individuals than required lineages is zeroed at the
+    start of every stretch, time zero included.
 
     After every event update the weights are divided by their sum and the
     log of that sum is carried, as `smc_loglik` carries its log mean weight,
-    so the integrator's error control always works on mass of order one.
-    A weight that the integrator drives negative by more than ``tol`` times
-    the mass it started from raises `IntegrationError` naming the interval.
+    so ``tol`` always applies to mass of order one.  A weight driven negative
+    by more than ``tol`` times the mass it started from raises
+    `IntegrationError` naming the interval.  A ``tol`` that is not positive
+    and finite raises ValueError, and an ``init_pmf`` that does not give one
+    value per state raises `FilterError`.
     """
+    _check_tol(tol)
     n_active = len(spec.active_dims)
     full = np.array(list(truncation), dtype=np.int64, ndmin=2)
     proj = StateLattice(full[:, :n_active], n_active)
+    pmf = np.asarray(spec.init_pmf(full), dtype=float)
+    if pmf.shape != (len(full),):
+        raise FilterError(f"init_pmf gave shape {pmf.shape} for {len(full)} states; "
+                          f"it must broadcast over leading axes like a rate")
     w = np.zeros(proj.size)
-    np.add.at(w, proj.rows(full[:, :n_active]), [float(spec.init_pmf(s)) for s in full])
+    np.add.at(w, proj.rows(full[:, :n_active]), pmf)
     size = spec.focal_sizes(proj.states)
     log_scale = 0.0
     for t, e, ell, kind, ell_post in _stretches(v):

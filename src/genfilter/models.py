@@ -87,7 +87,7 @@ def _point_mass(x0: np.ndarray):
         return np.tile(x0, (n, 1))
 
     def init_pmf(x):
-        return 1.0 if np.array_equal(np.asarray(x, dtype=np.int64), x0) else 0.0
+        return (np.asarray(x, dtype=np.int64) == x0).all(axis=-1).astype(float)
 
     return init_sample, init_pmf
 

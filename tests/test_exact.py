@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import genfilter as gf
 from genfilter.exact import ExactError, QContext, q_factor
-from genfilter.population import History, Jump, JumpSequence, iter_transitions, state_before
+from genfilter.population import History, Jump, JumpSequence, state_before
 
 
 def lbdp(lam, delta, psi, n0):
@@ -18,6 +18,21 @@ def lbdp(lam, delta, psi, n0):
 
 
 BIRTH, DEATH, SAMPLE = 0, 1, 2  # channel order in the stock models
+
+
+def iter_transitions(spec, obj):
+    """Yield ``(time, event, x_pre, x_post)`` along a JumpSequence or History."""
+    if isinstance(obj, JumpSequence):
+        events = [(j.time, j.event) for j in obj.jumps]
+        x0 = obj.x0
+    else:
+        events = list(obj.events)
+        x0 = obj.x0
+    x = np.asarray(x0, dtype=np.int64).copy()
+    for t, k in events:
+        pre = x.copy()
+        x = x + spec.displacements[k]
+        yield t, k, pre, x.copy()
 
 
 # ---------------------------------------------------------------------------

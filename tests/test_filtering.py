@@ -456,9 +456,9 @@ def test_oracle_keeps_its_scale_on_a_long_genealogy():
     # absolute tolerance, so the grid weights must be renormalised as they go
     params, spec, v = sir100_visible(3.0)
     ll = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
-    # the same call at tol 1e-11 gives -54.12752829; a matrix exponential
-    # (scipy's expm_multiply) per event-free interval agrees with that to 1e-9
-    assert ll == pytest.approx(-54.12752829, abs=2e-6)
+    # RK45 per epoch at tol 1e-11 gave -54.12752829, and scipy's expm_multiply
+    # per event-free interval agrees with that to 1e-9
+    assert ll == pytest.approx(-54.127528294, abs=1e-9)
     rep = gf.replicate_loglik(spec, v, FilterConfig(2000, seed=3), 8)
     assert rep.collapse_count == 0
     assert abs(rep.mean - ll) <= 4 * rep.se
@@ -580,9 +580,16 @@ def awkward_breakpoints(v):
 
 
 def spy_on_steps(monkeypatch):
-    """Record the intervals `_propagate_epoch` and `integrate_linear` run; forbid thinning."""
-    steps = {"filter": [], "oracle": []}
+    """Record the intervals `_propagate_epoch` and the oracle's steps run; forbid thinning.
+
+    Every oracle step goes to ``steps["oracle"]``; one taken by `integrate_linear`
+    (RK45) also goes to ``steps["rk45"]``.  A `_uniformized` step starts where
+    its generator was built.
+    """
+    steps = {"filter": [], "oracle": [], "rk45": []}
     epoch, linear = gf.filtering._propagate_epoch, gf.population.integrate_linear
+    generator, exact = gf.filtering._interval_generator, gf.population._uniformized
+    built = []
 
     def propagate_epoch(spec, states, logw, t0, t1, *rest):
         steps["filter"].append((t0, t1))
@@ -590,12 +597,23 @@ def spy_on_steps(monkeypatch):
 
     def integrate_linear(rhs, w, t0, t1, tol):
         steps["oracle"].append((t0, t1))
+        steps["rk45"].append((t0, t1))
         return linear(rhs, w, t0, t1, tol)
+
+    def interval_generator(spec, lattice, t, *rest):
+        built.append(t)
+        return generator(spec, lattice, t, *rest)
+
+    def uniformized(A, w, dt, tol):
+        steps["oracle"].append((built[-1], built[-1] + dt))
+        return exact(A, w, dt, tol)
 
     def thinning(*args):
         raise AssertionError("piecewise-constant rates entered the thinning path")
     monkeypatch.setattr(gf.filtering, "_propagate_epoch", propagate_epoch)
     monkeypatch.setattr(gf.population, "integrate_linear", integrate_linear)
+    monkeypatch.setattr(gf.filtering, "_interval_generator", interval_generator)
+    monkeypatch.setattr(gf.population, "_uniformized", uniformized)
     monkeypatch.setattr(gf.ModelSpec, "rate_bound", thinning)
     return steps
 
@@ -615,6 +633,7 @@ def test_piecewise_epochs_tile_the_schedule(monkeypatch):
     assert steps["filter"] == want
     assert math.isfinite(gf.oracle_loglik(spec, v, gf.sir_truncation(params)))
     assert steps["oracle"] == want
+    assert steps["rk45"] == []
 
     steps["filter"].clear()
     ens = gf.init_ensemble(spec, 50, np.random.default_rng(5))
@@ -634,6 +653,18 @@ def test_piecewise_oracle_matches_continuous_declaration():
     by_epoch = gf.oracle_loglik(spec, v, truncation, tol=1e-11)
     rebuilt = gf.oracle_loglik(continuous, v, truncation, tol=1e-11)
     assert abs(by_epoch - rebuilt) < 1e-7
+
+
+def test_oracle_takes_rk45_only_where_a_channel_has_a_bound(monkeypatch):
+    v = piecewise_visible()
+    params, spec = piecewise_sir((0.4, 1.1), (0.9, 0.3, 0.6))
+    truncation = gf.sir_truncation(params)
+    steps = spy_on_steps(monkeypatch)
+    gf.oracle_loglik(spec, v, truncation)
+    assert steps["oracle"] and steps["rk45"] == []
+    steps["oracle"].clear()
+    gf.oracle_loglik(declared_continuous(spec), v, truncation)
+    assert steps["oracle"] and steps["rk45"] == steps["oracle"]
 
 
 def test_piecewise_smc_is_deterministic_for_a_seed():
@@ -735,5 +766,38 @@ def test_sir100_seed101_values_are_pinned():
     assert gf.smc_loglik(varying, v, FilterConfig(1000, seed=3)).loglik == -0.28228013829960386
 
     loglik, grid = gf.oracle_loglik(spec, v, gf.sir_truncation(params), return_grid=True)
-    assert (loglik, grid.log_scale) == (0.29304921540179363, 1.4377195156502722)
+    # RK45 at tol 1e-12 gives 0.2930492140330583, log scale 1.437719515271477
+    assert (loglik, grid.log_scale) == (0.29304921403290485, 1.4377195152714253)
     assert gf.loglik_events(spec, gf.to_history(traj), v) == -10.778129199009985
+
+
+@pytest.mark.parametrize("beta, reference", [
+    (0.04, 0.2930492140330583),
+    (gf.PiecewiseConstant((0.5,), (0.04, 0.02)), -0.2745236725987975)],
+    ids=["constant", "piecewise"])
+def test_oracle_at_default_tol_matches_rk45_at_tol_1e_12(beta, reference):
+    # the references are the oracle with every epoch integrated by RK45
+    # (`integrate_linear`) at tol 1e-12; at tol 1e-8 RK45 was 1.4e-9 away
+    params = gf.SIRParams(beta, 1.0, 1.0, 97, 3)
+    spec = gf.sir_spec(params)
+    _, _, v = sir100_visible(1.0)
+    loglik = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
+    assert abs(loglik - reference) < 1e-10
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_oracle_rejects_a_bad_tol(tol):
+    spec = lbdp(0.5, 0.3, 0.6, 2)
+    truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        gf.oracle_loglik(spec, two_leaf_visible(), truncation, tol=tol)
+
+
+def test_oracle_rejects_an_init_pmf_that_does_not_broadcast():
+    base = lbdp(0.5, 0.3, 0.6, 2)
+    scalar = gf.ModelSpec("scalar-pmf", 2, base.events, base.rates, base.init_sample,
+                          lambda x: 1.0 if np.array_equal(x, [2, 0]) else 0.0,
+                          base.focal_size, bookkeeping_dims=(1,))
+    truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
+    with pytest.raises(FilterError, match=r"init_pmf gave shape \(\) for 31 states"):
+        gf.oracle_loglik(scalar, two_leaf_visible(), truncation)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 
 import genfilter as gf
 from genfilter.population import (Jump, JumpSequence, History, SimulationError,
-                                  _rate_integral, state_at, state_before, to_history,
+                                  _rate_integral, _uniformized, state_at, state_before, to_history,
                                   history_log_density, jump_log_density)
 
 
@@ -27,7 +29,7 @@ def make_spec(events, rates, x0, focal, d=None, **kw):
         return np.tile(x0, (n, 1))
 
     def init_pmf(x):
-        return 1.0 if np.array_equal(np.asarray(x), x0) else 0.0
+        return (np.asarray(x) == x0).all(axis=-1).astype(float)
 
     return gf.ModelSpec("adhoc", d, events, rates, init_sample, init_pmf,
                         focal, **kw)
@@ -339,6 +341,80 @@ def test_kfe_pure_death_survival_probability():
     pmf = gf.kfe_integrate(spec, [(0, 0), (1, 0)], {(1, 0): 1.0}, 0.0, 2.0)
     assert abs(pmf[(1, 0)] - math.exp(-2.0 * delta)) < 1e-8
     assert abs(sum(pmf.values()) - 1.0) < 1e-8
+
+
+def random_generator(rng, n, leak):
+    """Dense n-state generator: nonnegative off-diagonals, columns summing to -leak."""
+    A = rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(A, 0.0)
+    A -= np.diag(A.sum(axis=0) + leak)
+    return A
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.7, 4.0])
+def test_uniformized_matches_expm_on_a_dense_generator(dt):
+    rng = np.random.default_rng(17)
+    A = random_generator(rng, 6, rng.random(6))
+    w = rng.random(6)
+    got = _uniformized(csr_matrix(A), w, dt, 1e-8)
+    want = expm(dt * A) @ w
+    assert np.abs(got - want).max() < 1e-13
+    assert (got >= 0.0).all()
+
+
+def test_uniformized_splits_a_long_step():
+    # lam * dt = 1200 is cut into three substeps of mean 400
+    A = np.array([[-2.0, 1.0], [1.5, -1.0]])
+    w = np.array([0.3, 0.7])
+    got = _uniformized(csr_matrix(A), w, 600.0, 1e-8)
+    assert np.isfinite(got).all()
+    assert np.abs(got - expm(600.0 * A) @ w).max() < 1e-13
+
+
+def test_uniformized_matches_the_pure_death_law():
+    # n individuals each dying at rate delta: Binomial(n, exp(-delta t)) survive
+    n, delta, t = 12, 0.8, 1.3
+    A = np.zeros((n + 1, n + 1))
+    for k in range(1, n + 1):
+        A[k, k] = -delta * k
+        A[k - 1, k] = delta * k
+    w = np.zeros(n + 1)
+    w[n] = 1.0
+    got = _uniformized(csr_matrix(A), w, t, 1e-8)
+    p = math.exp(-delta * t)
+    want = [math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_uniformized_stops_at_a_tiny_tol(monkeypatch):
+    # lam * dt is about 11; the Poisson weights fall below the smallest
+    # double near term 314, so the series cannot run on
+    rng = np.random.default_rng(5)
+    A = csr_matrix(random_generator(rng, 5, 0.0))
+    products = []
+    matmul = csr_matrix.__matmul__
+
+    def counting(self, v):
+        products.append(1)
+        return matmul(self, v)
+    monkeypatch.setattr(csr_matrix, "__matmul__", counting)
+    mean = -A.diagonal().min() * 2.0
+    got = _uniformized(A, np.full(5, 0.2), 2.0, 1e-300)
+    assert np.isfinite(got).all()
+    assert mean < len(products) <= 320
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_integrate_linear_rejects_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        gf.integrate_linear(lambda t, w: -w, np.ones(2), 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_kfe_integrate_rejects_a_bad_tol(tol):
+    spec = lbdp(0.0, 0.9, 0.0, 1)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        gf.kfe_integrate(spec, [(0, 0), (1, 0)], {(1, 0): 1.0}, 0.0, 2.0, tol=tol)
 
 
 def chi_square_within_4_sigma(expected, counts):
