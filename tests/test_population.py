@@ -363,12 +363,11 @@ def test_uniformized_matches_expm_on_a_dense_generator(dt):
 
 
 def test_uniformized_splits_a_long_step():
-    # lam * dt = 1200 is cut into three substeps of mean 400
-    A = np.array([[-2.0, 1.0], [1.5, -1.0]])
-    w = np.array([0.3, 0.7])
-    got = _uniformized(csr_matrix(A), w, 600.0, 1e-8)
-    assert np.isfinite(got).all()
-    assert np.abs(got - expm(600.0 * A) @ w).max() < 1e-13
+    # lam * dt = 1200 is cut into three substeps of mean 400; in one step
+    # exp(-1200) would underflow to 0 and so would the result
+    A = np.array([[-2.0, 1.0], [2.0, -1.0]])
+    got = _uniformized(csr_matrix(A), np.array([0.3, 0.7]), 600.0, 1e-8)
+    assert np.abs(got - [1 / 3, 2 / 3]).max() < 1e-13
 
 
 def test_uniformized_matches_the_pure_death_law():
