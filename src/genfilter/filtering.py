@@ -9,6 +9,11 @@ Two routes, useful as cross-checks on each other:
   simulates sampling events and kills particles that produce one, while
   ``analytic-survival`` (the default) disables sampling channels and applies
   the exact survival weight, which lowers variance at equal cost.
+  `replicate_loglik` runs R replicates through the same driver
+  (`_run_filters`) as one array of R blocks of particles, of which
+  `smc_loglik` is the R = 1 case.  Each block draws from its own generator,
+  and only while it has particles to move, so every replicate is
+  bit-identical to its own run.
 * `oracle_loglik` evaluates the same unnormalized filtering recursion
   deterministically over a finite state truncation, which makes it an
   accuracy oracle at small scale.
@@ -21,7 +26,8 @@ particles or to grid weights.  Every rate is read through
 `ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
 
 Both routes make one walk, `_stretches`, over `genealogy.event_schedule`: a
-stretch of constant lineage count, then its event.  A genealogy the schedule
+stretch of constant lineage count, then its event.  The counts come from the
+schedule itself, so no node is classified twice.  A genealogy the schedule
 rejects raises its `GenealogyError` on both.
 
 Both routes work one epoch at a time: each interval between genealogy
@@ -45,6 +51,7 @@ model (pure event counters) are projected out of the internal state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,12 +61,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
-from .genealogy import Genealogy, LineageFunction, event_schedule
+from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
                          _generator, _rate_integral, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
+_LINEAGE_STEP = {"coalescence": 1, "direct": 0, "leaf": -1}
 
 
 class FilterError(RuntimeError):
@@ -181,13 +189,20 @@ def _stretches(v: Genealogy):
     """``(t, e, ell, kind, ell_post)`` per stretch [t, e] of ``ell`` lineages.
 
     Each stretch ends in an event of ``kind`` that leaves ``ell_post``
-    lineages, and a last one ends at ``v.time`` with ``kind`` None.
+    lineages, and a last one ends at ``v.time`` with ``kind`` None.  The
+    counts come from `event_schedule` alone: every node it leaves out is a
+    root, which starts one lineage, a coalescence adds one and a leaf
+    removes one.
     """
-    schedule, crossing, t = event_schedule(v), LineageFunction(v), 0.0
+    schedule, t = event_schedule(v), 0.0
+    ell = len(v.nodes) - len(schedule)
     for e, kind in schedule:
-        yield t, e, crossing(t), kind, crossing(e)
-        t = e
-    yield t, v.time, crossing(t), None, None
+        ell_post = ell + _LINEAGE_STEP[kind]
+        if ell_post < 0:
+            raise GenealogyError(f"leaf at t={e} leaves a negative lineage count")
+        yield t, e, ell, kind, ell_post
+        t, ell = e, ell_post
+    yield t, v.time, ell, None, None
 
 
 def _channels(spec: ModelSpec, kind: str) -> np.ndarray:
@@ -207,7 +222,7 @@ def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
     return Ensemble(states[:, :len(spec.active_dims)].copy(), np.zeros(n))
 
 
-def _propagate_epoch(spec, states, logw, t0, t1, ell, rng, survival: bool):
+def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     """Simulation of the live particles across one epoch [t0, t1], in place.
 
     Works on an index set of the particles that are live (finite log weight)
@@ -222,21 +237,32 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rng, survival: bool):
     total exceeds the summed rates at the candidate time, for which only the
     bounded channels are read again.  A rejected particle stays in the set
     at its candidate time; a rate above its bound raises `SimulationError`.
-    Under analytic survival the sampling channels are off the clock, and
-    their rate integral over each dwell leaves the log weight.
+    Under analytic survival the sampling channels are off the clock: a
+    constant one leaves the log weight as rate times each round's stretch,
+    a bounded one as its rate integral over the whole dwell, paid once at
+    the accepted jump or at t1.
 
-    Each round draws one waiting time and one channel uniform per particle
-    of the whole ensemble, and a particle uses the draws at its own row.
+    The particles form one block of equal size per generator in ``rngs``.
+    Each round, a block with a particle in the set draws from its own
+    generator one waiting time and then one channel uniform per particle of
+    the block, and a particle uses the draws at its own row; a block with
+    none draws nothing.  A block therefore takes the draws it would take
+    alone.
     """
-    n = len(logw)
+    n = len(logw) // len(rngs)
     thinned = np.flatnonzero(spec.bound_mask & ~(survival & spec.sample_mask)).tolist()
-    # off the clock under survival: constant sampling rates pay rate times
-    # dwell, bounded ones their integral
     sample_const = spec.sample_mask & ~spec.bound_mask
-    sample_quad = np.flatnonzero(spec.sample_mask & spec.bound_mask).tolist()
+    sample_quad = np.flatnonzero(survival & spec.sample_mask & spec.bound_mask).tolist()
+    waits, uniforms = np.empty(len(logw)), np.empty(len(logw))
+    edges = np.arange(len(rngs) + 1) * n
     idx = np.flatnonzero(np.isfinite(logw))
-    t = np.full(len(idx), t0)
+    t = entered = np.full(len(idx), t0)
     while len(idx):
+        bounds = np.searchsorted(idx, edges).tolist()
+        for r, rng in enumerate(rngs):
+            if bounds[r + 1] > bounds[r]:
+                rng.standard_exponential(out=waits[r * n:(r + 1) * n])
+                rng.random(out=uniforms[r * n:(r + 1) * n])
         x = states[idx]
         rates = spec.rate_matrix(t0, x)
         if survival:
@@ -245,27 +271,31 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rng, survival: bool):
         for k in thinned:
             rates[:, k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
         total = rates.sum(axis=1)
-        t_next = t + np.divide(rng.exponential(size=n)[idx], total,
-                               out=np.full(len(idx), np.inf), where=total > 0.0)
+        t_next = t + np.divide(waits[idx], total, out=np.full(len(idx), np.inf), where=total > 0.0)
         fires = t_next < t1
         if survival:
             stop = np.minimum(t_next, t1)
             logw[idx] -= g_rate * (stop - t)
-            if sample_quad:
-                logw[idx] -= [_rate_integral(spec, xi, a, b, channels=sample_quad)
-                              for xi, a, b in zip(x, t, stop)]
-        start = t
+        start, before = t, idx
         idx, t, rates, total = idx[fires], t_next[fires], rates[fires], total[fires]
-        u = rng.random(size=n)[idx] * total
+        u = uniforms[idx] * total
         jumped = idx
         if thinned:
-            x = x[fires]
+            candidates = x[fires]
             for k in thinned:
-                rates[:, k] = [spec.rate(k, a, xi) for a, xi in zip(t, x)]
+                rates[:, k] = [spec.rate(k, a, xi) for a, xi in zip(t, candidates)]
             actual = rates.sum(axis=1)
             _check_bound(actual, total, start[fires], t1)
             accept = u <= actual
             jumped, u, rates = idx[accept], u[accept], rates[accept]
+        if sample_quad:
+            # a dwell ends at t1 or at an accepted jump, not at a rejection
+            settled = ~fires
+            settled[fires] = accept if thinned else True
+            logw[before[settled]] -= [_rate_integral(spec, xi, a, b, channels=sample_quad)
+                                      for xi, a, b in zip(x[settled], entered[settled],
+                                                          stop[settled])]
+            entered = np.where(settled, stop, entered)[fires]
         choice = (u[:, None] > np.cumsum(rates, axis=1)).sum(axis=1)
         np.minimum(choice, spec.n_events - 1, out=choice)
         states[jumped] += spec.active_displacements[choice]
@@ -280,13 +310,15 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rng, survival: bool):
             logw[jumped[spec.sample_mask[choice]]] = -np.inf
         live = np.isfinite(logw[idx])
         idx, t = idx[live], t[live]
+        if sample_quad:
+            entered = entered[live]
     return states, logw
 
 
-def _propagate(spec, states, logw, t0, t1, ell, rng, survival: bool):
+def _propagate(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     """Advance particles across [t0, t1] one epoch at a time."""
     for a, b in spec.epochs(t0, t1):
-        states, logw = _propagate_epoch(spec, states, logw, a, b, ell, rng, survival)
+        states, logw = _propagate_epoch(spec, states, logw, a, b, ell, rngs, survival)
     return states, logw
 
 
@@ -309,7 +341,7 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
         raise ValueError("t1 < t0")
     if t1 > t0:
         states, logw = _propagate(spec, states, logw, t0, t1, ell,
-                                  ensure_rng(rng), weighting == "analytic-survival")
+                                  [ensure_rng(rng)], weighting == "analytic-survival")
     return Ensemble(states, logw)
 
 
@@ -324,8 +356,12 @@ def _event_terms(spec, states, e, kind, ell_post):
     return channels, terms
 
 
-def _apply_event(spec, states, logw, e, kind, ell_post, rng):
-    """Weight and move all particles through one genealogy event, in place."""
+def _apply_event(spec, states, logw, e, kind, ell_post, rngs):
+    """Weight and move all particles through one genealogy event, in place.
+
+    With more than one matching channel, each block of particles draws one
+    channel uniform per particle from its own generator in ``rngs``.
+    """
     channels, terms = _event_terms(spec, states, e, kind, ell_post)
     total = terms.sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -333,7 +369,8 @@ def _apply_event(spec, states, logw, e, kind, ell_post, rng):
     if len(channels) == 1:
         choice = np.zeros(len(states), dtype=np.intp)
     else:
-        u = rng.random(len(states))
+        n = len(states) // len(rngs)
+        u = np.concatenate([rng.random(n) for rng in rngs])
         cum = np.cumsum(terms, axis=1)
         choice = (u[:, None] * total[:, None] > cum).sum(axis=1)
         np.minimum(choice, len(channels) - 1, out=choice)
@@ -354,7 +391,7 @@ def event_update(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     """
     states, logw = _apply_event(spec, particles.states.copy(),
                                 particles.log_weights.copy(), e, kind,
-                                LineageFunction(v)(e), ensure_rng(rng))
+                                LineageFunction(v)(e), [ensure_rng(rng)])
     return Ensemble(states, logw)
 
 
@@ -380,6 +417,54 @@ def _resample(rng, states, logw, method):
     return states[idx].copy(), np.zeros(n)
 
 
+def _run_filters(spec, v, config, rngs) -> list[SMCResult]:
+    """One filter run per generator in ``rngs``, all advanced as one ensemble.
+
+    Run r holds block r of the particle arrays and draws from ``rngs[r]``
+    alone, so it gives the numbers it would give alone.  Each run keeps its
+    own log mean weight, ESS, resampling and collapse status; a run that
+    collapses leaves the arrays and draws nothing more.
+    """
+    n = config.n_particles
+    runs = running = [SMCResult(0.0, FilterDiagnostics()) for _ in rngs]
+    states = np.concatenate([init_ensemble(spec, n, rng).states for rng in rngs])
+    logw = np.zeros(len(states))
+    survival = config.weighting == "analytic-survival"
+    for t, e, ell, kind, ell_post in _stretches(v):
+        logw[spec.focal_sizes(states) < ell] = -np.inf
+        if e > t:
+            states, logw = _propagate(spec, states, logw, t, e, ell, rngs, survival)
+        if kind is not None:
+            states, logw = _apply_event(spec, states, logw, e, kind, ell_post, rngs)
+        lmw = logsumexp(logw.reshape(len(rngs), n), axis=1) - math.log(n)
+        kept = np.isfinite(lmw)
+        if not kept.all():
+            for run in itertools.compress(running, ~kept):
+                if kind is not None:
+                    run.diagnostics.events.append(EventDiagnostics(e, kind, -math.inf, 0.0, False))
+                run.loglik = -math.inf
+                run.diagnostics.collapsed, run.diagnostics.collapse_time = True, e
+            rows = np.repeat(kept, n)
+            states, logw, lmw = states[rows], logw[rows], lmw[kept]
+            running = list(itertools.compress(running, kept))
+            rngs = list(itertools.compress(rngs, kept))
+        for run, lmw_r in zip(running, lmw):
+            run.loglik += float(lmw_r)
+        if kind is None or not running:
+            break
+        for j, (run, rng) in enumerate(zip(running, rngs)):
+            block = slice(j * n, (j + 1) * n)
+            logw[block] -= lmw[j]
+            ess = _ess(logw[block])
+            resampled = ess < config.ess_threshold * n
+            if resampled:
+                states[block], logw[block] = _resample(rng, states[block], logw[block],
+                                                       config.resampling)
+                run.diagnostics.resample_count += 1
+            run.diagnostics.events.append(EventDiagnostics(e, kind, float(lmw[j]), ess, resampled))
+    return runs
+
+
 def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
                rng=None) -> SMCResult:
     """Particle-filter estimate of the log likelihood of a visible genealogy.
@@ -390,47 +475,26 @@ def smc_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     and the ensemble is resampled when the effective sample size drops
     below ``ess_threshold * n_particles``.  Deterministic given the seed.
     """
-    rng = ensure_rng(config.seed if rng is None else rng)
-    ens = init_ensemble(spec, config.n_particles, rng)
-    states, logw = ens.states, ens.log_weights
-    survival = config.weighting == "analytic-survival"
-    diag = FilterDiagnostics()
-    loglik = 0.0
-    for t, e, ell, kind, ell_post in _stretches(v):
-        logw[spec.focal_sizes(states) < ell] = -np.inf
-        if e > t:
-            states, logw = _propagate(spec, states, logw, t, e, ell, rng, survival)
-        if kind is not None:
-            states, logw = _apply_event(spec, states, logw, e, kind, ell_post, rng)
-        lmw = float(logsumexp(logw) - math.log(len(logw)))
-        if not math.isfinite(lmw):
-            if kind is not None:
-                diag.events.append(EventDiagnostics(e, kind, -math.inf, 0.0, False))
-            diag.collapsed, diag.collapse_time = True, e
-            return SMCResult(-math.inf, diag)
-        loglik += lmw
-        if kind is None:
-            break
-        logw -= lmw
-        ess = _ess(logw)
-        resampled = ess < config.ess_threshold * len(logw)
-        if resampled:
-            states, logw = _resample(rng, states, logw, config.resampling)
-            diag.resample_count += 1
-        diag.events.append(EventDiagnostics(e, kind, lmw, ess, resampled))
-    return SMCResult(loglik, diag)
+    return _run_filters(spec, v, config, [ensure_rng(config.seed if rng is None else rng)])[0]
 
 
 def replicate_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
                      n_reps: int) -> ReplicateResult:
     """Independent filter replicates with seeds derived from config.seed.
 
-    Replicates are independent streams spawned from the master seed, so
-    results do not depend on evaluation order.  Collapsed replicates are
-    recorded and excluded from the mean.
+    Replicate r draws from the r-th generator spawned from the master seed,
+    so results do not depend on evaluation order, and it equals
+    ``smc_loglik(spec, v, config, rng=np.random.default_rng(seed_r))`` bit
+    for bit.  The replicates run as one ensemble of ``n_reps * n_particles``
+    particles, which pays each propagation round's fixed cost once for all
+    of them; memory is that of one such run.  Collapsed replicates are
+    recorded and excluded from the mean.  ``n_reps`` must be an integer of
+    at least 1 (ValueError).
     """
+    if isinstance(n_reps, bool) or not isinstance(n_reps, (int, np.integer)) or n_reps < 1:
+        raise ValueError(f"n_reps must be an integer of at least 1, got {n_reps!r}")
     seeds = np.random.SeedSequence(config.seed).spawn(n_reps)
-    runs = [smc_loglik(spec, v, config, rng=np.random.default_rng(s)) for s in seeds]
+    runs = _run_filters(spec, v, config, [np.random.default_rng(s) for s in seeds])
     vals = np.array([r.loglik for r in runs])
     diagnostics = runs[0].diagnostics
     finite = np.isfinite(vals)

@@ -348,16 +348,20 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     """Classified event times of a visible genealogy, in sequence order.
 
     Root nodes (which hold their own green ball) describe the initial
-    condition and are not events; every other node must come after time 0.
-    Two events at one time are rejected: each needs the lineage count
-    between them.
+    condition and are not events: each must be green-green, one lineage
+    present from time 0 on.  Every other node must come after time 0 and
+    after the event before it.  Two events at one time are rejected: each
+    needs the lineage count between them.
     """
     out: dict[float, str] = {}
+    last = 0.0
     for n in v.nodes:
         colors = tuple(sorted(b.color for b in n.pocket))
         if BLACK in colors:
             raise GenealogyError(f"node {n.name}: extant individual; prune to a visible genealogy")
         if Ball(GREEN, n.name) in n.pocket:
+            if colors != (GREEN, GREEN) or n.time > 0:
+                raise GenealogyError(f"node {n.name}: a root must be green-green at t <= 0")
             continue
         kind = _VISIBLE_KINDS.get(colors)
         if kind is None:
@@ -366,7 +370,9 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
             raise GenealogyError(f"node {n.name}: {kind} at t={n.time} cannot precede the process")
         if n.time in out:
             raise GenealogyError(f"two genealogy events share time {n.time}")
-        out[n.time] = kind
+        if n.time < last:
+            raise GenealogyError(f"node {n.name}: {kind} at t={n.time} comes after one at t={last}")
+        out[n.time], last = kind, n.time
     return tuple(out.items())
 
 

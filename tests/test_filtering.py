@@ -6,9 +6,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genfilter as gf
-from genfilter.filtering import WEIGHTING_MODES, FilterConfig, FilterError
+from genfilter.filtering import RESAMPLING_METHODS, WEIGHTING_MODES, FilterConfig, FilterError
 
 
 def lbdp(lam, delta, psi, n0, mu=1.0):
@@ -85,6 +87,33 @@ def test_event_schedule_rejects_unpruned():
     g = gf.apply_sample(gf.new_genealogy(1), 0, 0.5)
     with pytest.raises(gf.GenealogyError, match="prune"):
         gf.event_schedule(replace(g, time=1.0))
+
+
+def visible_from(*nodes, time=1.0):
+    """A genealogy from (name, time, ((color, ball name), ...)) triples."""
+    return gf.Genealogy(time, tuple(gf.Node(name, t, frozenset(gf.Ball(c, b) for c, b in pocket))
+                                    for name, t, pocket in nodes))
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([(0, 0.0, (("green", 0), ("blue", 0)))], "root must be green-green"),
+    ([(0, 0.5, (("green", 0), ("green", 1))), (1, 0.7, (("red", 0), ("blue", 0)))],
+     "root must be green-green"),
+    ([(0, 0.0, (("green", 0), ("green", 1))), (1, 0.6, (("green", 2), ("green", 3))),
+      (2, 0.8, (("red", 0), ("blue", 0))), (3, 0.7, (("red", 1), ("blue", 1)))],
+     "comes after one at t=0.8"),
+    ([(0, 0.0, (("green", 0), ("green", 1))), (1, 0.5, (("red", 0), ("blue", 0))),
+      (2, 0.6, (("red", 1), ("blue", 1)))], "negative lineage count")],
+    ids=["root-not-green-green", "late-root", "out-of-order", "lineage-count-below-zero"])
+def test_schedule_faults_are_named_errors_on_both_routes(nodes, message):
+    # the routes take their lineage counts from the schedule, which must
+    # therefore refuse every genealogy it could count wrongly
+    spec = lbdp(1.0, 0.5, 0.6, 1)
+    v = visible_from(*nodes)
+    with pytest.raises(gf.GenealogyError, match=message):
+        gf.smc_loglik(spec, v, FilterConfig(10, seed=1))
+    with pytest.raises(gf.GenealogyError, match=message):
+        gf.oracle_loglik(spec, v, [(n, 0) for n in range(8)])
 
 
 def test_init_ensemble_projects_bookkeeping():
@@ -179,21 +208,29 @@ def test_propagate_reweights_hidden_births():
 
 @pytest.mark.parametrize("weighting", WEIGHTING_MODES)
 def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
-    # a recovery at i = ell = 2 is fatal; a third of the particles start dead
+    # a recovery at i = ell = 2 is fatal; a third of the particles start dead,
+    # and the second block starts with few live ones, so it empties first
     spec = sir(0.3, 0.5, 0.3, 8, 3)
     rng = np.random.default_rng(1)
     n = 300
-    states = np.column_stack([rng.integers(4, 9, n), rng.integers(2, 5, n), np.zeros(n, int)])
-    logw = np.where(rng.random(n) < 1 / 3, -np.inf, rng.normal(size=n))
+    states = np.column_stack([rng.integers(4, 9, 2 * n), rng.integers(2, 5, 2 * n),
+                              np.zeros(2 * n, int)])
+    logw = np.where(rng.random(2 * n) < 1 / 3, -np.inf, rng.normal(size=2 * n))
+    logw[n + 10:] = -np.inf
     dead0, states0 = ~np.isfinite(logw), states.copy()
-    rounds = []  # per round: rows the rates were read for, live mask, states
+    rngs = [np.random.default_rng(2), np.random.default_rng(3)]
+    rounds = []  # per round: rows the rates were read for, live mask, states, due blocks
+
+    def generator_states():
+        return [r.bit_generator.state["state"]["state"] for r in rngs]
+    drawn = [generator_states()]  # generator states after each round's draws
 
     def due():
         """Particles that must read rates now; checks that the dead stayed put."""
         live = np.isfinite(logw)
         if not rounds:
             return live
-        _, was_live, was = rounds[-1]
+        _, was_live, was, _ = rounds[-1]
         assert (states[~was_live] == was[~was_live]).all()
         assert (logw[~was_live] == -np.inf).all()
         # a particle reads rates again exactly when it jumped last round and is
@@ -201,17 +238,26 @@ def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
         return (states != was).any(axis=1) & live
 
     def rate_matrix(t, rows):
-        assert len(rows) == due().sum()
-        rounds.append((len(rows), np.isfinite(logw), states.copy()))
+        mask = due()
+        assert len(rows) == mask.sum()
+        blocks = mask.reshape(2, n).any(axis=1)
+        now = generator_states()
+        # a block draws this round exactly when it has a particle due
+        assert [a != b for a, b in zip(now, drawn[-1])] == blocks.tolist()
+        drawn.append(now)
+        rounds.append((len(rows), np.isfinite(logw), states.copy(), blocks))
         return gf.ModelSpec.rate_matrix(spec, t, rows)
     spec.rate_matrix = rate_matrix
-    gf.filtering._propagate_epoch(spec, states, logw, 0.0, 1.0, 2, np.random.default_rng(2),
+    gf.filtering._propagate_epoch(spec, states, logw, 0.0, 1.0, 2, rngs,
                                   weighting == "analytic-survival")
     assert not due().any()
+    assert generator_states() == drawn[-1]
     sizes = [r[0] for r in rounds]
-    assert sizes[0] == n - dead0.sum() and len(sizes) > 3 and sizes[-1] < sizes[0] / 4
+    assert sizes[0] == 2 * n - dead0.sum() and len(sizes) > 3 and sizes[-1] < sizes[0] / 4
     assert 0 < np.isfinite(logw).sum() < sizes[0]
     assert (states[dead0] == states0[dead0]).all()
+    # the second block runs out while the first still draws
+    assert any(first and not second for first, second in (r[3] for r in rounds))
 
 
 def test_propagate_interval_validates():
@@ -379,6 +425,73 @@ def test_replicate_loglik_records_collapses():
     assert rep.collapse_count == 5
     assert math.isnan(rep.se)
     assert rep.estimates == (-math.inf,) * 5
+
+
+@pytest.mark.parametrize("n_reps", [0, -1, 2.0, True])
+def test_replicate_loglik_rejects_a_bad_n_reps(n_reps):
+    spec, v, _ = lbdp_case()
+    with pytest.raises(ValueError, match="n_reps must be an integer of at least 1"):
+        gf.replicate_loglik(spec, v, FilterConfig(10, seed=1), n_reps)
+
+
+def assert_runs_are_sequential_runs(spec, v, config, n_reps):
+    """Each run of one batched ensemble, and each replicate, equals its own run alone."""
+    seeds = np.random.SeedSequence(config.seed).spawn(n_reps)
+    alone = [gf.smc_loglik(spec, v, config, rng=np.random.default_rng(s)) for s in seeds]
+    batched = gf.filtering._run_filters(spec, v, config,
+                                        [np.random.default_rng(s) for s in seeds])
+    assert [r.loglik for r in batched] == [r.loglik for r in alone]
+    assert [r.diagnostics for r in batched] == [r.diagnostics for r in alone]
+    rep = gf.replicate_loglik(spec, v, config, n_reps)
+    assert rep.estimates == tuple(r.loglik for r in alone)
+    assert rep.diagnostics == alone[0].diagnostics
+    return rep
+
+
+def bit_identity_case(name):
+    if name == "constant":
+        spec, v, _ = lbdp_case()
+        return spec, v
+    if name == "piecewise":
+        return piecewise_sir((0.4, 1.1), (0.9, 0.3, 0.6))[1], piecewise_visible()
+    if name == "bounded-infection":
+        return sinusoidal_sir(0.5), piecewise_visible()
+    if name == "two-birth-channels":  # a coalescence draws which channel fired
+        return gf.s2ir_spec(gf.S2IRParams(0.5, 0.4, 0.5, 0.6, 3, 3, 2)), piecewise_visible()
+    return sinusoidal_sir(0.5, "sampling"), coalescence_visible()
+
+
+BIT_IDENTITY_CASES = ["constant", "piecewise", "bounded-infection", "bounded-sampling",
+                      "two-birth-channels"]
+
+
+@pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
+@pytest.mark.parametrize("resampling", RESAMPLING_METHODS)
+@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+def test_replicates_are_bit_identical_to_sequential_runs(weighting, resampling, case):
+    spec, v = bit_identity_case(case)
+    config = FilterConfig(60, seed=43, weighting=weighting, resampling=resampling)
+    rep = assert_runs_are_sequential_runs(spec, v, config, 3)
+    assert rep.collapse_count < 3
+
+
+@pytest.mark.parametrize("case", ["constant", "bounded-infection", "two-birth-channels"])
+def test_collapsed_replicates_drop_out_of_the_ensemble(case):
+    # seven particles under rejection: some replicates collapse, the rest go on
+    spec, v = bit_identity_case(case)
+    rep = assert_runs_are_sequential_runs(
+        spec, v, FilterConfig(7, seed=3, weighting="rejection"), 6)
+    assert 0 < rep.collapse_count < 6
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), n_reps=st.integers(1, 4),
+       weighting=st.sampled_from(WEIGHTING_MODES),
+       case=st.sampled_from(BIT_IDENTITY_CASES))
+def test_replicates_match_sequential_runs_for_any_seed(seed, n, n_reps, weighting, case):
+    spec, v = bit_identity_case(case)
+    assert_runs_are_sequential_runs(spec, v, FilterConfig(n, seed=seed, weighting=weighting),
+                                    n_reps)
 
 
 def test_smc_resamples_on_threshold():
@@ -746,6 +859,35 @@ def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint, chan
     if breakpoint is not None:
         assert not any(a < breakpoint < b for a, b in steps)
         assert any(b == breakpoint for a, b in steps)
+
+
+def test_bounded_sampling_pays_its_integral_once_per_dwell(monkeypatch):
+    # the lone sampling channel runs at psi (1 + 0.5 sin 2 pi t) n; a thinned
+    # birth channel at rate 0 rejects every candidate, so no particle moves
+    # and each one's dwell is the whole epoch, however many rounds it takes
+    psi, n0, horizon = 0.6, 3, 1.7
+    base = lbdp(0.0, 0.0, psi, n0)
+    rates = (lambda t, x: 0.0 * x[..., 0], base.rates[1],
+             lambda t, x: psi * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0])
+    bounds = (lambda t0, t1, x: 2.0 * float(x[..., 0]), None,
+              lambda t0, t1, x: 1.5 * psi * float(x[..., 0]))
+    spec = gf.ModelSpec("lbdp-sin-sampling", base.d, base.events, rates, base.init_sample,
+                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        bookkeeping_dims=base.bookkeeping_dims)
+    calls = []
+    integral = gf.filtering._rate_integral
+
+    def rate_integral(*args, **kwargs):
+        calls.append(args)
+        return integral(*args, **kwargs)
+    monkeypatch.setattr(gf.filtering, "_rate_integral", rate_integral)
+    ens = gf.init_ensemble(spec, 20, np.random.default_rng(44))
+    out = gf.propagate_interval(spec, ens, empty_visible(horizon), 0.0, horizon,
+                                np.random.default_rng(45))
+    want = -psi * n0 * (horizon + 0.5 * (1.0 - math.cos(2 * math.pi * horizon)) / (2 * math.pi))
+    assert (out.states == ens.states).all()
+    assert np.abs(out.log_weights - want).max() < 1e-9
+    assert len(calls) == 20
 
 
 def test_sir100_seed101_values_are_pinned():
