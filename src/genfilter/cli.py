@@ -109,6 +109,13 @@ _SCHEMA = {
 }
 
 
+# JSON integers only: Draft 2020-12's "integer" also takes a float with no fraction, such as 2.0
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)))
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
@@ -119,8 +126,7 @@ def load_config(path) -> dict:
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    validator = jsonschema.Draft202012Validator(_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = sorted(_VALIDATOR(_SCHEMA).iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         where = ".".join(str(p) for p in err.absolute_path)

@@ -58,7 +58,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
@@ -79,7 +78,8 @@ class FilterConfig:
     """Particle-filter settings.
 
     ``ess_threshold`` is the fraction of the particle count below which the
-    ensemble is resampled after an event update.
+    ensemble is resampled after an event update.  ``n_particles`` must be an
+    integer of at least 1 (ValueError).
     """
 
     n_particles: int = 1000
@@ -89,8 +89,9 @@ class FilterConfig:
     weighting: str = "analytic-survival"
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
+        n = self.n_particles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_particles must be an integer of at least 1, got {n!r}")
         if not 0.0 <= self.ess_threshold <= 1.0:
             raise ValueError("ess_threshold is a fraction of n_particles")
         if self.resampling not in RESAMPLING_METHODS:
@@ -125,12 +126,17 @@ class FilterDiagnostics:
     ``collapsed`` marks the point where every particle weight vanished.  For
     a genealogy the model cannot produce at all, -inf is the exact answer;
     otherwise a collapse means the particle count was insufficient.
+    ``rounds`` counts the propagation rounds in which the run drew, and
+    ``jumps`` the jumps its particles took between genealogy events
+    (accepted thinning candidates only); neither goes into `to_csv`.
     """
 
     events: list[EventDiagnostics] = field(default_factory=list)
     resample_count: int = 0
     collapsed: bool = False
     collapse_time: float | None = None
+    rounds: int = 0
+    jumps: int = 0
 
     @property
     def ess_trace(self) -> list[float]:
@@ -222,104 +228,133 @@ def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
     return Ensemble(states[:, :len(spec.active_dims)].copy(), np.zeros(n))
 
 
+def _log_gains(spec, ell, survival: bool, top: int) -> np.ndarray:
+    """Log weight change of a jump by channel k to focal size s, as ``gains[k, s]``.
+
+    Covers the sizes 0..top at lineage count ``ell``: a birth pays its
+    `hidden_birth_factor`, and a death below ``ell`` and, under rejection,
+    a sample are fatal (-inf).  The extra last row is a rejected thinning
+    candidate, which pays nothing.  Focal sizes, being counts, index the
+    columns directly.
+    """
+    size = np.arange(top + 1)
+    gains = np.zeros((spec.n_events + 1, top + 1))
+    with np.errstate(divide="ignore"):
+        gains[:-1][spec.birth_mask] = np.log(hidden_birth_factor(size, ell))
+    gains[:-1][spec.death_mask[:, None] & (size < ell)] = -np.inf
+    if not survival:
+        gains[:-1][spec.sample_mask] = -np.inf
+    return gains
+
+
+def _cumsum_channels(rates: np.ndarray) -> np.ndarray:
+    """``np.cumsum(rates, axis=0)``, by the same additions row by row, which is faster."""
+    cum = rates.copy()
+    for k in range(1, len(cum)):
+        cum[k] += cum[k - 1]
+    return cum
+
+
 def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     """Simulation of the live particles across one epoch [t0, t1], in place.
 
-    Works on an index set of the particles that are live (finite log weight)
-    and have not yet passed t1: only those read rates and take a candidate
-    time.  A particle leaves the set when its next candidate would pass t1
-    or its weight becomes -inf, so a dead particle is never touched.
+    Works on the index set of live (finite log weight) particles that have
+    not yet passed t1: only they read rates and take a candidate time, and a
+    particle leaves the set when its next candidate would pass t1 or a jump
+    kills it.  Their states are carried from round to round and written back
+    through a view of one item per row, which scatters several times faster.
 
     Each round, a channel without a rate bound runs at its rate at t0 and a
     channel with one at `ModelSpec.rate_bound` on [t, t1]: the bounded
-    channels are thinned (Lewis & Shedler 1979).  The channel uniform u also
-    decides acceptance: a candidate is rejected when u times the clock's
-    total exceeds the summed rates at the candidate time, for which only the
-    bounded channels are read again.  A rejected particle stays in the set
-    at its candidate time; a rate above its bound raises `SimulationError`.
+    channels are thinned (Lewis & Shedler 1979).  One cumulative sum over the
+    channels gives the clock's total and, with the channel uniform u, the
+    channel; a candidate is rejected, and stays in the set at its time, when
+    u times the total exceeds the summed rates there, where only the bounded
+    channels are read again (a rate above its bound raises `SimulationError`).
     Under analytic survival the sampling channels are off the clock: a
-    constant one leaves the log weight as rate times each round's stretch,
-    a bounded one as its rate integral over the whole dwell, paid once at
-    the accepted jump or at t1.
+    constant one leaves the log weight as rate times each round's stretch, a
+    bounded one as its rate integral over the whole dwell, paid once at the
+    accepted jump or at t1.  Jumps pay `_log_gains`.
 
     The particles form one block of equal size per generator in ``rngs``.
     Each round, a block with a particle in the set draws from its own
     generator one waiting time and then one channel uniform per particle of
     the block, and a particle uses the draws at its own row; a block with
-    none draws nothing.  A block therefore takes the draws it would take
-    alone.
+    none draws nothing, so a block takes the draws it would take alone.
+    Also returns each block's rounds and accepted jumps, shape (2, blocks).
     """
-    n = len(logw) // len(rngs)
+    n, rejected = len(logw) // len(rngs), spec.n_events
     thinned = np.flatnonzero(spec.bound_mask & ~(survival & spec.sample_mask)).tolist()
-    sample_const = spec.sample_mask & ~spec.bound_mask
+    sample_const = np.flatnonzero(spec.sample_mask & ~spec.bound_mask).tolist()
     sample_quad = np.flatnonzero(survival & spec.sample_mask & spec.bound_mask).tolist()
-    waits, uniforms = np.empty(len(logw)), np.empty(len(logw))
-    edges = np.arange(len(rngs) + 1) * n
+    moves = np.vstack([spec.active_displacements, np.zeros_like(spec.active_displacements[:1])])
+    gains, waits, uniforms = np.empty((rejected + 1, 0)), np.empty(len(logw)), np.empty(len(logw))
+    edges, rounds, jumps = np.arange(len(rngs) + 1) * n, [0] * len(rngs), [0] * len(rngs)
     idx = np.flatnonzero(np.isfinite(logw))
-    t = entered = np.full(len(idx), t0)
+    x, t = states[idx], np.full(len(idx), t0)
+    rows, entered = states.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0], t
     while len(idx):
         bounds = np.searchsorted(idx, edges).tolist()
         for r, rng in enumerate(rngs):
             if bounds[r + 1] > bounds[r]:
                 rng.standard_exponential(out=waits[r * n:(r + 1) * n])
                 rng.random(out=uniforms[r * n:(r + 1) * n])
-        x = states[idx]
-        rates = spec.rate_matrix(t0, x)
+                rounds[r] += 1
+        rates = spec.rate_matrix(t0, x).T  # channel-major: one row per channel
         if survival:
-            g_rate = rates[:, sample_const].sum(axis=1)
-            rates[:, spec.sample_mask] = 0.0
+            g_rate = rates[sample_const].sum(axis=0)
+            rates[sample_const + sample_quad] = 0.0
         for k in thinned:
-            rates[:, k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
-        total = rates.sum(axis=1)
-        t_next = t + np.divide(waits[idx], total, out=np.full(len(idx), np.inf), where=total > 0.0)
-        fires = t_next < t1
+            rates[k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
+        cum = _cumsum_channels(rates)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t + waits[idx] / np.abs(cum[-1])
+        fired = (t_next < t1).nonzero()[0]
         if survival:
-            stop = np.minimum(t_next, t1)
-            logw[idx] -= g_rate * (stop - t)
-        start, before = t, idx
-        idx, t, rates, total = idx[fires], t_next[fires], rates[fires], total[fires]
-        u = uniforms[idx] * total
-        jumped = idx
+            stop = np.fmin(t_next, t1)
+            np.subtract.at(logw, idx, g_rate * (stop - t))
+        start, before, held = t, idx, x
+        idx, t, x, cum = idx[fired], t_next[fired], x.take(fired, axis=0), cum.take(fired, axis=1)
+        u = uniforms[idx] * cum[-1]
         if thinned:
-            candidates = x[fires]
+            rates = rates.take(fired, axis=1)
             for k in thinned:
-                rates[:, k] = [spec.rate(k, a, xi) for a, xi in zip(t, candidates)]
-            actual = rates.sum(axis=1)
-            _check_bound(actual, total, start[fires], t1)
-            accept = u <= actual
-            jumped, u, rates = idx[accept], u[accept], rates[accept]
+                rates[k] = [spec.rate(k, a, xi) for a, xi in zip(t, x)]
+            bound, cum = cum[-1], _cumsum_channels(rates)
+            _check_bound(cum[-1], bound, start[fired], t1)
+        # cum[k-1] < u <= cum[k] picks channel k; u above every entry is a rejection
+        choice = (u > cum).sum(axis=0)
         if sample_quad:
             # a dwell ends at t1 or at an accepted jump, not at a rejection
-            settled = ~fires
-            settled[fires] = accept if thinned else True
+            settled = np.ones(len(before), dtype=bool)
+            settled[fired] = choice < rejected
             logw[before[settled]] -= [_rate_integral(spec, xi, a, b, channels=sample_quad)
-                                      for xi, a, b in zip(x[settled], entered[settled],
+                                      for xi, a, b in zip(held[settled], entered[settled],
                                                           stop[settled])]
-            entered = np.where(settled, stop, entered)[fires]
-        choice = (u[:, None] > np.cumsum(rates, axis=1)).sum(axis=1)
-        np.minimum(choice, spec.n_events - 1, out=choice)
-        states[jumped] += spec.active_displacements[choice]
-        born = jumped[spec.birth_mask[choice]]
-        if len(born):
-            with np.errstate(divide="ignore"):
-                logw[born] += np.log(hidden_birth_factor(spec.focal_sizes(states[born]), ell))
-        died = jumped[spec.death_mask[choice]]
-        if len(died):
-            logw[died[spec.focal_sizes(states[died]) < ell]] = -np.inf
-        if not survival:
-            logw[jumped[spec.sample_mask[choice]]] = -np.inf
-        live = np.isfinite(logw[idx])
-        idx, t = idx[live], t[live]
-        if sample_quad:
-            entered = entered[live]
-    return states, logw
+            entered = np.where(settled, stop, entered)[fired]
+        x += moves.take(choice, axis=0)
+        rows[idx] = x.view(rows.dtype)[:, 0]
+        moved = np.searchsorted(idx[choice < rejected] if thinned else idx, edges).tolist()
+        jumps = [j + b - a for j, a, b in zip(jumps, moved, moved[1:])]
+        if (size := spec.focal_sizes(x)).max(initial=-1) >= gains.shape[1]:
+            gains = _log_gains(spec, ell, survival, 2 * int(size.max()))
+        gain = gains[choice, size]
+        np.add.at(logw, idx, gain)
+        if gain.min(initial=0.0) == -np.inf:
+            live = (gain > -np.inf).nonzero()[0]
+            idx, t, x = idx[live], t[live], x.take(live, axis=0)
+            if sample_quad:
+                entered = entered[live]
+    return states, logw, np.array([rounds, jumps])
 
 
 def _propagate(spec, states, logw, t0, t1, ell, rngs, survival: bool):
-    """Advance particles across [t0, t1] one epoch at a time."""
+    """Advance particles across [t0, t1] one epoch at a time; also sums the epochs' tallies."""
+    tally = np.zeros((2, len(rngs)), dtype=np.int64)
     for a, b in spec.epochs(t0, t1):
-        states, logw = _propagate_epoch(spec, states, logw, a, b, ell, rngs, survival)
-    return states, logw
+        states, logw, counts = _propagate_epoch(spec, states, logw, a, b, ell, rngs, survival)
+        tally += counts
+    return states, logw, tally
 
 
 def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
@@ -340,8 +375,8 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     if t1 < t0:
         raise ValueError("t1 < t0")
     if t1 > t0:
-        states, logw = _propagate(spec, states, logw, t0, t1, ell,
-                                  [ensure_rng(rng)], weighting == "analytic-survival")
+        states, logw, _ = _propagate(spec, states, logw, t0, t1, ell,
+                                     [ensure_rng(rng)], weighting == "analytic-survival")
     return Ensemble(states, logw)
 
 
@@ -395,6 +430,23 @@ def event_update(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     return Ensemble(states, logw)
 
 
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over ``axis``, bit for bit as `scipy.special.logsumexp` 1.17 gives it.
+
+    The maxima are set apart: with ``s`` the sum of exp(a - max) over the
+    other entries, divided by the count of maxima, the result is
+    log1p(s) + log(count) + max.  A row of -inf gives -inf.
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    count = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on a row of -inf
+        rest = np.exp(np.where(at_top, -np.inf, a) - top)
+    s = np.sum(rest, axis=axis, keepdims=True) / count
+    out = np.where(top == -np.inf, -np.inf, np.log1p(s) + np.log(count) + top)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def _ess(logw: np.ndarray) -> float:
     finite = logw[np.isfinite(logw)]
     if not len(finite):
@@ -405,7 +457,7 @@ def _ess(logw: np.ndarray) -> float:
 
 def _resample(rng, states, logw, method):
     n = len(logw)
-    shifted = logw - logsumexp(logw)
+    shifted = logw - _logsumexp(logw)
     w = np.exp(shifted)
     w /= w.sum()
     if method == "systematic":
@@ -433,10 +485,13 @@ def _run_filters(spec, v, config, rngs) -> list[SMCResult]:
     for t, e, ell, kind, ell_post in _stretches(v):
         logw[spec.focal_sizes(states) < ell] = -np.inf
         if e > t:
-            states, logw = _propagate(spec, states, logw, t, e, ell, rngs, survival)
+            states, logw, tally = _propagate(spec, states, logw, t, e, ell, rngs, survival)
+            for run, (rounds, jumps) in zip(running, tally.T.tolist()):
+                run.diagnostics.rounds += rounds
+                run.diagnostics.jumps += jumps
         if kind is not None:
             states, logw = _apply_event(spec, states, logw, e, kind, ell_post, rngs)
-        lmw = logsumexp(logw.reshape(len(rngs), n), axis=1) - math.log(n)
+        lmw = _logsumexp(logw.reshape(len(rngs), n), axis=1) - math.log(n)
         kept = np.isfinite(lmw)
         if not kept.all():
             for run in itertools.compress(running, ~kept):

@@ -308,6 +308,23 @@ def test_rejects_bad_model_params(tmp_path, capsys):
     assert "config.model.params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field", [
+    ({"filter": {"n_particles": 200.0}}, "config.filter.n_particles"),
+    ({"filter": {"n_particles": 200, "n_reps": 2.0}}, "config.filter.n_reps"),
+    ({"seed": 11.0}, "config.seed"),
+    ({"simulate": {"horizon": 2.0, "max_jumps": 50.0}}, "config.simulate.max_jumps"),
+    ({"oracle": {"n_max": 30.0}}, "config.oracle.n_max"),
+], ids=["n_particles", "n_reps", "seed", "max_jumps", "n_max"])
+def test_integer_fields_take_json_integers_only(tmp_path, capsys, section, field):
+    # JSON Schema's "integer" also takes 200.0; the filter then failed with a TypeError
+    out = simulated(tmp_path)
+    config = write_config(tmp_path, name="filter.json",
+                          inputs={"genealogy": str(out / "genealogy_visible.json")}, **section)
+    assert run("filter", "--config", config, "--out", tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err and "is not of type 'integer'" in err
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run("filter", "--config", config, "--out", tmp_path / "o") == 2

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import logsumexp
 
 import genfilter as gf
 from genfilter.filtering import RESAMPLING_METHODS, WEIGHTING_MODES, FilterConfig, FilterError
@@ -61,6 +63,12 @@ def simulate_with_samples(spec, horizon, seed, lo, hi):
 
 # ---------------------------------------------------------------------------
 # Configuration and schedule
+
+
+@pytest.mark.parametrize("n_particles", [0, 200.0, True, "5"])
+def test_filter_config_rejects_a_bad_n_particles(n_particles):
+    with pytest.raises(ValueError, match="n_particles must be an integer of at least 1"):
+        FilterConfig(n_particles)
 
 
 def test_filter_config_validation():
@@ -204,6 +212,21 @@ def test_propagate_reweights_hidden_births():
         want = sum(math.log(1.0 - 1.0 / (m * (m - 1) / 2.0))
                    for m in range(3, int(size) + 1))
         assert logw == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+def test_a_total_rate_of_negative_zero_fires_nothing(weighting):
+    # rate_matrix accepts -0.0; a clock whose total is -0.0 must not jump at t = -inf,
+    # and a jump off n = 3 would meet a negative rate, which raises
+    base = lbdp(0.0, 0.0, 0.0, 3)
+    spec = gf.ModelSpec("negative-zero", base.d, base.events,
+                        [lambda t, x: np.where(x[..., 0] == 3, -0.0, -1.0)] * base.n_events,
+                        base.init_sample,
+                        base.init_pmf, base.focal_size, bookkeeping_dims=base.bookkeeping_dims)
+    ens = gf.init_ensemble(spec, 50, np.random.default_rng(1))
+    out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.4,
+                                np.random.default_rng(2), weighting)
+    assert (out.states == ens.states).all() and (out.log_weights == 0.0).all()
 
 
 @pytest.mark.parametrize("weighting", WEIGHTING_MODES)
@@ -911,6 +934,98 @@ def test_sir100_seed101_values_are_pinned():
     # RK45 at tol 1e-12 gives 0.2930492140330583, log scale 1.437719515271477
     assert (loglik, grid.log_scale) == (0.29304921403290485, 1.4377195152714253)
     assert gf.loglik_events(spec, gf.to_history(traj), v) == -10.778129199009985
+
+
+def test_sir100_seed101_rounds_and_jumps_are_pinned():
+    # the rounds equal the propagation rounds the kernel took before it counted them
+    _, spec, v = sir100_visible(1.0)
+    for weighting, want in [("analytic-survival", (168, 73402)), ("rejection", (128, 46258))]:
+        d = gf.smc_loglik(spec, v, FilterConfig(2000, seed=7, weighting=weighting)).diagnostics
+        assert (d.rounds, d.jumps) == want
+
+
+# loglik and resample count of one run through each branch of `_propagate_epoch`,
+# recorded before its rewrite into one cumulative-rate array and a table of gains
+KERNEL_BRANCH_PINS = {
+    ("constant", "analytic-survival"): (-4.714708510836912, 2),
+    ("constant", "rejection"): (-4.829146271262544, 3),
+    ("bounded-infection", "analytic-survival"): (-6.254882387001657, 1),
+    ("bounded-infection", "rejection"): (-7.055957500004559, 2),
+    ("bounded-sampling", "analytic-survival"): (-0.7262464535393667, 0),
+    ("bounded-sampling", "rejection"): (-0.8483144077528921, 2),
+    ("two-birth-channels", "analytic-survival"): (-4.605046056165328, 1),
+    ("two-birth-channels", "rejection"): (-4.778195904110257, 2),
+}
+
+
+@pytest.mark.parametrize("case, weighting", sorted(KERNEL_BRANCH_PINS))
+def test_kernel_branches_are_pinned(case, weighting):
+    spec, v = bit_identity_case(case)
+    res = gf.smc_loglik(spec, v, FilterConfig(200, seed=17, weighting=weighting))
+    assert (res.loglik, res.diagnostics.resample_count) == KERNEL_BRANCH_PINS[case, weighting]
+
+
+def test_replicate_estimates_are_pinned():
+    spec, v = bit_identity_case("two-birth-channels")
+    rep = gf.replicate_loglik(spec, v, FilterConfig(200, seed=19, resampling="multinomial"), 3)
+    assert rep.estimates == (-4.214200564296141, -4.354270730083583, -4.27479881351288)
+    assert (rep.collapse_count, rep.diagnostics.resample_count) == (0, 1)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["constant", "thinned"])
+def test_rounds_and_jumps_count_the_kernel_work(monkeypatch, bounded):
+    # pure death from 5, at rate 0.8 n, or thinned at 0.8 n (1 + 0.5 sin 2 pi t)
+    # against 1.2 n: every accepted jump is a death, and a rejection is none
+    base = lbdp(0.0, 0.8, 0.0, 5)
+    rates, bounds = list(base.rates), [None] * base.n_events
+    if bounded:
+        rates[1] = lambda t, x: 0.8 * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0]
+        bounds[1] = lambda t0, t1, x: 1.2 * float(x[..., 0])
+    spec = gf.ModelSpec("pure-death", base.d, base.events, rates, base.init_sample,
+                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        bookkeeping_dims=base.bookkeeping_dims)
+    reads = []
+    read = gf.ModelSpec.rate_matrix
+
+    def rate_matrix(self, t, states):
+        reads.append(len(states))
+        return read(self, t, states)
+    monkeypatch.setattr(gf.ModelSpec, "rate_matrix", rate_matrix)
+    n = 200
+    states = gf.init_ensemble(spec, 2 * n, np.random.default_rng(0)).states
+    logw = np.zeros(2 * n)
+    logw[n + 20:] = -np.inf  # the second block has 20 live particles
+    seeds = [1, 2]
+    both, _, tally = gf.filtering._propagate_epoch(
+        spec, states.copy(), logw.copy(), 0.0, 3.0, 0, [np.random.default_rng(s) for s in seeds],
+        True)
+    assert len(reads) == tally[0].max()
+    deaths = (5 - both[:, 0]).reshape(2, n).sum(axis=1)
+    assert tally[1].tolist() == deaths.tolist() and deaths.min() > 0
+    for r, seed in enumerate(seeds):
+        reads.clear()
+        block = slice(r * n, (r + 1) * n)
+        alone, _, solo = gf.filtering._propagate_epoch(
+            spec, states[block].copy(), logw[block].copy(), 0.0, 3.0, 0,
+            [np.random.default_rng(seed)], True)
+        assert (alone == both[block]).all()
+        assert solo.ravel().tolist() == [len(reads), tally[1, r]] == [tally[0, r], deaths[r]]
+    # five deaths and the wait past t1 take six rounds; rejected candidates take more
+    assert (tally[0].max() > 6) == bounded
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(a=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40),
+                elements=st.one_of(st.sampled_from([-math.inf, -1.5, 0.0, 3.25]),
+                                   st.floats(-800.0, 800.0))),
+       dead=st.lists(st.booleans(), max_size=40))
+def test_logsumexp_is_scipys_bit_for_bit(a, dead):
+    # ties at the maximum come from the sampled values, -inf rows from ``dead``
+    a[np.flatnonzero(dead[:len(a)])] = -math.inf
+    for got, want in [(gf.filtering._logsumexp(a, axis=1), logsumexp(a, axis=1)),
+                      (gf.filtering._logsumexp(a[0]), logsumexp(a[0]))]:
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("beta, reference", [

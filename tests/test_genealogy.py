@@ -164,6 +164,22 @@ def test_prune_is_drop_order_insensitive():
             assert st.freeze() == v
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rates=st.tuples(*(st.floats(0.1, 1.5),) * 3),
+       n0=st.integers(1, 3), data=st.data())
+def test_prune_is_independent_of_the_drop_order(seed, rates, n0, data):
+    spec = lbdp(*rates, n0)
+    traj = gf.simulate(spec, 2.0, np.random.default_rng(seed))
+    g, inv = gf.build_genealogy(spec, traj)
+    extant = list(inv.names)
+    dropped = g
+    for name in data.draw(st.permutations(inv.names)):
+        # apply_death takes the individual's rank among those still extant
+        dropped = gf.apply_death(dropped, extant.index(name), g.time)
+        extant.remove(name)
+    assert dropped == gf.prune(g)
+
+
 def test_prune_keeps_only_sample_ancestry():
     # births without any samples leave nothing visible
     spec = lbdp(1.5, 0.0, 0.0, 1)
