@@ -937,15 +937,15 @@ def test_sir100_seed101_values_are_pinned():
 
 
 def test_sir100_seed101_rounds_and_jumps_are_pinned():
-    # the rounds equal the propagation rounds the kernel took before it counted them
+    # the kernel's work: any change to the stream or to how rounds are formed moves these
     _, spec, v = sir100_visible(1.0)
     for weighting, want in [("analytic-survival", (168, 73402)), ("rejection", (128, 46258))]:
         d = gf.smc_loglik(spec, v, FilterConfig(2000, seed=7, weighting=weighting)).diagnostics
         assert (d.rounds, d.jumps) == want
 
 
-# loglik and resample count of one run through each branch of `_propagate_epoch`,
-# recorded before its rewrite into one cumulative-rate array and a table of gains
+# loglik and resample count of one run through each branch of `_propagate_epoch`:
+# a change to a branch's arithmetic or draws moves one of them
 KERNEL_BRANCH_PINS = {
     ("constant", "analytic-survival"): (-4.714708510836912, 2),
     ("constant", "rejection"): (-4.829146271262544, 3),
