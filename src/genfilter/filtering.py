@@ -306,14 +306,14 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
             rates[sample_const + sample_quad] = 0.0
         for k in thinned:
             rates[k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
-        cum = _cumsum_channels(rates)
+        rates, cum = rates if thinned else None, _cumsum_channels(rates)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_next = t + waits[idx] / np.abs(cum[-1])
         fired = (t_next < t1).nonzero()[0]
         if survival:
             stop = np.fmin(t_next, t1)
             np.subtract.at(logw, idx, g_rate * (stop - t))
-        start, before, held = t, idx, x
+        start, before, held = t, idx, x if sample_quad else None
         idx, t, x, cum = idx[fired], t_next[fired], x.take(fired, axis=0), cum.take(fired, axis=1)
         u = uniforms[idx] * cum[-1]
         if thinned:
