@@ -40,9 +40,10 @@ channels with a bound are thinned, and they alone are read again at each
 candidate time.  The oracle's generator is `forward_generator`'s assembly
 with its inflow scaled per state and channel, which keeps it a
 sub-generator: nonnegative off the diagonal, columns summing to at most 0.
-It is built once per epoch and the epoch is one exact uniformization step
-(`integrate_epochs`); only when some channel has a bound is it rebuilt at
-every RK45 step instead.
+Its sparsity pattern is assembled once per oracle call, with the lattice
+(`StateLattice.pattern`); each epoch only refills the data, once for one
+exact uniformization step (`integrate_epochs`), or, when some channel has a
+bound, at every RK45 step.
 
 States with fewer focal individuals than the genealogy's lineages carry zero
 weight from each stretch's start.  Coordinates declared as bookkeeping on the
@@ -345,6 +346,9 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
             idx, t, x = idx[live], t[live], x.take(live, axis=0)
             if sample_quad:
                 entered = entered[live]
+        # free this round's arrays before the next round makes its own
+        rates = cum = t_next = fired = stop = start = before = held = u = choice = None
+        size = gain = g_rate = None
     return states, logw, np.array([rounds, jumps])
 
 
@@ -569,11 +573,15 @@ def _interval_generator(spec, lattice, t, ell, compat):
 
     Sampling channels act as pure killing (outflow without inflow); birth
     inflow is damped by the no-coalescence probability; inflow into states
-    inconsistent with the lineage count is dropped.
+    inconsistent with the lineage count is dropped.  The no-coalescence
+    probability is read from a table by focal size, as `_log_gains` reads
+    its factors.
     """
-    hidden = hidden_birth_factor(spec.focal_sizes(lattice.states), ell)[:, None]
-    scale = np.where(spec.birth_mask, hidden, 1.0) * compat[:, None]
-    scale[:, spec.sample_mask] = 0.0
+    size = spec.focal_sizes(lattice.states)
+    hidden = hidden_birth_factor(np.arange(size.max() + 1), ell)[size] * compat
+    scale = np.zeros((lattice.size, spec.n_events))
+    for k in np.flatnonzero(~spec.sample_mask):
+        scale[:, k] = hidden if spec.birth_mask[k] else compat
     return _generator(lattice, spec.active_displacements,
                       spec.rate_matrix(t, lattice.states), scale)
 
@@ -608,7 +616,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     by more than ``tol`` times the mass it started from raises
     `IntegrationError` naming the interval.  A ``tol`` that is not positive
     and finite raises ValueError, and an ``init_pmf`` that does not give one
-    value per state raises `FilterError`.
+    value per state, or gives a negative or non-finite one, raises
+    `FilterError`.
     """
     _check_tol(tol)
     n_active = len(spec.active_dims)
@@ -618,6 +627,10 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     if pmf.shape != (len(full),):
         raise FilterError(f"init_pmf gave shape {pmf.shape} for {len(full)} states; "
                           f"it must broadcast over leading axes like a rate")
+    if not (pmf.min() >= 0.0 and pmf.max() < math.inf):
+        i = np.argmax(~(pmf >= 0.0) | (pmf == math.inf))
+        raise FilterError(f"init_pmf gave {pmf[i]} at state {tuple(full[i].tolist())}; "
+                          f"it must be nonnegative and finite")
     w = np.zeros(proj.size)
     np.add.at(w, proj.rows(full[:, :n_active]), pmf)
     size = spec.focal_sizes(proj.states)

@@ -19,11 +19,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import RK45, quad
-from scipy.sparse import coo_matrix, diags, identity
+from scipy.sparse import csr_matrix
 
 DEFAULT_MAX_JUMPS = 10_000_000
 
@@ -103,7 +102,7 @@ class ModelSpec:
         filter then thin that channel alone against its bound, called one
         state at a time, while every other channel runs at its rate at the
         epoch's start; the grid routes integrate such an epoch by RK45,
-        rebuilding the generator at every step, and rate integrals use
+        refilling the generator's data at every step, and rate integrals use
         quadrature.  None means no channel has a bound.
     rate_breakpoints : tuple of float
         Times where rates may jump.  They cut every interval into epochs
@@ -404,6 +403,7 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> f
     """
     if t1 <= t0:
         return 0.0
+    from scipy.integrate import quad  # imported here: `import genfilter` does not load it
     x = np.asarray(x, dtype=np.int64)
     channels = range(spec.n_events) if channels is None else channels
     varying = [k for k in channels if spec.rate_bounds[k] is not None]
@@ -523,6 +523,29 @@ def jump_log_density(spec: ModelSpec, traj: JumpSequence) -> float:
     return base
 
 
+class GeneratorPattern(NamedTuple):
+    """The CSR structure of a generator on one lattice for one channel set.
+
+    ``indptr`` and ``indices`` are canonical: one entry per cell, sorted by
+    row and then column, with every diagonal cell present.  A generator's
+    data is summed from its contributions: first each inflow entry, channel
+    by channel, then each row's outflow.  ``rate_at`` and ``scale_at`` give
+    each inflow entry its flat (src, k) and (dst, k) position in a rows x
+    channels array.  ``first`` is the contribution each cell starts from;
+    ``extra`` lists, in order, the contributions that meet an earlier one in
+    a cell (a channel whose displacement vanishes on the lattice, or two
+    channels with one displacement there), and ``extra_cell`` their cells.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rate_at: np.ndarray
+    scale_at: np.ndarray
+    first: np.ndarray
+    extra: np.ndarray
+    extra_cell: np.ndarray
+
+
 class StateLattice:
     """Finite lattice states in lexicographic row order, with per-displacement maps.
 
@@ -543,6 +566,7 @@ class StateLattice:
         self.states = np.column_stack(np.unravel_index(self._keys, self._box)) + self._lo
         self.size = len(self._keys)
         self._transitions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._patterns: dict[tuple, GeneratorPattern] = {}
 
     def rows(self, states) -> np.ndarray:
         """Row of each of ``states`` (an (n, d) array), -1 for a state off the lattice."""
@@ -572,6 +596,44 @@ class StateLattice:
         self._transitions[key] = out
         return out
 
+    def pattern(self, displacements, channels, n_channels: int) -> GeneratorPattern:
+        """The `GeneratorPattern` of ``channels``, indices into ``displacements``.
+
+        Built once per channel set and kept with the lattice; its flat
+        positions index a rates array of ``n_channels`` columns.
+        """
+        key = (n_channels, tuple((int(k), tuple(int(v) for v in displacements[k]))
+                                 for k in channels))
+        cached = self._patterns.get(key)
+        if cached is None:
+            moves = [(k, *self.transition(disp)) for k, disp in key[1]]
+            cached = self._patterns[key] = _assemble_pattern(self.size, moves, n_channels)
+        return cached
+
+
+def _assemble_pattern(size: int, moves, n_channels: int) -> GeneratorPattern:
+    """`GeneratorPattern` of ``size`` rows from ``(k, src, dst)``, one per channel.
+
+    The arrays take scipy's index dtype, int32 while every index fits, and
+    are read-only, since every generator on the lattice shares them.
+    """
+    src = np.concatenate([s for _, s, _ in moves] + [np.empty(0, np.int64)])
+    dst = np.concatenate([d for _, _, d in moves] + [np.empty(0, np.int64)])
+    k = np.repeat(np.array([k for k, _, _ in moves], dtype=np.int64),
+                  [len(s) for _, s, _ in moves])
+    cells, cell = np.unique(np.concatenate([dst * size + src, np.arange(size) * (size + 1)]),
+                            return_inverse=True)
+    order = np.argsort(cell, kind="stable")
+    starts = np.searchsorted(cell[order], np.arange(len(cells)))
+    extra = np.delete(order, starts)
+    arrays = [np.searchsorted(cells, np.arange(size + 1) * size), cells % size,
+              src * n_channels + k, dst * n_channels + k, order[starts], extra, cell[extra]]
+    index = np.int32 if max(len(cell), size * n_channels) < 2 ** 31 else np.int64
+    for i, a in enumerate(arrays):
+        arrays[i] = a.astype(index)
+        arrays[i].flags.writeable = False
+    return GeneratorPattern(*arrays)
+
 
 def forward_generator(spec: ModelSpec, lattice: StateLattice, t: float):
     """Sparse master-equation generator A with (A w)(x) = sum_u inflow - outflow.
@@ -587,23 +649,26 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
 
     Channel k carries ``rates[src, k]`` from row src to src + its
     displacement, times ``inflow_scale[dst, k]`` when a scale is given; a
-    channel whose scale is all zero adds no entries.
+    channel whose scale is all zero adds no entries.  The structure is the
+    lattice's `GeneratorPattern` for the channels that add entries; only
+    the data is filled here, inflow entries that meet in one cell summed in
+    channel order and the row's outflow added last.  An entry whose value
+    is zero is kept as an explicit zero.
     """
-    rows, cols, data = [], [], []
-    for k, disp in enumerate(displacements):
-        if inflow_scale is not None and not inflow_scale[:, k].any():
-            continue
-        src, dst = lattice.transition(disp)
-        if len(src):
-            rows.append(dst)
-            cols.append(src)
-            data.append(rates[src, k] if inflow_scale is None
-                        else rates[src, k] * inflow_scale[dst, k])
-    A = coo_matrix((np.concatenate(data) if data else [],
-                    (np.concatenate(rows) if rows else [],
-                     np.concatenate(cols) if cols else [])),
-                   shape=(lattice.size, lattice.size)).tocsr()
-    return A + diags(-rates.sum(axis=1))
+    n_channels = rates.shape[1]
+    channels = [k for k in range(n_channels)
+                if inflow_scale is None or inflow_scale[:, k].any()]
+    p = lattice.pattern(displacements, channels, n_channels)
+    inflow = rates.take(p.rate_at)
+    if inflow_scale is not None:
+        inflow *= inflow_scale.take(p.scale_at)
+    outflow = np.zeros(lattice.size)
+    for k in range(n_channels):  # channel by channel, the order rates.sum(axis=1) adds in
+        outflow -= rates[:, k]
+    parts = np.concatenate([inflow, outflow])
+    data = parts.take(p.first)
+    np.add.at(data, p.extra_cell, parts.take(p.extra))
+    return csr_matrix((data, p.indices, p.indptr), shape=(lattice.size, lattice.size))
 
 
 def _check_tol(tol) -> None:
@@ -622,6 +687,7 @@ def integrate_linear(rhs, w, t0: float, t1: float, tol: float) -> np.ndarray:
         raise ValueError("t1 < t0")
     if t1 == t0:
         return w.copy()
+    from scipy.integrate import RK45  # imported here: `import genfilter` does not load it
     solver = RK45(rhs, t0, w, t1, rtol=tol, atol=tol * 1e-6)
     while solver.status == "running":
         message = solver.step()
@@ -654,14 +720,20 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
     ``tol * 1e-6``: the mass left out is at most that share of ``w``'s
     1-norm.  The step is cut into equal substeps only where lam dt would
     exceed 500, so that exp(-lam dt) stays far from underflow.
+
+    ``A`` is a CSR matrix.  P is A scaled by 1 / lam with 1 added to its
+    diagonal in place; a diagonal entry that ``A`` does not store is
+    inserted, which a generator from `_generator` never needs.
     """
-    lam = float(-A.diagonal().min())
+    diagonal = A.diagonal()
+    lam = float(-diagonal.min())
     if lam <= 0.0 or dt <= 0.0:
         return w.copy()
     n_sub = math.ceil(lam * dt / _MAX_POISSON_MEAN)
     mean = lam * dt / n_sub
     target = tol * _TAIL_SHARE / n_sub
-    P = (A / lam + identity(A.shape[0], format="csr")).tocsr()
+    P = A * (1.0 / lam)
+    P.setdiag(diagonal * (1.0 / lam) + 1.0)
     for _ in range(n_sub):
         p = math.exp(-mean)
         term, out = w, p * w
@@ -684,11 +756,14 @@ def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
     ``generator(t)`` builds the sparse operator at time ``t``: nonnegative
     off the diagonal, with columns that sum to at most 0, as a forward
     generator with lost or damped inflow is.  On an epoch where no channel
-    has a rate bound it is built once, at the epoch's start, and the epoch
+    has a rate bound it is called once, at the epoch's start, and the epoch
     is one exact step, `_uniformized`, that leaves out at most ``tol * 1e-6``
     of the mass.  Where some channel has a bound the operator changes within
-    the epoch; it is rebuilt at every right-hand-side evaluation of
-    `integrate_linear` with relative tolerance ``tol``.
+    the epoch; it is called at every right-hand-side evaluation of
+    `integrate_linear` with relative tolerance ``tol``.  The generators of
+    this module (`forward_generator`, and the oracle's through `_generator`)
+    keep one sparsity pattern per lattice, so each call refills only the
+    data of that pattern.
     """
     _check_tol(tol)
     for a, b in spec.epochs(t0, t1):

@@ -455,6 +455,16 @@ def checkout_env():
     return env
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # RK45 and quad are imported where they are used, so neither the package
+    # nor its command line pays for scipy.integrate on import
+    code = ("import sys, genfilter, genfilter.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=checkout_env(), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def console_script():
     """Command prefix and environment that start the ``genfilter`` console script.
 

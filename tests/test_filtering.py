@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.sparse import coo_matrix, diags
 from scipy.special import logsumexp
 
 import genfilter as gf
@@ -1058,3 +1059,122 @@ def test_oracle_rejects_an_init_pmf_that_does_not_broadcast():
     truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
     with pytest.raises(FilterError, match=r"init_pmf gave shape \(\) for 31 states"):
         gf.oracle_loglik(scalar, two_leaf_visible(), truncation)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_oracle_rejects_a_negative_or_non_finite_init_pmf(bad):
+    base = lbdp(0.5, 0.3, 0.6, 2)
+    spec = gf.ModelSpec("bad-pmf", 2, base.events, base.rates, base.init_sample,
+                        lambda x: np.where(x[..., 0] == 3, bad, 1.0 * (x[..., 0] == 2)),
+                        base.focal_size, bookkeeping_dims=(1,))
+    truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
+    with pytest.raises(FilterError, match=rf"init_pmf gave {bad} at state \(3, 0\)"):
+        gf.oracle_loglik(spec, two_leaf_visible(), truncation)
+
+
+# ---------------------------------------------------------------------------
+# The generator's one assembly path against an entry-by-entry reference
+
+
+def coo_generator(lattice, displacements, rates, inflow_scale=None):
+    """Reference assembly: channel entries as COO summed into CSR, plus the outflow diagonal."""
+    rows, cols, data = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for k, disp in enumerate(displacements):
+        if inflow_scale is not None and not inflow_scale[:, k].any():
+            continue
+        src, dst = lattice.transition(disp)
+        rows.append(dst)
+        cols.append(src)
+        data.append(rates[src, k] if inflow_scale is None
+                    else rates[src, k] * inflow_scale[dst, k])
+    A = coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(lattice.size, lattice.size)).tocsr()
+    return A + diags(-rates.sum(axis=1))
+
+
+def coo_interval_generator(spec, lattice, t, ell, compat):
+    hidden = gf.hidden_birth_factor(spec.focal_sizes(lattice.states), ell)[:, None]
+    scale = np.where(spec.birth_mask, hidden, 1.0) * compat[:, None]
+    scale[:, spec.sample_mask] = 0.0
+    return coo_generator(lattice, spec.active_displacements,
+                         spec.rate_matrix(t, lattice.states), scale)
+
+
+def assert_same_operator(got, want, rng):
+    """Equal entries bit for bit (a stored zero equals a missing entry), equal products."""
+    n = want.shape[0]
+    assert got.has_canonical_format and got.indices.dtype == np.int32
+    stored = got.tocoo()
+    assert (stored.row == stored.col).sum() == n  # every diagonal entry is stored
+    assert (got.toarray() + 0.0).tobytes() == (want.toarray() + 0.0).tobytes()
+    w = rng.random(n)
+    assert (got @ w).tobytes() == (want @ w).tobytes()
+
+
+def grid_cases():
+    s2ir = gf.S2IRParams(0.3, 0.2, 0.5, 0.4, 3, 2, 2)
+    sirs = gf.SIRSParams(0.5, 0.4, 0.3, 0.7, 4, 2)
+    lb = gf.LBDPParams(0.9, 0.4, 0.3, 2)
+    _, piecewise = piecewise_sir((0.4, 1.1), (0.9, 0.3, 0.6))
+    return [(sir(0.9, 0.5, 0.6, 6, 2), gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2))),
+            (sir(0.9, 0.5, 0.6, 3, 1), gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 3, 1))),
+            (piecewise, gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2))),
+            (sinusoidal_sir(0.5), gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2))),
+            (sinusoidal_sir(None, "sampling"), gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2))),
+            (gf.s2ir_spec(s2ir), gf.s2ir_truncation(s2ir)),
+            (gf.sirs_spec(sirs), gf.sirs_truncation(sirs)),
+            (gf.lbdp_spec(lb), gf.lbdp_truncation(lb, 25))]
+
+
+def test_interval_generator_matches_the_coo_reference():
+    rng = np.random.default_rng(8)
+    for spec, truncation in grid_cases():
+        full = np.array(truncation)
+        lattice = gf.StateLattice(full[:, :len(spec.active_dims)], len(spec.active_dims))
+        size = spec.focal_sizes(lattice.states)
+        masks = [size >= ell for ell in range(4)]
+        # rows zeroed at random, and none kept: then every channel's scale is all zero
+        masks += [rng.random(lattice.size) < 0.5, np.zeros(lattice.size, dtype=bool)]
+        for t in (0.0, 0.3, 0.75, 1.2):
+            for ell in range(4):
+                for compat in masks:
+                    assert_same_operator(
+                        gf.filtering._interval_generator(spec, lattice, t, ell, compat),
+                        coo_interval_generator(spec, lattice, t, ell, compat), rng)
+        full_lattice = gf.StateLattice(full, spec.d)
+        assert_same_operator(gf.forward_generator(spec, full_lattice, 0.3),
+                             coo_generator(full_lattice, spec.displacements,
+                                           spec.rate_matrix(0.3, full_lattice.states)), rng)
+
+
+def test_generator_sums_entries_that_share_a_cell_in_channel_order():
+    # channel 1 stays in place and channels 2 and 3 share a displacement, so
+    # their entries meet in one cell; channel 4's scale is all zero
+    rng = np.random.default_rng(9)
+    lattice = gf.StateLattice([(i, j) for i in range(6) for j in range(4)], 2)
+    moves = np.array([(1, 0), (0, 0), (0, 1), (0, 1), (-1, 0)])
+    rates = rng.exponential(size=(lattice.size, 5)) * (rng.random((lattice.size, 5)) < 0.8)
+    scale = rng.random((lattice.size, 5)) * (rng.random((lattice.size, 5)) < 0.7)
+    scale[:, 4] = 0.0
+    for inflow_scale in (scale, None):
+        assert_same_operator(gf.population._generator(lattice, moves, rates, inflow_scale),
+                             coo_generator(lattice, moves, rates, inflow_scale), rng)
+
+
+def test_oracle_assembles_the_pattern_once_per_call(monkeypatch):
+    built = []
+    assemble = gf.population._assemble_pattern
+
+    def counting(size, moves, n_channels):
+        built.append(size)
+        return assemble(size, moves, n_channels)
+    monkeypatch.setattr(gf.population, "_assemble_pattern", counting)
+    params, spec, v = sir100_visible(1.0)
+    for _ in range(2):
+        assert gf.oracle_loglik(spec, v, gf.sir_truncation(params)) == 0.29304921403290485
+    assert built == [5151, 5151]
+    # a bounded channel refills the data at every RK45 evaluation, from one pattern
+    built.clear()
+    gf.oracle_loglik(sinusoidal_sir(0.5), piecewise_visible(),
+                     gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2)))
+    assert built == [45]

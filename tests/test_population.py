@@ -1,6 +1,7 @@
 """Simulation, path densities, and the master-equation integrator."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
+from scipy.stats import binom
 
 import genfilter as gf
 from genfilter.population import (Jump, JumpSequence, History, SimulationError,
@@ -382,6 +384,23 @@ def test_uniformized_matches_the_pure_death_law():
     got = _uniformized(csr_matrix(A), w, t, 1e-8)
     p = math.exp(-delta * t)
     want = [math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_uniformized_inserts_missing_diagonal_entries_without_a_warning():
+    # pure death of 600: the empty state's diagonal entry is not stored, and
+    # so few are missing that scipy inserts it in place
+    n, delta, t = 600, 0.01, 0.5
+    k = np.arange(1, n + 1)
+    A = csr_matrix((np.concatenate([-delta * k, delta * k]),
+                    (np.concatenate([k, k - 1]), np.concatenate([k, k]))), shape=(n + 1, n + 1))
+    assert A.has_canonical_format and A.nnz == 2 * n
+    w = np.zeros(n + 1)
+    w[n] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _uniformized(A, w, t, 1e-8)
+    want = binom.pmf(np.arange(n + 1), n, math.exp(-delta * t))
     assert np.abs(got - want).max() < 1e-13
 
 
