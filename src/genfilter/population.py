@@ -596,18 +596,18 @@ class StateLattice:
         self._transitions[key] = out
         return out
 
-    def pattern(self, displacements, channels, n_channels: int) -> GeneratorPattern:
+    def pattern(self, displacements, channels) -> GeneratorPattern:
         """The `GeneratorPattern` of ``channels``, indices into ``displacements``.
 
         Built once per channel set and kept with the lattice; its flat
-        positions index a rates array of ``n_channels`` columns.
+        positions index a rates array of one column per displacement.
         """
-        key = (n_channels, tuple((int(k), tuple(int(v) for v in displacements[k]))
-                                 for k in channels))
+        key = (len(displacements), tuple((int(k), tuple(int(v) for v in displacements[k]))
+                                         for k in channels))
         cached = self._patterns.get(key)
         if cached is None:
             moves = [(k, *self.transition(disp)) for k, disp in key[1]]
-            cached = self._patterns[key] = _assemble_pattern(self.size, moves, n_channels)
+            cached = self._patterns[key] = _assemble_pattern(self.size, moves, key[0])
         return cached
 
 
@@ -658,7 +658,7 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
     n_channels = rates.shape[1]
     channels = [k for k in range(n_channels)
                 if inflow_scale is None or inflow_scale[:, k].any()]
-    p = lattice.pattern(displacements, channels, n_channels)
+    p = lattice.pattern(displacements, channels)
     inflow = rates.take(p.rate_at)
     if inflow_scale is not None:
         inflow *= inflow_scale.take(p.scale_at)
