@@ -617,17 +617,16 @@ def _assemble_pattern(size: int, moves, n_channels: int) -> GeneratorPattern:
     The arrays take scipy's index dtype, int32 while every index fits, and
     are read-only, since every generator on the lattice shares them.
     """
-    src = np.concatenate([s for _, s, _ in moves] + [np.empty(0, np.int64)])
-    dst = np.concatenate([d for _, _, d in moves] + [np.empty(0, np.int64)])
-    k = np.repeat(np.array([k for k, _, _ in moves], dtype=np.int64),
-                  [len(s) for _, s, _ in moves])
-    cells, cell = np.unique(np.concatenate([dst * size + src, np.arange(size) * (size + 1)]),
-                            return_inverse=True)
+    none = [np.empty(0, np.int64)]
+    rate_at = np.concatenate([src * n_channels + k for k, src, _ in moves] + none)
+    scale_at = np.concatenate([dst * n_channels + k for k, _, dst in moves] + none)
+    cells, cell = np.unique(np.concatenate([dst * size + src for _, src, dst in moves]
+                                           + [np.arange(size) * (size + 1)]), return_inverse=True)
     order = np.argsort(cell, kind="stable")
     starts = np.searchsorted(cell[order], np.arange(len(cells)))
     extra = np.delete(order, starts)
     arrays = [np.searchsorted(cells, np.arange(size + 1) * size), cells % size,
-              src * n_channels + k, dst * n_channels + k, order[starts], extra, cell[extra]]
+              rate_at, scale_at, order[starts], extra, cell[extra]]
     index = np.int32 if max(len(cell), size * n_channels) < 2 ** 31 else np.int64
     for i, a in enumerate(arrays):
         arrays[i] = a.astype(index)
