@@ -30,8 +30,9 @@ from .filtering import (RESAMPLING_METHODS, WEIGHTING_MODES, FilterConfig, Filte
 from .genealogy import (GenealogyError, NewickError, build_genealogy, prune,
                         read_genealogy, to_newick, validate_genealogy, write_genealogy)
 from .models import MODELS, TRUNCATIONS, model_params
-from .population import (History, IntegrationError, JumpSequence, SimulationError,
-                         read_trajectory, simulate, to_history, write_trajectory)
+from .population import (DEFAULT_MAX_JUMPS, History, IntegrationError, JumpSequence,
+                         SimulationError, read_trajectory, simulate, to_history,
+                         write_trajectory)
 
 
 class ConfigError(ValueError):
@@ -245,8 +246,8 @@ def cmd_simulate(args, config, out: Path) -> int:
     prov = _provenance(config, seed)
     rng = np.random.default_rng(seed)
     horizon = config["simulate"]["horizon"]
-    max_jumps = config["simulate"].get("max_jumps")
-    traj = simulate(spec, horizon, rng, max_jumps=max_jumps)
+    traj = simulate(spec, horizon, rng,
+                    max_jumps=config["simulate"].get("max_jumps", DEFAULT_MAX_JUMPS))
     write_trajectory(out / "trajectory", spec, traj, seed=seed, provenance=prov)
     g, _ = build_genealogy(spec, traj)
     write_genealogy(out / "genealogy_full.json", g, provenance=prov)

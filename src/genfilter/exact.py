@@ -21,10 +21,11 @@ once: `event_factor` for the three genealogy event kinds and
 lineage-by-lineage reference they are checked against, and
 `loglik_lineages` calls none of them.
 
-`loglik_events` takes the genealogy's events from `event_schedule`: a
-fault of the genealogy alone, such as a non-root node at t <= 0, is the
-`GenealogyError` it raises, and an `ExactError` means that the genealogy and
-the history do not fit each other.
+`loglik_events` takes the genealogy's events and lineage counts from one
+`LineageFunction`, which reads both from `event_schedule`: a fault of the
+genealogy alone, such as a non-root node at t <= 0 or a lineage count that
+goes negative, is the `GenealogyError` it raises, and an `ExactError` means
+that the genealogy and the history do not fit each other.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .genealogy import (Genealogy, LineageFunction, build_genealogy, embedded_chain,
-                        event_schedule, prune)
+from .genealogy import Genealogy, LineageFunction, build_genealogy, embedded_chain, prune
 from .population import History, JumpSequence, ModelSpec
 
 
@@ -184,12 +184,14 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     Every genealogy event time must appear in the history with a matching
     channel kind (births for coalescences, samples for direct descents and
     leaves); a missing or mismatched time is an `ExactError`, while a
-    genealogy `event_schedule` rejects raises its `GenealogyError`.  Counting
-    incompatibilities (too few individuals for the required lineages) give
-    -inf.  The pass only classifies events; each factor is then evaluated
-    once, on the arrays of every event of its kind.
+    genealogy `LineageFunction` rejects raises its `GenealogyError`.  The
+    events and the lineage counts both come from that one `LineageFunction`.
+    Counting incompatibilities (too few individuals for the required
+    lineages) give -inf.  The pass only classifies events; each factor is
+    then evaluated once, on the arrays of every event of its kind.
     """
-    pending = dict(event_schedule(visible))
+    lineages = LineageFunction(visible)
+    pending = dict(lineages.schedule)
     by_kind: dict[str, list[int]] = {"hidden birth": [], "coalescence": [],
                                      "direct": [], "leaf": []}
     for i, (t, k) in enumerate(h.events):
@@ -215,7 +217,7 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     times, channels = zip(*h.events)
     post = np.asarray(h.x0, dtype=np.int64) + np.cumsum(spec.displacements[list(channels)], axis=0)
     size = spec.focal_sizes(post)
-    ell = LineageFunction(visible).at(times)
+    ell = lineages.at(times)
     total = 0.0
     for kind, idx in by_kind.items():
         if not idx:

@@ -26,9 +26,13 @@ particles or to grid weights.  Every rate is read through
 `ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
 
 Both routes make one walk, `_stretches`, over `genealogy.event_schedule`: a
-stretch of constant lineage count, then its event.  The counts come from the
-schedule itself, so no node is classified twice.  A genealogy the schedule
-rejects raises its `GenealogyError` on both.
+stretch of constant lineage count, then its event.  The counts are
+`genealogy.LineageFunction`'s, which reads them from the schedule itself, so
+no node is classified twice.  A genealogy the schedule rejects, or on which
+the count goes negative, raises its `GenealogyError` on both.  The per-phase
+calls `propagate_interval` and `event_update` read the same counts and
+raise it too, and also when asked to propagate across an event or to apply
+an event the schedule does not have.
 
 Both routes work one epoch at a time: each interval between genealogy
 events is cut at the model's rate breakpoints.  Within an epoch a channel
@@ -67,7 +71,6 @@ from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
-_LINEAGE_STEP = {"coalescence": 1, "direct": 0, "leaf": -1}
 
 
 class FilterError(RuntimeError):
@@ -197,19 +200,12 @@ def _stretches(v: Genealogy):
 
     Each stretch ends in an event of ``kind`` that leaves ``ell_post``
     lineages, and a last one ends at ``v.time`` with ``kind`` None.  The
-    counts come from `event_schedule` alone: every node it leaves out is a
-    root, which starts one lineage, a coalescence adds one and a leaf
-    removes one.
+    events and counts are those of `LineageFunction`.
     """
-    schedule, t = event_schedule(v), 0.0
-    ell = len(v.nodes) - len(schedule)
-    for e, kind in schedule:
-        ell_post = ell + _LINEAGE_STEP[kind]
-        if ell_post < 0:
-            raise GenealogyError(f"leaf at t={e} leaves a negative lineage count")
-        yield t, e, ell, kind, ell_post
-        t, ell = e, ell_post
-    yield t, v.time, ell, None, None
+    lineages = LineageFunction(v)
+    times, kinds = [e for e, _ in lineages.schedule], [k for _, k in lineages.schedule]
+    ells = lineages.at([0.0, *times]).tolist()
+    return zip([0.0, *times], [*times, v.time], ells, [*kinds, None], [*ells[1:], None])
 
 
 def _channels(spec: ModelSpec, kind: str) -> np.ndarray:
@@ -229,22 +225,22 @@ def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
     return Ensemble(states[:, :len(spec.active_dims)].copy(), np.zeros(n))
 
 
-def _log_gains(spec, ell, survival: bool, top: int) -> np.ndarray:
+def _log_gains(spec, ell, top: int) -> np.ndarray:
     """Log weight change of a jump by channel k to focal size s, as ``gains[k, s]``.
 
     Covers the sizes 0..top at lineage count ``ell``: a birth pays its
-    `hidden_birth_factor`, and a death below ``ell`` and, under rejection,
-    a sample are fatal (-inf).  The extra last row is a rejected thinning
-    candidate, which pays nothing.  Focal sizes, being counts, index the
-    columns directly.
+    `hidden_birth_factor`, and a death below ``ell`` and a sample are fatal
+    (-inf).  Under analytic survival no sample is drawn, as every sampling
+    rate is zero.  The extra last row is a rejected thinning candidate,
+    which pays nothing.  Focal sizes, being counts, index the columns
+    directly.
     """
     size = np.arange(top + 1)
     gains = np.zeros((spec.n_events + 1, top + 1))
     with np.errstate(divide="ignore"):
         gains[:-1][spec.birth_mask] = np.log(hidden_birth_factor(size, ell))
     gains[:-1][spec.death_mask[:, None] & (size < ell)] = -np.inf
-    if not survival:
-        gains[:-1][spec.sample_mask] = -np.inf
+    gains[:-1][spec.sample_mask] = -np.inf
     return gains
 
 
@@ -338,7 +334,7 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
         moved = np.searchsorted(idx[choice < rejected] if thinned else idx, edges).tolist()
         jumps = [j + b - a for j, a, b in zip(jumps, moved, moved[1:])]
         if (size := spec.focal_sizes(x)).max(initial=-1) >= gains.shape[1]:
-            gains = _log_gains(spec, ell, survival, 2 * int(size.max()))
+            gains = _log_gains(spec, ell, 2 * int(size.max()))
         gain = gains[choice, size]
         np.add.at(logw, idx, gain)
         if gain.min(initial=0.0) == -np.inf:
@@ -366,18 +362,25 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
                        weighting: str = "analytic-survival") -> Ensemble:
     """Advance all particles across an event-free stretch of the genealogy.
 
-    The lineage count is constant on such a stretch; every simulated birth
-    reweights by the probability that it was not a coalescence of tracked
-    lineages, and a particle whose focal size falls below the lineage count
-    is zeroed out.
+    The lineage count, `LineageFunction`'s, is constant on such a stretch;
+    every simulated birth reweights by the probability that it was not a
+    coalescence of tracked lineages, and a particle whose focal size falls
+    below the lineage count is zeroed out.  A genealogy event strictly
+    inside (t0, t1), or a genealogy `LineageFunction` rejects (an unpruned
+    one, say), raises `GenealogyError`.
     """
     if weighting not in WEIGHTING_MODES:
         raise ValueError(f"weighting must be one of {WEIGHTING_MODES}")
-    ell = LineageFunction(v)(t0)
-    states = particles.states.copy()
-    logw = particles.log_weights.copy()
     if t1 < t0:
         raise ValueError("t1 < t0")
+    lineages = LineageFunction(v)
+    inside = [e for e, _ in lineages.schedule if t0 < e < t1]
+    if inside:
+        raise GenealogyError(f"genealogy event at t={inside[0]} lies inside ({t0}, {t1}); "
+                             f"propagate one stretch at a time")
+    ell = lineages(t0)
+    states = particles.states.copy()
+    logw = particles.log_weights.copy()
     if t1 > t0:
         states, logw, _ = _propagate(spec, states, logw, t0, t1, ell,
                                      [ensure_rng(rng)], weighting == "analytic-survival")
@@ -427,10 +430,17 @@ def event_update(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     coalescence, sampling channels otherwise) of rate/mu times the event's
     combinatorial factor; the state move is sampled proportionally to the
     summands.  A particle with no compatible channel mass goes to -inf.
+    The factor reads `LineageFunction`'s count just after ``e``.  An
+    ``(e, kind)`` that is not an event of the genealogy's schedule, or a
+    genealogy `LineageFunction` rejects (an unpruned one, say), raises
+    `GenealogyError`.
     """
+    lineages = LineageFunction(v)
+    if (e, kind) not in lineages.schedule:
+        raise GenealogyError(f"the genealogy has no {kind} event at t={e}")
     states, logw = _apply_event(spec, particles.states.copy(),
                                 particles.log_weights.copy(), e, kind,
-                                LineageFunction(v)(e), [ensure_rng(rng)])
+                                lineages(e), [ensure_rng(rng)])
     return Ensemble(states, logw)
 
 

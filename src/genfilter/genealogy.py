@@ -12,9 +12,10 @@ black balls in bijection with the inventory of extant individuals.  Pruning
 every extant individual yields the visible genealogy: the part ancestral to
 the samples, whose pockets are green-green (coalescence), green-blue (direct
 descent), or red-blue (leaf).  `event_schedule`, the one classifier of its
-nodes, gives every likelihood route its events; a genealogy it rejects
-(unpruned, another pocket form, a non-root node at t <= 0, tied events) is a
-`GenealogyError` on every route.
+nodes, gives every likelihood route its events, and `LineageFunction` counts
+the lineages from that schedule alone; a genealogy the schedule rejects
+(unpruned, another pocket form, a non-root node at t <= 0, tied events) or
+whose count goes negative is a `GenealogyError` on every route.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -24,12 +25,11 @@ named max-existing-black + 1, which is exactly the inventory's add rule.
 from __future__ import annotations
 
 import json
-import math
 import re
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,8 @@ RED = "red"
 _COLORS = (GREEN, BLACK, BLUE, RED)
 # sorted pocket colors of the three event kinds of a visible genealogy
 _VISIBLE_KINDS = {(GREEN, GREEN): "coalescence", (BLUE, GREEN): "direct", (BLUE, RED): "leaf"}
+# the change in the lineage count at each event kind
+_LINEAGE_STEP = {"coalescence": 1, "direct": 0, "leaf": -1}
 
 
 class GenealogyError(RuntimeError):
@@ -379,21 +381,28 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
 class LineageFunction:
     """Right-continuous count of visible-genealogy lineages over time.
 
-    Steps up at coalescence times (roots included) and down at leaf times.
+    The count is read from `event_schedule` alone, kept as ``schedule``:
+    each root, a node the schedule leaves out, adds one lineage at its own
+    time (at most 0), a coalescence adds one, a direct descent none and a
+    leaf removes one.  ``breaks`` are the times where the count steps and
+    ``values`` the count from each on.  A genealogy the schedule rejects,
+    or on which the count goes negative, raises `GenealogyError`.
     """
 
-    def __init__(self, g: Genealogy):
-        ets = event_times(g)
+    def __init__(self, v: Genealogy):
+        self.schedule = event_schedule(v)
         deltas: dict[float, int] = {}
-        for t in ets.coalescence:
-            deltas[t] = deltas.get(t, 0) + 1
-        for t in ets.leaf:
-            deltas[t] = deltas.get(t, 0) - 1
+        for n in v.nodes:
+            if n.time <= 0:  # the schedule has checked that exactly the roots are here
+                deltas[n.time] = deltas.get(n.time, 0) + 1
+        for t, kind in self.schedule:
+            if _LINEAGE_STEP[kind]:
+                deltas[t] = _LINEAGE_STEP[kind]
         self.breaks = np.array(sorted(deltas), dtype=float)
-        self.values = np.cumsum([deltas[t] for t in sorted(deltas)]).astype(int) \
-            if deltas else np.array([], dtype=int)
+        self.values = np.cumsum([deltas[t] for t in sorted(deltas)], dtype=int)
         if len(self.values) and self.values.min() < 0:
-            raise GenealogyError("lineage count went negative: corrupted genealogy")
+            t = self.breaks[np.argmax(self.values < 0)]
+            raise GenealogyError(f"leaf at t={t} leaves a negative lineage count")
 
     def __call__(self, t: float) -> int:
         idx = int(np.searchsorted(self.breaks, t, side="right")) - 1

@@ -19,15 +19,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 DEFAULT_MAX_JUMPS = 10_000_000
-
-RateFn = Callable[[float, np.ndarray], object]
-BoundFn = Callable[[float, float, np.ndarray], float]
 
 
 class SimulationError(RuntimeError):
@@ -115,7 +112,7 @@ class ModelSpec:
 
     def __init__(self, name, d, events, rates, init_sample, init_pmf, focal_size,
                  mu=1.0, rate_bounds=None, rate_breakpoints=(),
-                 bookkeeping_dims=(), max_jumps=DEFAULT_MAX_JUMPS, params=None):
+                 bookkeeping_dims=(), params=None):
         events = tuple(events)
         if len(rates) != len(events):
             raise ValueError("need exactly one rate function per event")
@@ -146,7 +143,6 @@ class ModelSpec:
             raise ValueError("bookkeeping_dims must be a trailing block of coordinates")
         self.bookkeeping_dims = bookkeeping_dims
         self.active_dims = tuple(i for i in range(d) if i not in bookkeeping_dims)
-        self.max_jumps = int(max_jumps)
         self.params = dict(params or {})
 
         self.n_events = len(events)
@@ -156,7 +152,6 @@ class ModelSpec:
         self.birth_mask = np.array([ev.is_birth for ev in events], dtype=bool)
         self.death_mask = np.array([ev.is_death for ev in events], dtype=bool)
         self.sample_mask = np.array([ev.is_sample for ev in events], dtype=bool)
-        self.marked_mask = self.birth_mask | self.death_mask | self.sample_mask
         self.bound_mask = np.array([b is not None for b in self.rate_bounds], dtype=bool)
         self.varies_within_epochs = bool(self.bound_mask.any())
         self.any_time_dependent = bool(self.rate_breakpoints) or self.varies_within_epochs
@@ -301,7 +296,8 @@ def to_history(traj: JumpSequence) -> History:
     return History(traj.t_end, traj.x0, tuple((j.time, j.event) for j in traj.jumps))
 
 
-def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -> JumpSequence:
+def simulate(spec: ModelSpec, t_end: float, rng,
+             max_jumps: int = DEFAULT_MAX_JUMPS) -> JumpSequence:
     """Draw an exact trajectory on [0, t_end].
 
     The horizon is walked one epoch (`ModelSpec.epochs`) at a time, by the
@@ -313,9 +309,9 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
     and picks the channel.  A rejected candidate keeps its time.  Marked
     events draw an auxiliary number uniformly over the focal subpopulation
     just before the jump.  Identical (spec, seed, t_end) give identical output.
+    More than ``max_jumps`` jumps raise `SimulationError`.
     """
     rng = ensure_rng(rng)
-    cap = spec.max_jumps if max_jumps is None else int(max_jumps)
     x = np.asarray(spec.init_sample(rng, 1), dtype=np.int64)
     if x.shape != (1, spec.d):
         raise SimulationError(f"init_sample returned shape {x.shape}, expected (1, {spec.d})")
@@ -355,8 +351,8 @@ def simulate(spec: ModelSpec, t_end: float, rng, max_jumps: int | None = None) -
                 aux = 0
             x = x + spec.displacements[k]
             jumps.append(Jump(t, k, aux))
-            if len(jumps) > cap:
-                raise SimulationError(f"jump count exceeded cap {cap} before t={t_end}")
+            if len(jumps) > max_jumps:
+                raise SimulationError(f"jump count exceeded cap {max_jumps} before t={t_end}")
     return JumpSequence(x0, tuple(jumps), float(t_end))
 
 
@@ -531,19 +527,16 @@ class GeneratorPattern(NamedTuple):
     data is summed from its contributions: first each inflow entry, channel
     by channel, then each row's outflow.  ``rate_at`` and ``scale_at`` give
     each inflow entry its flat (src, k) and (dst, k) position in a rows x
-    channels array.  ``first`` is the contribution each cell starts from;
-    ``extra`` lists, in order, the contributions that meet an earlier one in
-    a cell (a channel whose displacement vanishes on the lattice, or two
-    channels with one displacement there), and ``extra_cell`` their cells.
+    channels array, and ``cell`` gives each contribution, inflow entries
+    then outflows, its cell.  Several meet in one cell where a channel's
+    displacement vanishes on the lattice or two channels share one there.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     rate_at: np.ndarray
     scale_at: np.ndarray
-    first: np.ndarray
-    extra: np.ndarray
-    extra_cell: np.ndarray
+    cell: np.ndarray
 
 
 class StateLattice:
@@ -622,11 +615,8 @@ def _assemble_pattern(size: int, moves, n_channels: int) -> GeneratorPattern:
     scale_at = np.concatenate([dst * n_channels + k for k, _, dst in moves] + none)
     cells, cell = np.unique(np.concatenate([dst * size + src for _, src, dst in moves]
                                            + [np.arange(size) * (size + 1)]), return_inverse=True)
-    order = np.argsort(cell, kind="stable")
-    starts = np.searchsorted(cell[order], np.arange(len(cells)))
-    extra = np.delete(order, starts)
     arrays = [np.searchsorted(cells, np.arange(size + 1) * size), cells % size,
-              rate_at, scale_at, order[starts], extra, cell[extra]]
+              rate_at, scale_at, cell]
     index = np.int32 if max(len(cell), size * n_channels) < 2 ** 31 else np.int64
     for i, a in enumerate(arrays):
         arrays[i] = a.astype(index)
@@ -650,7 +640,7 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
     displacement, times ``inflow_scale[dst, k]`` when a scale is given; a
     channel whose scale is all zero adds no entries.  The structure is the
     lattice's `GeneratorPattern` for the channels that add entries; only
-    the data is filled here, inflow entries that meet in one cell summed in
+    the data is filled here, each cell's contributions summed from 0.0 in
     channel order and the row's outflow added last.  An entry whose value
     is zero is kept as an explicit zero.
     """
@@ -664,9 +654,8 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
     outflow = np.zeros(lattice.size)
     for k in range(n_channels):  # channel by channel, the order rates.sum(axis=1) adds in
         outflow -= rates[:, k]
-    parts = np.concatenate([inflow, outflow])
-    data = parts.take(p.first)
-    np.add.at(data, p.extra_cell, parts.take(p.extra))
+    data = np.bincount(p.cell, weights=np.concatenate([inflow, outflow]),
+                       minlength=len(p.indices))
     return csr_matrix((data, p.indices, p.indptr), shape=(lattice.size, lattice.size))
 
 
@@ -797,11 +786,16 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
 # ---------------------------------------------------------------------------
 # Serialization: line-oriented CSV plus a JSON header sidecar.
 
-def _format_time(t: float) -> str:
-    return f"{t:.17g}"
-
-
-def _header_dict(spec: ModelSpec, kind: str, x0, horizon, seed, provenance) -> dict:
+def _write_rows(base, spec: ModelSpec, kind: str, x0, horizon, rows, seed,
+                provenance) -> tuple[Path, Path]:
+    """Write ``base.csv`` from (time, channel, aux text) rows and ``base.json`` (header)."""
+    base = Path(base)
+    csv_path = base.with_suffix(".csv")
+    json_path = base.with_suffix(".json")
+    lines = ["time,event_name,aux"]
+    for t, k, aux in rows:
+        lines.append(f"{t:.17g},{spec.events[k].name},{aux}")
+    csv_path.write_text("\n".join(lines) + "\n")
     head = {
         "kind": kind,
         "model": spec.name,
@@ -813,37 +807,22 @@ def _header_dict(spec: ModelSpec, kind: str, x0, horizon, seed, provenance) -> d
     }
     if provenance:
         head["provenance"] = provenance
-    return head
+    json_path.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
+    return csv_path, json_path
 
 
 def write_trajectory(base, spec: ModelSpec, traj: JumpSequence, seed=None,
                      provenance: Mapping | None = None) -> tuple[Path, Path]:
     """Write ``base.csv`` (time,event_name,aux) and ``base.json`` (header)."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    lines = ["time,event_name,aux"]
-    for j in traj.jumps:
-        lines.append(f"{_format_time(j.time)},{spec.events[j.event].name},{j.aux}")
-    csv_path.write_text("\n".join(lines) + "\n")
-    head = _header_dict(spec, "jumps", traj.x0, traj.t_end, seed, provenance)
-    json_path.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
-    return csv_path, json_path
+    return _write_rows(base, spec, "jumps", traj.x0, traj.t_end,
+                       ((j.time, j.event, j.aux) for j in traj.jumps), seed, provenance)
 
 
 def write_history(base, spec: ModelSpec, h: History, seed=None,
                   provenance: Mapping | None = None) -> tuple[Path, Path]:
     """Like `write_trajectory` but with the aux column left empty."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    lines = ["time,event_name,aux"]
-    for t, k in h.events:
-        lines.append(f"{_format_time(t)},{spec.events[k].name},")
-    csv_path.write_text("\n".join(lines) + "\n")
-    head = _header_dict(spec, "history", h.x0, h.horizon, seed, provenance)
-    json_path.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
-    return csv_path, json_path
+    return _write_rows(base, spec, "history", h.x0, h.horizon,
+                       ((t, k, "") for t, k in h.events), seed, provenance)
 
 
 def read_trajectory(base) -> tuple[JumpSequence | History, dict]:

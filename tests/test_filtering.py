@@ -295,6 +295,29 @@ def test_propagate_interval_validates():
                               np.random.default_rng(9))
 
 
+def unpruned():
+    return replace(gf.apply_sample(gf.new_genealogy(2), 0, 0.5), time=1.0)
+
+
+@pytest.mark.parametrize("call, v, args, message", [
+    (gf.propagate_interval, unpruned, (0.0, 0.4), "extant individual; prune"),
+    (gf.event_update, unpruned, (0.5, "leaf"), "extant individual; prune"),
+    (gf.propagate_interval, two_leaf_visible, (0.0, 0.55), r"t=0.5 lies inside \(0.0, 0.55\)"),
+    (gf.propagate_interval, two_leaf_visible, (0.4, 1.0), r"t=0.5 lies inside \(0.4, 1.0\)"),
+    (gf.event_update, two_leaf_visible, (0.5 + 1e-3, "leaf"), "no leaf event at t=0.501"),
+    (gf.event_update, two_leaf_visible, (0.5, "direct"), "no direct event at t=0.5")],
+    ids=["propagate-unpruned", "event-unpruned", "event-inside", "events-inside",
+         "off-schedule-time", "off-schedule-kind"])
+def test_per_phase_calls_reject_what_the_schedule_does_not_give(call, v, args, message):
+    # the per-phase calls read LineageFunction, so they refuse the genealogies
+    # smc_loglik refuses, a stretch that crosses an event and an event the
+    # schedule does not have
+    spec = lbdp(1.0, 0.5, 0.2, 2)
+    ens = gf.init_ensemble(spec, 8, np.random.default_rng(9))
+    with pytest.raises(gf.GenealogyError, match=message):
+        call(spec, ens, v(), *args, np.random.default_rng(9))
+
+
 # ---------------------------------------------------------------------------
 # Event updates
 

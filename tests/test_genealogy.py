@@ -216,21 +216,35 @@ def test_single_sample_genealogy_event_times():
     assert gf.lineage_count(v, -0.1) == 0
 
 
-def test_lineage_count_matches_edge_crossing():
-    # oracle: lineages at t = edges of the parent forest straddling t,
-    # counting an edge as [child assignment) from parent time to child time,
-    # plus red leaves still open... simpler: count paths from each sample
-    # node's time upward; use the attachment-interval identity instead
-    spec = lbdp(1.2, 0.6, 0.9, 2)
+@pytest.mark.parametrize("spec, horizon", [
+    (lbdp(1.2, 0.6, 0.9, 2), 2.0),
+    (gf.sir_spec(gf.SIRParams(0.06, 0.5, 0.8, 30, 3)), 2.0)], ids=["lbdp", "sir"])
+def test_lineage_count_matches_edge_crossing(spec, horizon):
+    # oracle: the lineages at t are the sampled lineages whose attachment
+    # window [attachment, sample) holds t; the filter's stretches must carry
+    # the same count from each stretch's start and just after its event
     rng = np.random.default_rng(13)
     for _ in range(40):
-        traj = gf.simulate(spec, 2.0, rng)
+        traj = gf.simulate(spec, horizon, rng)
         v = gf.prune(gf.build_genealogy(spec, traj)[0])
         windows = gf.attach_times(v)
         fn = gf.LineageFunction(v)
-        for t in rng.uniform(-0.2, 2.2, size=12):
+        stretches = list(gf.filtering._stretches(v))
+        starts = [t for t, *_ in stretches]
+        for t in [*starts, *rng.uniform(-0.2, horizon + 0.2, size=12)]:
             expect = sum(1 for a, s in windows if a <= t < s)
             assert fn(t) == expect, (t, windows)
+        for t, e, ell, kind, ell_post in stretches:
+            assert ell == fn(t)
+            assert ell_post == (None if kind is None else fn(e))
+
+
+def test_lineage_function_rejects_an_unpruned_genealogy():
+    g = replace(gf.apply_sample(gf.new_genealogy(1), 0, 0.7), time=2.0)
+    with pytest.raises(GenealogyError, match="extant individual; prune"):
+        gf.LineageFunction(g)
+    with pytest.raises(GenealogyError, match="extant individual; prune"):
+        gf.lineage_count(g, 0.3)
 
 
 def test_lineage_function_at_matches_scalar_calls():
