@@ -47,7 +47,10 @@ sub-generator: nonnegative off the diagonal, columns summing to at most 0.
 Its sparsity pattern is assembled once per oracle call, with the lattice
 (`StateLattice.pattern`); each epoch only refills the data, once for one
 exact uniformization step (`integrate_epochs`), or, when some channel has a
-bound, at every RK45 step.
+bound, at every RK45 step.  The lattice is built once per call from the
+truncation, and the `WeightGrid` the oracle returns carries it, so
+`boundary_flux` on that grid reads the transition maps the oracle built.
+No lattice or generator outlives the grid it belongs to.
 
 States with fewer focal individuals than the genealogy's lineages carry zero
 weight from each stretch's start.  Coordinates declared as bookkeeping on the
@@ -67,7 +70,7 @@ import numpy as np
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
-                         _generator, _rate_integral, ensure_rng, integrate_epochs)
+                         _generator, _rate_integral, _state_array, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -187,12 +190,27 @@ class WeightGrid:
     ``exp(log_scale) * weights.sum()`` is the likelihood accumulated so far.
     The scale is kept apart so that the weights stay representable on long
     genealogies.
+
+    ``lattice`` is the `StateLattice` of ``states``.  A grid from
+    `oracle_loglik` carries the lattice the oracle ran on, with every
+    transition map it built, for as long as ``states`` are that lattice's
+    rows in order; any other grid, one built by hand, by
+    `dataclasses.replace` or whose states were reassigned, gets a new one
+    from its states at each read.
     """
 
     states: np.ndarray
     weights: np.ndarray
     time: float
     log_scale: float = 0.0
+    _lattice: StateLattice | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def lattice(self) -> StateLattice:
+        kept = self._lattice
+        if kept is not None and np.array_equal(kept.states, self.states):
+            return kept
+        return StateLattice(self.states, self.states.shape[1])
 
 
 def _stretches(v: Genealogy):
@@ -625,13 +643,15 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     so ``tol`` always applies to mass of order one.  A weight driven negative
     by more than ``tol`` times the mass it started from raises
     `IntegrationError` naming the interval.  A ``tol`` that is not positive
-    and finite raises ValueError, and an ``init_pmf`` that does not give one
-    value per state, or gives a negative or non-finite one, raises
-    `FilterError`.
+    and finite raises ValueError, as does a truncation whose rows do not all
+    have ``spec.d`` entries (an ndarray truncation is read as it is), and an
+    ``init_pmf`` that does not give one value per state, or gives a negative
+    or non-finite one, raises `FilterError`.  The grid of ``return_grid``
+    carries the call's lattice (`WeightGrid`).
     """
     _check_tol(tol)
     n_active = len(spec.active_dims)
-    full = np.array(list(truncation), dtype=np.int64, ndmin=2)
+    full = _state_array(truncation, spec.d)
     proj = StateLattice(full[:, :n_active], n_active)
     pmf = np.asarray(spec.init_pmf(full), dtype=float)
     if pmf.shape != (len(full),):
@@ -665,7 +685,9 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     total = float(w.sum())
     loglik = log_scale + math.log(total) if total > 0.0 else -math.inf
     if return_grid:
-        return loglik, WeightGrid(proj.states.copy(), w.copy(), v.time, log_scale)
+        grid = WeightGrid(proj.states.copy(), w.copy(), v.time, log_scale)
+        grid._lattice = proj
+        return loglik, grid
     return loglik
 
 
@@ -674,19 +696,20 @@ def boundary_flux(spec: ModelSpec, weights, t: float = 0.0) -> float:
 
     ``weights`` maps states to mass (a dict or a WeightGrid).  The flux is
     mass times rate, summed over the rows each channel takes off the
-    `StateLattice` of those states.  A WeightGrid contributes its weights
-    without their ``log_scale``, so the flux is relative to the likelihood
-    accumulated so far.  A large value relative to the integration tolerance
-    means the truncation is too small.
+    `WeightGrid.lattice` of those states; a dict is read as a grid built by
+    hand, and the grid of `oracle_loglik` brings the oracle's own lattice,
+    whose transition maps are already built.  A WeightGrid contributes its
+    weights without their ``log_scale``, so the flux is relative to the
+    likelihood accumulated so far.  A large value relative to the
+    integration tolerance means the truncation is too small.
     """
-    if isinstance(weights, WeightGrid):
-        states, mass = weights.states, weights.weights
-    else:
-        states, mass = list(weights), list(weights.values())
+    if not isinstance(weights, WeightGrid):
+        weights = WeightGrid(np.asarray(list(weights), dtype=np.int64),
+                             np.asarray(list(weights.values()), dtype=float), t)
+    states, mass = weights.states, weights.weights
     if not len(mass):
         return 0.0
-    states = np.asarray(states, dtype=np.int64)
-    lattice = StateLattice(states, states.shape[1])
+    lattice = weights.lattice
     w = np.zeros(lattice.size)
     np.add.at(w, lattice.rows(states), mass)
     rates = spec.rate_matrix(t, lattice.states)

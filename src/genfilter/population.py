@@ -15,6 +15,7 @@ without Python-level loops; scalar use sees ``x`` of shape ``(d,)``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csr_matvec
 
 DEFAULT_MAX_JUMPS = 10_000_000
 
@@ -539,23 +541,43 @@ class GeneratorPattern(NamedTuple):
     cell: np.ndarray
 
 
+def _state_array(states, d: int) -> np.ndarray:
+    """``states`` as an (n, d) int64 array; an ndarray is taken as it is.
+
+    Other input is a sequence of rows, read in one pass over their entries.
+    Rows that do not all have ``d`` entries, of another width or ragged,
+    raise ValueError naming ``d``, as does an array of another shape; no
+    state at all raises ValueError("empty truncation").
+    """
+    if isinstance(states, np.ndarray):
+        arr = np.array(states, dtype=np.int64, ndmin=2, copy=None)
+    else:
+        rows = list(states)
+        if set(map(len, rows)) - {d}:
+            raise ValueError(f"states are not all of length {d}")
+        arr = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                          len(rows) * d).reshape(len(rows), d)
+    if not arr.size:
+        raise ValueError("empty truncation")
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise ValueError(f"states are not all of length {d}")
+    return arr
+
+
 class StateLattice:
     """Finite lattice states in lexicographic row order, with per-displacement maps.
 
     Rows are looked up by index in the states' bounding box (under 2**63 cells).
+    ``states`` are read by `_state_array`; duplicates collapse to one row.
     """
 
     def __init__(self, states, d: int):
-        arr = np.array(states if isinstance(states, np.ndarray) else list(states),
-                       dtype=np.int64, ndmin=2)
-        if not arr.size:
-            raise ValueError("empty truncation")
-        if arr.ndim != 2 or arr.shape[1] != d:
-            raise ValueError(f"states are not all of length {d}")
+        arr = _state_array(states, d)
         self.d = d
         self._lo = arr.min(axis=0)
         self._box = tuple(arr.max(axis=0) - self._lo + 1)
-        self._keys = np.unique(np.ravel_multi_index((arr - self._lo).T, self._box))
+        keys = np.sort(np.ravel_multi_index((arr - self._lo).T, self._box), kind="stable")
+        self._keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0: the first is kept
         self.states = np.column_stack(np.unravel_index(self._keys, self._box)) + self._lo
         self.size = len(self._keys)
         self._transitions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -711,7 +733,11 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
 
     ``A`` is a CSR matrix.  P is A scaled by 1 / lam with 1 added to its
     diagonal in place; a diagonal entry that ``A`` does not store is
-    inserted, which a generator from `_generator` never needs.
+    inserted, which a generator from `_generator` never needs.  Each product
+    P^k w is scipy's own CSR kernel, the one ``P @ term`` runs, called into
+    one of two preallocated buffers, and each term is added as ``p * term``
+    through a third, so the series allocates nothing per term and gives
+    what ``out += p * (P @ term)`` gives, bit for bit.
     """
     diagonal = A.diagonal()
     lam = float(-diagonal.min())
@@ -722,6 +748,8 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
     target = tol * _TAIL_SHARE / n_sub
     P = A * (1.0 / lam)
     P.setdiag(diagonal * (1.0 / lam) + 1.0)
+    n, indptr, indices, data = P.shape[0], P.indptr, P.indices, P.data
+    buffers, scaled = np.empty((2, n)), np.empty(n)
     for _ in range(n_sub):
         p = math.exp(-mean)
         term, out = w, p * w
@@ -731,8 +759,12 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
             if k + 2 > mean and p * (k + 2) / (k + 2 - mean) <= target:
                 break
             k += 1
-            term = P @ term
-            out += p * term
+            nxt = buffers[k % 2]
+            nxt.fill(0.0)  # the kernel adds each row's sum to what the output holds
+            csr_matvec(n, n, indptr, indices, data, term, nxt)
+            term = nxt
+            np.multiply(term, p, out=scaled)
+            out += scaled
         w = out
     return w
 

@@ -659,6 +659,56 @@ def test_boundary_flux_from_dict():
     assert flux == pytest.approx(0.5 * 0.3 + 0.5 * 1.6)
 
 
+@pytest.mark.parametrize("beta, want", [(0.04, 2.616855910419927),
+                                        ("piecewise", 1.3274653344538958)])
+def test_boundary_flux_is_one_value_on_every_path(beta, want):
+    # infections leave the s >= 85 band of the SIR-100 simplex; the oracle's
+    # grid, a grid built by hand from its states and weights and the same
+    # weights as a dict, in either order, give one float, recorded before the
+    # grid carried the oracle's lattice
+    params, _, v = sir100_visible(1.0)
+    if beta == "piecewise":
+        beta = gf.PiecewiseConstant((0.5,), (0.04, 0.02))
+    spec = gf.sir_spec(replace(params, transmission_rate=beta))
+    band = [x for x in gf.sir_truncation(params) if x[0] >= 85]
+    _, grid = gf.oracle_loglik(spec, v, band, return_grid=True)
+    assert grid.lattice is grid.lattice and "lattice" not in repr(grid)
+    by_hand = gf.WeightGrid(grid.states.copy(), grid.weights.copy(), grid.time, grid.log_scale)
+    as_dict = dict(zip(map(tuple, grid.states.tolist()), grid.weights.tolist()))
+    reversed_dict = dict(reversed(as_dict.items()))
+    flux = [gf.boundary_flux(spec, w, t=v.time) for w in (grid, by_hand, as_dict, reversed_dict)]
+    assert flux == [want] * 4
+    # states reassigned on the oracle's grid leave its lattice behind
+    grid.states, grid.weights = grid.states[:50], grid.weights[:50]
+    assert grid.lattice.size == 50
+    assert gf.boundary_flux(spec, grid, t=v.time) == gf.boundary_flux(
+        spec, dict(list(as_dict.items())[:50]), t=v.time)
+
+
+@pytest.mark.parametrize("shape", ["narrow", "wide", "ragged", "narrow-array", "wide-array"])
+def test_oracle_names_the_width_of_a_malformed_truncation(shape):
+    # SIR states are 4 wide; a 3-wide and a 5-wide row hold 8 entries between
+    # them, so reading the rows flat without a width check would re-pair them
+    params = gf.SIRParams(0.9, 0.5, 0.6, 6, 2)
+    spec = gf.sir_spec(params)
+    rows = gf.sir_truncation(params)
+    bad = {"narrow": [x[:3] for x in rows], "wide": [x + (0,) for x in rows],
+           "ragged": rows[:-2] + [rows[-2][:3], rows[-1] + (0,)]}
+    bad["narrow-array"], bad["wide-array"] = np.array(bad["narrow"]), np.array(bad["wide"])
+    with pytest.raises(ValueError, match=f"states are not all of length {spec.d}"):
+        gf.oracle_loglik(spec, coalescence_visible(), bad[shape])
+
+
+def test_oracle_takes_an_array_truncation_as_it_is():
+    params = gf.SIRParams(0.9, 0.5, 0.6, 6, 2)
+    spec, v = gf.sir_spec(params), coalescence_visible()
+    rows = gf.sir_truncation(params)
+    assert gf.oracle_loglik(spec, v, np.array(rows)) == gf.oracle_loglik(spec, v, rows)
+    for empty in ([], np.empty((0, spec.d), dtype=np.int64)):
+        with pytest.raises(ValueError, match="empty truncation"):
+            gf.oracle_loglik(spec, v, empty)
+
+
 def test_tied_event_times_are_rejected():
     # two leaves at t=0.7 would both be weighted with the count left after both
     spec = sir(0.5, 1.0, 1.0, 6, 3)
@@ -957,6 +1007,12 @@ def test_sir100_seed101_values_are_pinned():
     loglik, grid = gf.oracle_loglik(spec, v, gf.sir_truncation(params), return_grid=True)
     # RK45 at tol 1e-12 gives 0.2930492140330583, log scale 1.437719515271477
     assert (loglik, grid.log_scale) == (0.29304921403290485, 1.4377195152714253)
+    # the full simplex is closed under every displacement, so no flux leaves it
+    assert gf.boundary_flux(spec, grid, t=v.time) == 0.0
+    # the epoch path: one uniformization step per epoch on each side of t=0.5
+    loglik, grid = gf.oracle_loglik(varying, v, gf.sir_truncation(params), return_grid=True)
+    assert (loglik, grid.log_scale) == (-0.2745236725990511, 0.4446123078639419)
+    assert gf.boundary_flux(varying, grid, t=v.time) == 0.0
     assert gf.loglik_events(spec, gf.to_history(traj), v) == -10.778129199009985
 
 

@@ -337,6 +337,22 @@ def test_state_lattice_rows_match_a_dict_of_tuples(states, probes):
         assert list(zip(src.tolist(), dst.tolist())) == want
 
 
+def test_state_lattice_of_shuffled_duplicates_is_that_of_sorted_unique_rows():
+    rng = np.random.default_rng(21)
+    unique = [(a, b, c) for a in range(-2, 5) for b in range(3) for c in range(-1, 4)
+              if (a + b + c) % 3]
+    rows = [unique[i] for i in rng.permutation(np.repeat(np.arange(len(unique)), 3))]
+    want = gf.StateLattice(unique, 3)
+    probes = rng.integers(-4, 7, size=(200, 3))
+    for states in (rows, np.array(rows)):
+        lattice = gf.StateLattice(states, 3)
+        assert lattice.size == len(unique)
+        assert lattice.states.tolist() == [list(s) for s in unique]
+        assert np.array_equal(lattice.rows(states), want.rows(states))
+        assert np.array_equal(lattice.rows(probes), want.rows(probes))
+        assert lattice.rows(unique).tolist() == list(range(len(unique)))
+
+
 def test_kfe_pure_death_survival_probability():
     delta = 0.9
     spec = lbdp(0.0, delta, 0.0, 1)
@@ -387,6 +403,51 @@ def test_uniformized_matches_the_pure_death_law():
     assert np.abs(got - want).max() < 1e-13
 
 
+def reference_uniformized(A, w, dt, tol):
+    """The series by scipy's public ``P @ term`` and a new array per term, which
+    `_uniformized` must match bit for bit."""
+    diagonal = A.diagonal()
+    lam = float(-diagonal.min())
+    if lam <= 0.0 or dt <= 0.0:
+        return w.copy()
+    n_sub = math.ceil(lam * dt / 500.0)
+    mean = lam * dt / n_sub
+    target = tol * 1e-6 / n_sub
+    P = A * (1.0 / lam)
+    P.setdiag(diagonal * (1.0 / lam) + 1.0)
+    for _ in range(n_sub):
+        p = math.exp(-mean)
+        term, out = w, p * w
+        k = 0
+        while True:
+            p *= mean / (k + 1)
+            if k + 2 > mean and p * (k + 2) / (k + 2 - mean) <= target:
+                break
+            k += 1
+            term = P @ term
+            out += p * term
+        w = out
+    return w
+
+
+# lam dt of 1300 is cut into three substeps; a zeroed column leaves a
+# diagonal entry unstored, which both sides insert
+@pytest.mark.parametrize("mean", [0.02, 3.0, 140.0, 499.0, 1300.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uniformized_is_the_reference_series_bit_for_bit(seed, mean):
+    rng = np.random.default_rng(seed)
+    dense = random_generator(rng, 40, rng.random(40) * (rng.random(40) < 0.5))
+    dense[:, 7] = 0.0
+    A = csr_matrix(dense)
+    lam = -A.diagonal().min()
+    w = rng.random(40) * (rng.random(40) < 0.8)
+    for tol in (1e-8, 1e-12):
+        got = _uniformized(A, w, mean / lam, tol)
+        want = reference_uniformized(A, w, mean / lam, tol)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(A.toarray(), dense)
+
+
 def test_uniformized_inserts_missing_diagonal_entries_without_a_warning():
     # pure death of 600: the empty state's diagonal entry is not stored, and
     # so few are missing that scipy inserts it in place
@@ -410,12 +471,12 @@ def test_uniformized_stops_at_a_tiny_tol(monkeypatch):
     rng = np.random.default_rng(5)
     A = csr_matrix(random_generator(rng, 5, 0.0))
     products = []
-    matmul = csr_matrix.__matmul__
+    matvec = gf.population.csr_matvec
 
-    def counting(self, v):
+    def counting(*args):
         products.append(1)
-        return matmul(self, v)
-    monkeypatch.setattr(csr_matrix, "__matmul__", counting)
+        return matvec(*args)
+    monkeypatch.setattr(gf.population, "csr_matvec", counting)
     mean = -A.diagonal().min() * 2.0
     got = _uniformized(A, np.full(5, 0.2), 2.0, 1e-300)
     assert np.isfinite(got).all()
