@@ -193,10 +193,10 @@ class WeightGrid:
 
     ``lattice`` is the `StateLattice` of ``states``.  A grid from
     `oracle_loglik` carries the lattice the oracle ran on, with every
-    transition map it built, for as long as ``states`` are that lattice's
-    rows in order; any other grid, one built by hand, by
-    `dataclasses.replace` or whose states were reassigned, gets a new one
-    from its states at each read.
+    transition map it built but none of its generator patterns, for as
+    long as ``states`` are that lattice's rows in order; any other grid,
+    one built by hand, by `dataclasses.replace` or whose states were
+    reassigned, gets a new one from its states at each read.
     """
 
     states: np.ndarray
@@ -686,6 +686,7 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     loglik = log_scale + math.log(total) if total > 0.0 else -math.inf
     if return_grid:
         grid = WeightGrid(proj.states.copy(), w.copy(), v.time, log_scale)
+        proj._patterns.clear()  # the grid keeps only the transition maps boundary_flux reads
         grid._lattice = proj
         return loglik, grid
     return loglik

@@ -550,7 +550,7 @@ def _state_array(states, d: int) -> np.ndarray:
     state at all raises ValueError("empty truncation").
     """
     if isinstance(states, np.ndarray):
-        arr = np.array(states, dtype=np.int64, ndmin=2, copy=None)
+        arr = np.atleast_2d(np.asarray(states, dtype=np.int64))
     else:
         rows = list(states)
         if set(map(len, rows)) - {d}:
