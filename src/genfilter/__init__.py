@@ -17,10 +17,9 @@ from .filtering import (Ensemble, EventDiagnostics, FilterConfig,
                         propagate_interval, replicate_loglik, smc_loglik)
 from .genealogy import (Ball, Genealogy, GenealogyError, Inventory,
                         LineageFunction, LineageRecord, NewickError, Node,
-                        apply_birth, apply_death, apply_sample, attach_times,
-                        build_genealogy, embedded_chain, event_times,
-                        fold_inventory, from_newick, genealogy_from_json,
-                        genealogy_to_json, inventory_of, lineage_count,
+                        apply_birth, apply_death, apply_sample, build_genealogy,
+                        embedded_chain, fold_inventory, from_newick,
+                        genealogy_from_json, genealogy_to_json, inventory_of,
                         new_genealogy, prune, read_genealogy, to_newick,
                         validate_genealogy, write_genealogy)
 from .models import (MODELS, TRUNCATIONS, LBDPParams, PiecewiseConstant,
@@ -31,8 +30,7 @@ from .population import (EventType, History, IntegrationError, Jump,
                          JumpSequence, ModelReport, ModelSpec, SimulationError,
                          StateLattice, forward_generator, history_log_density,
                          integrate_epochs, integrate_linear, jump_log_density, kfe_integrate,
-                         read_trajectory, simulate, state_at, state_before,
-                         to_history, validate_model, write_history,
-                         write_trajectory)
+                         read_trajectory, simulate, state_at, to_history,
+                         validate_model, write_history, write_trajectory)
 
 __version__ = "0.1.0"

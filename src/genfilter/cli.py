@@ -117,7 +117,24 @@ _VALIDATOR = jsonschema.validators.extend(
         "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)))
 
 
+def _non_finite(obj, where: str):
+    """``(path, value)`` of the first NaN or infinity in parsed JSON ``obj``, else None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return where, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _non_finite(value, f"{where}.{key}")
+        if found:
+            return found
+    return None
+
+
 def load_config(path) -> dict:
+    """The validated config at ``path``.
+
+    JSON's NaN, Infinity and -Infinity, and a number too large for a float,
+    are a ConfigError naming where they stand, before the schema is read.
+    """
     path = Path(path)
     try:
         raw = path.read_text()
@@ -127,6 +144,10 @@ def load_config(path) -> dict:
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    bad = _non_finite(config, "config")
+    if bad:
+        raise ConfigError(f"{bad[0]}: {json.dumps(bad[1])} is not allowed; "
+                          f"config numbers must be finite")
     errors = sorted(_VALIDATOR(_SCHEMA).iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

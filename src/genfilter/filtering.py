@@ -646,8 +646,9 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     and finite raises ValueError, as does a truncation whose rows do not all
     have ``spec.d`` entries (an ndarray truncation is read as it is), and an
     ``init_pmf`` that does not give one value per state, or gives a negative
-    or non-finite one, raises `FilterError`.  The grid of ``return_grid``
-    carries the call's lattice (`WeightGrid`).
+    or non-finite one, raises `FilterError`, as does a truncation that holds
+    none of the initial mass: -inf is kept for an impossible genealogy.  The
+    grid of ``return_grid`` carries the call's lattice (`WeightGrid`).
     """
     _check_tol(tol)
     n_active = len(spec.active_dims)
@@ -661,6 +662,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
         i = np.argmax(~(pmf >= 0.0) | (pmf == math.inf))
         raise FilterError(f"init_pmf gave {pmf[i]} at state {tuple(full[i].tolist())}; "
                           f"it must be nonnegative and finite")
+    if not pmf.max() > 0.0:
+        raise FilterError("the truncation holds none of the initial distribution's mass")
     w = np.zeros(proj.size)
     np.add.at(w, proj.rows(full[:, :n_active]), pmf)
     size = spec.focal_sizes(proj.states)

@@ -14,8 +14,9 @@ the samples, whose pockets are green-green (coalescence), green-blue (direct
 descent), or red-blue (leaf).  `event_schedule`, the one classifier of its
 nodes, gives every likelihood route its events, and `LineageFunction` counts
 the lineages from that schedule alone; a genealogy the schedule rejects
-(unpruned, another pocket form, a non-root node at t <= 0, tied events) or
-whose count goes negative is a `GenealogyError` on every route.
+(unpruned, another pocket form, a non-root node at t <= 0, tied events, a
+node after the observation time) or whose count goes negative is a
+`GenealogyError` on every route.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -101,22 +102,6 @@ class _State:
 
     __slots__ = ("time", "order", "times", "pockets", "holder", "blacks",
                  "blue_count", "next_name")
-
-    @classmethod
-    def new(cls, n0: int) -> "_State":
-        st = cls()
-        st.time = 0.0
-        st.order = list(range(n0))
-        st.times = {i: 0.0 for i in range(n0)}
-        st.pockets = {i: {Ball(GREEN, i), Ball(BLACK, i)} for i in range(n0)}
-        st.holder = {}
-        for i in range(n0):
-            st.holder[Ball(GREEN, i)] = i
-            st.holder[Ball(BLACK, i)] = i
-        st.blacks = list(range(n0))
-        st.blue_count = 0
-        st.next_name = n0
-        return st
 
     @classmethod
     def from_genealogy(cls, g: Genealogy) -> "_State":
@@ -235,9 +220,8 @@ def new_genealogy(n0: int, time: float = 0.0) -> Genealogy:
     """n0 root nodes at time 0, each holding its own green and black ball."""
     if n0 < 0:
         raise ValueError("n0 must be nonnegative")
-    st = _State.new(n0)
-    st.time = time
-    return st.freeze()
+    return Genealogy(time, tuple(Node(i, 0.0, frozenset({Ball(GREEN, i), Ball(BLACK, i)}))
+                                 for i in range(n0)))
 
 
 def apply_birth(g: Genealogy, n: int, t: float) -> Genealogy:
@@ -265,7 +249,7 @@ def build_genealogy(spec: ModelSpec, traj: JumpSequence) -> tuple[Genealogy, Inv
     inventory (which always equals the sorted black-ball names).
     """
     x0 = np.asarray(traj.x0, dtype=np.int64)
-    st = _State.new(spec.focal(x0))
+    st = _State.from_genealogy(new_genealogy(spec.focal(x0)))
     for idx, j in enumerate(traj.jumps):
         ev = spec.events[j.event]
         try:
@@ -310,42 +294,6 @@ def prune(g: Genealogy) -> Genealogy:
     return st.freeze()
 
 
-class EventTimeSets(NamedTuple):
-    """Node times classified by pocket contents (sorted multisets).
-
-    ``internal`` nodes hold at least one green ball, ``coalescence`` nodes two,
-    ``leaf`` nodes none; ``sample`` nodes hold a blue ball and ``direct`` is
-    internal-and-sample.  For a visible genealogy internal = coalescence +
-    direct and sample = direct + leaf.
-    """
-
-    all_events: tuple[float, ...]
-    internal: tuple[float, ...]
-    coalescence: tuple[float, ...]
-    leaf: tuple[float, ...]
-    sample: tuple[float, ...]
-    direct: tuple[float, ...]
-
-
-def event_times(g: Genealogy) -> EventTimeSets:
-    all_e, internal, coal, leaf, samp, direct = [], [], [], [], [], []
-    for n in g.nodes:
-        greens = sum(1 for b in n.pocket if b.color == GREEN)
-        has_blue = any(b.color == BLUE for b in n.pocket)
-        all_e.append(n.time)
-        if greens >= 1:
-            internal.append(n.time)
-        if greens == 2:
-            coal.append(n.time)
-        if greens == 0:
-            leaf.append(n.time)
-        if has_blue:
-            samp.append(n.time)
-        if greens >= 1 and has_blue:
-            direct.append(n.time)
-    return EventTimeSets(*(tuple(sorted(v)) for v in (all_e, internal, coal, leaf, samp, direct)))
-
-
 def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     """Classified event times of a visible genealogy, in sequence order.
 
@@ -353,11 +301,15 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     condition and are not events: each must be green-green, one lineage
     present from time 0 on.  Every other node must come after time 0 and
     after the event before it.  Two events at one time are rejected: each
-    needs the lineage count between them.
+    needs the lineage count between them.  So is a node later than the
+    observation time ``v.time``.
     """
     out: dict[float, str] = {}
     last = 0.0
     for n in v.nodes:
+        if n.time > v.time:
+            raise GenealogyError(f"node {n.name} at t={n.time} comes after the "
+                                 f"observation time {v.time}")
         colors = tuple(sorted(b.color for b in n.pocket))
         if BLACK in colors:
             raise GenealogyError(f"node {n.name}: extant individual; prune to a visible genealogy")
@@ -412,10 +364,6 @@ class LineageFunction:
         """The count at each of ``times`` at once."""
         counts = np.concatenate(([0], self.values))
         return counts[np.searchsorted(self.breaks, np.asarray(times, dtype=float), side="right")]
-
-
-def lineage_count(g: Genealogy, t: float) -> int:
-    return LineageFunction(g)(t)
 
 
 def _parent_map(g: Genealogy) -> dict[int, int]:
@@ -475,11 +423,6 @@ def embedded_chain(v: Genealogy) -> tuple[LineageRecord, ...]:
         claimed.update(path)
         out.append(LineageRecord(s_q, a_q, kind))
     return tuple(out)
-
-
-def attach_times(v: Genealogy) -> tuple[tuple[float, float], ...]:
-    """(attachment time, sample time) per lineage, in sample order."""
-    return tuple((r.attach_time, r.sample_time) for r in embedded_chain(v))
 
 
 def validate_genealogy(g: Genealogy) -> list[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -80,6 +80,12 @@ def _check_count(name: str, value) -> int:
     return out
 
 
+def _field_values(params) -> dict:
+    """A params dataclass as a plain mapping, field by field; a `PiecewiseConstant` as its dict."""
+    out = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {k: v.to_dict() if isinstance(v, PiecewiseConstant) else v for k, v in out.items()}
+
+
 def _point_mass(x0: np.ndarray):
     x0 = np.asarray(x0, dtype=np.int64)
 
@@ -100,10 +106,6 @@ class LBDPParams:
     death_rate: float
     sampling_rate: float
     n0: int
-
-    def to_dict(self) -> dict:
-        return {"birth_rate": self.birth_rate, "death_rate": self.death_rate,
-                "sampling_rate": self.sampling_rate, "n0": self.n0}
 
 
 def lbdp_spec(params: LBDPParams, mu: float = 1.0) -> ModelSpec:
@@ -129,7 +131,7 @@ def lbdp_spec(params: LBDPParams, mu: float = 1.0) -> ModelSpec:
         focal_size=lambda x: x[..., 0],
         mu=mu,
         bookkeeping_dims=(1,),
-        params=params.to_dict(),
+        params=_field_values(params),
     )
 
 
@@ -151,15 +153,6 @@ class SIRParams:
     s0: int
     i0: int
     r0: int = 0
-
-    def to_dict(self) -> dict:
-        beta = self.transmission_rate
-        return {
-            "transmission_rate": beta.to_dict() if isinstance(beta, PiecewiseConstant) else beta,
-            "recovery_rate": self.recovery_rate,
-            "sampling_rate": self.sampling_rate,
-            "s0": self.s0, "i0": self.i0, "r0": self.r0,
-        }
 
 
 def _si_product(beta: float | PiecewiseConstant):
@@ -189,7 +182,7 @@ def _sir_family(name: str, params, mu: float, waning=()) -> ModelSpec:
         EventType("sampling", (0, 0, 0, 1), is_sample=True),
     ]
     rates = [infection, lambda t, x: gamma * x[..., 1], lambda t, x: psi * x[..., 1]]
-    values = SIRParams(beta, gamma, psi, s0, i0, r0).to_dict()
+    values = _field_values(SIRParams(beta, gamma, psi, s0, i0, r0))
     if sigma:
         events.append(EventType("waning", (1, 0, -1, 0)))
         rates.append(lambda t, x: sigma[0] * x[..., 2])
@@ -229,12 +222,6 @@ class SIRSParams:
     i0: int
     r0: int = 0
 
-    def to_dict(self) -> dict:
-        out = SIRParams(self.transmission_rate, self.recovery_rate,
-                        self.sampling_rate, self.s0, self.i0, self.r0).to_dict()
-        out["waning_rate"] = self.waning_rate
-        return out
-
 
 def sirs_spec(params: SIRSParams, mu: float = 1.0) -> ModelSpec:
     """State (s, i, r, sampled); waning is unmarked since i is unchanged."""
@@ -255,13 +242,6 @@ class S2IRParams:
     s1_0: int
     s2_0: int
     i0: int
-
-    def to_dict(self) -> dict:
-        return {"transmission_rate_1": self.transmission_rate_1,
-                "transmission_rate_2": self.transmission_rate_2,
-                "recovery_rate": self.recovery_rate,
-                "sampling_rate": self.sampling_rate,
-                "s1_0": self.s1_0, "s2_0": self.s2_0, "i0": self.i0}
 
 
 def s2ir_spec(params: S2IRParams, mu: float = 1.0) -> ModelSpec:
@@ -292,7 +272,7 @@ def s2ir_spec(params: S2IRParams, mu: float = 1.0) -> ModelSpec:
         focal_size=lambda x: x[..., 2],
         mu=mu,
         bookkeeping_dims=(3,),
-        params=params.to_dict(),
+        params=_field_values(params),
     )
 
 

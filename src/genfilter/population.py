@@ -311,8 +311,11 @@ def simulate(spec: ModelSpec, t_end: float, rng,
     and picks the channel.  A rejected candidate keeps its time.  Marked
     events draw an auxiliary number uniformly over the focal subpopulation
     just before the jump.  Identical (spec, seed, t_end) give identical output.
-    More than ``max_jumps`` jumps raise `SimulationError`.
+    More than ``max_jumps`` jumps raise `SimulationError`, and a negative or
+    NaN ``t_end`` raises ValueError.
     """
+    if not t_end >= 0.0:
+        raise ValueError(f"horizon must be nonnegative, got {t_end}")
     rng = ensure_rng(rng)
     x = np.asarray(spec.init_sample(rng, 1), dtype=np.int64)
     if x.shape != (1, spec.d):
@@ -373,20 +376,13 @@ def _check_bound(actual, bound, start, end) -> None:
 
 
 def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
-    """State at time ``t`` (right-continuous)."""
+    """State at time ``t`` (right-continuous).
+
+    The left limit at ``t`` is the state at ``np.nextafter(t, -np.inf)``.
+    """
     x = np.asarray(traj.x0, dtype=np.int64).copy()
     for j in traj.jumps:
         if j.time > t:
-            break
-        x += spec.displacements[j.event]
-    return x
-
-
-def state_before(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
-    """Left limit of the state at time ``t``."""
-    x = np.asarray(traj.x0, dtype=np.int64).copy()
-    for j in traj.jumps:
-        if j.time >= t:
             break
         x += spec.displacements[j.event]
     return x
@@ -783,9 +779,12 @@ def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
     `integrate_linear` with relative tolerance ``tol``.  The generators of
     this module (`forward_generator`, and the oracle's through `_generator`)
     keep one sparsity pattern per lattice, so each call refills only the
-    data of that pattern.
+    data of that pattern.  ``t1 < t0`` raises ValueError, as in
+    `integrate_linear`.
     """
     _check_tol(tol)
+    if t1 < t0:
+        raise ValueError("t1 < t0")
     for a, b in spec.epochs(t0, t1):
         if spec.varies_within_epochs:
             w = integrate_linear(lambda t, v: generator(t) @ v, w, a, b, tol)

@@ -15,7 +15,7 @@ from scipy.stats import t as student_t
 
 import genfilter as gf
 from genfilter.filtering import FilterConfig
-from genfilter.population import Jump, JumpSequence, state_before, to_history
+from genfilter.population import Jump, JumpSequence, state_at, to_history
 
 
 def announce(capsys, label, ok, detail):
@@ -94,7 +94,7 @@ def test_criterion_2_brute_force_enumeration(capsys):
                   if spec.events[j.event].is_marked]
         if not marked:
             continue
-        sizes = [spec.focal(state_before(spec, traj, traj.jumps[i].time))
+        sizes = [spec.focal(state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf)))
                  for i in marked]
         if max(sizes) > 6 or math.prod(sizes) > 3000:
             continue
@@ -212,7 +212,7 @@ def _check_structure(spec, traj, rng):
     v = gf.prune(g)
     assert gf.validate_genealogy(v) == []
     assert gf.prune(v) == v
-    gf.event_schedule(v)  # raises unless every pocket has visible form
+    schedule = gf.event_schedule(v)  # raises unless every pocket has visible form
 
     # dropping the extant individuals in any order gives the same genealogy
     shuffled = g
@@ -224,15 +224,17 @@ def _check_structure(spec, traj, rng):
                                   g.time)
     assert shuffled == v
 
-    ets = gf.event_times(v)
-    assert ets.all_events == tuple(sorted(ets.internal + ets.leaf))
-    assert ets.sample == tuple(sorted(ets.direct + ets.leaf))
-    assert ets.internal == tuple(sorted(ets.coalescence + ets.direct))
+    # every sample is a direct descent or a leaf, and the roots and
+    # coalescences open as many lineages as the leaves close
+    kinds = [kind for _, kind in schedule]
+    assert [t for t, kind in schedule if kind != "coalescence"] == \
+        [j.time for j in traj.jumps if spec.events[j.event].is_sample]
+    assert len(v.nodes) - len(schedule) + kinds.count("coalescence") == kinds.count("leaf")
 
     # the open-lineage count telescopes over per-sample attachment windows
     chain = gf.embedded_chain(v)
     ell = gf.LineageFunction(v)
-    probes = [0.0, v.time] + list(ets.all_events) + \
+    probes = [0.0, v.time] + [n.time for n in v.nodes] + \
         list(rng.uniform(0.0, v.time, size=4))
     for t in probes:
         want = sum(1 for r in chain if r.attach_time <= t < r.sample_time)
@@ -241,9 +243,10 @@ def _check_structure(spec, traj, rng):
     assert gf.genealogy_from_json(gf.genealogy_to_json(v)) == v
     if v.nodes:
         parsed = gf.from_newick(gf.to_newick(v))
-        got, want = gf.event_times(parsed), ets
-        for a, b in zip(got, want):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        got = gf.event_schedule(parsed)
+        assert [kind for _, kind in got] == kinds
+        assert np.allclose([t for t, _ in got], [t for t, _ in schedule],
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_criterion_6_structural_fuzz(capsys):

@@ -400,7 +400,8 @@ def test_non_finite_piecewise_rate_is_a_config_error(tmp_path, field, bad):
 
 @pytest.mark.parametrize("key,bad", [("transmission_rate", math.nan),
                                      ("transmission_rate", math.inf),
-                                     ("recovery_rate", math.nan)])
+                                     ("recovery_rate", math.nan),
+                                     ("recovery_rate", -math.inf)])
 def test_non_finite_scalar_rate_is_a_config_error(tmp_path, key, bad):
     params = {"transmission_rate": 0.04, "recovery_rate": 1.0, "sampling_rate": 1.0,
               "s0": 20, "i0": 2}
@@ -413,6 +414,23 @@ def test_non_finite_scalar_rate_is_a_config_error(tmp_path, key, bad):
     assert "error:" in proc.stderr
     assert "config.model.params" in proc.stderr and "finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,section,where,literal", [
+    ("oracle", {"oracle": {"n_max": 20, "tol": math.nan}}, "config.oracle.tol", "NaN"),
+    ("oracle", {"oracle": {"n_max": 20, "tol": math.inf}}, "config.oracle.tol", "Infinity"),
+    ("filter", {"filter": {"n_particles": 20, "ess_threshold": math.nan}},
+     "config.filter.ess_threshold", "NaN"),
+])
+def test_non_finite_json_number_is_a_config_error(tmp_path, capsys, command, section, where,
+                                                   literal):
+    """json reads NaN and Infinity; every one is a config error naming its key."""
+    out = simulated(tmp_path)
+    config = write_config(tmp_path, name="nan.json",
+                          inputs={"genealogy": str(out / "genealogy_visible.json")}, **section)
+    assert literal in config.read_text()
+    assert run(command, "--config", config, "--out", tmp_path / "o") == 2
+    assert f"error: {where}: {literal} is not allowed" in capsys.readouterr().err
 
 
 def test_relative_input_resolves_against_config_dir(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import genfilter as gf
 from genfilter.exact import ExactError, QContext, q_factor
-from genfilter.population import History, Jump, JumpSequence, state_before
+from genfilter.population import History, Jump, JumpSequence, state_at
 
 
 def lbdp(lam, delta, psi, n0):
@@ -378,7 +378,7 @@ def test_route_matches_brute_force_enumeration():
                   if spec.events[j.event].is_marked]
         if not (1 <= len(marked) <= 6) or len(traj.jumps) > 9:
             continue
-        sizes = [spec.focal(state_before(spec, traj, traj.jumps[i].time))
+        sizes = [spec.focal(state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf)))
                  for i in marked]
         target = forest_key(gf.prune(gf.build_genealogy(spec, traj)[0]))
         count = 0

@@ -723,6 +723,41 @@ def test_tied_event_times_are_rejected():
     assert math.isfinite(gf.oracle_loglik(spec, apart, truncation))
 
 
+def test_a_node_after_the_observation_time_is_rejected_by_every_route():
+    # a sample at 0.6 in a genealogy observed up to 0.3: no route may weigh it
+    spec = lbdp(1.0, 0.5, 0.8, 1)
+    g = gf.apply_sample(gf.new_genealogy(1), 0, 0.6)
+    v = replace(gf.prune(replace(g, time=1.5)), time=0.3)
+    assert any("exceeds genealogy time" in p for p in gf.validate_genealogy(v))
+    match = "node 1 at t=0.6 comes after the observation time 0.3"
+    with pytest.raises(gf.GenealogyError, match=match):
+        gf.event_schedule(v)
+    with pytest.raises(gf.GenealogyError, match=match):
+        gf.smc_loglik(spec, v, FilterConfig(50, seed=1))
+    with pytest.raises(gf.GenealogyError, match=match):
+        gf.oracle_loglik(spec, v, gf.lbdp_truncation(gf.LBDPParams(1.0, 0.5, 0.8, 1), 20))
+    with pytest.raises(gf.GenealogyError, match=match):
+        gf.loglik_events(spec, gf.History(1.5, (1, 0), ((0.6, 2),)), v)
+    ens = gf.init_ensemble(spec, 10, np.random.default_rng(2))
+    with pytest.raises(gf.GenealogyError, match=match):
+        gf.propagate_interval(spec, ens, v, 0.0, 0.3, np.random.default_rng(3))
+    with pytest.raises(gf.GenealogyError, match=match):
+        gf.event_update(spec, ens, v, 0.6, "leaf", np.random.default_rng(3))
+    # observed at 1.5, the same genealogy is valid on every route
+    assert math.isfinite(gf.oracle_loglik(spec, replace(v, time=1.5),
+                                          gf.lbdp_truncation(gf.LBDPParams(1.0, 0.5, 0.8, 1), 20)))
+
+
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_oracle_rejects_a_truncation_without_initial_mass(n_max):
+    # lbdp starts at n = 5: states up to n_max < 5 carry none of its mass
+    params = gf.LBDPParams(1.0, 0.5, 0.8, 5)
+    spec, v = gf.lbdp_spec(params), two_leaf_visible()
+    with pytest.raises(FilterError, match="none of the initial distribution's mass"):
+        gf.oracle_loglik(spec, v, gf.lbdp_truncation(params, n_max))
+    assert math.isfinite(gf.oracle_loglik(spec, v, gf.lbdp_truncation(params, 30)))
+
+
 def test_negative_rate_is_a_model_error():
     # the death rate 0.5 n - 0.75 turns negative once a death takes n from 2 to 1
     base = lbdp(0.0, 1.0, 0.5, 2)

@@ -189,31 +189,38 @@ def test_prune_keeps_only_sample_ancestry():
 
 
 # ---------------------------------------------------------------------------
-# Event time sets and lineage counts
+# Event schedules and lineage counts
 
 
-def test_event_times_identities_on_visible_genealogies():
+def test_event_schedule_identities_on_visible_genealogies():
+    # every sample of the trajectory is a direct descent or a leaf of the
+    # schedule, every coalescence is a birth, and the roots plus the
+    # coalescences are as many as the leaves
     spec = lbdp(1.2, 0.6, 0.9, 2)
     rng = np.random.default_rng(9)
     for _ in range(40):
         traj = gf.simulate(spec, 2.0, rng)
         v = gf.prune(gf.build_genealogy(spec, traj)[0])
-        ets = gf.event_times(v)
-        assert ets.all_events == tuple(sorted(ets.internal + ets.leaf))
-        assert ets.internal == tuple(sorted(ets.coalescence + ets.direct))
-        assert ets.sample == tuple(sorted(ets.direct + ets.leaf))
+        schedule = gf.event_schedule(v)
+        times = [t for t, _ in schedule]
+        assert times == sorted(times)
+        samples = [j.time for j in traj.jumps if spec.events[j.event].is_sample]
+        births = {j.time for j in traj.jumps if spec.events[j.event].is_birth}
+        assert [t for t, kind in schedule if kind != "coalescence"] == samples
+        assert {t for t, kind in schedule if kind == "coalescence"} <= births
+        kinds = [kind for _, kind in schedule]
+        roots = len(v.nodes) - len(schedule)
+        assert roots + kinds.count("coalescence") == kinds.count("leaf")
 
 
-def test_single_sample_genealogy_event_times():
+def test_single_sample_genealogy_schedule():
     g = gf.apply_sample(gf.new_genealogy(1), 0, 0.7)
     v = gf.prune(replace(g, time=2.0))
-    ets = gf.event_times(v)
-    assert ets.coalescence == (0.0,)
-    assert ets.sample == (0.7,)
-    assert ets.leaf == (0.7,)
-    assert gf.lineage_count(v, 0.3) == 1
-    assert gf.lineage_count(v, 0.7) == 0
-    assert gf.lineage_count(v, -0.1) == 0
+    assert gf.event_schedule(v) == ((0.7, "leaf"),)
+    fn = gf.LineageFunction(v)
+    assert fn(0.3) == 1
+    assert fn(0.7) == 0
+    assert fn(-0.1) == 0
 
 
 @pytest.mark.parametrize("spec, horizon", [
@@ -227,7 +234,7 @@ def test_lineage_count_matches_edge_crossing(spec, horizon):
     for _ in range(40):
         traj = gf.simulate(spec, horizon, rng)
         v = gf.prune(gf.build_genealogy(spec, traj)[0])
-        windows = gf.attach_times(v)
+        windows = [(r.attach_time, r.sample_time) for r in gf.embedded_chain(v)]
         fn = gf.LineageFunction(v)
         stretches = list(gf.filtering._stretches(v))
         starts = [t for t, *_ in stretches]
@@ -243,8 +250,6 @@ def test_lineage_function_rejects_an_unpruned_genealogy():
     g = replace(gf.apply_sample(gf.new_genealogy(1), 0, 0.7), time=2.0)
     with pytest.raises(GenealogyError, match="extant individual; prune"):
         gf.LineageFunction(g)
-    with pytest.raises(GenealogyError, match="extant individual; prune"):
-        gf.lineage_count(g, 0.3)
 
 
 def test_lineage_function_at_matches_scalar_calls():
@@ -258,7 +263,7 @@ def test_lineage_function_at_matches_scalar_calls():
         assert fn.at(ts).tolist() == [fn(t) for t in ts]
 
 
-def test_attach_times_direct_descent_chain():
+def test_embedded_chain_direct_descent_chain():
     # one individual sampled twice: the second lineage attaches at the first
     # sample's node (direct descent)
     g = gf.new_genealogy(1)
@@ -273,7 +278,7 @@ def test_attach_times_direct_descent_chain():
     assert chain[1].sample_time == 0.9
 
 
-def test_attach_times_coalescence():
+def test_embedded_chain_coalescence():
     # birth at 0.3 splits the lineage; each side is sampled once
     g = gf.new_genealogy(1)
     g = gf.apply_birth(g, 0, 0.3)
@@ -369,9 +374,9 @@ def test_newick_round_trip_preserves_shape_labels_times():
         skel_b, num_b = newick_parts(gf.to_newick(back))
         assert skel_a == skel_b
         assert np.allclose(num_a, num_b, rtol=1e-12, atol=1e-12)
-        ets_a, ets_b = gf.event_times(v), gf.event_times(back)
-        for a, b in zip(ets_a, ets_b):
-            assert np.allclose(a, b, rtol=0, atol=1e-9)
+        want, got = gf.event_schedule(v), gf.event_schedule(back)
+        assert [kind for _, kind in got] == [kind for _, kind in want]
+        assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=0, atol=1e-9)
         done += 1
 
 
@@ -416,9 +421,8 @@ def test_from_newick_rejects_malformed_input():
 def test_from_newick_accepts_comments_and_whitespace():
     g = gf.from_newick(" ( ( r2:1.0 [a comment] , (r1:0.25)b0:0.5 ) : 0.4 ) ;\n")
     assert gf.validate_genealogy(g) == []
-    ets = gf.event_times(g)
-    assert ets.sample == (0.9, 1.15, 1.4)
-    assert ets.coalescence == (0.0, 0.4)
+    assert gf.event_schedule(g) == ((0.4, "coalescence"), (0.9, "direct"),
+                                    (1.15, "leaf"), (1.4, "leaf"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.stats import binom
 
 import genfilter as gf
 from genfilter.population import (Jump, JumpSequence, History, SimulationError,
-                                  _rate_integral, _uniformized, state_at, state_before, to_history,
+                                  _rate_integral, _uniformized, state_at, to_history,
                                   history_log_density, jump_log_density)
 
 
@@ -154,6 +154,14 @@ def test_simulate_jump_cap_raises():
         gf.simulate(spec, 50.0, np.random.default_rng(2), max_jumps=20)
 
 
+@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+def test_simulate_rejects_a_negative_or_nan_horizon(horizon):
+    spec = lbdp(1.0, 0.5, 0.5, 2)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        gf.simulate(spec, horizon, np.random.default_rng(1))
+    assert gf.simulate(spec, 0.0, np.random.default_rng(1)).jumps == ()
+
+
 def test_state_at_matches_prefix_sums():
     spec = lbdp(1.5, 0.9, 0.6, 2)
     rng = np.random.default_rng(11)
@@ -167,7 +175,7 @@ def test_state_at_matches_prefix_sums():
                     expect = expect + spec.displacements[j.event]
             assert np.array_equal(state_at(spec, traj, t), expect)
         for j in traj.jumps:
-            before = state_before(spec, traj, j.time)
+            before = state_at(spec, traj, np.nextafter(j.time, -np.inf))
             after = state_at(spec, traj, j.time)
             assert np.array_equal(after - before, spec.displacements[j.event])
 
@@ -248,7 +256,7 @@ def test_jump_density_sums_to_history_density():
             continue
         marked = [i for i, j in enumerate(traj.jumps)
                   if spec.events[j.event].is_marked]
-        sizes = [spec.focal(state_before(spec, traj, traj.jumps[i].time))
+        sizes = [spec.focal(state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf)))
                  for i in marked]
         total = 0.0
         for combo in itertools.product(*[range(s) for s in sizes]):
@@ -494,6 +502,19 @@ def test_kfe_integrate_rejects_a_bad_tol(tol):
     spec = lbdp(0.0, 0.9, 0.0, 1)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         gf.kfe_integrate(spec, [(0, 0), (1, 0)], {(1, 0): 1.0}, 0.0, 2.0, tol=tol)
+
+
+def test_kfe_integrate_rejects_a_reversed_interval():
+    # constant rates take the uniformized step, not RK45, so no integrator sees the order
+    spec = lbdp(0.0, 0.9, 0.0, 1)
+    trunc = [(0, 0), (1, 0)]
+    with pytest.raises(ValueError, match="t1 < t0"):
+        gf.kfe_integrate(spec, trunc, {(1, 0): 1.0}, 1.0, 0.5)
+    lattice = gf.StateLattice(trunc, spec.d)
+    with pytest.raises(ValueError, match="t1 < t0"):
+        gf.integrate_epochs(spec, lambda t: gf.forward_generator(spec, lattice, t),
+                            np.array([0.0, 1.0]), 1.0, 0.5, 1e-8)
+    assert gf.kfe_integrate(spec, trunc, {(1, 0): 1.0}, 0.5, 0.5) == {(0, 0): 0.0, (1, 0): 1.0}
 
 
 def chi_square_within_4_sigma(expected, counts):
