@@ -15,8 +15,8 @@ descent), or red-blue (leaf).  `event_schedule`, the one classifier of its
 nodes, gives every likelihood route its events, and `LineageFunction` counts
 the lineages from that schedule alone; a genealogy the schedule rejects
 (unpruned, another pocket form, a non-root node at t <= 0, tied events, a
-node after the observation time) or whose count goes negative is a
-`GenealogyError` on every route.
+node after the observation time or at NaN) or whose count goes negative is
+a `GenealogyError` on every route.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -301,14 +301,14 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     condition and are not events: each must be green-green, one lineage
     present from time 0 on.  Every other node must come after time 0 and
     after the event before it.  Two events at one time are rejected: each
-    needs the lineage count between them.  So is a node later than the
-    observation time ``v.time``.
+    needs the lineage count between them.  So is a node that is not at or
+    before the observation time ``v.time``: a later one, or one at NaN.
     """
     out: dict[float, str] = {}
     last = 0.0
     for n in v.nodes:
-        if n.time > v.time:
-            raise GenealogyError(f"node {n.name} at t={n.time} comes after the "
+        if not n.time <= v.time:
+            raise GenealogyError(f"node {n.name} at t={n.time} is not at or before the "
                                  f"observation time {v.time}")
         colors = tuple(sorted(b.color for b in n.pocket))
         if BLACK in colors:

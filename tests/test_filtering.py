@@ -729,7 +729,7 @@ def test_a_node_after_the_observation_time_is_rejected_by_every_route():
     g = gf.apply_sample(gf.new_genealogy(1), 0, 0.6)
     v = replace(gf.prune(replace(g, time=1.5)), time=0.3)
     assert any("exceeds genealogy time" in p for p in gf.validate_genealogy(v))
-    match = "node 1 at t=0.6 comes after the observation time 0.3"
+    match = "node 1 at t=0.6 is not at or before the observation time 0.3"
     with pytest.raises(gf.GenealogyError, match=match):
         gf.event_schedule(v)
     with pytest.raises(gf.GenealogyError, match=match):
@@ -746,6 +746,11 @@ def test_a_node_after_the_observation_time_is_rejected_by_every_route():
     # observed at 1.5, the same genealogy is valid on every route
     assert math.isfinite(gf.oracle_loglik(spec, replace(v, time=1.5),
                                           gf.lbdp_truncation(gf.LBDPParams(1.0, 0.5, 0.8, 1), 20)))
+    # a sample at NaN passes validate_genealogy; no route may weigh it either
+    at_nan = replace(v, time=1.5, nodes=(v.nodes[0], v.nodes[1]._replace(time=math.nan)))
+    assert gf.validate_genealogy(at_nan) == []
+    with pytest.raises(gf.GenealogyError, match="t=nan is not at or before"):
+        gf.smc_loglik(spec, at_nan, FilterConfig(50, seed=1))
 
 
 @pytest.mark.parametrize("n_max", [3, 4])
