@@ -12,8 +12,8 @@ Two routes, useful as cross-checks on each other:
   `replicate_loglik` runs R replicates through the same driver
   (`_run_filters`) as one array of R blocks of particles, of which
   `smc_loglik` is the R = 1 case.  Each block draws from its own generator,
-  and only while it has particles to move, so every replicate is
-  bit-identical to its own run.
+  and each propagation round only for its particles still moving, so every
+  replicate is bit-identical to its own run.
 * `oracle_loglik` evaluates the same unnormalized filtering recursion
   deterministically over a finite state truncation, which makes it an
   accuracy oracle at small scale.
@@ -292,10 +292,10 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     accepted jump or at t1.  Jumps pay `_log_gains`.
 
     The particles form one block of equal size per generator in ``rngs``.
-    Each round, a block with a particle in the set draws from its own
-    generator one waiting time and then one channel uniform per particle of
-    the block, and a particle uses the draws at its own row; a block with
-    none draws nothing, so a block takes the draws it would take alone.
+    Each round, a block with m particles in the set draws from its own
+    generator m waiting times and then m channel uniforms, and a particle
+    uses the draws at its position in the set; a block with none draws
+    nothing, so a block takes the draws it would take alone.
     Also returns each block's rounds and accepted jumps, shape (2, blocks).
     """
     n, rejected = len(logw) // len(rngs), spec.n_events
@@ -303,17 +303,18 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     sample_const = np.flatnonzero(spec.sample_mask & ~spec.bound_mask).tolist()
     sample_quad = np.flatnonzero(survival & spec.sample_mask & spec.bound_mask).tolist()
     moves = np.vstack([spec.active_displacements, np.zeros_like(spec.active_displacements[:1])])
-    gains, waits, uniforms = np.empty((rejected + 1, 0)), np.empty(len(logw)), np.empty(len(logw))
+    gains = np.empty((rejected + 1, 0))
     edges, rounds, jumps = np.arange(len(rngs) + 1) * n, [0] * len(rngs), [0] * len(rngs)
     idx = np.flatnonzero(np.isfinite(logw))
+    waits, uniforms = np.empty(len(idx)), np.empty(len(idx))
     x, t = states[idx], np.full(len(idx), t0)
     rows, entered = states.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0], t
     while len(idx):
         bounds = np.searchsorted(idx, edges).tolist()
-        for r, rng in enumerate(rngs):
-            if bounds[r + 1] > bounds[r]:
-                rng.standard_exponential(out=waits[r * n:(r + 1) * n])
-                rng.random(out=uniforms[r * n:(r + 1) * n])
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi > lo:
+                rngs[r].standard_exponential(out=waits[lo:hi])
+                rngs[r].random(out=uniforms[lo:hi])
                 rounds[r] += 1
         rates = spec.rate_matrix(t0, x).T  # channel-major: one row per channel
         if survival:
@@ -323,14 +324,14 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
             rates[k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
         rates, cum = rates if thinned else None, _cumsum_channels(rates)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t + waits[idx] / np.abs(cum[-1])
+            t_next = t + waits[:len(idx)] / np.abs(cum[-1])
         fired = (t_next < t1).nonzero()[0]
         if survival:
             stop = np.fmin(t_next, t1)
             np.subtract.at(logw, idx, g_rate * (stop - t))
         start, before, held = t, idx, x if sample_quad else None
         idx, t, x, cum = idx[fired], t_next[fired], x.take(fired, axis=0), cum.take(fired, axis=1)
-        u = uniforms[idx] * cum[-1]
+        u = uniforms[fired] * cum[-1]
         if thinned:
             rates = rates.take(fired, axis=1)
             for k in thinned:

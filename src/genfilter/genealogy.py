@@ -26,6 +26,7 @@ named max-existing-black + 1, which is exactly the inventory's add rule.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import insort
 from dataclasses import dataclass
@@ -428,12 +429,13 @@ def embedded_chain(v: Genealogy) -> tuple[LineageRecord, ...]:
 def validate_genealogy(g: Genealogy) -> list[str]:
     """Check the structural conditions; an empty list means valid.
 
-    Verifies pocket sizes, node times against the genealogy time, ordering of
-    the node sequence, ball uniqueness, the parent-ordering rule for green
-    balls, that every node's own green ball exists somewhere, and that only a
-    root sits at t <= 0.  Tied event times are valid; `event_schedule` rejects them.
+    Verifies that no time is NaN, pocket sizes, node times against the
+    genealogy time, ordering of the node sequence, ball uniqueness, the
+    parent-ordering rule for green balls, that every node's own green ball
+    exists somewhere, and that only a root sits at t <= 0.  Tied event times
+    are valid; `event_schedule` rejects them.
     """
-    problems = []
+    problems = ["genealogy time is NaN"] if math.isnan(g.time) else []
     pos = {}
     for i, n in enumerate(g.nodes):
         if n.name in pos:
@@ -441,6 +443,8 @@ def validate_genealogy(g: Genealogy) -> list[str]:
         pos[n.name] = i
         if len(n.pocket) != 2:
             problems.append(f"node {n.name}: pocket holds {len(n.pocket)} balls, not 2")
+        if math.isnan(n.time):
+            problems.append(f"node {n.name}: time is NaN")
         if n.time > g.time:
             problems.append(f"node {n.name}: time {n.time} exceeds genealogy time {g.time}")
         if i and n.time < g.nodes[i - 1].time:

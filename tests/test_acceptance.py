@@ -11,11 +11,11 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy.stats import t as student_t
 
 import genfilter as gf
 from genfilter.filtering import FilterConfig
 from genfilter.population import Jump, JumpSequence, state_at, to_history
+from stochastic import variance_ratio_verdict, z_verdict
 
 
 def announce(capsys, label, ok, detail):
@@ -143,30 +143,25 @@ def test_criterion_3_analytic_anchor(capsys):
 def test_criterion_4_convergence_on_lambda_grid(capsys):
     start = time.time()
     v = lbdp_desk_genealogy()
-    reps, z, err_small, err_big = 12, [], [], []
+    reps, groups, pairs = 12, [], []
     for i, lam in enumerate(np.linspace(0.5, 2.5, 11)):
         params = gf.LBDPParams(float(lam), 0.8, 1.0, 1)
         spec = gf.lbdp_spec(params)
         exact = gf.oracle_loglik(spec, v, gf.lbdp_truncation(params, 250))
         small = gf.replicate_loglik(spec, v, FilterConfig(500, seed=9000 + i), reps)
         big = gf.replicate_loglik(spec, v, FilterConfig(4000, seed=9100 + i), reps)
-        z += [(small.mean - exact) / small.se, (big.mean - exact) / big.se]
-        err_small.append(abs(small.mean - exact))
-        err_big.append(abs(big.mean - exact))
+        groups += [(small.estimates, exact), (big.estimates, exact)]
+        pairs.append((small.estimates, big.estimates))
     elapsed = time.time() - start
-    # for an unbiased filter each z is Student-t with reps - 1 degrees of
-    # freedom: bound the worst of them at a 3-sigma family-wise level, and
-    # their mean at 4 standard errors so that a systematic bias still fails
-    z = np.array(z)
-    worst_z = float(np.abs(z).max())
-    bound = float(student_t.isf(0.0027 / 2 / len(z), reps - 1))
-    pooled = abs(z.mean()) <= 4 * z.std(ddof=1) / math.sqrt(len(z))
-    mean_small, mean_big = np.mean(err_small), np.mean(err_big)
+    # for an unbiased filter the 22 means sit on the oracle (worst z and
+    # pooled bias), and the variance falls as 1/N, so the sd ratio at 8x the
+    # particles is sqrt(8): each part fails a correct filter with probability
+    # at most 0.0027, the pair at most 0.0054
+    on_oracle = z_verdict(groups, alpha=0.0027)
+    scaling = variance_ratio_verdict(pairs, 8.0, alpha=0.0027)
     announce(capsys, "criterion 4: filter converges on the oracle over 11 lambdas",
-             worst_z <= bound and pooled and mean_big < mean_small and elapsed < 600,
-             f"worst |z| {worst_z:.2f} (bound {bound:.2f}), mean z {z.mean():+.3f} "
-             f"(sd {z.std(ddof=1):.2f}), mean err {mean_small:.4f} -> {mean_big:.4f} "
-             f"at 8x particles, {elapsed:.1f}s")
+             on_oracle.ok and scaling.ok and elapsed < 600,
+             f"{on_oracle}; {scaling}; {elapsed:.1f}s")
 
 
 def test_criterion_5_normalization_without_sampling(capsys):
@@ -282,12 +277,12 @@ def test_criterion_7_sir_cross_method(capsys):
     v = visible_of(spec, traj)
     exact = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
     rep = gf.replicate_loglik(spec, v, FilterConfig(20000, seed=2), 20)
-    z = abs(rep.mean - exact) / rep.se
+    verdict = z_verdict([(rep.estimates, exact)], alpha=0.01)
     elapsed = time.time() - start
     announce(capsys, "criterion 7: filter matches full-simplex oracle at population 100",
-             rep.collapse_count == 0 and z <= 2.0 and elapsed < 900,
-             f"oracle {exact:.4f}, filter {rep.mean:.4f} +- {rep.se:.4f}, "
-             f"|z| = {z:.2f}, {elapsed:.1f}s")
+             rep.collapse_count == 0 and verdict.ok and elapsed < 900,
+             f"oracle {exact:.4f}, filter {rep.mean:.4f} +- {rep.se:.4f}, {verdict}, "
+             f"{elapsed:.1f}s")
 
 
 def test_criterion_8_monte_carlo_rate(capsys):

@@ -380,6 +380,24 @@ def test_bad_input_file_is_a_named_error(tmp_path, command, key, content, code):
         assert f"config.inputs.{key}" in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["node", "genealogy"])
+def test_prune_rejects_a_time_at_nan(tmp_path, capsys, where):
+    # the genealogy file is JSON with the literal NaN; prune must not write it back
+    out = simulated(tmp_path)
+    obj = json.loads((out / "genealogy_full.json").read_text())
+    if where == "node":
+        obj["nodes"][-1]["time"] = math.nan
+    else:
+        obj["time"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    config = write_config(tmp_path, name="prune.json", inputs={"genealogy": str(path)})
+    assert run("prune", "--config", config, "--out", tmp_path / "pruned") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.inputs.genealogy: ") and "time is NaN" in err
+    assert not (tmp_path / "pruned" / "genealogy_visible.json").exists()
+
+
 @pytest.mark.parametrize("field,bad", [("times", math.nan), ("times", math.inf),
                                        ("values", math.nan)])
 def test_non_finite_piecewise_rate_is_a_config_error(tmp_path, field, bad):

@@ -1,5 +1,6 @@
 """Ball-and-pocket genealogy updates, pruning, and serialization."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -328,6 +329,21 @@ def test_validate_flags_bad_structures():
     past_horizon = Genealogy(0.1, (
         Node(0, 0.5, frozenset({Ball(GREEN, 0), Ball(BLACK, 0)})),))
     assert any("exceeds" in p for p in gf.validate_genealogy(past_horizon))
+
+
+@pytest.mark.parametrize("where, problem", [("node", "node 1: time is NaN"),
+                                             ("genealogy", "genealogy time is NaN")])
+def test_validate_flags_a_time_at_nan_read_from_json(where, problem):
+    # json reads the literal NaN, and every comparison with it is false
+    v = gf.prune(replace(gf.apply_sample(gf.new_genealogy(1), 0, 0.5), time=1.0))
+    obj = gf.genealogy_to_json(v)
+    if where == "node":
+        obj["nodes"][1]["time"] = math.nan
+    else:
+        obj["time"] = math.nan
+    g = gf.genealogy_from_json(json.loads(json.dumps(obj)))
+    assert gf.validate_genealogy(g) == [problem]
+    assert gf.validate_genealogy(v) == []
 
 
 # ---------------------------------------------------------------------------
