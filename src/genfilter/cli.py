@@ -174,10 +174,15 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it into place."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_seed(args, config) -> int:
@@ -254,9 +259,7 @@ def _truncation(name: str, params, n_max: int | None):
 def _write_visible(out: Path, visible, prov: dict) -> None:
     """``genealogy_visible.json`` and, atomically, ``genealogy_visible.nwk``."""
     write_genealogy(out / "genealogy_visible.json", visible, provenance=prov)
-    tmp = out / "genealogy_visible.nwk.tmp"
-    tmp.write_text(to_newick(visible))
-    os.replace(tmp, out / "genealogy_visible.nwk")
+    _write_text(out / "genealogy_visible.nwk", to_newick(visible))
 
 
 def cmd_simulate(args, config, out: Path) -> int:
@@ -292,26 +295,18 @@ def cmd_filter(args, config, out: Path) -> int:
     v = _read_genealogy(config)
     n_reps = section.get("n_reps", 1)
     prov = _provenance(config, seed)
+    result = {"n_particles": fc.n_particles, "n_reps": n_reps, "provenance": prov}
     if n_reps == 1:
         res = smc_loglik(spec, v, fc)
-        res.diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
-        result = {"loglik": res.loglik,
-                  "n_particles": fc.n_particles,
-                  "n_reps": 1,
-                  "collapsed": res.diagnostics.collapsed,
-                  "resample_count": res.diagnostics.resample_count,
-                  "provenance": prov}
-        shown = res.loglik
+        diagnostics, shown = res.diagnostics, res.loglik
+        result.update(loglik=res.loglik, collapsed=diagnostics.collapsed,
+                      resample_count=diagnostics.resample_count)
     else:
         rep = replicate_loglik(spec, v, fc, n_reps)
-        rep.diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
-        result = {"mean": rep.mean, "se": rep.se,
-                  "estimates": list(rep.estimates),
-                  "n_particles": fc.n_particles,
-                  "n_reps": n_reps,
-                  "collapse_count": rep.collapse_count,
-                  "provenance": prov}
-        shown = rep.mean
+        diagnostics, shown = rep.diagnostics, rep.mean
+        result.update(mean=rep.mean, se=rep.se, estimates=list(rep.estimates),
+                      collapse_count=rep.collapse_count)
+    diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
     _write_json(out / "result.json", result)
     print(f"filter loglik {shown} ({fc.n_particles} particles, {n_reps} reps) -> {out}")
     return 0
@@ -391,9 +386,7 @@ def cmd_profile(args, config, out: Path) -> int:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_csv_cell(row[h]) for h in header))
-    tmp = out / "profile.csv.tmp"
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, out / "profile.csv")
+    _write_text(out / "profile.csv", "\n".join(lines) + "\n")
     print(f"profiled {param} at {len(values)} values -> {out}")
     return 0
 

@@ -157,6 +157,16 @@ class _State:
             self.holder[b] = name
         return name
 
+    def _split(self, black: Ball, holder: int, t: float, mate: Ball):
+        """Move ``black`` from its holder into a new node at t beside ``mate``;
+        the holder keeps the new node's green ball in its place."""
+        green = Ball(GREEN, self.next_name)  # the name the new node takes
+        self.pockets[holder].remove(black)
+        self.pockets[holder].add(green)
+        self.holder[green] = holder
+        self._fresh_node(t, {black, mate})
+        self.time = t
+
     def birth(self, n: int, t: float):
         """Individual n gives birth at t: new node gets the parent's black
         ball plus the newborn's, the parent's node gets the new green."""
@@ -164,13 +174,7 @@ class _State:
         black, parent = self._selected(n)
         newborn = Ball(BLACK, self.blacks[-1] + 1)
         insort(self.blacks, newborn.name)
-        name = self.next_name  # reserved for the node and its green ball
-        green = Ball(GREEN, name)
-        self.pockets[parent].remove(black)
-        self.pockets[parent].add(green)
-        self.holder[green] = parent
-        self._fresh_node(t, {black, newborn})
-        self.time = t
+        self._split(black, parent, t, newborn)
 
     def sample(self, n: int, t: float):
         """Individual n is sampled at t: like a birth, but the new node keeps
@@ -179,13 +183,7 @@ class _State:
         black, holder = self._selected(n)
         blue = Ball(BLUE, self.blue_count)
         self.blue_count += 1
-        name = self.next_name
-        green = Ball(GREEN, name)
-        self.pockets[holder].remove(black)
-        self.pockets[holder].add(green)
-        self.holder[green] = holder
-        self._fresh_node(t, {black, blue})
-        self.time = t
+        self._split(black, holder, t, blue)
 
     def death(self, n: int, t: float):
         """Individual n leaves at t.  If its pocket mate is blue the node
@@ -367,16 +365,38 @@ class LineageFunction:
         return counts[np.searchsorted(self.breaks, np.asarray(times, dtype=float), side="right")]
 
 
-def _parent_map(g: Genealogy) -> dict[int, int]:
-    parent = {}
-    names = {n.name for n in g.nodes}
-    for n in g.nodes:
+def _tree(v: Genealogy):
+    """A visible genealogy's links, read in one pass over its pockets.
+
+    Returns its nodes by name, each node's parent (a root, which holds its
+    own green ball, is its own parent), each node's children ordered by time
+    and then name, and the node of each blue ball.  An unpruned genealogy, a
+    green ball that names no node and a node whose own green ball no node
+    holds are a `GenealogyError`.
+    """
+    nodes = {n.name: n for n in v.nodes}
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {name: [] for name in nodes}
+    sample_node: dict[int, int] = {}
+    for n in v.nodes:
         for b in n.pocket:
-            if b.color == GREEN:
-                if b.name not in names:
+            if b.color == BLACK:
+                raise GenealogyError(
+                    f"node {n.name}: extant individual; prune to a visible genealogy")
+            if b.color == BLUE:
+                sample_node[b.name] = n.name
+            elif b.color == GREEN:
+                if b.name not in nodes:
                     raise GenealogyError(f"green ball {b.name} names no node")
                 parent[b.name] = n.name
-    return parent
+                if b.name != n.name:
+                    children[n.name].append(b.name)
+    for name in nodes:
+        if name not in parent:
+            raise GenealogyError(f"node {name}: its green ball exists nowhere")
+    for kids in children.values():
+        kids.sort(key=lambda c: (nodes[c].time, c))
+    return nodes, parent, children, sample_node
 
 
 class LineageRecord(NamedTuple):
@@ -393,36 +413,25 @@ def embedded_chain(v: Genealogy) -> tuple[LineageRecord, ...]:
     time if it never does.  The attachment kind records the meeting node's
     pocket type.
     """
-    if any(b.color == BLACK for n in v.nodes for b in n.pocket):
-        raise GenealogyError("attachment times are defined on visible genealogies only")
-    nodes = {n.name: n for n in v.nodes}
-    parent = _parent_map(v)
-    sample_node = {}
-    for n in v.nodes:
-        for b in n.pocket:
-            if b.color == BLUE:
-                sample_node[b.name] = n.name
+    nodes, parent, _, sample_node = _tree(v)
     claimed: set[int] = set()
     out = []
     for q in sorted(sample_node):
         cur = sample_node[q]
         s_q = nodes[cur].time
         path = []
-        while True:
-            if cur in claimed:
-                meet = nodes[cur]
-                kind = "direct" if any(b.color == BLUE for b in meet.pocket) else "coalescence"
-                a_q = meet.time
-                break
+        while cur not in claimed:
             path.append(cur)
-            up = parent.get(cur)
-            if up is None or up == cur:
-                a_q = nodes[cur].time
-                kind = "root"
+            if parent[cur] == cur:
                 break
-            cur = up
+            cur = parent[cur]
+        meet = nodes[cur]
+        if cur not in claimed:
+            kind = "root"
+        else:
+            kind = "direct" if any(b.color == BLUE for b in meet.pocket) else "coalescence"
         claimed.update(path)
-        out.append(LineageRecord(s_q, a_q, kind))
+        out.append(LineageRecord(s_q, meet.time, kind))
     return tuple(out)
 
 
@@ -477,25 +486,6 @@ def validate_genealogy(g: Genealogy) -> list[str]:
 # ---------------------------------------------------------------------------
 # Newick and JSON forms.
 
-def _children_map(v: Genealogy) -> tuple[dict[int, list[int]], list[int]]:
-    children: dict[int, list[int]] = {n.name: [] for n in v.nodes}
-    roots = []
-    nodes = {n.name: n for n in v.nodes}
-    for n in v.nodes:
-        own = False
-        for b in n.pocket:
-            if b.color == GREEN:
-                if b.name == n.name:
-                    own = True
-                else:
-                    children[n.name].append(b.name)
-        if own:
-            roots.append(n.name)
-    for kids in children.values():
-        kids.sort(key=lambda c: (nodes[c].time, c))
-    return children, roots
-
-
 def _node_label(n: Node) -> str:
     blue = next((b for b in n.pocket if b.color == BLUE), None)
     if blue is None:
@@ -512,10 +502,7 @@ def to_newick(v: Genealogy) -> str:
     the blue-ball name), coalescences are unlabeled; every branch carries a
     length.  The forest is newline-separated with a semicolon per tree.
     """
-    if any(b.color == BLACK for n in v.nodes for b in n.pocket):
-        raise GenealogyError("only visible genealogies have a Newick form")
-    children, roots = _children_map(v)
-    nodes = {n.name: n for n in v.nodes}
+    nodes, parent, children, _ = _tree(v)
 
     def render(name: int, parent_time: float) -> str:
         n = nodes[name]
@@ -528,6 +515,7 @@ def to_newick(v: Genealogy) -> str:
         return f"{label}:{length}"
 
     trees = []
+    roots = [name for name, up in parent.items() if up == name]
     for r in sorted(roots, key=lambda name: (nodes[name].time, name)):
         inner = ",".join(render(c, nodes[r].time) for c in children[r])
         trees.append(f"({inner});")
@@ -618,7 +606,12 @@ def from_newick(text: str) -> Genealogy:
     trees = _NewickParser(text).parse_forest()
     records = []  # (time, depth, kind, q, children record ids)
 
-    def walk(node: dict, time: float, depth: int) -> int:
+    def walk(node: dict, parent_time: float, depth: int) -> int:
+        if node["length"] is None:
+            raise NewickError("branch lengths are mandatory")
+        if node["length"] < 0:
+            raise NewickError(f"negative branch length {node['length']}")
+        time = parent_time + node["length"]
         label = node["label"]
         kids = node["children"]
         if label.startswith("r") and label[1:].isdigit():
@@ -637,12 +630,7 @@ def from_newick(text: str) -> Genealogy:
             raise NewickError(f"unrecognized label {label!r}")
         rid = len(records)
         records.append([time, depth, kind, q, []])
-        for kid in kids:
-            if kid["length"] is None:
-                raise NewickError("branch lengths are mandatory")
-            if kid["length"] < 0:
-                raise NewickError(f"negative branch length {kid['length']}")
-            records[rid][4].append(walk(kid, time + kid["length"], depth + 1))
+        records[rid][4].extend(walk(kid, time, depth + 1) for kid in kids)
         return rid
 
     root_ids = []
@@ -652,12 +640,7 @@ def from_newick(text: str) -> Genealogy:
         rid = len(records)
         records.append([0.0, 0, "root", None, []])
         root_ids.append(rid)
-        kid = tree["children"][0]
-        if kid["length"] is None:
-            raise NewickError("branch lengths are mandatory")
-        if kid["length"] < 0:
-            raise NewickError(f"negative branch length {kid['length']}")
-        records[rid][4].append(walk(kid, kid["length"], 1))
+        records[rid][4].append(walk(tree["children"][0], 0.0, 1))
 
     order = sorted(range(len(records)), key=lambda r: (records[r][0], records[r][1]))
     name_of = {rid: i for i, rid in enumerate(order)}

@@ -16,6 +16,7 @@ between breakpoints at a time, at constant rates.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
@@ -31,14 +32,20 @@ class PiecewiseConstant:
 
     ``times`` are the ascending breakpoints; ``values`` has one more entry
     than ``times`` and gives the value on each piece, starting at t = 0.
+    Each is a list, tuple or array of numbers; anything else (a string, a
+    bool) is a ValueError.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        for seq in (self.times, self.values):
+            if not isinstance(seq, (list, tuple, np.ndarray)):
+                raise ValueError(f"breakpoints and values must be sequences of numbers, "
+                                 f"got {seq!r}")
+        times = tuple(_number(t, "breakpoints") for t in self.times)
+        values = tuple(_number(v, "values") for v in self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if len(values) != len(times) + 1:
@@ -57,27 +64,43 @@ class PiecewiseConstant:
         return {"times": list(self.times), "values": list(self.values)}
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or anything else that is not a real number is a
+    ValueError naming ``what``, where ``float`` would take it or fail with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be numbers, got {value!r}")
+    return float(value)
+
+
 def _as_rate(value) -> float | PiecewiseConstant:
+    """A rate, or a step function given as a mapping with exactly the keys times and values."""
     if isinstance(value, PiecewiseConstant):
         return value
     if isinstance(value, Mapping):
-        return PiecewiseConstant(tuple(value["times"]), tuple(value["values"]))
+        if set(value) != {"times", "values"}:
+            raise ValueError(f"a piecewise rate has exactly the keys 'times' and 'values', "
+                             f"got {sorted(map(str, value))}")
+        return PiecewiseConstant(value["times"], value["values"])
     return _rates(value)[0]
 
 
 def _rates(*values) -> list[float]:
-    """``values`` as floats; a negative, NaN or infinite rate is a ValueError."""
-    out = [float(v) for v in values]
+    """``values`` as floats; a non-number (`_number`) or a negative, NaN or infinite rate is a
+    ValueError."""
+    out = [_number(v, "rates") for v in values]
     if not all(0.0 <= v < math.inf for v in out):
         raise ValueError(f"rates must be finite and nonnegative, got {out}")
     return out
 
 
 def _check_count(name: str, value) -> int:
-    out = int(value)
-    if out != value or out < 0:
-        raise ValueError(f"{name} must be a nonnegative integer")
-    return out
+    """``value`` as an int; a bool, a non-number or a number that is not a nonnegative whole
+    one is a ValueError.  A whole float such as 2.0 is taken."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def _field_values(params) -> dict:

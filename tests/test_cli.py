@@ -434,6 +434,22 @@ def test_non_finite_scalar_rate_is_a_config_error(tmp_path, key, bad):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key, bad, message", [
+    ("transmission_rate", {"values": [0.05]}, "exactly the keys 'times' and 'values'"),
+    ("transmission_rate", {"times": 3, "values": [0.05, 0.02]}, "sequences of numbers, got 3"),
+    ("recovery_rate", [0.8], "rates must be numbers, got [0.8]"),
+    ("recovery_rate", {"a": 1}, "rates must be numbers, got {'a': 1}"),
+], ids=["no-times", "scalar-times", "list-rate", "mapping-rate"])
+def test_malformed_model_parameter_is_a_config_error(tmp_path, capsys, key, bad, message):
+    # each of these used to end in a KeyError or TypeError traceback
+    params = {"transmission_rate": 0.04, "recovery_rate": 1.0, "sampling_rate": 1.0,
+              "s0": 20, "i0": 2, key: bad}
+    config = write_config(tmp_path, model={"name": "sir", "params": params})
+    assert run("simulate", "--config", config, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.model.params: ") and message in err
+
+
 @pytest.mark.parametrize("command,section,where,literal", [
     ("oracle", {"oracle": {"n_max": 20, "tol": math.nan}}, "config.oracle.tol", "NaN"),
     ("oracle", {"oracle": {"n_max": 20, "tol": math.inf}}, "config.oracle.tol", "Infinity"),

@@ -421,38 +421,42 @@ def lbdp_case():
     return spec, v, exact
 
 
+def assert_matches(rep, exact, alpha):
+    """No replicate collapsed, and the estimates pass `z_verdict` against ``exact``."""
+    assert rep.collapse_count == 0
+    verdict = z_verdict([(rep.estimates, exact)], alpha)
+    assert verdict.ok, verdict
+
+
+# Each check's false-alarm rate is at most that of a bound of k standard errors
+# on its n replicates, P(|t| > k) on n - 1 degrees of freedom; for the three
+# below, 0.005 <= P(|t_15| > 3) = 0.009.
 def test_smc_matches_oracle():
     spec, v, exact = lbdp_case()
-    rep = gf.replicate_loglik(spec, v, FilterConfig(2000, seed=21), 16)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - exact) <= 3 * rep.se
+    assert_matches(gf.replicate_loglik(spec, v, FilterConfig(2000, seed=21), 16), exact, 0.005)
 
 
 def test_smc_rejection_mode_matches_oracle():
     spec, v, exact = lbdp_case()
-    rep = gf.replicate_loglik(
-        spec, v, FilterConfig(4000, seed=22, weighting="rejection"), 16)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - exact) <= 3 * rep.se
+    rep = gf.replicate_loglik(spec, v, FilterConfig(4000, seed=22, weighting="rejection"), 16)
+    assert_matches(rep, exact, 0.005)
 
 
 def test_smc_multinomial_resampling_matches_oracle():
     spec, v, exact = lbdp_case()
-    rep = gf.replicate_loglik(
-        spec, v, FilterConfig(2000, seed=23, resampling="multinomial"), 16)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - exact) <= 3 * rep.se
+    rep = gf.replicate_loglik(spec, v, FilterConfig(2000, seed=23, resampling="multinomial"), 16)
+    assert_matches(rep, exact, 0.005)
 
 
 def test_smc_likelihood_estimates_are_unbiased():
     # the unnormalized filter estimates the likelihood itself without bias,
     # so the mean of exp(loglik) over many replicates brackets the oracle
+    # (rate 0.002 <= P(|t_239| > 3) = 0.003)
     spec, v, exact = lbdp_case()
     rep = gf.replicate_loglik(spec, v, FilterConfig(300, seed=29), 240)
     assert rep.collapse_count == 0
-    liks = np.exp(np.array(rep.estimates))
-    se = liks.std(ddof=1) / math.sqrt(len(liks))
-    assert abs(liks.mean() - math.exp(exact)) <= 3 * se
+    verdict = z_verdict([(np.exp(rep.estimates), math.exp(exact))], 0.002, log_of_unbiased=False)
+    assert verdict.ok, verdict
 
 
 def test_smc_impossible_genealogy_collapses():
@@ -626,9 +630,8 @@ def test_oracle_keeps_its_scale_on_a_long_genealogy():
     # RK45 per epoch at tol 1e-11 gave -54.12752829, and scipy's expm_multiply
     # per event-free interval agrees with that to 1e-9
     assert ll == pytest.approx(-54.127528294, abs=1e-9)
-    rep = gf.replicate_loglik(spec, v, FilterConfig(2000, seed=3), 8)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - ll) <= 4 * rep.se
+    # rate 0.005 <= P(|t_7| > 4) = 0.0052
+    assert_matches(gf.replicate_loglik(spec, v, FilterConfig(2000, seed=3), 8), ll, 0.005)
 
 
 def test_oracle_converges_in_tol_on_a_medium_genealogy():
@@ -796,9 +799,8 @@ def test_smc_time_dependent_sir_matches_oracle():
     traj = simulate_with_samples(spec, 2.0, 28, 2, 6)
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
     exact = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
-    rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=29), 12)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - exact) <= 3 * rep.se
+    # rate 0.01 <= P(|t_11| > 3) = 0.012
+    assert_matches(gf.replicate_loglik(spec, v, FilterConfig(1500, seed=29), 12), exact, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -942,8 +944,7 @@ def test_smc_two_breakpoint_sirs_matches_oracle(weighting):
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
     exact = gf.oracle_loglik(spec, v, gf.sirs_truncation(params))
     rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=37, weighting=weighting), 12)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - exact) <= 3 * rep.se
+    assert_matches(rep, exact, 0.01)  # <= P(|t_11| > 3) = 0.012
 
 
 # ---------------------------------------------------------------------------
@@ -997,8 +998,7 @@ def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint, chan
         return epoch(spec, states, logw, t0, t1, *rest)
     monkeypatch.setattr(gf.filtering, "_propagate_epoch", propagate_epoch)
     rep = gf.replicate_loglik(spec, v, FilterConfig(300, seed=41, weighting=weighting), 10)
-    assert rep.collapse_count == 0
-    assert abs(rep.mean - exact) <= 3 * rep.se
+    assert_matches(rep, exact, 0.01)  # <= P(|t_9| > 3) = 0.015
     assert steps
     if breakpoint is not None:
         assert not any(a < breakpoint < b for a, b in steps)

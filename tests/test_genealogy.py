@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -92,6 +93,27 @@ def test_update_rejects_out_of_range_selection():
         gf.apply_birth(g, 2, 0.1)
     with pytest.raises(GenealogyError, match="out of range"):
         gf.apply_death(g, -1, 0.1)
+    # the selection is checked before the newborn's name is read from the inventory
+    with pytest.raises(GenealogyError, match="out of range"):
+        gf.apply_birth(gf.new_genealogy(0), 0, 0.1)
+
+
+def test_births_and_samples_split_nodes_as_traced():
+    g = gf.apply_birth(gf.new_genealogy(2), 1, 0.2)
+    g = gf.apply_sample(g, 0, 0.3)
+    g = gf.apply_birth(g, 2, 0.5)
+    g = gf.apply_sample(g, 1, 0.7)
+    black, green, blue = (partial(Ball, color) for color in (BLACK, GREEN, BLUE))
+    assert g == Genealogy(0.7, (
+        Node(0, 0.0, frozenset({green(0), green(3)})),
+        Node(1, 0.0, frozenset({green(1), green(2)})),
+        Node(2, 0.2, frozenset({green(4), green(5)})),
+        Node(3, 0.3, frozenset({black(0), blue(0)})),
+        Node(4, 0.5, frozenset({black(2), black(3)})),
+        Node(5, 0.7, frozenset({black(1), blue(1)}))))
+    assert gf.inventory_of(g) == Inventory((0, 1, 2, 3))
+    st = _State.from_genealogy(g)
+    assert (st.blue_count, st.next_name, st.blacks) == (2, 6, [0, 1, 2, 3])
 
 
 def test_update_rejects_backward_time():
@@ -297,6 +319,34 @@ def test_embedded_chain_rejects_unpruned_genealogies():
     g = gf.apply_sample(gf.new_genealogy(1), 0, 0.4)
     with pytest.raises(GenealogyError, match="visible"):
         gf.embedded_chain(g)
+
+
+def test_tree_readers_reject_an_unpruned_genealogy_with_one_message():
+    g = gf.apply_sample(gf.new_genealogy(1), 0, 0.4)
+    messages = set()
+    for reader in (gf.to_newick, gf.embedded_chain, gf.event_schedule):
+        with pytest.raises(GenealogyError) as err:
+            reader(g)
+        messages.add(str(err.value))
+    assert messages == {"node 1: extant individual; prune to a visible genealogy"}
+
+
+def test_tree_readers_reject_a_green_ball_that_names_no_node():
+    v = Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
+                        Node(1, 0.5, frozenset({Ball(GREEN, 7), Ball(BLUE, 0)}))))
+    for reader in (gf.to_newick, gf.embedded_chain):
+        with pytest.raises(GenealogyError, match="green ball 7 names no node"):
+            reader(v)
+
+
+def test_tree_readers_reject_a_node_whose_green_ball_exists_nowhere():
+    # node 2 is no root and no node holds its green ball: it hangs from nothing
+    v = Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
+                        Node(1, 0.5, frozenset({Ball(RED, 0), Ball(BLUE, 0)})),
+                        Node(2, 0.8, frozenset({Ball(RED, 1), Ball(BLUE, 1)}))))
+    for reader in (gf.to_newick, gf.embedded_chain):
+        with pytest.raises(GenealogyError, match="node 2: its green ball exists nowhere"):
+            reader(v)
 
 
 # ---------------------------------------------------------------------------

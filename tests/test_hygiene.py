@@ -43,3 +43,18 @@ def test_every_import_is_referenced():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, "imports that nothing references:\n" + "\n".join(unused)
+
+
+def test_every_private_function_and_class_is_referenced():
+    """A module-level private function or class that no other statement of the package names."""
+    statements = []  # (module, statement, the names it reads)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            statements.append((path.name, stmt, names))
+    dead = [f"{module}:{stmt.lineno}: {stmt.name}" for module, stmt, _ in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and not any(stmt.name in names for _, other, names in statements if other is not stmt)]
+    assert not dead, "private functions and classes that nothing references:\n" + "\n".join(dead)

@@ -1,6 +1,7 @@
 """Bundled model builders and the model registry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,12 +239,32 @@ def test_build_model_from_mapping():
     assert spec.name == "lbdp"
     assert spec.mu == 2.0
     assert spec.params["n0"] == 2
+    # a count written as a whole float is still taken
+    spec = gf.build_model("sir", {**SIR_MAPPING, "s0": 20.0, "i0": 2.0})
+    assert spec.params["s0"] == 20 and type(spec.params["i0"]) is int
 
     spec = gf.build_model("sir", {
         "transmission_rate": {"times": [1.0], "values": [0.9, 0.3]},
         "recovery_rate": 0.5, "sampling_rate": 0.6, "s0": 6, "i0": 2})
     assert spec.any_time_dependent
     assert spec.params["transmission_rate"] == {"times": [1.0], "values": [0.9, 0.3]}
+
+
+SIR_MAPPING = {"transmission_rate": 0.05, "recovery_rate": 0.8, "sampling_rate": 0.5,
+               "s0": 20, "i0": 2}
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    ("transmission_rate", True, "rates must be numbers, got True"),
+    ("transmission_rate", "0.05", "rates must be numbers, got '0.05'"),
+    ("i0", True, "i0 must be a nonnegative integer, got True"),
+    ("transmission_rate", {"times": "12", "values": [0.1, 0.2, 0.3]},
+     "must be sequences of numbers, got '12'"),
+], ids=["bool-rate", "string-rate", "bool-count", "string-breakpoints"])
+def test_a_parameter_that_is_not_a_number_is_rejected(key, bad, message):
+    # float() and int() would take each of these: True as 1, "0.05" as 0.05, "12" as (1, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gf.build_model("sir", {**SIR_MAPPING, key: bad})
 
 
 def test_build_model_errors():
