@@ -15,8 +15,9 @@ descent), or red-blue (leaf).  `event_schedule`, the one classifier of its
 nodes, gives every likelihood route its events, and `LineageFunction` counts
 the lineages from that schedule alone; a genealogy the schedule rejects
 (unpruned, another pocket form, a non-root node at t <= 0, tied events, a
-node after the observation time or at NaN) or whose count goes negative is
-a `GenealogyError` on every route.
+node after the observation time or at NaN, a green ball that names no
+node or is held by a later one, a node whose green ball no node holds) or
+whose count goes negative is a `GenealogyError` on every route.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -301,7 +302,8 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     present from time 0 on.  Every other node must come after time 0 and
     after the event before it.  Two events at one time are rejected: each
     needs the lineage count between them.  So is a node that is not at or
-    before the observation time ``v.time``: a later one, or one at NaN.
+    before the observation time ``v.time``: a later one, or one at NaN.  So
+    are the parent links that `_parents` rejects, a cycle among them.
     """
     out: dict[float, str] = {}
     last = 0.0
@@ -326,6 +328,7 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
         if n.time < last:
             raise GenealogyError(f"node {n.name}: {kind} at t={n.time} comes after one at t={last}")
         out[n.time], last = kind, n.time
+    _parents(v)
     return tuple(out.items())
 
 
@@ -365,18 +368,40 @@ class LineageFunction:
         return counts[np.searchsorted(self.breaks, np.asarray(times, dtype=float), side="right")]
 
 
-def _tree(v: Genealogy):
-    """A visible genealogy's links, read in one pass over its pockets.
+def _parents(v: Genealogy) -> dict[int, int]:
+    """Each node's parent, the node that holds its green ball; a root holds its own.
 
-    Returns its nodes by name, each node's parent (a root, which holds its
-    own green ball, is its own parent), each node's children ordered by time
-    and then name, and the node of each blue ball.  An unpruned genealogy, a
-    green ball that names no node and a node whose own green ball no node
-    holds are a `GenealogyError`.
+    A green ball that names no node, a node whose own green ball no node
+    holds, and a green ball held by a node later in the sequence than the
+    ball's own node are a `GenealogyError`.  Parents therefore come first,
+    so the links form no cycle.
+    """
+    position = {n.name: i for i, n in enumerate(v.nodes)}
+    parent: dict[int, int] = {}
+    for i, n in enumerate(v.nodes):
+        for b in n.pocket:
+            if b.color == GREEN:
+                if b.name not in position:
+                    raise GenealogyError(f"green ball {b.name} names no node")
+                if position[b.name] < i:
+                    raise GenealogyError(f"green ball {b.name} is held by node {n.name}, "
+                                         "which comes later in the sequence")
+                parent[b.name] = n.name
+    for name in position:
+        if name not in parent:
+            raise GenealogyError(f"node {name}: its green ball exists nowhere")
+    return parent
+
+
+def _tree(v: Genealogy):
+    """A visible genealogy's links, read from its pockets.
+
+    Returns its nodes by name, each node's parent from `_parents`, each
+    node's children ordered by time and then name, and the node of each
+    blue ball.  An unpruned genealogy is a `GenealogyError`, as is every
+    fault `_parents` rejects.
     """
     nodes = {n.name: n for n in v.nodes}
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {name: [] for name in nodes}
     sample_node: dict[int, int] = {}
     for n in v.nodes:
         for b in n.pocket:
@@ -385,15 +410,11 @@ def _tree(v: Genealogy):
                     f"node {n.name}: extant individual; prune to a visible genealogy")
             if b.color == BLUE:
                 sample_node[b.name] = n.name
-            elif b.color == GREEN:
-                if b.name not in nodes:
-                    raise GenealogyError(f"green ball {b.name} names no node")
-                parent[b.name] = n.name
-                if b.name != n.name:
-                    children[n.name].append(b.name)
-    for name in nodes:
-        if name not in parent:
-            raise GenealogyError(f"node {name}: its green ball exists nowhere")
+    parent = _parents(v)
+    children: dict[int, list[int]] = {name: [] for name in nodes}
+    for name, up in parent.items():
+        if up != name:
+            children[up].append(name)
     for kids in children.values():
         kids.sort(key=lambda c: (nodes[c].time, c))
     return nodes, parent, children, sample_node

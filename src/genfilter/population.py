@@ -11,6 +11,11 @@ Rate functions are callables ``rate(t, x)`` where ``x`` may carry leading
 batch axes (shape ``(..., d)``).  Writing rates as plain numpy expressions,
 as the built-in models do, lets the particle filter propagate whole ensembles
 without Python-level loops; scalar use sees ``x`` of shape ``(d,)``.
+
+Importing this module loads numpy alone.  scipy is imported inside the
+functions that need it, on their first call: ``scipy.sparse`` by the grid
+routes (`forward_generator`, `kfe_integrate` and the oracle's generators)
+and ``scipy.integrate`` by channels with a rate bound.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse._sparsetools import csr_matvec
 
 DEFAULT_MAX_JUMPS = 10_000_000
 
@@ -662,6 +665,7 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
     channel order and the row's outflow added last.  An entry whose value
     is zero is kept as an explicit zero.
     """
+    from scipy.sparse import csr_matrix  # imported here: `import genfilter` does not load it
     n_channels = rates.shape[1]
     channels = [k for k in range(n_channels)
                 if inflow_scale is None or inflow_scale[:, k].any()]
@@ -742,6 +746,7 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
     n_sub = math.ceil(lam * dt / _MAX_POISSON_MEAN)
     mean = lam * dt / n_sub
     target = tol * _TAIL_SHARE / n_sub
+    from scipy.sparse._sparsetools import csr_matvec  # imported here: `import genfilter` does not load it
     P = A * (1.0 / lam)
     P.setdiag(diagonal * (1.0 / lam) + 1.0)
     n, indptr, indices, data = P.shape[0], P.indptr, P.indices, P.data

@@ -334,7 +334,7 @@ def test_tree_readers_reject_an_unpruned_genealogy_with_one_message():
 def test_tree_readers_reject_a_green_ball_that_names_no_node():
     v = Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
                         Node(1, 0.5, frozenset({Ball(GREEN, 7), Ball(BLUE, 0)}))))
-    for reader in (gf.to_newick, gf.embedded_chain):
+    for reader in (gf.to_newick, gf.embedded_chain, gf.event_schedule):
         with pytest.raises(GenealogyError, match="green ball 7 names no node"):
             reader(v)
 
@@ -344,9 +344,28 @@ def test_tree_readers_reject_a_node_whose_green_ball_exists_nowhere():
     v = Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
                         Node(1, 0.5, frozenset({Ball(RED, 0), Ball(BLUE, 0)})),
                         Node(2, 0.8, frozenset({Ball(RED, 1), Ball(BLUE, 1)}))))
-    for reader in (gf.to_newick, gf.embedded_chain):
+    for reader in (gf.to_newick, gf.embedded_chain, gf.event_schedule):
         with pytest.raises(GenealogyError, match="node 2: its green ball exists nowhere"):
             reader(v)
+
+
+def test_every_route_rejects_a_genealogy_whose_parent_links_form_a_cycle():
+    # node 1 holds green 2 and node 2 holds green 1: each is the other's parent
+    v = Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 3)})),
+                        Node(1, 0.5, frozenset({Ball(GREEN, 2), Ball(BLUE, 0)})),
+                        Node(2, 0.6, frozenset({Ball(GREEN, 1), Ball(BLUE, 1)})),
+                        Node(3, 0.7, frozenset({Ball(RED, 2), Ball(BLUE, 2)}))))
+    assert any("green ball 1 is held by node 2, which comes later" in p
+               for p in gf.validate_genealogy(v))
+    params = gf.LBDPParams(1.2, 0.6, 0.9, 1)
+    spec = gf.lbdp_spec(params)
+    routes = (gf.to_newick, gf.embedded_chain, gf.event_schedule,
+              partial(gf.oracle_loglik, spec, truncation=gf.lbdp_truncation(params, 30)),
+              partial(gf.smc_loglik, spec, config=gf.FilterConfig(50, seed=1)))
+    for route in routes:
+        with pytest.raises(GenealogyError,
+                           match="green ball 1 is held by node 2, which comes later"):
+            route(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Source hygiene checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import genfilter
@@ -58,3 +62,49 @@ def test_every_private_function_and_class_is_referenced():
             and stmt.name.startswith("_") and not stmt.name.startswith("__")
             and not any(stmt.name in names for _, other, names in statements if other is not stmt)]
     assert not dead, "private functions and classes that nothing references:\n" + "\n".join(dead)
+
+
+# Run in a fresh interpreter: the test modules themselves import scipy.
+_COLD_START = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    import genfilter
+    import genfilter.cli
+    assert not scipy_modules(), f"import genfilter loads {scipy_modules()}"
+
+    work = Path(sys.argv[1])
+    model = {"name": "sir", "params": {"transmission_rate": 0.08, "recovery_rate": 0.7,
+                                       "sampling_rate": 0.7, "s0": 27, "i0": 3}}
+    config = {"schema_version": 1, "seed": 5, "model": model,
+              "inputs": {"trajectory": "sim/trajectory",
+                         "genealogy": "pruned/genealogy_visible.json"},
+              "simulate": {"horizon": 1.5}, "filter": {"n_particles": 50}}
+    (work / "chain.json").write_text(json.dumps(config))
+    (work / "prune.json").write_text(json.dumps(
+        {**config, "inputs": {"genealogy": "sim/genealogy_full.json"}}))
+
+    def run(command, config, out):
+        code = genfilter.cli.main([command, "--config", str(work / config),
+                                   "--out", str(work / out)])
+        assert code == 0, f"genfilter {command} exited {code}"
+
+    run("simulate", "chain.json", "sim")
+    run("prune", "prune.json", "pruned")
+    run("exact", "chain.json", "exact")
+    run("filter", "chain.json", "filter")
+    assert not scipy_modules(), f"simulate to filter load {scipy_modules()}"
+    run("oracle", "chain.json", "oracle")
+    assert "scipy.sparse" in sys.modules, "oracle did not load scipy.sparse"
+""")
+
+
+def test_import_and_the_non_grid_commands_load_no_scipy(tmp_path):
+    """`import genfilter` needs numpy alone; scipy.sparse loads at the first grid call."""
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.returncode == 0, done.stderr
