@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .genealogy import Genealogy, LineageFunction, build_genealogy, embedded_chain, prune
-from .population import History, JumpSequence, ModelSpec
+from .population import History, JumpSequence, ModelSpec, _event_times
 
 
 class ExactError(RuntimeError):
@@ -181,7 +181,9 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
 def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     """Log conditional probability of ``visible`` given the history, one pass.
 
-    Every genealogy event time must appear in the history with a matching
+    The history's event times must lie in (0, horizon] in order, as
+    `history_log_density` requires, or the call raises ValueError.  Every
+    genealogy event time must appear in the history with a matching
     channel kind (births for coalescences, samples for direct descents and
     leaves); a missing or mismatched time is an `ExactError`, while a
     genealogy `LineageFunction` rejects raises its `GenealogyError`.  The
@@ -190,6 +192,7 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     lineages) give -inf.  The pass only classifies events; each factor is
     then evaluated once, on the arrays of every event of its kind.
     """
+    times = _event_times(h)
     lineages = LineageFunction(visible)
     pending = dict(lineages.schedule)
     by_kind: dict[str, list[int]] = {"hidden birth": [], "coalescence": [],
@@ -214,8 +217,8 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
         raise ExactError(f"genealogy event at t={t} is absent from the history")
     if not h.events:
         return 0.0
-    times, channels = zip(*h.events)
-    post = np.asarray(h.x0, dtype=np.int64) + np.cumsum(spec.displacements[list(channels)], axis=0)
+    channels = [k for _, k in h.events]
+    post = np.asarray(h.x0, dtype=np.int64) + np.cumsum(spec.displacements[channels], axis=0)
     size = spec.focal_sizes(post)
     ell = lineages.at(times)
     total = 0.0

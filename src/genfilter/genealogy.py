@@ -13,11 +13,15 @@ every extant individual yields the visible genealogy: the part ancestral to
 the samples, whose pockets are green-green (coalescence), green-blue (direct
 descent), or red-blue (leaf).  `event_schedule`, the one classifier of its
 nodes, gives every likelihood route its events, and `LineageFunction` counts
-the lineages from that schedule alone; a genealogy the schedule rejects
-(unpruned, another pocket form, a non-root node at t <= 0, tied events, a
-node after the observation time or at NaN, a green ball that names no
-node or is held by a later one, a node whose green ball no node holds) or
-whose count goes negative is a `GenealogyError` on every route.
+the lineages from that schedule alone.
+
+One rule set says which node sequences are genealogies at all:
+`validate_genealogy` lists its faults, and every reader (`event_schedule`,
+and with it every likelihood route, `to_newick`, `embedded_chain`, `prune`
+and the update operations) raises the first of them as a `GenealogyError`.
+The schedule further rejects an unpruned genealogy, another pocket form, a
+root that is not green-green at t <= 0 and tied events, and the lineage
+count rejects a genealogy on which it goes negative.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -99,6 +103,77 @@ class Inventory:
         return Inventory(self.names[:n] + self.names[n + 1:])
 
 
+def _faults(g: Genealogy):
+    """Each structural fault of ``g``, one message apiece, in sequence order.
+
+    These are the rules every reader of a genealogy enforces: no time is
+    NaN, no node name repeats, each pocket holds two balls, no node comes
+    after the observation time ``g.time`` or before the node ahead of it,
+    each ball has a known color and one node, each green ball names a node
+    at or after its holder (so parents come first and the links form no
+    cycle), each node's own green ball exists, and only a root (a node
+    holding its own green ball) sits at t <= 0.
+    """
+    if math.isnan(g.time):
+        yield "genealogy time is NaN"
+    position: dict[int, int] = {}
+    holder: dict[Ball, int] = {}  # each ball's first holder, by position
+    for i, n in enumerate(g.nodes):
+        position.setdefault(n.name, i)
+        for b in n.pocket:
+            holder.setdefault(b, i)
+    last = -math.inf
+    for i, n in enumerate(g.nodes):
+        if position[n.name] != i:
+            yield f"node name {n.name} repeats"
+        if len(n.pocket) != 2:
+            yield f"node {n.name}: pocket holds {len(n.pocket)} balls, not 2"
+        if math.isnan(n.time):
+            yield f"node {n.name}: time is NaN"
+        elif n.time > g.time:
+            yield f"node {n.name}: time {n.time} exceeds genealogy time {g.time}"
+        elif n.time < last:
+            yield f"node {n.name}: sequence times decrease, t={n.time} comes after one at t={last}"
+        last = max(last, n.time)  # a NaN time leaves ``last`` as it was
+        for b in sorted(n.pocket, key=repr):  # one order in every process, for any ball
+            if b.color not in _COLORS:
+                yield f"node {n.name}: unknown ball color {b.color!r}"
+            elif holder[b] != i:
+                yield f"ball {b} appears in nodes {g.nodes[holder[b]].name} and {n.name}"
+            elif b.color == GREEN and b.name not in position:
+                yield f"green ball {b.name} names no node"
+            elif b.color == GREEN and position[b.name] < i:
+                yield (f"green ball {b.name} is held by node {n.name}, "
+                       "which comes later in the sequence")
+        up = holder.get(Ball(GREEN, n.name))
+        if up is None:
+            yield f"node {n.name}: its green ball exists nowhere"
+        elif n.time <= 0 and up != i:
+            yield f"node {n.name}: a non-root at t={n.time} cannot precede the process"
+
+
+def _raise_first_fault(g: Genealogy):
+    """The first of `_faults`, if ``g`` has one, as a `GenealogyError`."""
+    for fault in _faults(g):
+        raise GenealogyError(fault)
+
+
+def _reject_extant(n: Node):
+    """A node holding a black ball belongs to a genealogy that is not yet pruned."""
+    if any(b.color == BLACK for b in n.pocket):
+        raise GenealogyError(f"node {n.name}: extant individual; prune to a visible genealogy")
+
+
+def validate_genealogy(g: Genealogy) -> list[str]:
+    """Every structural fault of ``g`` (see `_faults`); an empty list means valid.
+
+    Every reader of a genealogy raises the first of these as a
+    `GenealogyError`.  Full genealogies and tied event times are valid
+    here; `event_schedule` rejects both.
+    """
+    return list(_faults(g))
+
+
 class _State:
     """Mutable genealogy being edited; frozen into a `Genealogy` on demand."""
 
@@ -107,25 +182,15 @@ class _State:
 
     @classmethod
     def from_genealogy(cls, g: Genealogy) -> "_State":
+        _raise_first_fault(g)
         st = cls()
         st.time = g.time
         st.order = [n.name for n in g.nodes]
         st.times = {n.name: n.time for n in g.nodes}
         st.pockets = {n.name: set(n.pocket) for n in g.nodes}
-        st.holder = {}
-        blacks = []
-        blue_names = []
-        for n in g.nodes:
-            for b in n.pocket:
-                if b in st.holder:
-                    raise GenealogyError(f"ball {b} held twice")
-                st.holder[b] = n.name
-                if b.color == BLACK:
-                    blacks.append(b.name)
-                elif b.color == BLUE:
-                    blue_names.append(b.name)
-        st.blacks = sorted(blacks)
-        st.blue_count = max(blue_names, default=-1) + 1
+        st.holder = {b: n.name for n in g.nodes for b in n.pocket}
+        st.blacks = sorted(b.name for b in st.holder if b.color == BLACK)
+        st.blue_count = max((b.name for b in st.holder if b.color == BLUE), default=-1) + 1
         st.next_name = max(st.times, default=-1) + 1
         return st
 
@@ -297,23 +362,19 @@ def prune(g: Genealogy) -> Genealogy:
 def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
     """Classified event times of a visible genealogy, in sequence order.
 
-    Root nodes (which hold their own green ball) describe the initial
-    condition and are not events: each must be green-green, one lineage
-    present from time 0 on.  Every other node must come after time 0 and
-    after the event before it.  Two events at one time are rejected: each
-    needs the lineage count between them.  So is a node that is not at or
-    before the observation time ``v.time``: a later one, or one at NaN.  So
-    are the parent links that `_parents` rejects, a cycle among them.
+    A fault `validate_genealogy` lists is a `GenealogyError`, the first
+    one.  Root nodes (which hold their own green ball) describe the initial
+    condition and are not events: each must be green-green at t <= 0, one
+    lineage present from time 0 on.  Every other node is an event, so an
+    unpruned genealogy and any pocket form but the three visible ones are
+    rejected, and so are two events at one time: each needs the lineage
+    count between them.
     """
+    _raise_first_fault(v)
     out: dict[float, str] = {}
-    last = 0.0
     for n in v.nodes:
-        if not n.time <= v.time:
-            raise GenealogyError(f"node {n.name} at t={n.time} is not at or before the "
-                                 f"observation time {v.time}")
+        _reject_extant(n)
         colors = tuple(sorted(b.color for b in n.pocket))
-        if BLACK in colors:
-            raise GenealogyError(f"node {n.name}: extant individual; prune to a visible genealogy")
         if Ball(GREEN, n.name) in n.pocket:
             if colors != (GREEN, GREEN) or n.time > 0:
                 raise GenealogyError(f"node {n.name}: a root must be green-green at t <= 0")
@@ -321,14 +382,9 @@ def event_schedule(v: Genealogy) -> tuple[tuple[float, str], ...]:
         kind = _VISIBLE_KINDS.get(colors)
         if kind is None:
             raise GenealogyError(f"node {n.name}: pocket is not of visible-genealogy form")
-        if n.time <= 0:
-            raise GenealogyError(f"node {n.name}: {kind} at t={n.time} cannot precede the process")
         if n.time in out:
             raise GenealogyError(f"two genealogy events share time {n.time}")
-        if n.time < last:
-            raise GenealogyError(f"node {n.name}: {kind} at t={n.time} comes after one at t={last}")
-        out[n.time], last = kind, n.time
-    _parents(v)
+        out[n.time] = kind
     return tuple(out.items())
 
 
@@ -368,49 +424,26 @@ class LineageFunction:
         return counts[np.searchsorted(self.breaks, np.asarray(times, dtype=float), side="right")]
 
 
-def _parents(v: Genealogy) -> dict[int, int]:
-    """Each node's parent, the node that holds its green ball; a root holds its own.
-
-    A green ball that names no node, a node whose own green ball no node
-    holds, and a green ball held by a node later in the sequence than the
-    ball's own node are a `GenealogyError`.  Parents therefore come first,
-    so the links form no cycle.
-    """
-    position = {n.name: i for i, n in enumerate(v.nodes)}
-    parent: dict[int, int] = {}
-    for i, n in enumerate(v.nodes):
-        for b in n.pocket:
-            if b.color == GREEN:
-                if b.name not in position:
-                    raise GenealogyError(f"green ball {b.name} names no node")
-                if position[b.name] < i:
-                    raise GenealogyError(f"green ball {b.name} is held by node {n.name}, "
-                                         "which comes later in the sequence")
-                parent[b.name] = n.name
-    for name in position:
-        if name not in parent:
-            raise GenealogyError(f"node {name}: its green ball exists nowhere")
-    return parent
-
-
 def _tree(v: Genealogy):
     """A visible genealogy's links, read from its pockets.
 
-    Returns its nodes by name, each node's parent from `_parents`, each
-    node's children ordered by time and then name, and the node of each
-    blue ball.  An unpruned genealogy is a `GenealogyError`, as is every
-    fault `_parents` rejects.
+    Returns its nodes by name, each node's parent (the node holding its
+    green ball; a root holds its own), each node's children ordered by time
+    and then name, and the node of each blue ball.  A fault
+    `validate_genealogy` lists, and an unpruned genealogy, are a
+    `GenealogyError`.
     """
+    _raise_first_fault(v)
     nodes = {n.name: n for n in v.nodes}
+    parent: dict[int, int] = {}
     sample_node: dict[int, int] = {}
     for n in v.nodes:
+        _reject_extant(n)
         for b in n.pocket:
-            if b.color == BLACK:
-                raise GenealogyError(
-                    f"node {n.name}: extant individual; prune to a visible genealogy")
-            if b.color == BLUE:
+            if b.color == GREEN:
+                parent[b.name] = n.name
+            elif b.color == BLUE:
                 sample_node[b.name] = n.name
-    parent = _parents(v)
     children: dict[int, list[int]] = {name: [] for name in nodes}
     for name, up in parent.items():
         if up != name:
@@ -454,54 +487,6 @@ def embedded_chain(v: Genealogy) -> tuple[LineageRecord, ...]:
         claimed.update(path)
         out.append(LineageRecord(s_q, meet.time, kind))
     return tuple(out)
-
-
-def validate_genealogy(g: Genealogy) -> list[str]:
-    """Check the structural conditions; an empty list means valid.
-
-    Verifies that no time is NaN, pocket sizes, node times against the
-    genealogy time, ordering of the node sequence, ball uniqueness, the
-    parent-ordering rule for green balls, that every node's own green ball
-    exists somewhere, and that only a root sits at t <= 0.  Tied event times
-    are valid; `event_schedule` rejects them.
-    """
-    problems = ["genealogy time is NaN"] if math.isnan(g.time) else []
-    pos = {}
-    for i, n in enumerate(g.nodes):
-        if n.name in pos:
-            problems.append(f"node name {n.name} repeats")
-        pos[n.name] = i
-        if len(n.pocket) != 2:
-            problems.append(f"node {n.name}: pocket holds {len(n.pocket)} balls, not 2")
-        if math.isnan(n.time):
-            problems.append(f"node {n.name}: time is NaN")
-        if n.time > g.time:
-            problems.append(f"node {n.name}: time {n.time} exceeds genealogy time {g.time}")
-        if i and n.time < g.nodes[i - 1].time:
-            problems.append(f"node {n.name}: sequence times decrease at position {i}")
-    seen: dict[Ball, int] = {}
-    green_holders: dict[int, int] = {}
-    for n in g.nodes:
-        for b in n.pocket:
-            if b.color not in _COLORS:
-                problems.append(f"node {n.name}: unknown ball color {b.color!r}")
-            if b in seen:
-                problems.append(f"ball {b} appears in nodes {seen[b]} and {n.name}")
-            seen[b] = n.name
-            if b.color == GREEN:
-                green_holders[b.name] = n.name
-    for name, holder in green_holders.items():
-        if name not in pos:
-            problems.append(f"green ball {name} names no node")
-        elif pos[holder] > pos[name]:
-            problems.append(
-                f"green ball {name} is held by node {holder}, which comes later in the sequence")
-    for n in g.nodes:
-        if n.name not in green_holders:
-            problems.append(f"node {n.name}: its green ball exists nowhere")
-        elif n.time <= 0 and green_holders[n.name] != n.name:
-            problems.append(f"node {n.name}: a non-root at t={n.time} cannot precede the process")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +687,24 @@ def genealogy_to_json(g: Genealogy) -> dict:
     }
 
 
+def _json_value(value, kind: type):
+    """``value`` if JSON gave it as a ``kind`` (int or float); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return value
+
+
 def genealogy_from_json(obj: dict) -> Genealogy:
+    """The genealogy of `genealogy_to_json`'s form: names JSON integers, times JSON numbers."""
     try:
         nodes = tuple(
-            Node(int(n["name"]), float(n["time"]),
-                 frozenset(Ball(str(b["color"]), int(b["name"])) for b in n["pocket"]))
+            Node(_json_value(n["name"], int), float(_json_value(n["time"], float)),
+                 frozenset(Ball(str(b["color"]), _json_value(b["name"], int))
+                           for b in n["pocket"]))
             for n in obj["nodes"]
         )
-        return Genealogy(float(obj["time"]), nodes)
-    except (KeyError, TypeError, ValueError) as err:
+        return Genealogy(float(_json_value(obj["time"], float)), nodes)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise GenealogyError(f"malformed genealogy JSON: {err}") from None
 
 

@@ -419,6 +419,16 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> f
     return total
 
 
+def _event_times(h: History) -> np.ndarray:
+    """The event times of ``h``; one outside (0, horizon] or out of order is a ValueError."""
+    times = np.array([t for t, _ in h.events], dtype=float)
+    ok = (times > 0.0) & (times <= h.horizon) & (np.diff(times, prepend=0.0) >= 0.0)
+    if not ok.all():
+        raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {h.horizon}] "
+                         f"or unordered")
+    return times
+
+
 def history_log_density(spec: ModelSpec, h: History) -> float:
     """Log density of a history against the rate-``mu`` Poisson base measure.
 
@@ -438,12 +448,8 @@ def history_log_density(spec: ModelSpec, h: History) -> float:
     p0 = float(spec.init_pmf(x0))
     if p0 <= 0.0:
         return -math.inf
-    times = np.array([t for t, _ in h.events], dtype=float)
+    times = _event_times(h)
     channels = np.array([k for _, k in h.events], dtype=np.int64)
-    ok = (times > 0.0) & (times <= h.horizon) & (np.diff(times, prepend=0.0) >= 0.0)
-    if not ok.all():
-        raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {h.horizon}] "
-                         f"or unordered")
     # state i holds on [starts[i], ends[i]] and is left by jump i
     states = x0 + np.cumsum(np.vstack([np.zeros_like(x0)[None], spec.displacements[channels]]),
                             axis=0)

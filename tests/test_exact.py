@@ -461,6 +461,30 @@ def test_event_route_structural_failures():
         gf.loglik_events(spec, good, g)
 
 
+@pytest.mark.parametrize("fault", ["swap", "late birth"])
+def test_event_route_checks_the_history_times_as_its_density_does(fault):
+    # loglik_events weighs the history at its own times, so it needs them in
+    # (0, horizon] and in order, like history_log_density
+    spec = lbdp(1.2, 0.6, 0.9, 2)
+    traj = gf.simulate(spec, 2.0, np.random.default_rng(3))
+    h = gf.to_history(traj)
+    visible = gf.prune(gf.build_genealogy(spec, traj)[0])
+    assert math.isfinite(gf.loglik_events(spec, h, visible))
+    events = list(h.events)
+    if fault == "swap":
+        i = next(i for i in range(len(events) - 1) if events[i][1] != events[i + 1][1])
+        events[i], events[i + 1] = events[i + 1], events[i]
+        message = f"event time {events[i + 1][0]} is outside"
+    else:
+        events.append((h.horizon + 0.5, BIRTH))
+        message = f"event time {h.horizon + 0.5} is outside"
+    bad = History(h.horizon, h.x0, tuple(events))
+    with pytest.raises(ValueError, match=message):
+        gf.history_log_density(spec, bad)
+    with pytest.raises(ValueError, match=message):
+        gf.loglik_events(spec, bad, visible)
+
+
 def test_event_route_counting_impossibility_is_minus_inf():
     # a death leaves one individual but two open lineages cross the leaf
     spec = lbdp(1.0, 0.5, 0.8, 2)

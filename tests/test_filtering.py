@@ -740,8 +740,8 @@ def test_a_node_after_the_observation_time_is_rejected_by_every_route():
     spec = lbdp(1.0, 0.5, 0.8, 1)
     g = gf.apply_sample(gf.new_genealogy(1), 0, 0.6)
     v = replace(gf.prune(replace(g, time=1.5)), time=0.3)
-    assert any("exceeds genealogy time" in p for p in gf.validate_genealogy(v))
-    match = "node 1 at t=0.6 is not at or before the observation time 0.3"
+    match = "node 1: time 0.6 exceeds genealogy time 0.3"
+    assert gf.validate_genealogy(v) == [match]
     with pytest.raises(gf.GenealogyError, match=match):
         gf.event_schedule(v)
     with pytest.raises(gf.GenealogyError, match=match):
@@ -761,7 +761,7 @@ def test_a_node_after_the_observation_time_is_rejected_by_every_route():
     # a sample at NaN fails validate_genealogy, and no route may weigh it either
     at_nan = replace(v, time=1.5, nodes=(v.nodes[0], v.nodes[1]._replace(time=math.nan)))
     assert gf.validate_genealogy(at_nan) == ["node 1: time is NaN"]
-    with pytest.raises(gf.GenealogyError, match="t=nan is not at or before"):
+    with pytest.raises(gf.GenealogyError, match="node 1: time is NaN"):
         gf.smc_loglik(spec, at_nan, FilterConfig(50, seed=1))
 
 

@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genfilter as gf
@@ -125,7 +126,7 @@ def test_update_rejects_backward_time():
 def test_duplicated_ball_is_rejected_on_load():
     n0 = Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(BLACK, 0)}))
     n1 = Node(1, 0.0, frozenset({Ball(GREEN, 1), Ball(BLACK, 0)}))
-    with pytest.raises(GenealogyError, match="held twice"):
+    with pytest.raises(GenealogyError, match=r"black', name=0\) appears in nodes 0 and 1"):
         gf.apply_birth(Genealogy(0.0, (n0, n1)), 0, 1.0)
 
 
@@ -400,6 +401,105 @@ def test_validate_flags_bad_structures():
     assert any("exceeds" in p for p in gf.validate_genealogy(past_horizon))
 
 
+def _edited(g, edit, rng):
+    """``g`` with one structural ``edit``, at nodes and balls ``rng`` picks."""
+    nodes = list(g.nodes)
+    position = {n.name: i for i, n in enumerate(nodes)}
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    def put(i, pocket):
+        nodes[i] = nodes[i]._replace(pocket=frozenset(pocket))
+
+    greens = [(i, b) for i, n in enumerate(nodes) for b in sorted(n.pocket) if b.color == GREEN]
+    i, j = sorted(rng.choice(len(nodes), size=2, replace=False).tolist())
+    if edit == "copy a ball into a second node":
+        # the copy takes the place of one of the second node's balls
+        put(j, {pick(sorted(nodes[i].pocket)), pick(sorted(nodes[j].pocket))})
+    elif edit == "give a node another node's name":
+        nodes[j] = nodes[j]._replace(name=nodes[i].name)
+    elif edit == "move a green ball to a later node":
+        # swap it with a ball of a node after the one it names
+        i, green = pick([(i, b) for i, b in greens if position[b.name] < len(nodes) - 1])
+        j = int(rng.integers(position[green.name] + 1, len(nodes)))
+        other = pick(sorted(nodes[j].pocket))
+        put(i, nodes[i].pocket - {green} | {other})
+        put(j, nodes[j].pocket - {other} | {green})
+    elif edit == "drop a green ball":
+        i, green = pick(greens)
+        put(i, nodes[i].pocket - {green})
+    elif edit == "move a node past the observation time":
+        nodes[i] = nodes[i]._replace(time=g.time + 0.5)
+    else:  # move a node before the one ahead of it
+        nodes[j] = nodes[j]._replace(time=nodes[j - 1].time - 0.5)
+    return replace(g, nodes=tuple(nodes))
+
+
+_EDITS = ("copy a ball into a second node", "give a node another node's name",
+          "move a green ball to a later node", "drop a green ball",
+          "move a node past the observation time", "move a node before the one ahead of it")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["lbdp", "sir"]),
+       visible=st.booleans(), edit=st.sampled_from(_EDITS))
+def test_every_reader_raises_the_first_fault_validation_lists(seed, model, visible, edit):
+    # one rule set: a structural fault is the same GenealogyError on every
+    # reader, whatever else the reader checks after it
+    if model == "lbdp":
+        params = gf.LBDPParams(1.2, 0.6, 0.9, 2)
+        spec, truncation = gf.lbdp_spec(params), gf.lbdp_truncation(params, 25)
+    else:
+        params = gf.SIRParams(0.15, 0.5, 0.9, s0=12, i0=3)
+        spec, truncation = gf.sir_spec(params), gf.sir_truncation(params)
+    rng = np.random.default_rng(seed)
+    g, _ = gf.build_genealogy(spec, gf.simulate(spec, 2.0, rng))
+    if visible:
+        g = gf.prune(g)
+    assume(len(g.nodes) >= 2)
+    m = _edited(g, edit, rng)
+    faults = gf.validate_genealogy(m)
+    assert faults
+    if visible:
+        readers = (gf.event_schedule, gf.to_newick, gf.embedded_chain, gf.prune,
+                   partial(gf.smc_loglik, spec, config=gf.FilterConfig(20, seed=1)),
+                   partial(gf.oracle_loglik, spec, truncation=truncation))
+    else:
+        readers = (gf.prune, partial(gf.apply_sample, n=0, t=m.time))
+    for reader in readers:
+        with pytest.raises(GenealogyError) as err:
+            reader(m)
+        assert str(err.value) == faults[0]
+
+
+@pytest.mark.parametrize("v, fault", [
+    # green ball 3 sits in node 1 and node 2: node 3 would hang from both
+    (Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
+                     Node(1, 0.3, frozenset({Ball(GREEN, 2), Ball(GREEN, 3)})),
+                     Node(2, 0.4, frozenset({Ball(GREEN, 4), Ball(GREEN, 3)})),
+                     Node(3, 0.5, frozenset({Ball(RED, 0), Ball(BLUE, 0)})),
+                     Node(4, 0.6, frozenset({Ball(RED, 1), Ball(BLUE, 1)})))),
+     "ball Ball(color='green', name=3) appears in nodes 1 and 2"),
+    # two nodes named 2 below the one green ball 2: to_newick would keep one
+    (Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
+                     Node(1, 0.3, frozenset({Ball(GREEN, 2), Ball(BLUE, 0)})),
+                     Node(2, 0.5, frozenset({Ball(RED, 1), Ball(BLUE, 1)})),
+                     Node(2, 0.6, frozenset({Ball(RED, 2), Ball(BLUE, 2)})))),
+     "node name 2 repeats")],
+    ids=["ball-in-two-nodes", "repeated-name"])
+def test_every_route_rejects_a_ball_in_two_nodes_and_a_repeated_name(v, fault):
+    params = gf.LBDPParams(1.0, 0.5, 0.5, 1)
+    spec = gf.lbdp_spec(params)
+    routes = (gf.event_schedule, gf.to_newick, gf.embedded_chain, gf.prune,
+              partial(gf.oracle_loglik, spec, truncation=gf.lbdp_truncation(params, 30)),
+              partial(gf.smc_loglik, spec, config=gf.FilterConfig(50, seed=1)))
+    assert gf.validate_genealogy(v) == [fault]
+    for route in routes:
+        with pytest.raises(GenealogyError, match=re.escape(fault)):
+            route(v)
+
+
 @pytest.mark.parametrize("where, problem", [("node", "node 1: time is NaN"),
                                              ("genealogy", "genealogy time is NaN")])
 def test_validate_flags_a_time_at_nan_read_from_json(where, problem):
@@ -435,7 +535,6 @@ _NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 
 
 def newick_parts(text):
-    import re
     skeleton = re.sub(_NUMBER, "#", text)
     numbers = [float(tok) for tok in re.findall(_NUMBER, text)]
     return skeleton, numbers
@@ -525,6 +624,37 @@ def test_json_round_trip_exact(tmp_path):
         path = tmp_path / f"g{i}.json"
         gf.write_genealogy(path, g, provenance={"seed": 29})
         assert gf.read_genealogy(path) == g
+
+
+def _sample_json():
+    v = gf.prune(replace(gf.apply_sample(gf.new_genealogy(1), 0, 0.5), time=1.0))
+    return v, json.loads(json.dumps(gf.genealogy_to_json(v)))
+
+
+@pytest.mark.parametrize("where, value", [
+    ("node time", "0.5"), ("node time", True), ("genealogy time", "1.0"),
+    ("genealogy time", False), ("node name", 0.6), ("node name", True), ("node name", "1"),
+    ("ball name", 1.0), ("ball name", True)])
+def test_genealogy_from_json_takes_only_json_numbers(where, value):
+    # names are JSON integers and times JSON numbers; a bool is neither
+    _, obj = _sample_json()
+    if where == "node time":
+        obj["nodes"][1]["time"] = value
+    elif where == "genealogy time":
+        obj["time"] = value
+    elif where == "node name":
+        obj["nodes"][1]["name"] = value
+    else:
+        obj["nodes"][1]["pocket"][0]["name"] = value
+    with pytest.raises(GenealogyError, match="malformed genealogy JSON"):
+        gf.genealogy_from_json(obj)
+
+
+def test_genealogy_from_json_reads_an_integer_time_as_a_float():
+    v, obj = _sample_json()
+    obj["time"] = 1
+    g = gf.genealogy_from_json(obj)
+    assert g == v and type(g.time) is float
 
 
 def test_genealogy_from_json_rejects_garbage():

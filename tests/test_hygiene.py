@@ -64,6 +64,27 @@ def test_every_private_function_and_class_is_referenced():
     assert not dead, "private functions and classes that nothing references:\n" + "\n".join(dead)
 
 
+def test_genealogy_states_each_message_once():
+    """No string fragment of 20 or more characters inside a call or a yield repeats.
+
+    `genealogy.py` writes each structural rule once, so each fault message,
+    f-string parts included, stands in one place.
+    """
+    tree = ast.parse((PACKAGE / "genealogy.py").read_text())
+    fragments = {}  # node id -> (line, text), so nested calls count a fragment once
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Call, ast.Yield)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                        and len(sub.value) >= 20:
+                    fragments[id(sub)] = (sub.lineno, sub.value)
+    lines: dict[str, list[int]] = {}
+    for line, text in fragments.values():
+        lines.setdefault(text, []).append(line)
+    repeated = [f"{text!r} at lines {sorted(at)}" for text, at in lines.items() if len(at) > 1]
+    assert not repeated, "fragments stated more than once:\n" + "\n".join(repeated)
+
+
 # Run in a fresh interpreter: the test modules themselves import scipy.
 _COLD_START = textwrap.dedent("""
     import json, sys
