@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +30,8 @@ from .genealogy import (GenealogyError, NewickError, build_genealogy, prune,
                         read_genealogy, to_newick, validate_genealogy, write_genealogy)
 from .models import MODELS, TRUNCATIONS, model_params
 from .population import (DEFAULT_MAX_JUMPS, History, IntegrationError, JumpSequence,
-                         SimulationError, read_trajectory, simulate, to_history,
-                         write_trajectory)
+                         SimulationError, _write_csv, _write_json, _write_text,
+                         read_trajectory, simulate, to_history, write_trajectory)
 
 
 class ConfigError(ValueError):
@@ -174,17 +173,6 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then move it into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
-
-
 def _resolve_seed(args, config) -> int:
     if args.seed is not None:
         return args.seed
@@ -307,7 +295,7 @@ def cmd_filter(args, config, out: Path) -> int:
         result.update(mean=rep.mean, se=rep.se, estimates=list(rep.estimates),
                       collapse_count=rep.collapse_count)
     diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
-    _write_json(out / "result.json", result)
+    _write_json(out / "result.json", _jsonable(result))
     print(f"filter loglik {shown} ({fc.n_particles} particles, {n_reps} reps) -> {out}")
     return 0
 
@@ -323,7 +311,7 @@ def cmd_oracle(args, config, out: Path) -> int:
     flux = boundary_flux(spec, grid, t=v.time)
     result = {"loglik": loglik, "tol": tol, "n_states": int(len(grid.states)),
               "boundary_flux": flux, "provenance": _provenance(config, seed)}
-    _write_json(out / "result.json", result)
+    _write_json(out / "result.json", _jsonable(result))
     print(f"oracle loglik {loglik} ({len(grid.states)} states) -> {out}")
     return 0
 
@@ -343,7 +331,7 @@ def cmd_exact(args, config, out: Path) -> int:
         math.isfinite(by_events) else (0.0 if by_lineage == by_events else math.inf)
     result = {"loglik_lineages": by_lineage, "loglik_events": by_events,
               "difference": diff, "provenance": _provenance(config, seed)}
-    _write_json(out / "result.json", result)
+    _write_json(out / "result.json", _jsonable(result))
     print(f"exact loglik {by_lineage} (routes differ by {diff}) -> {out}")
     return 0
 
@@ -382,11 +370,9 @@ def cmd_profile(args, config, out: Path) -> int:
     header = ["value", "mean", "se", "n_particles", "n_reps", "collapsed"]
     if include_oracle:
         header.append("oracle")
-    lines = [f"# {k}: {val}" for k, val in _provenance(config, seed).items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[h]) for h in header))
-    _write_text(out / "profile.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "profile.csv", ",".join(header),
+               (",".join(_csv_cell(row[h]) for h in header) for row in rows),
+               _provenance(config, seed))
     print(f"profiled {param} at {len(values)} values -> {out}")
     return 0
 

@@ -71,7 +71,8 @@ import numpy as np
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
-                         _generator, _rate_integral, _state_array, ensure_rng, integrate_epochs)
+                         _generator, _rate_integral, _state_array, _write_csv, ensure_rng,
+                         integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 WEIGHTING_MODES = ("analytic-survival", "rejection")
@@ -151,16 +152,10 @@ class FilterDiagnostics:
         return [row.ess for row in self.events]
 
     def to_csv(self, path, provenance=None) -> Path:
-        path = Path(path)
-        lines = []
-        for key, val in (provenance or {}).items():
-            lines.append(f"# {key}: {val}")
-        lines.append("time,kind,log_mean_weight,ess,resampled")
-        for row in self.events:
-            lines.append(f"{row.time:.17g},{row.kind},{row.log_mean_weight:.17g},"
-                         f"{row.ess:.17g},{int(row.resampled)}")
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return _write_csv(path, "time,kind,log_mean_weight,ess,resampled",
+                          (f"{row.time:.17g},{row.kind},{row.log_mean_weight:.17g},"
+                           f"{row.ess:.17g},{int(row.resampled)}" for row in self.events),
+                          provenance)
 
 
 @dataclass

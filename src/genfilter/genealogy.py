@@ -16,12 +16,17 @@ nodes, gives every likelihood route its events, and `LineageFunction` counts
 the lineages from that schedule alone.
 
 One rule set says which node sequences are genealogies at all:
-`validate_genealogy` lists its faults, and every reader (`event_schedule`,
-and with it every likelihood route, `to_newick`, `embedded_chain`, `prune`
-and the update operations) raises the first of them as a `GenealogyError`.
+`validate_genealogy` lists its faults (a NaN, infinite or negative
+observation time among them), and every reader (`event_schedule`, and
+with it every likelihood route, `to_newick`, `embedded_chain`, `prune` and
+the update operations) raises the first of them as a `GenealogyError`.
 The schedule further rejects an unpruned genealogy, another pocket form, a
 root that is not green-green at t <= 0 and tied events, and the lineage
 count rejects a genealogy on which it goes negative.
+
+`to_newick` and `from_newick` exchange visible genealogies as Newick
+forests.  Each is one loop with an explicit stack, so no depth is too
+deep; `from_newick` names a fault of the text by its position.
 
 Node and green-ball names are drawn from a counter that never reuses a name,
 so pockets stay well-formed under any event order; newborn black balls are
@@ -40,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .population import JumpSequence, ModelSpec
+from .population import JumpSequence, ModelSpec, _write_json
 
 GREEN = "green"
 BLACK = "black"
@@ -107,15 +112,18 @@ def _faults(g: Genealogy):
     """Each structural fault of ``g``, one message apiece, in sequence order.
 
     These are the rules every reader of a genealogy enforces: no time is
-    NaN, no node name repeats, each pocket holds two balls, no node comes
-    after the observation time ``g.time`` or before the node ahead of it,
-    each ball has a known color and one node, each green ball names a node
-    at or after its holder (so parents come first and the links form no
-    cycle), each node's own green ball exists, and only a root (a node
-    holding its own green ball) sits at t <= 0.
+    NaN, the observation time ``g.time`` is finite and at least 0, no node
+    name repeats, each pocket holds two balls, no node comes after
+    ``g.time`` or before the node ahead of it, each ball has a known color
+    and one node, each green ball names a node at or after its holder (so
+    parents come first and the links form no cycle), each node's own green
+    ball exists, and only a root (a node holding its own green ball) sits
+    at t <= 0.
     """
     if math.isnan(g.time):
         yield "genealogy time is NaN"
+    elif not 0 <= g.time < math.inf:
+        yield f"genealogy time {g.time} is infinite or below 0"
     position: dict[int, int] = {}
     holder: dict[Ball, int] = {}  # each ball's first holder, by position
     for i, n in enumerate(g.nodes):
@@ -415,8 +423,7 @@ class LineageFunction:
             raise GenealogyError(f"leaf at t={t} leaves a negative lineage count")
 
     def __call__(self, t: float) -> int:
-        idx = int(np.searchsorted(self.breaks, t, side="right")) - 1
-        return int(self.values[idx]) if idx >= 0 else 0
+        return int(self.at(t))
 
     def at(self, times) -> np.ndarray:
         """The count at each of ``times`` at once."""
@@ -507,99 +514,45 @@ def to_newick(v: Genealogy) -> str:
     Red leaves are labeled ``r<q>``, blue pass-through nodes ``b<q>`` (q is
     the blue-ball name), coalescences are unlabeled; every branch carries a
     length.  The forest is newline-separated with a semicolon per tree.
+    The trees are walked with an explicit stack, so any depth renders.
     """
     nodes, parent, children, _ = _tree(v)
 
-    def render(name: int, parent_time: float) -> str:
-        n = nodes[name]
-        length = f"{n.time - parent_time:.17g}"
-        kids = children[name]
-        label = _node_label(n)
-        if kids:
-            inner = ",".join(render(c, n.time) for c in kids)
-            return f"({inner}){label}:{length}"
-        return f"{label}:{length}"
+    def below(name: int) -> list:
+        """``name``'s children with commas between them, in the order the stack pops them."""
+        return [item for c in reversed(children[name]) for item in (c, ",")][:-1]
 
-    trees = []
+    out = []
     roots = [name for name, up in parent.items() if up == name]
     for r in sorted(roots, key=lambda name: (nodes[name].time, name)):
-        inner = ",".join(render(c, nodes[r].time) for c in children[r])
-        trees.append(f"({inner});")
-    return "\n".join(trees) + ("\n" if trees else "")
-
-
-class _NewickParser:
-    """Recursive-descent parser for the dialect written by `to_newick`."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        raise NewickError(f"position {self.pos}: {msg}")
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_space(self):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isspace():
-                self.pos += 1
-            elif c == "[":  # bracket comment
-                end = self.text.find("]", self.pos)
-                if end < 0:
-                    self.error("unterminated comment")
-                self.pos = end + 1
+        out.append("(")
+        todo = [");\n", *below(r)]  # text to write, or a node to write next
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            n = nodes[item]
+            tail = f"{_node_label(n)}:{n.time - nodes[parent[item]].time:.17g}"
+            if children[item]:
+                out.append("(")
+                todo += [")" + tail, *below(item)]
             else:
-                break
+                out.append(tail)
+    return "".join(out)
 
-    def parse_forest(self) -> list[dict]:
-        trees = []
-        self.skip_space()
-        while self.pos < len(self.text):
-            trees.append(self.parse_subtree())
-            self.skip_space()
-            if self.peek() != ";":
-                self.error("expected ';' after tree")
-            self.pos += 1
-            self.skip_space()
-        return trees
 
-    def parse_subtree(self) -> dict:
-        self.skip_space()
-        node = {"children": [], "label": "", "length": None}
-        if self.peek() == "(":
-            self.pos += 1
-            node["children"].append(self.parse_subtree())
-            self.skip_space()
-            while self.peek() == ",":
-                self.pos += 1
-                node["children"].append(self.parse_subtree())
-                self.skip_space()
-            if self.peek() != ")":
-                self.error("expected ')' or ','")
-            self.pos += 1
-        node["label"] = self.parse_label()
-        self.skip_space()
-        if self.peek() == ":":
-            self.pos += 1
-            self.skip_space()
-            node["length"] = self.parse_number()
-        return node
+_LABEL = re.compile(r"[A-Za-z0-9_.\-]*")
+_NUMBER = re.compile(r"[+\-]?(\d+\.?\d*|\.\d+)([eE][+\-]?\d+)?")
+_SPACE = re.compile(r"(?:\s|\[[^\]]*\])*")  # whitespace and closed bracket comments
 
-    def parse_label(self) -> str:
-        m = re.match(r"[A-Za-z0-9_.\-]*", self.text[self.pos:])
-        label = m.group(0)
-        self.pos += len(label)
-        return label
 
-    def parse_number(self) -> float:
-        m = re.match(r"[+\-]?(\d+\.?\d*|\.\d+)([eE][+\-]?\d+)?", self.text[self.pos:])
-        if not m:
-            self.error("expected a branch length")
-        self.pos += len(m.group(0))
-        return float(m.group(0))
+def _skip(text: str, pos: int) -> int:
+    """The position past the whitespace and bracket comments at ``pos``."""
+    pos = _SPACE.match(text, pos).end()
+    if text.startswith("[", pos):
+        raise NewickError(f"position {pos}: unterminated comment")
+    return pos
 
 
 def from_newick(text: str) -> Genealogy:
@@ -608,66 +561,90 @@ def from_newick(text: str) -> Genealogy:
     Roots anchor at time 0 and node times accumulate down the branch lengths;
     fresh node names are assigned in time order, so event times, tree shape,
     and sample labels round-trip (names themselves are not preserved).
-    """
-    trees = _NewickParser(text).parse_forest()
-    records = []  # (time, depth, kind, q, children record ids)
 
-    def walk(node: dict, parent_time: float, depth: int) -> int:
-        if node["length"] is None:
+    One pass over the text records each node where it starts, with an
+    explicit stack of open parentheses, so any depth reads; a fault of the
+    text is a `NewickError` naming its position.  A second pass over the
+    records, in text order, checks each tree's labels, child counts and
+    lengths and gives each node its time; a sample label used twice is
+    found as the nodes are named.
+    """
+    records = []  # per node, in text order: [parent, depth, label, length, children]
+    opened = []  # the nodes whose '(' is not yet closed, innermost last
+    pos = _skip(text, 0)
+    while pos < len(text) or opened:  # a node starts at pos
+        rid = len(records)
+        records.append([opened[-1] if opened else None, len(opened), "", None, []])
+        if opened:
+            records[opened[-1]][4].append(rid)
+        if text.startswith("(", pos):
+            opened.append(rid)
+            pos = _skip(text, pos + 1)
+            continue
+        while True:  # node rid ends here: its label and length, then a ')' ends its parent
+            records[rid][2] = _LABEL.match(text, pos).group(0)
+            pos = _skip(text, pos + len(records[rid][2]))
+            if text.startswith(":", pos):
+                pos = _skip(text, pos + 1)
+                number = _NUMBER.match(text, pos)
+                if number is None:
+                    raise NewickError(f"position {pos}: expected a branch length")
+                records[rid][3] = float(number.group(0))
+                pos = _skip(text, number.end())
+            if not opened or text.startswith(",", pos):
+                break
+            if not text.startswith(")", pos):
+                raise NewickError(f"position {pos}: expected ')' or ','")
+            rid = opened.pop()
+            pos += 1
+        if not opened and not text.startswith(";", pos):
+            raise NewickError(f"position {pos}: expected ';' after tree")
+        pos = _skip(text, pos + 1)
+
+    times, samples = [], []  # per record: its time, and its blue-ball name and colors
+    for up, depth, label, length, kids in records:
+        if depth == 0:
+            if label != "" or len(kids) != 1:
+                raise NewickError("each tree must be an unlabeled root with one child")
+            times.append(0.0)
+            samples.append((None, ()))
+            continue
+        if length is None:
             raise NewickError("branch lengths are mandatory")
-        if node["length"] < 0:
-            raise NewickError(f"negative branch length {node['length']}")
-        time = parent_time + node["length"]
-        label = node["label"]
-        kids = node["children"]
+        if length < 0:
+            raise NewickError(f"negative branch length {length}")
         if label.startswith("r") and label[1:].isdigit():
-            kind, q = "leaf", int(label[1:])
+            q, colors = int(label[1:]), (RED, BLUE)
             if kids:
                 raise NewickError(f"red node r{q} must be a leaf")
         elif label.startswith("b") and label[1:].isdigit():
-            kind, q = "direct", int(label[1:])
+            q, colors = int(label[1:]), (BLUE,)
             if len(kids) != 1:
                 raise NewickError(f"blue node b{q} must have exactly one child")
         elif label == "":
-            kind, q = "coalescence", None
+            q, colors = None, ()
             if len(kids) != 2:
                 raise NewickError("unlabeled internal nodes must have exactly two children")
         else:
             raise NewickError(f"unrecognized label {label!r}")
-        rid = len(records)
-        records.append([time, depth, kind, q, []])
-        records[rid][4].extend(walk(kid, time, depth + 1) for kid in kids)
-        return rid
+        times.append(times[up] + length)
+        samples.append((q, colors))
 
-    root_ids = []
-    for tree in trees:
-        if tree["label"] != "" or len(tree["children"]) != 1:
-            raise NewickError("each tree must be an unlabeled root with one child")
-        rid = len(records)
-        records.append([0.0, 0, "root", None, []])
-        root_ids.append(rid)
-        records[rid][4].append(walk(tree["children"][0], 0.0, 1))
-
-    order = sorted(range(len(records)), key=lambda r: (records[r][0], records[r][1]))
-    name_of = {rid: i for i, rid in enumerate(order)}
+    order = sorted(range(len(records)), key=lambda r: (times[r], records[r][1]))
+    name_of = {rid: name for name, rid in enumerate(order)}
     seen_q = set()
     nodes = []
-    for rid in order:
-        time, _, kind, q, kids = records[rid]
-        name = name_of[rid]
-        if kind == "root":
-            pocket = {Ball(GREEN, name), Ball(GREEN, name_of[kids[0]])}
-        elif kind == "coalescence":
-            pocket = {Ball(GREEN, name_of[kids[0]]), Ball(GREEN, name_of[kids[1]])}
-        elif kind == "direct":
-            pocket = {Ball(GREEN, name_of[kids[0]]), Ball(BLUE, q)}
-        else:
-            pocket = {Ball(RED, q), Ball(BLUE, q)}
+    for name, rid in enumerate(order):
+        q, colors = samples[rid]
         if q is not None:
             if q in seen_q:
                 raise NewickError(f"sample label {q} repeats")
             seen_q.add(q)
-        nodes.append(Node(name, time, frozenset(pocket)))
+        pocket = {Ball(GREEN, name_of[kid]) for kid in records[rid][4]}
+        pocket.update(Ball(color, q) for color in colors)
+        if records[rid][1] == 0:  # a root holds its own green ball
+            pocket.add(Ball(GREEN, name))
+        nodes.append(Node(name, times[rid], frozenset(pocket)))
     time = max((n.time for n in nodes), default=0.0)
     return Genealogy(time, tuple(nodes))
 
@@ -709,12 +686,10 @@ def genealogy_from_json(obj: dict) -> Genealogy:
 
 
 def write_genealogy(path, g: Genealogy, provenance=None) -> Path:
-    path = Path(path)
     obj = genealogy_to_json(g)
     if provenance:
         obj["provenance"] = dict(provenance)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(path, obj)
 
 
 def read_genealogy(path) -> Genealogy:

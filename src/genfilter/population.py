@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -420,7 +421,12 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> f
 
 
 def _event_times(h: History) -> np.ndarray:
-    """The event times of ``h``; one outside (0, horizon] or out of order is a ValueError."""
+    """The event times of ``h``; one outside (0, horizon] or out of order is a ValueError.
+
+    So is a horizon that is not finite or is below 0.
+    """
+    if not 0.0 <= h.horizon < math.inf:
+        raise ValueError(f"history horizon {h.horizon} is not finite or is below 0")
     times = np.array([t for t, _ in h.events], dtype=float)
     ok = (times > 0.0) & (times <= h.horizon) & (np.diff(times, prepend=0.0) >= 0.0)
     if not ok.all():
@@ -828,16 +834,35 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
 # ---------------------------------------------------------------------------
 # Serialization: line-oriented CSV plus a JSON header sidecar.
 
+def _write_text(path, text: str) -> Path:
+    """Write ``text`` to a temporary file beside ``path``, then move it into place.
+
+    Every file the package writes goes through here, so a crash leaves the
+    old file or the new one, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+    return path
+
+
+def _write_json(path, obj) -> Path:
+    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, header: str, rows: Iterable[str], provenance=None) -> Path:
+    """A ``# key: value`` line per provenance entry, then ``header``, then ``rows``."""
+    lines = [f"# {key}: {val}" for key, val in (provenance or {}).items()]
+    return _write_text(path, "\n".join([*lines, header, *rows]) + "\n")
+
+
 def _write_rows(base, spec: ModelSpec, kind: str, x0, horizon, rows, seed,
                 provenance) -> tuple[Path, Path]:
     """Write ``base.csv`` from (time, channel, aux text) rows and ``base.json`` (header)."""
     base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    lines = ["time,event_name,aux"]
-    for t, k, aux in rows:
-        lines.append(f"{t:.17g},{spec.events[k].name},{aux}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path = _write_csv(base.with_suffix(".csv"), "time,event_name,aux",
+                          (f"{t:.17g},{spec.events[k].name},{aux}" for t, k, aux in rows))
     head = {
         "kind": kind,
         "model": spec.name,
@@ -849,8 +874,7 @@ def _write_rows(base, spec: ModelSpec, kind: str, x0, horizon, rows, seed,
     }
     if provenance:
         head["provenance"] = provenance
-    json_path.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
-    return csv_path, json_path
+    return csv_path, _write_json(base.with_suffix(".json"), head)
 
 
 def write_trajectory(base, spec: ModelSpec, traj: JumpSequence, seed=None,

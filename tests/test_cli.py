@@ -398,6 +398,27 @@ def test_prune_rejects_a_time_at_nan(tmp_path, capsys, where):
     assert not (tmp_path / "pruned" / "genealogy_visible.json").exists()
 
 
+@pytest.mark.parametrize("command", ["prune", "filter", "oracle"])
+@pytest.mark.parametrize("time", [-1.0, math.inf])
+def test_a_genealogy_time_that_is_infinite_or_below_0_is_an_error(tmp_path, capsys, command,
+                                                                  time):
+    # json reads the literal Infinity; before, oracle overflowed on it with a
+    # traceback and every command weighed an empty genealogy at -1 as 0.0
+    obj = json.loads((simulated(tmp_path) / "genealogy_visible.json").read_text())
+    obj["time"] = time
+    if time < 0:
+        obj["nodes"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    config = write_config(tmp_path, name="bad_time.json", inputs={"genealogy": str(path)},
+                          oracle={"n_max": 20}, filter={"n_particles": 20})
+    assert run(command, "--config", config, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: config.inputs.genealogy: genealogy time {time} "
+                   "is infinite or below 0\n")
+    assert not list((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize("field,bad", [("times", math.nan), ("times", math.inf),
                                        ("values", math.nan)])
 def test_non_finite_piecewise_rate_is_a_config_error(tmp_path, field, bad):

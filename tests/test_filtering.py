@@ -765,6 +765,31 @@ def test_a_node_after_the_observation_time_is_rejected_by_every_route():
         gf.smc_loglik(spec, at_nan, FilterConfig(50, seed=1))
 
 
+@pytest.mark.parametrize("time, empty", [(-1.0, True), (math.inf, False), (math.inf, True),
+                                         (-math.inf, True)])
+def test_a_genealogy_observed_at_an_infinite_or_negative_time_is_rejected_by_every_route(
+        time, empty):
+    # before, Genealogy(-1.0, ()) weighed 0.0 on every route and an infinite
+    # time overflowed the grid
+    params = gf.LBDPParams(1.0, 0.5, 0.8, 1)
+    spec = gf.lbdp_spec(params)
+    v = empty_visible(1.5) if empty else gf.prune(replace(
+        gf.apply_sample(gf.new_genealogy(1), 0, 0.6), time=1.5))
+    bad = replace(v, time=time, nodes=() if time < 0 else v.nodes)
+    match = f"genealogy time {time} is infinite or below 0"
+    assert gf.validate_genealogy(bad) == [match]
+    ens = gf.init_ensemble(spec, 10, np.random.default_rng(2))
+    routes = (gf.event_schedule, gf.LineageFunction, gf.to_newick, gf.embedded_chain, gf.prune,
+              lambda g: gf.smc_loglik(spec, g, FilterConfig(50, seed=1)),
+              lambda g: gf.oracle_loglik(spec, g, gf.lbdp_truncation(params, 20)),
+              lambda g: gf.loglik_events(spec, gf.History(1.5, (1, 0), ()), g),
+              lambda g: gf.propagate_interval(spec, ens, g, 0.0, 0.3, np.random.default_rng(3)))
+    for route in routes:
+        with pytest.raises(gf.GenealogyError, match=match):
+            route(bad)
+    assert math.isfinite(gf.oracle_loglik(spec, v, gf.lbdp_truncation(params, 20)))
+
+
 @pytest.mark.parametrize("n_max", [3, 4])
 def test_oracle_rejects_a_truncation_without_initial_mass(n_max):
     # lbdp starts at n = 5: states up to n_max < 5 carry none of its mass

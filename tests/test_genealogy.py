@@ -585,21 +585,72 @@ def test_newick_round_trip_keeps_node_count_and_schedule(seed, model, rates, siz
     assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=1e-12, atol=1e-12)
 
 
-def test_from_newick_rejects_malformed_input():
-    with pytest.raises(NewickError, match="position"):
-        gf.from_newick("((r0:1);")  # unbalanced
-    with pytest.raises(NewickError, match="unlabeled root"):
-        gf.from_newick("(r0:1,r1:2);")
-    with pytest.raises(NewickError, match="unrecognized label"):
-        gf.from_newick("(x7:1);")
-    with pytest.raises(NewickError, match="exactly one child"):
-        gf.from_newick("(b0:0.5);")
-    with pytest.raises(NewickError, match="mandatory"):
-        gf.from_newick("(r0);")
-    with pytest.raises(NewickError, match="repeats"):
-        gf.from_newick("((r0:1,r0:2):0.5);")
-    with pytest.raises(NewickError, match="negative"):
-        gf.from_newick("(r0:-1);")
+@pytest.mark.parametrize("text, message", [
+    # the text itself: every syntax fault is named with its position
+    ("((r0:1);", "position 7: expected ')' or ','"),  # unbalanced
+    ("(", "position 1: expected ')' or ','"),
+    ("(r0:1,", "position 6: expected ')' or ','"),
+    ("(r0:1));", "position 6: expected ';' after tree"),
+    ("(r0:1)", "position 6: expected ';' after tree"),  # a missing ';'
+    ("(r0:1)(r1:1);", "position 6: expected ';' after tree"),
+    ("(r0:1[oops);", "position 5: unterminated comment"),
+    ("(r0:);", "position 4: expected a branch length"),  # a missing length
+    ("(r0: ;", "position 5: expected a branch length"),
+    ("(r0:x);", "position 4: expected a branch length"),  # bad lengths
+    ("(r0:-);", "position 4: expected a branch length"),
+    ("(r0:1e);", "position 5: expected ')' or ','"),
+    ("((r0:1) b0:1);", "position 8: expected ')' or ','"),  # a label goes right after ')'
+    ("((r0:1)[c]b0:1);", "position 10: expected ')' or ','"),
+    # a syntax fault anywhere comes before any fault of the tree
+    ("(r0)(", "position 4: expected ';' after tree"),
+    # the trees: a fault per node, the first in text order
+    ("(r0:1,r1:2);", "each tree must be an unlabeled root with one child"),
+    ("(r0:1)b1;", "each tree must be an unlabeled root with one child"),
+    ("r0:1;", "each tree must be an unlabeled root with one child"),
+    (";", "each tree must be an unlabeled root with one child"),
+    ("(,);", "each tree must be an unlabeled root with one child"),
+    ("();", "branch lengths are mandatory"),
+    ("(r0);", "branch lengths are mandatory"),
+    ("(r0:-1);", "negative branch length -1.0"),
+    ("(x7:1);", "unrecognized label 'x7'"),
+    ("(b:1);", "unrecognized label 'b'"),
+    ("(r:1);", "unrecognized label 'r'"),
+    ("((r0:1)r1:1);", "red node r1 must be a leaf"),
+    ("(b0:0.5);", "blue node b0 must have exactly one child"),
+    ("((r0:1,r1:1)b2:1);", "blue node b2 must have exactly one child"),
+    ("((r0:1):1);", "unlabeled internal nodes must have exactly two children"),
+    ("((r0:1,r1:1,r2:1):1);", "unlabeled internal nodes must have exactly two children"),
+    ("((r0:1,r0:2):0.5);", "sample label 0 repeats"),
+    ("((r0:1)b0:0.5);", "sample label 0 repeats"),
+    ("(r0:1);(r0:2);", "sample label 0 repeats"),
+    ("((r0:1,r0:2):0.5)x;", "each tree must be an unlabeled root with one child"),
+    ("(x1:1);(r0);", "unrecognized label 'x1'"),
+])
+def test_from_newick_names_each_fault(text, message):
+    with pytest.raises(NewickError) as err:
+        gf.from_newick(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["", "  \n", "[only a comment]"])
+def test_from_newick_reads_no_tree_as_the_empty_genealogy(text):
+    assert gf.from_newick(text) == Genealogy(0.0, ())
+
+
+def test_from_newick_ignores_the_root_length():
+    assert gf.from_newick("(r0:1):-3;") == gf.from_newick("(r0:1)[c];") \
+        == Genealogy(1.0, (Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
+                           Node(1, 1.0, frozenset({Ball(RED, 0), Ball(BLUE, 0)}))))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(alphabet="()[],:;rbx0123456789.-+e \n", max_size=40))
+def test_from_newick_reads_any_text_or_names_its_fault(text):
+    try:
+        got = gf.from_newick(text)
+    except NewickError:
+        return
+    assert isinstance(got, Genealogy)
 
 
 def test_from_newick_accepts_comments_and_whitespace():
@@ -607,6 +658,44 @@ def test_from_newick_accepts_comments_and_whitespace():
     assert gf.validate_genealogy(g) == []
     assert gf.event_schedule(g) == ((0.4, "coalescence"), (0.9, "direct"),
                                     (1.15, "leaf"), (1.4, "leaf"))
+
+
+def caterpillar(depth):
+    """A visible genealogy ``depth`` coalescences deep, each splitting off one leaf.
+
+    Node i (1 to ``depth``) coalesces at i/1024 and leaf q ends at
+    2 + q/1024, so every branch length is exact in binary; nodes are named
+    in time order and blue balls in sequence order, as `from_newick` names
+    them.  Its Newick form, as `to_newick` writes it, comes with it.
+    """
+    nodes = [Node(0, 0.0, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)}))]
+    for i in range(1, depth + 1):
+        below = i + 1 if i < depth else 2 * depth + 1
+        nodes.append(Node(i, i / 1024, frozenset({Ball(GREEN, below), Ball(GREEN, depth + i)})))
+    for q in range(depth + 1):
+        nodes.append(Node(depth + 1 + q, 2 + q / 1024, frozenset({Ball(RED, q), Ball(BLUE, q)})))
+    leaf, step = "1.9990234375", "0.0009765625"  # 2 - 1/1024 and 1/1024
+    text = ("(" * (depth + 1) + f"r{depth - 1}:{leaf},r{depth}:2):{step}"
+            + "".join(f",r{q}:{leaf}):{step}" for q in range(depth - 2, -1, -1)) + ");\n")
+    return Genealogy(nodes[-1].time, tuple(nodes)), text
+
+
+def test_caterpillar_is_a_valid_visible_genealogy():
+    v, text = caterpillar(3)
+    assert gf.validate_genealogy(v) == []
+    assert [kind for _, kind in gf.event_schedule(v)] == ["coalescence"] * 3 + ["leaf"] * 4
+    assert text == ("((((r2:1.9990234375,r3:2):0.0009765625,r1:1.9990234375):0.0009765625,"
+                    "r0:1.9990234375):0.0009765625);\n")
+
+
+def test_to_newick_writes_a_genealogy_1500_levels_deep():
+    v, text = caterpillar(1500)
+    assert gf.to_newick(v) == text
+
+
+def test_from_newick_reads_a_genealogy_1500_levels_deep():
+    v, text = caterpillar(1500)
+    assert gf.from_newick(text) == v
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ def test_genealogy_states_each_message_once():
     assert not repeated, "fragments stated more than once:\n" + "\n".join(repeated)
 
 
+def test_one_writer_writes_every_file():
+    """One ``.write_text(`` call in the package: the atomic writer every output goes through."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "write_text"]
+    assert len(calls) == 1, "write_text( at " + ", ".join(calls)
+
+
 # Run in a fresh interpreter: the test modules themselves import scipy.
 _COLD_START = textwrap.dedent("""
     import json, sys

@@ -291,6 +291,19 @@ def test_history_density_rejects_disordered_times():
         history_log_density(spec, History(1.0, (2, 0), ((1.5, 0),)))
 
 
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf, -math.inf])
+def test_history_readers_reject_a_horizon_that_is_not_finite_or_is_below_0(horizon):
+    # before, an empty history weighed -1.0 at horizon -1 and NaN at NaN or inf
+    spec = lbdp(1.0, 0.5, 0.5, 2)
+    h = History(horizon, (2, 0), ())
+    match = f"history horizon {horizon} is not finite or is below 0"
+    with pytest.raises(ValueError, match=match):
+        history_log_density(spec, h)
+    with pytest.raises(ValueError, match=match):
+        gf.loglik_events(spec, h, gf.prune(gf.new_genealogy(2)))
+    assert history_log_density(spec, History(0.0, (2, 0), ())) == 0.0
+
+
 def test_history_density_zero_rate_event_is_impossible():
     spec = lbdp(0.0, 1.0, 0.0, 1)
     birth = 0
