@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .exact import ExactError, loglik_events, loglik_lineages
-from .filtering import (RESAMPLING_METHODS, WEIGHTING_MODES, FilterConfig, FilterError,
-                        boundary_flux, oracle_loglik, replicate_loglik, smc_loglik)
+from .filtering import (RESAMPLING_METHODS, FilterConfig, FilterError, boundary_flux,
+                        oracle_loglik, replicate_loglik, smc_loglik)
 from .genealogy import (GenealogyError, NewickError, build_genealogy, prune,
                         read_genealogy, to_newick, validate_genealogy, write_genealogy)
 from .models import MODELS, TRUNCATIONS, model_params
@@ -43,7 +43,6 @@ _FILTER_PROPS = {
     "n_reps": {"type": "integer", "minimum": 1},
     "ess_threshold": {"type": "number", "minimum": 0, "maximum": 1},
     "resampling": {"enum": list(RESAMPLING_METHODS)},
-    "weighting": {"enum": list(WEIGHTING_MODES)},
 }
 
 _SCHEMA = {
@@ -234,7 +233,7 @@ def _read_trajectory(path):
 
 def _filter_config(section: dict, seed: int) -> FilterConfig:
     """The filter settings the section gives; `FilterConfig` supplies the rest."""
-    keys = ("n_particles", "ess_threshold", "resampling", "weighting")
+    keys = ("n_particles", "ess_threshold", "resampling")
     return FilterConfig(seed=seed, **{k: section[k] for k in keys if k in section})
 
 

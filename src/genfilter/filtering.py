@@ -5,10 +5,11 @@ Two routes, useful as cross-checks on each other:
 * `smc_loglik` runs a particle filter over the genealogy's event times.
   Particles simulate the population process between events; at each event
   the exact channel-sum weight is applied and a channel is sampled for the
-  state move.  Interval weighting comes in two modes: ``rejection``
-  simulates sampling events and kills particles that produce one, while
-  ``analytic-survival`` (the default) disables sampling channels and applies
-  the exact survival weight, which lowers variance at equal cost.
+  state move.  Between events the particles follow one law, and the model
+  decides how each sampling channel is paid: one without a rate bound is
+  off the clock and pays its exact survival weight, one with a bound is
+  thinned with the other bounded channels and kills the particle that it
+  samples.
   `replicate_loglik` runs R replicates through the same driver
   (`_run_filters`) as one array of R blocks of particles, of which
   `smc_loglik` is the R = 1 case.  Each block draws from its own generator,
@@ -71,11 +72,9 @@ import numpy as np
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
-                         _generator, _rate_integral, _state_array, _write_csv, ensure_rng,
-                         integrate_epochs)
+                         _generator, _state_array, _write_csv, ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
-WEIGHTING_MODES = ("analytic-survival", "rejection")
 
 
 class FilterError(RuntimeError):
@@ -95,7 +94,6 @@ class FilterConfig:
     seed: int | None = None
     ess_threshold: float = 0.5
     resampling: str = "systematic"
-    weighting: str = "analytic-survival"
 
     def __post_init__(self):
         n = self.n_particles
@@ -105,8 +103,6 @@ class FilterConfig:
             raise ValueError("ess_threshold is a fraction of n_particles")
         if self.resampling not in RESAMPLING_METHODS:
             raise ValueError(f"resampling must be one of {RESAMPLING_METHODS}")
-        if self.weighting not in WEIGHTING_MODES:
-            raise ValueError(f"weighting must be one of {WEIGHTING_MODES}")
 
 
 @dataclass
@@ -264,9 +260,9 @@ def _log_gains(spec, ell, top: int) -> np.ndarray:
     """Log weight change of a jump by channel k to focal size s, as ``gains[k, s]``.
 
     The log of `_jump_factors` over the sizes 0..top, so a sample is fatal
-    (-inf), and so is a death below ``ell``.  Under analytic survival no
-    sample is drawn, as every sampling rate is zero.  The extra last row is
-    a rejected thinning candidate, which pays nothing.  Focal sizes, being
+    (-inf), and so is a death below ``ell``; only a sampling channel with a
+    rate bound is on the clock to draw one.  The extra last row is a
+    rejected thinning candidate, which pays nothing.  Focal sizes, being
     counts, index the columns directly.
     """
     gains = np.zeros((spec.n_events + 1, top + 1))
@@ -284,7 +280,7 @@ def _cumsum_channels(rates: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
+def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs):
     """Simulation of the live particles across one epoch [t0, t1], in place.
 
     Works on the index set of live (finite log weight) particles that have
@@ -300,10 +296,10 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     channel; a candidate is rejected, and stays in the set at its time, when
     u times the total exceeds the summed rates there, where only the bounded
     channels are read again (a rate above its bound raises `SimulationError`).
-    Under analytic survival the sampling channels are off the clock: a
-    constant one leaves the log weight as rate times each round's stretch, a
-    bounded one as its rate integral over the whole dwell, paid once at the
-    accepted jump or at t1.  Jumps pay `_log_gains`.
+    A sampling channel without a bound is off the clock and leaves the log
+    weight as its rate times each round's stretch; one with a bound is
+    thinned like any other channel.  Jumps pay `_log_gains`, so an accepted
+    sample kills the particle.
 
     The particles form one block of equal size per generator in ``rngs``.
     Each round, a block with m particles in the set draws from its own
@@ -313,16 +309,15 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
     Also returns each block's rounds and accepted jumps, shape (2, blocks).
     """
     n, rejected = len(logw) // len(rngs), spec.n_events
-    thinned = np.flatnonzero(spec.bound_mask & ~(survival & spec.sample_mask)).tolist()
-    sample_const = np.flatnonzero(spec.sample_mask & ~spec.bound_mask).tolist()
-    sample_quad = np.flatnonzero(survival & spec.sample_mask & spec.bound_mask).tolist()
+    thinned = np.flatnonzero(spec.bound_mask).tolist()
+    off_clock = np.flatnonzero(spec.sample_mask & ~spec.bound_mask).tolist()
     moves = np.vstack([spec.active_displacements, np.zeros_like(spec.active_displacements[:1])])
     gains = np.empty((rejected + 1, 0))
     edges, rounds, jumps = np.arange(len(rngs) + 1) * n, [0] * len(rngs), [0] * len(rngs)
     idx = np.flatnonzero(np.isfinite(logw))
     waits, uniforms = np.empty(len(idx)), np.empty(len(idx))
     x, t = states[idx], np.full(len(idx), t0)
-    rows, entered = states.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0], t
+    rows = states.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
     while len(idx):
         bounds = np.searchsorted(idx, edges).tolist()
         for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -331,19 +326,19 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
                 rngs[r].random(out=uniforms[lo:hi])
                 rounds[r] += 1
         rates = spec.rate_matrix(t0, x).T  # channel-major: one row per channel
-        if survival:
-            g_rate = rates[sample_const].sum(axis=0)
-            rates[sample_const + sample_quad] = 0.0
+        g_rate = rates[off_clock].sum(axis=0)
+        rates[off_clock] = 0.0
         for k in thinned:
             rates[k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
         rates, cum = rates if thinned else None, _cumsum_channels(rates)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_next = t + waits[:len(idx)] / np.abs(cum[-1])
         fired = (t_next < t1).nonzero()[0]
-        if survival:
-            stop = np.fmin(t_next, t1)
-            np.subtract.at(logw, idx, g_rate * (stop - t))
-        start, before, held = t, idx, x if sample_quad else None
+        # stop lives to the round's end, like the arrays freed below: freeing it
+        # at once made the sir100-crosscheck workload's filter 6% slower (2 CPUs)
+        stop = np.fmin(t_next, t1)
+        np.subtract.at(logw, idx, g_rate * (stop - t))
+        start = t
         idx, t, x, cum = idx[fired], t_next[fired], x.take(fired, axis=0), cum.take(fired, axis=1)
         u = uniforms[fired] * cum[-1]
         if thinned:
@@ -354,14 +349,6 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
             _check_bound(cum[-1], bound, start[fired], t1)
         # cum[k-1] < u <= cum[k] picks channel k; u above every entry is a rejection
         choice = (u > cum).sum(axis=0)
-        if sample_quad:
-            # a dwell ends at t1 or at an accepted jump, not at a rejection
-            settled = np.ones(len(before), dtype=bool)
-            settled[fired] = choice < rejected
-            logw[before[settled]] -= [_rate_integral(spec, xi, a, b, channels=sample_quad)
-                                      for xi, a, b in zip(held[settled], entered[settled],
-                                                          stop[settled])]
-            entered = np.where(settled, stop, entered)[fired]
         x += moves.take(choice, axis=0)
         rows[idx] = x.view(rows.dtype)[:, 0]
         moved = np.searchsorted(idx[choice < rejected] if thinned else idx, edges).tolist()
@@ -373,37 +360,34 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, survival: bool):
         if gain.min(initial=0.0) == -np.inf:
             live = (gain > -np.inf).nonzero()[0]
             idx, t, x = idx[live], t[live], x.take(live, axis=0)
-            if sample_quad:
-                entered = entered[live]
         # free this round's arrays before the next round makes its own
-        rates = cum = t_next = fired = stop = start = before = held = u = choice = None
+        rates = cum = t_next = fired = stop = start = u = choice = None
         size = gain = g_rate = None
     return states, logw, np.array([rounds, jumps])
 
 
-def _propagate(spec, states, logw, t0, t1, ell, rngs, survival: bool):
+def _propagate(spec, states, logw, t0, t1, ell, rngs):
     """Advance particles across [t0, t1] one epoch at a time; also sums the epochs' tallies."""
     tally = np.zeros((2, len(rngs)), dtype=np.int64)
     for a, b in spec.epochs(t0, t1):
-        states, logw, counts = _propagate_epoch(spec, states, logw, a, b, ell, rngs, survival)
+        states, logw, counts = _propagate_epoch(spec, states, logw, a, b, ell, rngs)
         tally += counts
     return states, logw, tally
 
 
 def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
-                       t0: float, t1: float, rng,
-                       weighting: str = "analytic-survival") -> Ensemble:
+                       t0: float, t1: float, rng) -> Ensemble:
     """Advance all particles across an event-free stretch of the genealogy.
 
     The lineage count, `LineageFunction`'s, is constant on such a stretch;
     every simulated birth reweights by the probability that it was not a
     coalescence of tracked lineages, and a particle whose focal size falls
-    below the lineage count is zeroed out.  A genealogy event strictly
+    below the lineage count is zeroed out.  A sampling channel pays as in
+    `smc_loglik`: off the clock by its survival weight without a rate bound,
+    thinned and fatal when it samples with one.  A genealogy event strictly
     inside (t0, t1), or a genealogy `LineageFunction` rejects (an unpruned
     one, say), raises `GenealogyError`.
     """
-    if weighting not in WEIGHTING_MODES:
-        raise ValueError(f"weighting must be one of {WEIGHTING_MODES}")
     if t1 < t0:
         raise ValueError("t1 < t0")
     lineages = LineageFunction(v)
@@ -415,8 +399,7 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     states = particles.states.copy()
     logw = particles.log_weights.copy()
     if t1 > t0:
-        states, logw, _ = _propagate(spec, states, logw, t0, t1, ell,
-                                     [ensure_rng(rng)], weighting == "analytic-survival")
+        states, logw, _ = _propagate(spec, states, logw, t0, t1, ell, [ensure_rng(rng)])
     return Ensemble(states, logw)
 
 
@@ -528,11 +511,10 @@ def _run_filters(spec, v, config, rngs) -> list[SMCResult]:
     runs = running = [SMCResult(0.0, FilterDiagnostics()) for _ in rngs]
     states = np.concatenate([init_ensemble(spec, n, rng).states for rng in rngs])
     logw = np.zeros(len(states))
-    survival = config.weighting == "analytic-survival"
     for t, e, ell, kind, ell_post in _stretches(v):
         logw[spec.focal_sizes(states) < ell] = -np.inf
         if e > t:
-            states, logw, tally = _propagate(spec, states, logw, t, e, ell, rngs, survival)
+            states, logw, tally = _propagate(spec, states, logw, t, e, ell, rngs)
             for run, (rounds, jumps) in zip(running, tally.T.tolist()):
                 run.diagnostics.rounds += rounds
                 run.diagnostics.jumps += jumps

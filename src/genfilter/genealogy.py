@@ -515,6 +515,10 @@ def to_newick(v: Genealogy) -> str:
     the blue-ball name), coalescences are unlabeled; every branch carries a
     length.  The forest is newline-separated with a semicolon per tree.
     The trees are walked with an explicit stack, so any depth renders.
+    A branch is measured from its parent's time or 0, whichever is later:
+    `from_newick` anchors every root at 0, and only a root sits at t <= 0,
+    so a root before 0 (at -inf, say) reads back at 0 with the times below
+    it kept.
     """
     nodes, parent, children, _ = _tree(v)
 
@@ -533,7 +537,7 @@ def to_newick(v: Genealogy) -> str:
                 out.append(item)
                 continue
             n = nodes[item]
-            tail = f"{_node_label(n)}:{n.time - nodes[parent[item]].time:.17g}"
+            tail = f"{_node_label(n)}:{n.time - max(nodes[parent[item]].time, 0.0):.17g}"
             if children[item]:
                 out.append("(")
                 todo += [")" + tail, *below(item)]
@@ -590,6 +594,8 @@ def from_newick(text: str) -> Genealogy:
                 if number is None:
                     raise NewickError(f"position {pos}: expected a branch length")
                 records[rid][3] = float(number.group(0))
+                if records[rid][3] == math.inf:
+                    raise NewickError(f"position {pos}: branch length {number.group(0)} overflows")
                 pos = _skip(text, number.end())
             if not opened or text.startswith(",", pos):
                 break

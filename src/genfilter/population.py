@@ -15,7 +15,9 @@ without Python-level loops; scalar use sees ``x`` of shape ``(d,)``.
 Importing this module loads numpy alone.  scipy is imported inside the
 functions that need it, on their first call: ``scipy.sparse`` by the grid
 routes (`forward_generator`, `kfe_integrate` and the oracle's generators)
-and ``scipy.integrate`` by channels with a rate bound.
+and ``scipy.integrate`` where a channel has a rate bound, by the grid's RK45
+and `history_log_density`'s quadrature; `simulate` and the particle filter
+thin such a channel and load neither.
 """
 
 from __future__ import annotations

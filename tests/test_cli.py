@@ -325,6 +325,23 @@ def test_integer_fields_take_json_integers_only(tmp_path, capsys, section, field
     assert f"error: {field}: " in err and "is not of type 'integer'" in err
 
 
+@pytest.mark.parametrize("command, section, where", [
+    ("filter", {"filter": {"n_particles": 20, "weighting": "rejection"}}, "config.filter"),
+    ("profile", {"profile": {"parameter": "birth_rate", "values": [1.0],
+                             "weighting": "analytic-survival"}}, "config.profile"),
+], ids=["filter", "profile"])
+def test_a_weighting_key_is_a_config_error(tmp_path, capsys, command, section, where):
+    # the filter has one law between events, so a config that names a
+    # weighting asks for something no run gives, and writes nothing
+    out = simulated(tmp_path)
+    config = write_config(tmp_path, name="weighting.json",
+                          inputs={"genealogy": str(out / "genealogy_visible.json")}, **section)
+    assert run(command, "--config", config, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and "'weighting' was unexpected" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run("filter", "--config", config, "--out", tmp_path / "o") == 2

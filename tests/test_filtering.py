@@ -14,7 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import logsumexp
 
 import genfilter as gf
-from genfilter.filtering import RESAMPLING_METHODS, WEIGHTING_MODES, FilterConfig, FilterError
+from genfilter.filtering import RESAMPLING_METHODS, FilterConfig, FilterError
 from stochastic import z_verdict
 
 
@@ -81,8 +81,6 @@ def test_filter_config_validation():
         FilterConfig(10, ess_threshold=1.5)
     with pytest.raises(ValueError, match="resampling"):
         FilterConfig(10, resampling="stratified")
-    with pytest.raises(ValueError, match="weighting"):
-        FilterConfig(10, weighting="bootstrap")
 
 
 def test_event_schedule_kinds():
@@ -181,15 +179,26 @@ def test_propagate_survival_weight_exact():
     assert np.allclose(out.log_weights, -0.7 * 2 * 0.4, rtol=0, atol=1e-12)
 
 
-def test_propagate_rejection_mode_kills_sampled():
-    spec = lbdp(0.0, 0.0, 0.7, 2)
+def test_propagate_kills_what_a_bounded_sampling_channel_samples():
+    # the lone channel samples at psi (1 + 0.5 sin 2 pi t) n, bounded by 1.5 psi n:
+    # it is thinned on the clock, so a particle survives [0, 0.4] unweighted
+    # with probability exp(-integral of the rate)
+    psi, n0, horizon = 0.7, 2, 0.4
+    base = lbdp(0.0, 0.0, psi, n0)
+    rates = (*base.rates[:2],
+             lambda t, x: psi * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0])
+    bounds = (None, None, lambda t0, t1, x: 1.5 * psi * float(x[..., 0]))
+    spec = gf.ModelSpec("lbdp-sin-sampling", base.d, base.events, rates, base.init_sample,
+                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        bookkeeping_dims=base.bookkeeping_dims)
     n = 4000
     ens = gf.init_ensemble(spec, n, np.random.default_rng(3))
-    out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.4,
-                                np.random.default_rng(4), weighting="rejection")
+    out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, horizon,
+                                np.random.default_rng(4))
     alive = np.isfinite(out.log_weights)
-    assert (out.log_weights[alive] == 0.0).all()
-    p = math.exp(-0.7 * 2 * 0.4)
+    assert (out.log_weights[alive] == 0.0).all() and (out.states == n0).all()
+    p = math.exp(-psi * n0 * (horizon + 0.5 * (1.0 - math.cos(2 * math.pi * horizon))
+                              / (2 * math.pi)))
     assert abs(alive.mean() - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
@@ -219,8 +228,7 @@ def test_propagate_reweights_hidden_births():
         assert logw == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_a_total_rate_of_negative_zero_fires_nothing(weighting):
+def test_a_total_rate_of_negative_zero_fires_nothing():
     # rate_matrix accepts -0.0; a clock whose total is -0.0 must not jump at t = -inf,
     # and a jump off n = 3 would meet a negative rate, which raises
     base = lbdp(0.0, 0.0, 0.0, 3)
@@ -230,12 +238,11 @@ def test_a_total_rate_of_negative_zero_fires_nothing(weighting):
                         base.init_pmf, base.focal_size, bookkeeping_dims=base.bookkeeping_dims)
     ens = gf.init_ensemble(spec, 50, np.random.default_rng(1))
     out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.4,
-                                np.random.default_rng(2), weighting)
+                                np.random.default_rng(2))
     assert (out.states == ens.states).all() and (out.log_weights == 0.0).all()
 
 
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
+def test_propagate_epoch_touches_only_live_unfinished_particles():
     # a recovery at i = ell = 2 is fatal; a third of the particles start dead,
     # and the second block starts with few live ones, so it empties first
     spec = sir(0.3, 0.5, 0.3, 8, 3)
@@ -262,7 +269,7 @@ def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
         assert (states[~was_live] == was[~was_live]).all()
         assert (logw[~was_live] == -np.inf).all()
         # a particle reads rates again exactly when it jumped last round and is
-        # still live; with sampling off or fatal, a live jumper has moved
+        # still live; with sampling off the clock, a live jumper has moved
         return (states != was).any(axis=1) & live
 
     def rate_matrix(t, rows):
@@ -276,8 +283,7 @@ def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
         rounds.append((len(rows), np.isfinite(logw), states.copy(), blocks))
         return gf.ModelSpec.rate_matrix(spec, t, rows)
     spec.rate_matrix = rate_matrix
-    gf.filtering._propagate_epoch(spec, states, logw, 0.0, 1.0, 2, rngs,
-                                  weighting == "analytic-survival")
+    gf.filtering._propagate_epoch(spec, states, logw, 0.0, 1.0, 2, rngs)
     assert not due().any()
     assert generator_states() == drawn[-1]
     sizes = [r[0] for r in rounds]
@@ -291,9 +297,6 @@ def test_propagate_epoch_touches_only_live_unfinished_particles(weighting):
 def test_propagate_interval_validates():
     spec = lbdp(1.0, 0.5, 0.2, 2)
     ens = gf.init_ensemble(spec, 4, np.random.default_rng(9))
-    with pytest.raises(ValueError, match="weighting"):
-        gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.1,
-                              np.random.default_rng(9), weighting="exact")
     with pytest.raises(ValueError, match="t1"):
         gf.propagate_interval(spec, ens, two_leaf_visible(), 0.5, 0.1,
                               np.random.default_rng(9))
@@ -400,14 +403,13 @@ def test_smc_pure_sampling_has_zero_variance():
         assert not res.diagnostics.collapsed
 
 
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_smc_seed_determinism(weighting):
+def test_smc_seed_determinism():
     spec = lbdp(1.4, 0.5, 0.9, 1)
     traj = simulate_with_samples(spec, 2.0, 19, 2, 10)
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
-    a = gf.smc_loglik(spec, v, FilterConfig(300, seed=7, weighting=weighting))
-    b = gf.smc_loglik(spec, v, FilterConfig(300, seed=7, weighting=weighting))
-    c = gf.smc_loglik(spec, v, FilterConfig(300, seed=8, weighting=weighting))
+    a = gf.smc_loglik(spec, v, FilterConfig(300, seed=7))
+    b = gf.smc_loglik(spec, v, FilterConfig(300, seed=7))
+    c = gf.smc_loglik(spec, v, FilterConfig(300, seed=8))
     assert math.isfinite(a.loglik) and a.loglik == b.loglik
     assert a.diagnostics.events == b.diagnostics.events
     assert a.loglik != c.loglik
@@ -431,17 +433,11 @@ def assert_matches(rep, exact, alpha):
 
 
 # Each check's false-alarm rate is at most that of a bound of k standard errors
-# on its n replicates, P(|t| > k) on n - 1 degrees of freedom; for the three
+# on its n replicates, P(|t| > k) on n - 1 degrees of freedom; for the two
 # below, 0.005 <= P(|t_15| > 3) = 0.009.
 def test_smc_matches_oracle():
     spec, v, exact = lbdp_case()
     assert_matches(gf.replicate_loglik(spec, v, FilterConfig(2000, seed=21), 16), exact, 0.005)
-
-
-def test_smc_rejection_mode_matches_oracle():
-    spec, v, exact = lbdp_case()
-    rep = gf.replicate_loglik(spec, v, FilterConfig(4000, seed=22, weighting="rejection"), 16)
-    assert_matches(rep, exact, 0.005)
 
 
 def test_smc_multinomial_resampling_matches_oracle():
@@ -522,22 +518,21 @@ BIT_IDENTITY_CASES = ["constant", "piecewise", "bounded-infection", "bounded-sam
 
 @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
 @pytest.mark.parametrize("resampling", RESAMPLING_METHODS)
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_replicates_are_bit_identical_to_sequential_runs(weighting, resampling, case):
+def test_replicates_are_bit_identical_to_sequential_runs(resampling, case):
     spec, v = bit_identity_case(case)
-    config = FilterConfig(60, seed=43, weighting=weighting, resampling=resampling)
+    config = FilterConfig(60, seed=43, resampling=resampling)
     rep = assert_runs_are_sequential_runs(spec, v, config, 3)
     assert rep.collapse_count < 3
 
 
-@pytest.mark.parametrize("case", ["constant", "bounded-infection", "two-birth-channels"])
+@pytest.mark.parametrize("case", ["constant", "bounded-infection", "bounded-sampling",
+                                  "two-birth-channels"])
 def test_collapsed_replicates_drop_out_of_the_ensemble(case):
-    # seven particles under rejection: the first seed from 3 on at which some
-    # of six replicates collapse and the rest go on; in every case at least
-    # half of seeds 3..42 do, so at that rate all 20 miss about once in 1e6
+    # two particles: the first seed from 3 on at which some of six replicates
+    # collapse and the rest go on; in every case at least 29 of seeds 3..42
+    # do, so at that rate all 20 miss about once in 1e11
     spec, v = bit_identity_case(case)
-    config = next((c for c in (FilterConfig(7, seed=seed, weighting="rejection")
-                               for seed in range(3, 23))
+    config = next((c for c in (FilterConfig(2, seed=seed) for seed in range(3, 23))
                    if 0 < gf.replicate_loglik(spec, v, c, 6).collapse_count < 6), None)
     assert config is not None, "no seed in 3..22 gives some collapsed replicates and some not"
     rep = assert_runs_are_sequential_runs(spec, v, config, 6)
@@ -546,12 +541,10 @@ def test_collapsed_replicates_drop_out_of_the_ensemble(case):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), n_reps=st.integers(1, 4),
-       weighting=st.sampled_from(WEIGHTING_MODES),
        case=st.sampled_from(BIT_IDENTITY_CASES))
-def test_replicates_match_sequential_runs_for_any_seed(seed, n, n_reps, weighting, case):
+def test_replicates_match_sequential_runs_for_any_seed(seed, n, n_reps, case):
     spec, v = bit_identity_case(case)
-    assert_runs_are_sequential_runs(spec, v, FilterConfig(n, seed=seed, weighting=weighting),
-                                    n_reps)
+    assert_runs_are_sequential_runs(spec, v, FilterConfig(n, seed=seed), n_reps)
 
 
 def test_smc_resamples_on_threshold():
@@ -923,10 +916,8 @@ def test_piecewise_epochs_tile_the_schedule(monkeypatch):
 
     steps["filter"].clear()
     ens = gf.init_ensemble(spec, 50, np.random.default_rng(5))
-    for weighting in WEIGHTING_MODES:
-        gf.propagate_interval(spec, ens, v, stretch[0], stretch[-1],
-                              np.random.default_rng(6), weighting)
-    assert steps["filter"] == 2 * list(zip(stretch[:-1], stretch[1:]))
+    gf.propagate_interval(spec, ens, v, stretch[0], stretch[-1], np.random.default_rng(6))
+    assert steps["filter"] == list(zip(stretch[:-1], stretch[1:]))
 
 
 def test_piecewise_oracle_matches_continuous_declaration():
@@ -962,15 +953,14 @@ def test_piecewise_smc_is_deterministic_for_a_seed():
         assert a.diagnostics.ess_trace == b.diagnostics.ess_trace
 
 
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_smc_two_breakpoint_sirs_matches_oracle(weighting):
+def test_smc_two_breakpoint_sirs_matches_oracle():
     beta = gf.PiecewiseConstant((0.5, 1.2), (0.9, 0.25, 0.6))
     params = gf.SIRSParams(beta, 0.5, 0.6, 0.8, 6, 2)
     spec = gf.sirs_spec(params)
     traj = simulate_with_samples(spec, 2.0, 31, 2, 6)
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
     exact = gf.oracle_loglik(spec, v, gf.sirs_truncation(params))
-    rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=37, weighting=weighting), 12)
+    rep = gf.replicate_loglik(spec, v, FilterConfig(1500, seed=37), 12)
     assert_matches(rep, exact, 0.01)  # <= P(|t_11| > 3) = 0.012
 
 
@@ -1011,8 +1001,7 @@ def sinusoidal_sir(breakpoint=None, channel="infection"):
 @pytest.mark.parametrize("breakpoint, channel", [
     (None, "infection"), (0.5, "infection"), (None, "sampling"), (0.5, "sampling")],
     ids=["None", "0.5", "None-sampling", "0.5-sampling"])
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
-def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint, channel):
+def test_thinning_filter_matches_oracle(monkeypatch, breakpoint, channel):
     spec = sinusoidal_sir(breakpoint, channel)
     assert spec.varies_within_epochs
     v = coalescence_visible()
@@ -1024,44 +1013,12 @@ def test_thinning_filter_matches_oracle(monkeypatch, weighting, breakpoint, chan
         steps.append((t0, t1))
         return epoch(spec, states, logw, t0, t1, *rest)
     monkeypatch.setattr(gf.filtering, "_propagate_epoch", propagate_epoch)
-    # at 300 particles the rejection-None case missed a bias of 0.05 per
-    # stretch on about a quarter of streams; at 500 on about 1 in 100
-    n = 500 if (weighting, breakpoint, channel) == ("rejection", None, "infection") else 300
-    rep = gf.replicate_loglik(spec, v, FilterConfig(n, seed=41, weighting=weighting), 10)
+    rep = gf.replicate_loglik(spec, v, FilterConfig(300, seed=41), 10)
     assert_matches(rep, exact, 0.01)  # <= P(|t_9| > 3) = 0.015
     assert steps
     if breakpoint is not None:
         assert not any(a < breakpoint < b for a, b in steps)
         assert any(b == breakpoint for a, b in steps)
-
-
-def test_bounded_sampling_pays_its_integral_once_per_dwell(monkeypatch):
-    # the lone sampling channel runs at psi (1 + 0.5 sin 2 pi t) n; a thinned
-    # birth channel at rate 0 rejects every candidate, so no particle moves
-    # and each one's dwell is the whole epoch, however many rounds it takes
-    psi, n0, horizon = 0.6, 3, 1.7
-    base = lbdp(0.0, 0.0, psi, n0)
-    rates = (lambda t, x: 0.0 * x[..., 0], base.rates[1],
-             lambda t, x: psi * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0])
-    bounds = (lambda t0, t1, x: 2.0 * float(x[..., 0]), None,
-              lambda t0, t1, x: 1.5 * psi * float(x[..., 0]))
-    spec = gf.ModelSpec("lbdp-sin-sampling", base.d, base.events, rates, base.init_sample,
-                        base.init_pmf, base.focal_size, rate_bounds=bounds,
-                        bookkeeping_dims=base.bookkeeping_dims)
-    calls = []
-    integral = gf.filtering._rate_integral
-
-    def rate_integral(*args, **kwargs):
-        calls.append(args)
-        return integral(*args, **kwargs)
-    monkeypatch.setattr(gf.filtering, "_rate_integral", rate_integral)
-    ens = gf.init_ensemble(spec, 20, np.random.default_rng(44))
-    out = gf.propagate_interval(spec, ens, empty_visible(horizon), 0.0, horizon,
-                                np.random.default_rng(45))
-    want = -psi * n0 * (horizon + 0.5 * (1.0 - math.cos(2 * math.pi * horizon)) / (2 * math.pi))
-    assert (out.states == ens.states).all()
-    assert np.abs(out.log_weights - want).max() < 1e-9
-    assert len(calls) == 20
 
 
 def test_sir100_seed101_values_are_pinned():
@@ -1087,39 +1044,37 @@ def test_sir100_seed101_values_are_pinned():
     assert gf.loglik_events(spec, gf.to_history(traj), v) == -10.778129199009985
 
 
-# the filter on the seed-101 genealogy, as (weighting, beta, seed, particles,
-# replicates): both weightings, and the piecewise beta's epoch path
+# the filter on the seed-101 genealogy, as (beta, seed, particles, replicates):
+# constant beta, and the piecewise beta's epoch path
 SIR100_FILTER_RUNS = [
-    ("analytic-survival", 0.04, 7, 2000, 150),
-    ("rejection", 0.04, 7, 2000, 150),
-    ("analytic-survival", gf.PiecewiseConstant((0.5,), (0.04, 0.02)), 3, 1000, 300),
+    (0.04, 7, 2000, 150),
+    (gf.PiecewiseConstant((0.5,), (0.04, 0.02)), 3, 1000, 300),
 ]
 
 
 def test_sir100_seed101_filter_matches_the_oracle():
-    # one verdict at false-alarm rate 0.001 over the three runs; the replicate
+    # one verdict at false-alarm rate 0.001 over the two runs; the replicate
     # counts let it fail when every stretch's log mean weight is off by 0.002
     params, _, v = sir100_visible(1.0)
     groups = []
-    for weighting, beta, seed, n, reps in SIR100_FILTER_RUNS:
+    for beta, seed, n, reps in SIR100_FILTER_RUNS:
         spec = gf.sir_spec(replace(params, transmission_rate=beta))
         exact = gf.oracle_loglik(spec, v, gf.sir_truncation(params))
-        rep = gf.replicate_loglik(spec, v, FilterConfig(n, seed=seed, weighting=weighting), reps)
+        rep = gf.replicate_loglik(spec, v, FilterConfig(n, seed=seed), reps)
         groups.append((rep.estimates, exact))
     verdict = z_verdict(groups, alpha=0.001)
     assert verdict.ok, verdict
 
 
-def expected_jumps(spec, v, truncation, survival):
+def expected_jumps(spec, v, truncation):
     """Mean jump count of one particle of a filter that never resamples.
 
     For a spec without rate bounds, on a truncation closed under its
     displacements.  Between events the particle's law follows the kernel's
-    dynamics: every channel at its rate, the sampling channels off under
-    analytic survival, and a jump that kills (a sample, a death below the
-    lineage count) counts but moves no mass.  At an event the particle moves
-    by a channel drawn in proportion to its weight terms, and dies where they
-    sum to 0.
+    dynamics: every channel at its rate but the sampling channels, which are
+    off the clock, and a jump that kills (a death below the lineage count)
+    counts but moves no mass.  At an event the particle moves by a channel
+    drawn in proportion to its weight terms, and dies where they sum to 0.
     """
     full = np.asarray(truncation)
     active = full[:, :len(spec.active_dims)]
@@ -1132,8 +1087,7 @@ def expected_jumps(spec, v, truncation, survival):
         q[size < ell] = 0.0
         for a, b in spec.epochs(t, e):
             rates = spec.rate_matrix(a, lattice.states)
-            if survival:
-                rates[:, spec.sample_mask] = 0.0
+            rates[:, spec.sample_mask] = 0.0
             # the law with the expected jump count as one more coordinate
             rows, cols = [np.full(n, n), np.arange(n)], [np.arange(n)] * 2
             vals = [rates.sum(axis=1), -rates.sum(axis=1)]
@@ -1162,18 +1116,16 @@ def expected_jumps(spec, v, truncation, survival):
 def test_sir100_seed101_jumps_match_the_grid():
     # the kernel's work: with no resampling the particles are independent, so
     # a run's jump count has mean n_particles times `expected_jumps`; one
-    # verdict at false-alarm rate 0.001 over both weightings
+    # verdict at false-alarm rate 0.001
     params, spec, v = sir100_visible(1.0)
     n, reps = 2000, 20
-    groups = []
-    for weighting in WEIGHTING_MODES:
-        config = FilterConfig(n, seed=7, weighting=weighting, ess_threshold=0.0)
-        seeds = np.random.SeedSequence(config.seed).spawn(reps)
-        runs = gf.filtering._run_filters(spec, v, config, [np.random.default_rng(s) for s in seeds])
-        assert not any(r.diagnostics.resample_count for r in runs)
-        mean = expected_jumps(spec, v, gf.sir_truncation(params), weighting == "analytic-survival")
-        groups.append(([r.diagnostics.jumps for r in runs], n * mean))
-    verdict = z_verdict(groups, alpha=0.001, log_of_unbiased=False)
+    config = FilterConfig(n, seed=7, ess_threshold=0.0)
+    seeds = np.random.SeedSequence(config.seed).spawn(reps)
+    runs = gf.filtering._run_filters(spec, v, config, [np.random.default_rng(s) for s in seeds])
+    assert not any(r.diagnostics.resample_count for r in runs)
+    mean = expected_jumps(spec, v, gf.sir_truncation(params))
+    verdict = z_verdict([([r.diagnostics.jumps for r in runs], n * mean)], alpha=0.001,
+                        log_of_unbiased=False)
     assert verdict.ok, verdict
 
 
@@ -1188,29 +1140,25 @@ def branch_oracle(case):
     return gf.oracle_loglik(spec, v, gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2)))
 
 
-# each branch of `_propagate_epoch` in both weightings, and the replicate
-# driver under multinomial resampling, as (case, weighting, resampling, seed,
-# particles, replicates); the cheap branches carry the replicates that let
-# the pooled check see a bias of 0.002 per stretch
+# each branch of `_propagate_epoch`, and the replicate driver under
+# multinomial resampling, as (case, resampling, seed, particles, replicates);
+# the cheap branches carry the replicates that let the pooled check see a
+# bias of 0.002 per stretch
 KERNEL_BRANCH_RUNS = [
-    ("constant", "analytic-survival", "systematic", 17, 2000, 300),
-    ("constant", "rejection", "systematic", 17, 2000, 100),
-    ("bounded-infection", "analytic-survival", "systematic", 17, 500, 10),
-    ("bounded-infection", "rejection", "systematic", 17, 2000, 8),
-    ("bounded-sampling", "analytic-survival", "systematic", 17, 100, 10),
-    ("bounded-sampling", "rejection", "systematic", 17, 500, 20),
-    ("two-birth-channels", "analytic-survival", "systematic", 17, 2000, 300),
-    ("two-birth-channels", "rejection", "systematic", 17, 2000, 100),
-    ("two-birth-channels", "analytic-survival", "multinomial", 19, 2000, 300),
+    ("constant", "systematic", 17, 2000, 300),
+    ("bounded-infection", "systematic", 17, 500, 10),
+    ("bounded-sampling", "systematic", 17, 500, 20),
+    ("two-birth-channels", "systematic", 17, 2000, 300),
+    ("two-birth-channels", "multinomial", 19, 2000, 300),
 ]
 
 
 def test_kernel_branches_match_the_oracle():
     # one verdict at false-alarm rate 0.001 over every branch
     groups = []
-    for case, weighting, resampling, seed, n, reps in KERNEL_BRANCH_RUNS:
+    for case, resampling, seed, n, reps in KERNEL_BRANCH_RUNS:
         spec, v = bit_identity_case(case)
-        config = FilterConfig(n, seed=seed, weighting=weighting, resampling=resampling)
+        config = FilterConfig(n, seed=seed, resampling=resampling)
         groups.append((gf.replicate_loglik(spec, v, config, reps).estimates, branch_oracle(case)))
     verdict = z_verdict(groups, alpha=0.001)
     assert verdict.ok, verdict
@@ -1232,10 +1180,8 @@ class CountingRng:
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
-@pytest.mark.parametrize("bounded, weighting", [(False, "analytic-survival"), (True, "rejection")],
-                         ids=["constant", "thinned"])
-def test_each_round_draws_only_for_the_particles_still_moving(monkeypatch, bounded, weighting,
-                                                              blocks):
+@pytest.mark.parametrize("bounded", [False, True], ids=["constant", "thinned"])
+def test_each_round_draws_only_for_the_particles_still_moving(monkeypatch, bounded, blocks):
     # birth, death and sampling from 5 across [0, 3] at lineage count 1, the
     # death thinned at 0.8 n (1 + 0.5 sin 2 pi t) against 1.2 n; block 1 has
     # 20 live particles and block 2 none
@@ -1262,8 +1208,7 @@ def test_each_round_draws_only_for_the_particles_still_moving(monkeypatch, bound
     def draws_per_round(block_states, block_logw, rs):
         log.clear()
         out = gf.filtering._propagate_epoch(spec, block_states.copy(), block_logw.copy(), 0.0, 3.0,
-                                            1, [CountingRng(r, 10 + r, log) for r in rs],
-                                            weighting == "analytic-survival")
+                                            1, [CountingRng(r, 10 + r, log) for r in rs])
         rounds, drawn = [], []
         for kind, r, m in log:
             if kind == "read":
@@ -1320,8 +1265,7 @@ def test_rounds_and_jumps_count_the_kernel_work(monkeypatch, bounded):
     logw[n + 20:] = -np.inf  # the second block has 20 live particles
     seeds = [1, 2]
     both, _, tally = gf.filtering._propagate_epoch(
-        spec, states.copy(), logw.copy(), 0.0, 3.0, 0, [np.random.default_rng(s) for s in seeds],
-        True)
+        spec, states.copy(), logw.copy(), 0.0, 3.0, 0, [np.random.default_rng(s) for s in seeds])
     assert len(reads) == tally[0].max()
     deaths = (5 - both[:, 0]).reshape(2, n).sum(axis=1)
     assert tally[1].tolist() == deaths.tolist() and deaths.min() > 0
@@ -1330,7 +1274,7 @@ def test_rounds_and_jumps_count_the_kernel_work(monkeypatch, bounded):
         block = slice(r * n, (r + 1) * n)
         alone, _, solo = gf.filtering._propagate_epoch(
             spec, states[block].copy(), logw[block].copy(), 0.0, 3.0, 0,
-            [np.random.default_rng(seed)], True)
+            [np.random.default_rng(seed)])
         assert (alone == both[block]).all()
         assert solo.ravel().tolist() == [len(reads), tally[1, r]] == [tally[0, r], deaths[r]]
     # five deaths and the wait past t1 take six rounds; rejected candidates take more

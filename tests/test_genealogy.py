@@ -585,6 +585,23 @@ def test_newick_round_trip_keeps_node_count_and_schedule(seed, model, rates, siz
     assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("root", [0.0, -0.5, -math.inf])
+def test_newick_round_trip_keeps_event_times_under_a_root_before_0(root):
+    # from_newick anchors every root at 0, so the root's child branch is
+    # measured from 0; from the root's own time it read back shifted by -root
+    # (or as inf, which no reader takes)
+    v = Genealogy(1.5, (Node(0, root, frozenset({Ball(GREEN, 0), Ball(GREEN, 1)})),
+                        Node(1, 0.25, frozenset({Ball(GREEN, 2), Ball(GREEN, 3)})),
+                        Node(2, 0.625, frozenset({Ball(RED, 0), Ball(BLUE, 0)})),
+                        Node(3, 1.125, frozenset({Ball(RED, 1), Ball(BLUE, 1)}))))
+    assert gf.validate_genealogy(v) == []
+    text = gf.to_newick(v)
+    assert text == "((r0:0.375,r1:0.875):0.25);\n"
+    back = gf.from_newick(text)
+    assert gf.event_schedule(back) == gf.event_schedule(v) == (
+        (0.25, "coalescence"), (0.625, "leaf"), (1.125, "leaf"))
+
+
 @pytest.mark.parametrize("text, message", [
     # the text itself: every syntax fault is named with its position
     ("((r0:1);", "position 7: expected ')' or ','"),  # unbalanced
@@ -599,6 +616,7 @@ def test_newick_round_trip_keeps_node_count_and_schedule(seed, model, rates, siz
     ("(r0:x);", "position 4: expected a branch length"),  # bad lengths
     ("(r0:-);", "position 4: expected a branch length"),
     ("(r0:1e);", "position 5: expected ')' or ','"),
+    ("(r0:1e999);", "position 4: branch length 1e999 overflows"),  # a length past float
     ("((r0:1) b0:1);", "position 8: expected ')' or ','"),  # a label goes right after ')'
     ("((r0:1)[c]b0:1);", "position 10: expected ')' or ','"),
     # a syntax fault anywhere comes before any fault of the tree

@@ -138,3 +138,34 @@ def test_import_and_the_non_grid_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert done.returncode == 0, done.stderr
+
+
+_BOUNDED_SAMPLING = textwrap.dedent("""
+    import math, sys
+    from dataclasses import replace
+    import genfilter as gf
+
+    base = gf.lbdp_spec(gf.LBDPParams(1.2, 0.4, 0.8, 2))
+    rates = (*base.rates[:2],
+             lambda t, x: 0.8 * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0])
+    bounds = (None, None, lambda t0, t1, x: 1.2 * float(x[..., 0]))
+    spec = gf.ModelSpec("lbdp-sin-sampling", base.d, base.events, rates, base.init_sample,
+                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        bookkeeping_dims=base.bookkeeping_dims)
+    g = gf.apply_sample(gf.apply_sample(gf.apply_birth(gf.new_genealogy(1), 0, 0.2), 0, 0.4),
+                        1, 0.6)
+    v = gf.prune(replace(g, time=1.0))
+    one = gf.smc_loglik(spec, v, gf.FilterConfig(50, seed=1))
+    reps = gf.replicate_loglik(spec, v, gf.FilterConfig(50, seed=2), 3)
+    assert math.isfinite(one.loglik) and reps.collapse_count < 3, (one, reps)
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, f"the filter loads {loaded}"
+""")
+
+
+def test_the_filter_loads_no_scipy_on_a_bounded_sampling_channel():
+    """A bounded sampling channel is thinned like any other, so no quadrature runs."""
+    done = subprocess.run([sys.executable, "-c", _BOUNDED_SAMPLING],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.returncode == 0, done.stderr

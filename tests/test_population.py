@@ -792,9 +792,8 @@ def test_thinning_detects_a_lying_bound():
     with pytest.raises(SimulationError, match="exceeds its bound"):
         gf.simulate(spec, 5.0, np.random.default_rng(3))
     visible = gf.prune(replace(gf.new_genealogy(1), time=5.0))
-    for weighting in ("analytic-survival", "rejection"):
-        with pytest.raises(SimulationError, match=r"exceeds its bound 0.5 on \[0.0, 5.0\]"):
-            gf.smc_loglik(spec, visible, gf.FilterConfig(20, seed=3, weighting=weighting))
+    with pytest.raises(SimulationError, match=r"exceeds its bound 0.5 on \[0.0, 5.0\]"):
+        gf.smc_loglik(spec, visible, gf.FilterConfig(20, seed=3))
 
 
 def test_model_spec_needs_one_bound_entry_per_event():
@@ -821,10 +820,8 @@ def test_bad_rate_bound_is_a_model_error(value):
     with pytest.raises(SimulationError, match=message):
         gf.simulate(spec, 5.0, NoCandidates(np.random.PCG64(3)))
     visible = gf.prune(replace(gf.new_genealogy(1), time=5.0))
-    for weighting in ("analytic-survival", "rejection"):
-        with pytest.raises(SimulationError, match=message):
-            gf.smc_loglik(spec, visible, gf.FilterConfig(20, weighting=weighting),
-                          rng=NoCandidates(np.random.PCG64(4)))
+    with pytest.raises(SimulationError, match=message):
+        gf.smc_loglik(spec, visible, gf.FilterConfig(20), rng=NoCandidates(np.random.PCG64(4)))
 
 
 # ---------------------------------------------------------------------------
