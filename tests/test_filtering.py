@@ -26,6 +26,20 @@ def sir(beta, gamma, psi, s0, i0, mu=1.0):
     return gf.sir_spec(gf.SIRParams(beta, gamma, psi, s0, i0), mu=mu)
 
 
+def bounded_sampling(spec):
+    """``spec`` with each sampling channel bounded by its own constant rate.
+
+    The filter then thins the channel on the clock, where no candidate is
+    rejected, and a sample kills the particle; the law is unchanged.
+    """
+    bounds = [(lambda t0, t1, x, f=f: float(f(t0, x))) if sampled else None
+              for f, sampled in zip(spec.rates, spec.sample_mask)]
+    return gf.ModelSpec(f"{spec.name}-bounded-sampling", spec.d, spec.events, spec.rates,
+                        spec.init_sample, spec.init_pmf, spec.focal_size, mu=spec.mu,
+                        rate_bounds=bounds, rate_breakpoints=spec.rate_breakpoints,
+                        bookkeeping_dims=spec.bookkeeping_dims)
+
+
 def empty_visible(t_end):
     return gf.prune(replace(gf.new_genealogy(1), time=t_end))
 
@@ -228,24 +242,31 @@ def test_propagate_reweights_hidden_births():
         assert logw == pytest.approx(want, abs=1e-12)
 
 
-def test_a_total_rate_of_negative_zero_fires_nothing():
-    # rate_matrix accepts -0.0; a clock whose total is -0.0 must not jump at t = -inf,
-    # and a jump off n = 3 would meet a negative rate, which raises
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+def test_a_total_rate_of_negative_zero_fires_nothing(bounded):
+    # rate_matrix and rate_bound accept -0.0; a clock whose total is -0.0 must
+    # not jump at t = -inf, and a jump off n = 3 would meet a negative rate,
+    # which raises; bounded, every channel is thinned on a clock of -0.0 bounds
     base = lbdp(0.0, 0.0, 0.0, 3)
+    bounds = [lambda t0, t1, x: np.where(x[..., 0] == 3, -0.0, -1.0)] * base.n_events
     spec = gf.ModelSpec("negative-zero", base.d, base.events,
                         [lambda t, x: np.where(x[..., 0] == 3, -0.0, -1.0)] * base.n_events,
                         base.init_sample,
-                        base.init_pmf, base.focal_size, bookkeeping_dims=base.bookkeeping_dims)
+                        base.init_pmf, base.focal_size, rate_bounds=bounds if bounded else None,
+                        bookkeeping_dims=base.bookkeeping_dims)
     ens = gf.init_ensemble(spec, 50, np.random.default_rng(1))
     out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.4,
                                 np.random.default_rng(2))
     assert (out.states == ens.states).all() and (out.log_weights == 0.0).all()
 
 
-def test_propagate_epoch_touches_only_live_unfinished_particles():
+@pytest.mark.parametrize("sampling", ["off-clock", "bounded"])
+def test_propagate_epoch_touches_only_live_unfinished_particles(sampling):
     # a recovery at i = ell = 2 is fatal; a third of the particles start dead,
     # and the second block starts with few live ones, so it empties first
     spec = sir(0.3, 0.5, 0.3, 8, 3)
+    if sampling == "bounded":
+        spec = bounded_sampling(spec)
     rng = np.random.default_rng(1)
     n = 300
     states = np.column_stack([rng.integers(4, 9, 2 * n), rng.integers(2, 5, 2 * n),
@@ -269,7 +290,7 @@ def test_propagate_epoch_touches_only_live_unfinished_particles():
         assert (states[~was_live] == was[~was_live]).all()
         assert (logw[~was_live] == -np.inf).all()
         # a particle reads rates again exactly when it jumped last round and is
-        # still live; with sampling off the clock, a live jumper has moved
+        # still live; with sampling off the clock or fatal, a live jumper has moved
         return (states != was).any(axis=1) & live
 
     def rate_matrix(t, rows):
@@ -403,8 +424,11 @@ def test_smc_pure_sampling_has_zero_variance():
         assert not res.diagnostics.collapsed
 
 
-def test_smc_seed_determinism():
+@pytest.mark.parametrize("sampling", ["off-clock", "bounded"])
+def test_smc_seed_determinism(sampling):
     spec = lbdp(1.4, 0.5, 0.9, 1)
+    if sampling == "bounded":
+        spec = bounded_sampling(spec)
     traj = simulate_with_samples(spec, 2.0, 19, 2, 10)
     v = gf.prune(gf.build_genealogy(spec, traj)[0])
     a = gf.smc_loglik(spec, v, FilterConfig(300, seed=7))
@@ -433,11 +457,18 @@ def assert_matches(rep, exact, alpha):
 
 
 # Each check's false-alarm rate is at most that of a bound of k standard errors
-# on its n replicates, P(|t| > k) on n - 1 degrees of freedom; for the two
+# on its n replicates, P(|t| > k) on n - 1 degrees of freedom; for the three
 # below, 0.005 <= P(|t_15| > 3) = 0.009.
 def test_smc_matches_oracle():
     spec, v, exact = lbdp_case()
     assert_matches(gf.replicate_loglik(spec, v, FilterConfig(2000, seed=21), 16), exact, 0.005)
+
+
+def test_smc_bounded_sampling_matches_oracle():
+    # the same law with sampling on the clock: samples kill instead of weighting
+    spec, v, exact = lbdp_case()
+    rep = gf.replicate_loglik(bounded_sampling(spec), v, FilterConfig(4000, seed=22), 16)
+    assert_matches(rep, exact, 0.005)
 
 
 def test_smc_multinomial_resampling_matches_oracle():
@@ -516,11 +547,14 @@ BIT_IDENTITY_CASES = ["constant", "piecewise", "bounded-infection", "bounded-sam
                       "two-birth-channels"]
 
 
+# at the default threshold replicates resample at different events; at 1.0
+# every replicate resamples at every event
 @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
 @pytest.mark.parametrize("resampling", RESAMPLING_METHODS)
-def test_replicates_are_bit_identical_to_sequential_runs(resampling, case):
+@pytest.mark.parametrize("ess_threshold", [0.5, 1.0])
+def test_replicates_are_bit_identical_to_sequential_runs(ess_threshold, resampling, case):
     spec, v = bit_identity_case(case)
-    config = FilterConfig(60, seed=43, resampling=resampling)
+    config = FilterConfig(60, seed=43, ess_threshold=ess_threshold, resampling=resampling)
     rep = assert_runs_are_sequential_runs(spec, v, config, 3)
     assert rep.collapse_count < 3
 
