@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .genealogy import Genealogy, LineageFunction, build_genealogy, embedded_chain, prune
-from .population import History, JumpSequence, ModelSpec, _event_times
+from .population import History, JumpSequence, ModelSpec, _path, to_history
 
 
 class ExactError(RuntimeError):
@@ -141,17 +141,17 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
     independent check on `loglik_events`.  Earlier lineages crossing an
     event time t are counted from sorted prefixes of attachment and sample
     times, #{attach <= t} - #{sample <= t}, as none is sampled before it
-    attaches.  A trajectory with no samples gives 0 (empty product).
+    attaches.  A trajectory with no samples gives 0 (empty product).  The
+    trajectory is read by `population._path` once its genealogy is built, so
+    a `GenealogyError` comes before the ValueError of a time fault.
     """
     visible = prune(build_genealogy(spec, traj)[0])
+    times, channels, states = _path(spec, to_history(traj))
     chain = embedded_chain(visible)
     if not chain:
         return 0.0
 
-    times = np.array([j.time for j in traj.jumps])
-    channels = np.array([j.event for j in traj.jumps], dtype=np.int64)
-    post = np.asarray(traj.x0, dtype=np.int64) + np.cumsum(spec.displacements[channels], axis=0)
-    focal = spec.focal_sizes(post)
+    focal = spec.focal_sizes(states[1:])
     kinds = np.where(spec.birth_mask[channels], "birth",
                      np.where(spec.sample_mask[channels], "sample", "other"))
     attach = np.array([r.attach_time for r in chain])
@@ -181,8 +181,9 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
 def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     """Log conditional probability of ``visible`` given the history, one pass.
 
-    The history's event times must lie in (0, horizon] in order, as
-    `history_log_density` requires, or the call raises ValueError.  Every
+    The history is read by `population._path`, as `history_log_density`
+    reads it: its event times must lie in (0, horizon] in order, or the
+    call raises ValueError.  Every
     genealogy event time must appear in the history with a matching
     channel kind (births for coalescences, samples for direct descents and
     leaves); a missing or mismatched time is an `ExactError`, while a
@@ -192,7 +193,7 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     lineages) give -inf.  The pass only classifies events; each factor is
     then evaluated once, on the arrays of every event of its kind.
     """
-    times = _event_times(h)
+    times, _, states = _path(spec, h)
     lineages = LineageFunction(visible)
     pending = dict(lineages.schedule)
     by_kind: dict[str, list[int]] = {"hidden birth": [], "coalescence": [],
@@ -215,11 +216,7 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     if pending:
         t = min(pending)
         raise ExactError(f"genealogy event at t={t} is absent from the history")
-    if not h.events:
-        return 0.0
-    channels = [k for _, k in h.events]
-    post = np.asarray(h.x0, dtype=np.int64) + np.cumsum(spec.displacements[channels], axis=0)
-    size = spec.focal_sizes(post)
+    size = spec.focal_sizes(states[1:])
     ell = lineages.at(times)
     total = 0.0
     for kind, idx in by_kind.items():

@@ -72,7 +72,8 @@ import numpy as np
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
-                         _generator, _state_array, _write_csv, ensure_rng, integrate_epochs)
+                         _generator, _initial_mass, _initial_states, _state_array, _write_csv,
+                         ensure_rng, integrate_epochs)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 
@@ -235,10 +236,12 @@ def _channels(spec: ModelSpec, kind: str) -> np.ndarray:
 
 
 def init_ensemble(spec: ModelSpec, n: int, rng) -> Ensemble:
-    """Draw ``n`` particles from the initial distribution (projected state)."""
-    states = np.asarray(spec.init_sample(ensure_rng(rng), n), dtype=np.int64)
-    if states.shape != (n, spec.d):
-        raise FilterError(f"init_sample returned shape {states.shape}, expected ({n}, {spec.d})")
+    """Draw ``n`` particles from the initial distribution (projected state).
+
+    The draw is `population._initial_states`, the one `simulate` makes: a
+    sample of another shape than (n, d) raises `SimulationError`.
+    """
+    states = _initial_states(spec, rng, n)
     return Ensemble(states[:, :len(spec.active_dims)].copy(), np.zeros(n))
 
 
@@ -622,7 +625,7 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     """Deterministic log likelihood of a visible genealogy on a truncation.
 
     Starts from the initial distribution restricted to the truncation,
-    read by one ``spec.init_pmf`` call over all its states, advances the
+    read by one `population._initial_mass` call over all its states, advances the
     between-events flow with `integrate_epochs` and applies the exact event
     updates.  Each epoch of constant rates is one uniformization step whose
     series leaves out at most ``tol * 1e-6`` of the mass; an epoch where a
@@ -638,24 +641,18 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     by more than ``tol`` times the mass it started from raises
     `IntegrationError` naming the interval.  A ``tol`` that is not positive
     and finite raises ValueError, as does a truncation whose rows do not all
-    have ``spec.d`` entries (an ndarray truncation is read as it is), and an
+    have ``spec.d`` entries (an ndarray truncation is read as it is).  An
     ``init_pmf`` that does not give one value per state, or gives a negative
-    or non-finite one, raises `FilterError`, as does a truncation that holds
-    none of the initial mass: -inf is kept for an impossible genealogy.  The
+    or non-finite one, is a defect of the model and raises `SimulationError`,
+    as on every route.  A truncation that holds none of the initial mass
+    raises `FilterError`: -inf is kept for an impossible genealogy.  The
     grid of ``return_grid`` carries the call's lattice (`WeightGrid`).
     """
     _check_tol(tol)
     n_active = len(spec.active_dims)
     full = _state_array(truncation, spec.d)
     proj = StateLattice(full[:, :n_active], n_active)
-    pmf = np.asarray(spec.init_pmf(full), dtype=float)
-    if pmf.shape != (len(full),):
-        raise FilterError(f"init_pmf gave shape {pmf.shape} for {len(full)} states; "
-                          f"it must broadcast over leading axes like a rate")
-    if not (pmf.min() >= 0.0 and pmf.max() < math.inf):
-        i = np.argmax(~(pmf >= 0.0) | (pmf == math.inf))
-        raise FilterError(f"init_pmf gave {pmf[i]} at state {tuple(full[i].tolist())}; "
-                          f"it must be nonnegative and finite")
+    pmf = _initial_mass(spec, full)
     if not pmf.max() > 0.0:
         raise FilterError("the truncation holds none of the initial distribution's mass")
     w = np.zeros(proj.size)

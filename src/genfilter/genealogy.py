@@ -183,9 +183,14 @@ def validate_genealogy(g: Genealogy) -> list[str]:
 
 
 class _State:
-    """Mutable genealogy being edited; frozen into a `Genealogy` on demand."""
+    """Mutable genealogy being edited; frozen into a `Genealogy` on demand.
 
-    __slots__ = ("time", "order", "times", "pockets", "holder", "blacks",
+    ``times`` keeps the nodes in sequence order, by insertion: a node is
+    appended when an event makes it and unlinked in O(1) when a death
+    destroys it.
+    """
+
+    __slots__ = ("time", "times", "pockets", "holder", "blacks",
                  "blue_count", "next_name")
 
     @classmethod
@@ -193,7 +198,6 @@ class _State:
         _raise_first_fault(g)
         st = cls()
         st.time = g.time
-        st.order = [n.name for n in g.nodes]
         st.times = {n.name: n.time for n in g.nodes}
         st.pockets = {n.name: set(n.pocket) for n in g.nodes}
         st.holder = {b: n.name for n in g.nodes for b in n.pocket}
@@ -203,14 +207,14 @@ class _State:
         return st
 
     def freeze(self) -> Genealogy:
-        nodes = tuple(Node(name, self.times[name], frozenset(self.pockets[name]))
-                      for name in self.order)
+        nodes = tuple(Node(name, t, frozenset(self.pockets[name]))
+                      for name, t in self.times.items())
         return Genealogy(self.time, nodes)
 
     # -- update operations ---------------------------------------------
 
     def _check_time(self, t: float):
-        last = self.times[self.order[-1]] if self.order else 0.0
+        last = next(reversed(self.times.values()), 0.0)
         if t < last or t < self.time:
             raise GenealogyError(f"event time {t} precedes the genealogy front")
 
@@ -224,7 +228,6 @@ class _State:
     def _fresh_node(self, t: float, pocket: set) -> int:
         name = self.next_name
         self.next_name += 1
-        self.order.append(name)
         self.times[name] = t
         self.pockets[name] = pocket
         for b in pocket:
@@ -285,7 +288,6 @@ class _State:
             del self.holder[own]
             del self.pockets[name]
             del self.times[name]
-            self.order.remove(name)
         self.time = t
 
 
@@ -634,6 +636,8 @@ def from_newick(text: str) -> Genealogy:
         else:
             raise NewickError(f"unrecognized label {label!r}")
         times.append(times[up] + length)
+        if times[-1] == math.inf:
+            raise NewickError(f"node {label!r}: time {times[up]} + {length} overflows")
         samples.append((q, colors))
 
     order = sorted(range(len(records)), key=lambda r: (times[r], records[r][1]))

@@ -91,14 +91,18 @@ class ModelSpec:
         Sampler ``(rng, n) -> array of n states, shape (n, d)`` and pmf
         ``states -> probabilities`` of the initial distribution; the pmf
         broadcasts over leading axes like a rate, so the grid oracle reads
-        a whole truncation in one call.
+        a whole truncation in one call.  Each is called in one place,
+        `_initial_states` and `_initial_mass`; a sample of another shape,
+        or a pmf that does not give one nonnegative finite value per state,
+        is a defect of the model and raises `SimulationError` on every route.
     focal_size
         Size of the focal subpopulation, ``x -> int``, broadcasting like a
         rate.  Whenever an event has positive rate the focal size must change
         by exactly (birth marker) - (death marker); `validate_model` probes
         this.
     mu : float
-        Rate of the Poisson base measure used by the density functions.
+        Rate of the Poisson base measure used by the density functions; one
+        outside (0, inf), NaN included, raises ValueError.
     rate_bounds : sequence of callables or None
         One entry per event: None for a channel whose rate is constant
         between breakpoints, or ``bound(t0, t1, x)`` dominating a rate that
@@ -139,8 +143,8 @@ class ModelSpec:
         self.init_pmf = init_pmf
         self.focal_size = focal_size
         self.mu = float(mu)
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         self.rate_bounds = (None,) * len(events) if rate_bounds is None else tuple(rate_bounds)
         if len(self.rate_bounds) != len(events) or not all(
                 b is None or callable(b) for b in self.rate_bounds):
@@ -323,10 +327,7 @@ def simulate(spec: ModelSpec, t_end: float, rng,
     if not t_end >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {t_end}")
     rng = ensure_rng(rng)
-    x = np.asarray(spec.init_sample(rng, 1), dtype=np.int64)
-    if x.shape != (1, spec.d):
-        raise SimulationError(f"init_sample returned shape {x.shape}, expected (1, {spec.d})")
-    x = x[0]
+    x = _initial_states(spec, rng, 1)[0]
     x0 = tuple(int(v) for v in x)
     bounded = np.flatnonzero(spec.bound_mask).tolist()
     jumps: list[Jump] = []
@@ -367,6 +368,32 @@ def simulate(spec: ModelSpec, t_end: float, rng,
     return JumpSequence(x0, tuple(jumps), float(t_end))
 
 
+def _initial_states(spec: ModelSpec, rng, n: int) -> np.ndarray:
+    """``n`` states drawn by ``spec.init_sample``; any shape but (n, d) is a `SimulationError`."""
+    states = np.asarray(spec.init_sample(ensure_rng(rng), n), dtype=np.int64)
+    if states.shape != (n, spec.d):
+        raise SimulationError(f"init_sample returned shape {states.shape}, "
+                              f"expected ({n}, {spec.d})")
+    return states
+
+
+def _initial_mass(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
+    """``spec.init_pmf`` at each row of ``states``, an (n, d) array.
+
+    A result that is not one value per state, or a value that is negative
+    or not finite, is a `SimulationError` naming it.
+    """
+    pmf = np.asarray(spec.init_pmf(states), dtype=float)
+    if pmf.shape != (len(states),):
+        raise SimulationError(f"init_pmf gave shape {pmf.shape} for {len(states)} states; "
+                              f"it must broadcast over leading axes like a rate")
+    if not (pmf.min() >= 0.0 and pmf.max() < math.inf):
+        i = np.argmax(~(pmf >= 0.0) | (pmf == math.inf))
+        raise SimulationError(f"init_pmf gave {pmf[i]} at state {tuple(states[i].tolist())}; "
+                              f"it must be nonnegative and finite")
+    return pmf
+
+
 def _check_bound(actual, bound, start, end) -> None:
     """Raise `SimulationError` if a thinning candidate's summed rate exceeds its bound.
 
@@ -385,13 +412,12 @@ def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
     """State at time ``t`` (right-continuous).
 
     The left limit at ``t`` is the state at ``np.nextafter(t, -np.inf)``.
+    The trajectory is read by `_path`, like a history: a horizon that is not
+    finite or is below 0, or a jump outside (0, t_end] or out of order,
+    raises ValueError.
     """
-    x = np.asarray(traj.x0, dtype=np.int64).copy()
-    for j in traj.jumps:
-        if j.time > t:
-            break
-        x += spec.displacements[j.event]
-    return x
+    times, _, states = _path(spec, to_history(traj))
+    return states[np.searchsorted(times, t, side="right")]
 
 
 def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> float:
@@ -422,10 +448,12 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> f
     return total
 
 
-def _event_times(h: History) -> np.ndarray:
-    """The event times of ``h``; one outside (0, horizon] or out of order is a ValueError.
+def _path(spec: ModelSpec, h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The event times, channels and states of ``h``.
 
-    So is a horizon that is not finite or is below 0.
+    ``states[0]`` is ``x0`` and ``states[i]`` the state after event i - 1.
+    A horizon that is not finite or is below 0, or an event time outside
+    (0, horizon] or out of order, raises ValueError.
     """
     if not 0.0 <= h.horizon < math.inf:
         raise ValueError(f"history horizon {h.horizon} is not finite or is below 0")
@@ -434,14 +462,21 @@ def _event_times(h: History) -> np.ndarray:
     if not ok.all():
         raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {h.horizon}] "
                          f"or unordered")
-    return times
+    channels = np.array([k for _, k in h.events], dtype=np.int64)
+    x0 = np.asarray(h.x0, dtype=np.int64)
+    states = x0 + np.cumsum(np.vstack([np.zeros_like(x0)[None], spec.displacements[channels]]),
+                            axis=0)
+    return times, channels, states
 
 
 def history_log_density(spec: ModelSpec, h: History) -> float:
     """Log density of a history against the rate-``mu`` Poisson base measure.
 
     Returns -inf when the initial state has zero mass or some realized event
-    has zero rate at its own jump time.  The history is read one epoch
+    has zero rate at its own jump time.  The initial state's mass is read by
+    `_initial_mass`, before the event times are checked: a defect of the
+    initial law raises `SimulationError`, as on every route, and a time
+    fault raises ValueError (`_path`).  The history is read one epoch
     (`ModelSpec.epochs`) at a time: one checked `rate_matrix` call over the
     states that dwell in the epoch gives each channel without a rate bound
     its survival (rates times dwell) and each jump out of them its rate.  A
@@ -452,15 +487,11 @@ def history_log_density(spec: ModelSpec, h: History) -> float:
     entered, so the `SimulationError` names the first bad state at that
     time, unless an impossible jump comes first.
     """
-    x0 = np.asarray(h.x0, dtype=np.int64)
-    p0 = float(spec.init_pmf(x0))
+    p0 = float(_initial_mass(spec, np.array([h.x0], dtype=np.int64))[0])
     if p0 <= 0.0:
         return -math.inf
-    times = _event_times(h)
-    channels = np.array([k for _, k in h.events], dtype=np.int64)
     # state i holds on [starts[i], ends[i]] and is left by jump i
-    states = x0 + np.cumsum(np.vstack([np.zeros_like(x0)[None], spec.displacements[channels]]),
-                            axis=0)
+    times, channels, states = _path(spec, h)
     starts = np.concatenate(([0.0], times))
     ends = np.append(times, h.horizon)
     bounded = np.flatnonzero(spec.bound_mask).tolist()
@@ -515,22 +546,21 @@ def jump_log_density(spec: ModelSpec, traj: JumpSequence) -> float:
     """Log density of a full trajectory (history plus auxiliary numbers).
 
     Each marked event contributes ``-log I(x-)`` for the uniform member
-    choice; an auxiliary number outside ``[0, I(x-))`` gives -inf.
+    choice; an auxiliary number outside ``[0, I(x-))`` gives -inf, as does a
+    nonzero one on an unmarked event.
     """
-    base = history_log_density(spec, to_history(traj))
+    h = to_history(traj)
+    base = history_log_density(spec, h)
     if base == -math.inf:
         return -math.inf
-    x = np.asarray(traj.x0, dtype=np.int64)
-    for j in traj.jumps:
-        ev = spec.events[j.event]
-        if ev.is_marked:
-            size = spec.focal(x)
-            if not 0 <= j.aux < size:
-                return -math.inf
-            base -= math.log(size)
-        elif j.aux != 0:
-            return -math.inf
-        x = x + spec.displacements[j.event]
+    _, channels, states = _path(spec, h)
+    marked = (spec.birth_mask | spec.death_mask | spec.sample_mask)[channels]
+    size = spec.focal_sizes(states[:-1])
+    aux = np.array([j.aux for j in traj.jumps], dtype=np.int64)
+    if not ((aux >= 0) & (aux < np.where(marked, size, 1))).all():
+        return -math.inf
+    for s in size[marked]:
+        base -= math.log(s)
     return base
 
 
@@ -559,20 +589,17 @@ def _state_array(states, d: int) -> np.ndarray:
 
     Other input is a sequence of rows, read in one pass over their entries.
     Rows that do not all have ``d`` entries, of another width or ragged,
-    raise ValueError naming ``d``, as does an array of another shape; no
-    state at all raises ValueError("empty truncation").
+    raise ValueError naming ``d``, as does an array of another shape.
     """
     if isinstance(states, np.ndarray):
         arr = np.atleast_2d(np.asarray(states, dtype=np.int64))
+        fits = arr.ndim == 2 and arr.shape[1] == d
     else:
         rows = list(states)
-        if set(map(len, rows)) - {d}:
-            raise ValueError(f"states are not all of length {d}")
+        fits = set(map(len, rows)) <= {d}
         arr = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
-                          len(rows) * d).reshape(len(rows), d)
-    if not arr.size:
-        raise ValueError("empty truncation")
-    if arr.ndim != 2 or arr.shape[1] != d:
+                          len(rows) * d).reshape(len(rows), d) if fits else None
+    if not fits:
         raise ValueError(f"states are not all of length {d}")
     return arr
 
@@ -581,11 +608,14 @@ class StateLattice:
     """Finite lattice states in lexicographic row order, with per-displacement maps.
 
     Rows are looked up by index in the states' bounding box (under 2**63 cells).
-    ``states`` are read by `_state_array`; duplicates collapse to one row.
+    ``states`` are read by `_state_array`; duplicates collapse to one row,
+    and no state at all raises ValueError("empty truncation").
     """
 
     def __init__(self, states, d: int):
         arr = _state_array(states, d)
+        if not arr.size:
+            raise ValueError("empty truncation")
         self.d = d
         self._lo = arr.min(axis=0)
         self._box = tuple(arr.max(axis=0) - self._lo + 1)
@@ -597,11 +627,8 @@ class StateLattice:
         self._patterns: dict[tuple, GeneratorPattern] = {}
 
     def rows(self, states) -> np.ndarray:
-        """Row of each of ``states`` (an (n, d) array), -1 for a state off the lattice."""
-        q = np.asarray(states, dtype=np.int64)
-        if q.size and q.shape[-1] != self.d:
-            raise ValueError(f"states are not all of length {self.d}")
-        q = q.reshape(-1, self.d) - self._lo
+        """Row of each of ``states``, read by `_state_array`; -1 for a state off the lattice."""
+        q = _state_array(states, self.d) - self._lo
         inside = ((q >= 0) & (q < self._box)).all(axis=1)
         keys = np.full(len(q), -1)
         keys[inside] = np.ravel_multi_index(q[inside].T, self._box)

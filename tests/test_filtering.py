@@ -173,7 +173,7 @@ def test_initial_law_is_drawn_in_one_batch():
     flat = gf.ModelSpec("flat", base.d, base.events, base.rates,
                         lambda rng, n: np.zeros(2 * n, dtype=np.int64),
                         base.init_pmf, base.focal_size, bookkeeping_dims=(1,))
-    with pytest.raises(FilterError, match=r"shape \(20,\), expected \(10, 2\)"):
+    with pytest.raises(gf.SimulationError, match=r"shape \(20,\), expected \(10, 2\)"):
         gf.init_ensemble(flat, 10, np.random.default_rng(0))
     with pytest.raises(gf.SimulationError, match=r"shape \(2,\), expected \(1, 2\)"):
         gf.simulate(flat, 0.5, np.random.default_rng(0))
@@ -1357,7 +1357,7 @@ def test_oracle_rejects_an_init_pmf_that_does_not_broadcast():
                           lambda x: 1.0 if np.array_equal(x, [2, 0]) else 0.0,
                           base.focal_size, bookkeeping_dims=(1,))
     truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
-    with pytest.raises(FilterError, match=r"init_pmf gave shape \(\) for 31 states"):
+    with pytest.raises(gf.SimulationError, match=r"init_pmf gave shape \(\) for 31 states"):
         gf.oracle_loglik(scalar, two_leaf_visible(), truncation)
 
 
@@ -1368,7 +1368,7 @@ def test_oracle_rejects_a_negative_or_non_finite_init_pmf(bad):
                         lambda x: np.where(x[..., 0] == 3, bad, 1.0 * (x[..., 0] == 2)),
                         base.focal_size, bookkeeping_dims=(1,))
     truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
-    with pytest.raises(FilterError, match=rf"init_pmf gave {bad} at state \(3, 0\)"):
+    with pytest.raises(gf.SimulationError, match=rf"init_pmf gave {bad} at state \(3, 0\)"):
         gf.oracle_loglik(spec, two_leaf_visible(), truncation)
 
 

@@ -630,6 +630,7 @@ def test_newick_round_trip_keeps_event_times_under_a_root_before_0(root):
     ("();", "branch lengths are mandatory"),
     ("(r0);", "branch lengths are mandatory"),
     ("(r0:-1);", "negative branch length -1.0"),
+    ("((r1:1e308)b0:1e308);", "node 'r1': time 1e+308 + 1e+308 overflows"),  # finite lengths
     ("(x7:1);", "unrecognized label 'x7'"),
     ("(b:1);", "unrecognized label 'b'"),
     ("(r:1);", "unrecognized label 'r'"),

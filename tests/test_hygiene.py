@@ -64,24 +64,26 @@ def test_every_private_function_and_class_is_referenced():
     assert not dead, "private functions and classes that nothing references:\n" + "\n".join(dead)
 
 
-def test_genealogy_states_each_message_once():
-    """No string fragment of 20 or more characters inside a call or a yield repeats.
+def test_every_module_states_each_message_once():
+    """No string fragment of 20 or more characters inside a call or a yield repeats in a module.
 
-    `genealogy.py` writes each structural rule once, so each fault message,
-    f-string parts included, stands in one place.
+    Each module writes each rule once, so each fault message, f-string parts
+    included, stands in one place.
     """
-    tree = ast.parse((PACKAGE / "genealogy.py").read_text())
-    fragments = {}  # node id -> (line, text), so nested calls count a fragment once
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Call, ast.Yield)):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
-                        and len(sub.value) >= 20:
-                    fragments[id(sub)] = (sub.lineno, sub.value)
-    lines: dict[str, list[int]] = {}
-    for line, text in fragments.values():
-        lines.setdefault(text, []).append(line)
-    repeated = [f"{text!r} at lines {sorted(at)}" for text, at in lines.items() if len(at) > 1]
+    repeated = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        fragments = {}  # node id -> (line, text), so nested calls count a fragment once
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Call, ast.Yield)):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                            and len(sub.value) >= 20:
+                        fragments[id(sub)] = (sub.lineno, sub.value)
+        lines: dict[str, list[int]] = {}
+        for line, text in fragments.values():
+            lines.setdefault(text, []).append(line)
+        repeated += [f"{path.name}: {text!r} at lines {sorted(at)}"
+                     for text, at in lines.items() if len(at) > 1]
     assert not repeated, "fragments stated more than once:\n" + "\n".join(repeated)
 
 

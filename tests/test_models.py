@@ -127,6 +127,13 @@ def test_non_finite_rates_rejected(bad):
             build(bad)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+def test_a_base_rate_outside_0_to_inf_is_rejected(mu):
+    # NaN is not <= 0 either, so only a range check rejects it
+    with pytest.raises(ValueError, match=f"mu must be positive and finite, got {mu}"):
+        gf.lbdp_spec(gf.LBDPParams(1.0, 0.5, 0.5, 2), mu=mu)
+
+
 # ---------------------------------------------------------------------------
 # Marker consistency probed over state grids
 

@@ -304,6 +304,28 @@ def test_history_readers_reject_a_horizon_that_is_not_finite_or_is_below_0(horiz
     assert history_log_density(spec, History(0.0, (2, 0), ())) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_history_density_rejects_a_negative_or_non_finite_init_pmf(bad):
+    # the same defect the oracle names, on the single-state read
+    base = lbdp(1.0, 0.5, 0.5, 2)
+    spec = gf.ModelSpec("bad-pmf", 2, base.events, base.rates, base.init_sample,
+                        lambda x: np.full(x.shape[:-1], bad), base.focal_size,
+                        bookkeeping_dims=(1,))
+    with pytest.raises(SimulationError, match=rf"init_pmf gave {bad} at state \(2, 0\)"):
+        history_log_density(spec, History(1.0, (2, 0), ((0.5, 0),)))
+
+
+def test_state_at_reads_a_trajectory_like_a_history():
+    spec = lbdp(1.0, 0.5, 0.5, 2)
+    birth = 0
+    traj = JumpSequence((2, 0), (Jump(0.5, birth), Jump(1.5, birth)), 1.0)
+    with pytest.raises(ValueError, match=r"event time 1.5 is outside \(0, 1.0\] or unordered"):
+        state_at(spec, traj, 0.7)
+    unordered = JumpSequence((2, 0), (Jump(0.5, birth), Jump(0.3, birth)), 1.0)
+    with pytest.raises(ValueError, match="event time 0.3 is outside"):
+        state_at(spec, unordered, 0.7)
+
+
 def test_history_density_zero_rate_event_is_impossible():
     spec = lbdp(0.0, 1.0, 0.0, 1)
     birth = 0
