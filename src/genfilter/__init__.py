@@ -27,10 +27,10 @@ from .models import (MODELS, TRUNCATIONS, LBDPParams, PiecewiseConstant,
                      lbdp_truncation, model_params, s2ir_spec, s2ir_truncation,
                      sir_spec, sir_truncation, sirs_spec, sirs_truncation)
 from .population import (EventType, History, IntegrationError, Jump,
-                         JumpSequence, ModelReport, ModelSpec, SimulationError,
-                         StateLattice, forward_generator, history_log_density,
-                         integrate_epochs, integrate_linear, jump_log_density, kfe_integrate,
+                         JumpSequence, ModelSpec, SimulationError, StateLattice,
+                         forward_generator, history_log_density, integrate_epochs,
+                         integrate_linear, jump_log_density, kfe_integrate,
                          read_trajectory, simulate, state_at, to_history,
-                         validate_model, write_history, write_trajectory)
+                         write_history, write_trajectory)
 
 __version__ = "0.1.0"

@@ -151,7 +151,7 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
     if not chain:
         return 0.0
 
-    focal = spec.focal_sizes(states[1:])
+    focal = states[1:, spec.focal_dim]
     kinds = np.where(spec.birth_mask[channels], "birth",
                      np.where(spec.sample_mask[channels], "sample", "other"))
     attach = np.array([r.attach_time for r in chain])
@@ -216,7 +216,7 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     if pending:
         t = min(pending)
         raise ExactError(f"genealogy event at t={t} is absent from the history")
-    size = spec.focal_sizes(states[1:])
+    size = states[1:, spec.focal_dim]
     ell = lineages.at(times)
     total = 0.0
     for kind, idx in by_kind.items():

@@ -356,7 +356,7 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs):
         rows[idx] = x.view(rows.dtype)[:, 0]
         moved = np.searchsorted(idx[choice < rejected] if thinned else idx, edges).tolist()
         jumps = [j + b - a for j, a, b in zip(jumps, moved, moved[1:])]
-        if (size := spec.focal_sizes(x)).max(initial=-1) >= gains.shape[1]:
+        if (size := x[:, spec.focal_dim]).max(initial=-1) >= gains.shape[1]:
             gains = _log_gains(spec, ell, 2 * int(size.max()))
         gain = gains[choice, size]
         np.add.at(logw, idx, gain)
@@ -412,7 +412,7 @@ def _event_terms(spec, states, e, kind, ell_post):
     rates = spec.rate_matrix(e, states)
     terms = np.empty((len(states), len(channels)))
     for j, k in enumerate(channels):
-        size = spec.focal_sizes(states + spec.active_displacements[k])
+        size = states[:, spec.focal_dim] + spec.displacements[k, spec.focal_dim]
         terms[:, j] = rates[:, k] / spec.mu * event_factor(kind, size, ell_post)
     return channels, terms
 
@@ -515,7 +515,7 @@ def _run_filters(spec, v, config, rngs) -> list[SMCResult]:
     states = np.concatenate([init_ensemble(spec, n, rng).states for rng in rngs])
     logw = np.zeros(len(states))
     for t, e, ell, kind, ell_post in _stretches(v):
-        logw[spec.focal_sizes(states) < ell] = -np.inf
+        logw[states[:, spec.focal_dim] < ell] = -np.inf
         if e > t:
             states, logw, tally = _propagate(spec, states, logw, t, e, ell, rngs)
             for run, (rounds, jumps) in zip(running, tally.T.tolist()):
@@ -605,7 +605,7 @@ def _interval_generator(spec, lattice, t, ell, compat):
     no-coalescence probability; inflow into states inconsistent with the
     lineage count (``compat`` false) is dropped.
     """
-    size = spec.focal_sizes(lattice.states)
+    size = lattice.states[:, spec.focal_dim]
     scale = _jump_factors(spec, ell, int(size.max())).T[size] * compat[:, None]
     return _generator(lattice, spec.active_displacements,
                       spec.rate_matrix(t, lattice.states), scale)
@@ -657,7 +657,7 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
         raise FilterError("the truncation holds none of the initial distribution's mass")
     w = np.zeros(proj.size)
     np.add.at(w, proj.rows(full[:, :n_active]), pmf)
-    size = spec.focal_sizes(proj.states)
+    size = proj.states[:, spec.focal_dim]
     log_scale = 0.0
     for t, e, ell, kind, ell_post in _stretches(v):
         compat = size >= ell

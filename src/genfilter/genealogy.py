@@ -323,8 +323,7 @@ def build_genealogy(spec: ModelSpec, traj: JumpSequence) -> tuple[Genealogy, Inv
     Returns the genealogy at the trajectory horizon together with the final
     inventory (which always equals the sorted black-ball names).
     """
-    x0 = np.asarray(traj.x0, dtype=np.int64)
-    st = _State.from_genealogy(new_genealogy(spec.focal(x0)))
+    st = _State.from_genealogy(new_genealogy(int(traj.x0[spec.focal_dim])))
     for idx, j in enumerate(traj.jumps):
         ev = spec.events[j.event]
         try:
@@ -342,7 +341,7 @@ def build_genealogy(spec: ModelSpec, traj: JumpSequence) -> tuple[Genealogy, Inv
 
 def fold_inventory(spec: ModelSpec, traj: JumpSequence) -> Inventory:
     """Fold the inventory recursion over a trajectory, bypassing genealogies."""
-    inv = Inventory(tuple(range(spec.focal(np.asarray(traj.x0, dtype=np.int64)))))
+    inv = Inventory(tuple(range(int(traj.x0[spec.focal_dim]))))
     for j in traj.jumps:
         ev = spec.events[j.event]
         if ev.is_birth:

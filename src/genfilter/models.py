@@ -151,7 +151,7 @@ def lbdp_spec(params: LBDPParams, mu: float = 1.0) -> ModelSpec:
         ),
         init_sample=init_sample,
         init_pmf=init_pmf,
-        focal_size=lambda x: x[..., 0],
+        focal_dim=0,
         mu=mu,
         bookkeeping_dims=(1,),
         params=_field_values(params),
@@ -217,7 +217,7 @@ def _sir_family(name: str, params, mu: float, waning=()) -> ModelSpec:
         rates=rates,
         init_sample=init_sample,
         init_pmf=init_pmf,
-        focal_size=lambda x: x[..., 1],
+        focal_dim=1,
         mu=mu,
         rate_breakpoints=breaks,
         bookkeeping_dims=(3,),
@@ -292,7 +292,7 @@ def s2ir_spec(params: S2IRParams, mu: float = 1.0) -> ModelSpec:
         ),
         init_sample=init_sample,
         init_pmf=init_pmf,
-        focal_size=lambda x: x[..., 2],
+        focal_dim=2,
         mu=mu,
         bookkeeping_dims=(3,),
         params=_field_values(params),

@@ -2,10 +2,11 @@
 
 A model couples a finite catalog of event channels (integer displacement plus
 birth/death/sample markers) with nonnegative rate functions, an initial
-distribution, and a focal-subpopulation size map.  This module simulates exact
-trajectories, evaluates trajectory log densities against a Poisson base
-measure, and integrates the Kolmogorov forward (master) equation on a finite
-truncation of the lattice.
+distribution, and the coordinate that holds the focal subpopulation's size;
+the markers are checked against that coordinate when the model is built.
+This module simulates exact trajectories, evaluates trajectory log densities
+against a Poisson base measure, and integrates the Kolmogorov forward
+(master) equation on a finite truncation of the lattice.
 
 Rate functions are callables ``rate(t, x)`` where ``x`` may carry leading
 batch axes (shape ``(..., d)``).  Writing rates as plain numpy expressions,
@@ -95,11 +96,13 @@ class ModelSpec:
         `_initial_states` and `_initial_mass`; a sample of another shape,
         or a pmf that does not give one nonnegative finite value per state,
         is a defect of the model and raises `SimulationError` on every route.
-    focal_size
-        Size of the focal subpopulation, ``x -> int``, broadcasting like a
-        rate.  Whenever an event has positive rate the focal size must change
-        by exactly (birth marker) - (death marker); `validate_model` probes
-        this.
+    focal_dim : int
+        The coordinate, among the active ones, that holds the size of the
+        focal subpopulation: ``x[..., focal_dim]`` of a full state or of the
+        filter's projected one, since bookkeeping coordinates come last.
+        Each channel's displacement there must be +1 for a birth, -1 for a
+        death and 0 for every other channel; the spec checks this when it is
+        built and raises ValueError naming the first channel that breaks it.
     mu : float
         Rate of the Poisson base measure used by the density functions; one
         outside (0, inf), NaN included, raises ValueError.
@@ -118,16 +121,25 @@ class ModelSpec:
         (`epochs`); every route restarts there and reads a channel without
         a bound at the epoch's start time.
     bookkeeping_dims : tuple of int
-        Trailing coordinates that no rate or focal size reads (pure event
-        counters).  The filter may project them out of its internal state.
+        Trailing coordinates that no rate reads and that are not the focal
+        one (pure event counters).  The filter may project them out of its
+        internal state.
     """
 
-    def __init__(self, name, d, events, rates, init_sample, init_pmf, focal_size,
+    def __init__(self, name, d, events, rates, init_sample, init_pmf, focal_dim,
                  mu=1.0, rate_bounds=None, rate_breakpoints=(),
                  bookkeeping_dims=(), params=None):
         events = tuple(events)
         if len(rates) != len(events):
             raise ValueError("need exactly one rate function per event")
+        bookkeeping_dims = tuple(sorted(int(i) for i in bookkeeping_dims))
+        if bookkeeping_dims and bookkeeping_dims != tuple(range(d - len(bookkeeping_dims), d)):
+            raise ValueError("bookkeeping_dims must be a trailing block of coordinates")
+        self.active_dims = tuple(i for i in range(d) if i not in bookkeeping_dims)
+        if isinstance(focal_dim, bool) or not isinstance(focal_dim, (int, np.integer)) \
+                or not 0 <= focal_dim < len(self.active_dims):
+            raise ValueError(f"focal_dim must be an index among the {len(self.active_dims)} "
+                             f"active coordinates, got {focal_dim!r}")
         seen = set()
         for ev in events:
             if len(ev.displacement) != d:
@@ -135,13 +147,17 @@ class ModelSpec:
             if ev.displacement in seen:
                 raise ValueError(f"duplicate displacement {ev.displacement}")
             seen.add(ev.displacement)
+            step = int(ev.is_birth) - int(ev.is_death)
+            if ev.displacement[focal_dim] != step:
+                raise ValueError(f"event {ev.name!r}: focal size changes by "
+                                 f"{ev.displacement[focal_dim]}, markers require {step}")
         self.name = name
         self.d = int(d)
         self.events = events
         self.rates = tuple(rates)
         self.init_sample = init_sample
         self.init_pmf = init_pmf
-        self.focal_size = focal_size
+        self.focal_dim = int(focal_dim)
         self.mu = float(mu)
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {mu}")
@@ -150,11 +166,7 @@ class ModelSpec:
                 b is None or callable(b) for b in self.rate_bounds):
             raise ValueError("rate_bounds must have one callable or None per event")
         self.rate_breakpoints = tuple(sorted(float(t) for t in rate_breakpoints))
-        bookkeeping_dims = tuple(sorted(int(i) for i in bookkeeping_dims))
-        if bookkeeping_dims and bookkeeping_dims != tuple(range(d - len(bookkeeping_dims), d)):
-            raise ValueError("bookkeeping_dims must be a trailing block of coordinates")
         self.bookkeeping_dims = bookkeeping_dims
-        self.active_dims = tuple(i for i in range(d) if i not in bookkeeping_dims)
         self.params = dict(params or {})
 
         self.n_events = len(events)
@@ -220,62 +232,6 @@ class ModelSpec:
             raise self._rate_error(k, f"rate bound {b} on [{t0}, {t1}]", x)
         return b
 
-    def focal_sizes(self, states) -> np.ndarray:
-        states = np.asarray(states, dtype=np.int64)
-        return np.asarray(self.focal_size(states), dtype=np.int64)
-
-    def focal(self, x) -> int:
-        return int(self.focal_sizes(x))
-
-
-@dataclass
-class ModelReport:
-    """Outcome of `validate_model`; empty ``violations`` means pass."""
-
-    violations: list[str]
-    probed: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_model(spec: ModelSpec, probe_states: Iterable, times=(0.0,)) -> ModelReport:
-    """Probe rate nonnegativity, finiteness, and marker/focal-size consistency.
-
-    For every probe state and event with positive rate, the focal size across
-    the displacement must change by exactly birth - death markers; otherwise
-    the auxiliary-number bookkeeping of marked events would be ill-defined.
-    """
-    violations = []
-    probed = 0
-    for raw in probe_states:
-        x = np.asarray(raw, dtype=np.int64)
-        state = tuple(x.tolist())
-        probed += 1
-        for t in times:
-            total = 0.0
-            for k, ev in enumerate(spec.events):
-                # read unchecked: a bad rate is reported here, not raised
-                r = float(np.asarray(spec.rates[k](t, x)))
-                if not math.isfinite(r):
-                    violations.append(f"state {state}, event {ev.name!r}, t={t}: rate {r} not finite")
-                    continue
-                if r < 0:
-                    violations.append(f"state {state}, event {ev.name!r}, t={t}: negative rate {r}")
-                    continue
-                total += r
-                if r > 0:
-                    delta = spec.focal(x + spec.displacements[k]) - spec.focal(x)
-                    expect = int(ev.is_birth) - int(ev.is_death)
-                    if delta != expect:
-                        violations.append(
-                            f"state {state}, event {ev.name!r}: focal size changes by "
-                            f"{delta}, markers require {expect}")
-            if not math.isfinite(total):
-                violations.append(f"state {state}, t={t}: total rate not finite")
-    return ModelReport(violations, probed)
-
 
 @dataclass(frozen=True)
 class Jump:
@@ -321,11 +277,12 @@ def simulate(spec: ModelSpec, t_end: float, rng,
     and picks the channel.  A rejected candidate keeps its time.  Marked
     events draw an auxiliary number uniformly over the focal subpopulation
     just before the jump.  Identical (spec, seed, t_end) give identical output.
-    More than ``max_jumps`` jumps raise `SimulationError`, and a negative or
-    NaN ``t_end`` raises ValueError.
+    More than ``max_jumps`` jumps raise `SimulationError`, and a ``t_end``
+    that is not finite or is below 0 raises ValueError, as the readers of a
+    trajectory (`state_at`, `history_log_density`) do.
     """
-    if not t_end >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"horizon must be nonnegative and finite, got {t_end}")
     rng = ensure_rng(rng)
     x = _initial_states(spec, rng, 1)[0]
     x0 = tuple(int(v) for v in x)
@@ -354,7 +311,7 @@ def simulate(spec: ModelSpec, t_end: float, rng,
             k = min(int(np.searchsorted(np.cumsum(rates), u, side="right")), spec.n_events - 1)
             ev = spec.events[k]
             if ev.is_marked:
-                size = spec.focal(x)
+                size = int(x[spec.focal_dim])
                 if size <= 0:
                     raise SimulationError(
                         f"marked event {ev.name!r} fired at t={t} with focal size 0")
@@ -547,15 +504,16 @@ def jump_log_density(spec: ModelSpec, traj: JumpSequence) -> float:
 
     Each marked event contributes ``-log I(x-)`` for the uniform member
     choice; an auxiliary number outside ``[0, I(x-))`` gives -inf, as does a
-    nonzero one on an unmarked event.
+    nonzero one on an unmarked event.  ``I(x-)`` is the initial focal size
+    plus the focal steps of the earlier jumps, which the spec's markers fix.
     """
-    h = to_history(traj)
-    base = history_log_density(spec, h)
+    base = history_log_density(spec, to_history(traj))
     if base == -math.inf:
         return -math.inf
-    _, channels, states = _path(spec, h)
+    channels = np.array([j.event for j in traj.jumps], dtype=np.int64)
     marked = (spec.birth_mask | spec.death_mask | spec.sample_mask)[channels]
-    size = spec.focal_sizes(states[:-1])
+    steps = spec.displacements[channels, spec.focal_dim]
+    size = traj.x0[spec.focal_dim] + np.cumsum(steps) - steps
     aux = np.array([j.aux for j in traj.jumps], dtype=np.int64)
     if not ((aux >= 0) & (aux < np.where(marked, size, 1))).all():
         return -math.inf

@@ -94,7 +94,7 @@ def test_criterion_2_brute_force_enumeration(capsys):
                   if spec.events[j.event].is_marked]
         if not marked:
             continue
-        sizes = [spec.focal(state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf)))
+        sizes = [state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf))[spec.focal_dim]
                  for i in marked]
         if max(sizes) > 6 or math.prod(sizes) > 3000:
             continue
@@ -183,7 +183,7 @@ def test_criterion_5_normalization_without_sampling(capsys):
 def _check_structure(spec, traj, rng):
     # replay jump by jump; the five ordering/pocket invariants must hold at
     # every intermediate genealogy
-    g = gf.new_genealogy(spec.focal(np.asarray(traj.x0, dtype=np.int64)))
+    g = gf.new_genealogy(traj.x0[spec.focal_dim])
     assert gf.validate_genealogy(g) == []
     for j in traj.jumps:
         ev = spec.events[j.event]

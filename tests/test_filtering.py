@@ -35,7 +35,7 @@ def bounded_sampling(spec):
     bounds = [(lambda t0, t1, x, f=f: float(f(t0, x))) if sampled else None
               for f, sampled in zip(spec.rates, spec.sample_mask)]
     return gf.ModelSpec(f"{spec.name}-bounded-sampling", spec.d, spec.events, spec.rates,
-                        spec.init_sample, spec.init_pmf, spec.focal_size, mu=spec.mu,
+                        spec.init_sample, spec.init_pmf, spec.focal_dim, mu=spec.mu,
                         rate_bounds=bounds, rate_breakpoints=spec.rate_breakpoints,
                         bookkeeping_dims=spec.bookkeeping_dims)
 
@@ -161,7 +161,7 @@ def test_initial_law_is_drawn_in_one_batch():
         calls.append(n)
         return np.column_stack([rng.poisson(4.0, n), np.zeros(n, dtype=np.int64)])
     spec = gf.ModelSpec("poisson-start", base.d, base.events, base.rates, init_sample,
-                        base.init_pmf, base.focal_size, bookkeeping_dims=(1,))
+                        base.init_pmf, base.focal_dim, bookkeeping_dims=(1,))
     ens = gf.init_ensemble(spec, 2000, np.random.default_rng(0))
     assert calls == [2000]
     assert ens.states.shape == (2000, 1)
@@ -172,7 +172,7 @@ def test_initial_law_is_drawn_in_one_batch():
 
     flat = gf.ModelSpec("flat", base.d, base.events, base.rates,
                         lambda rng, n: np.zeros(2 * n, dtype=np.int64),
-                        base.init_pmf, base.focal_size, bookkeeping_dims=(1,))
+                        base.init_pmf, base.focal_dim, bookkeeping_dims=(1,))
     with pytest.raises(gf.SimulationError, match=r"shape \(20,\), expected \(10, 2\)"):
         gf.init_ensemble(flat, 10, np.random.default_rng(0))
     with pytest.raises(gf.SimulationError, match=r"shape \(2,\), expected \(1, 2\)"):
@@ -203,7 +203,7 @@ def test_propagate_kills_what_a_bounded_sampling_channel_samples():
              lambda t, x: psi * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0])
     bounds = (None, None, lambda t0, t1, x: 1.5 * psi * float(x[..., 0]))
     spec = gf.ModelSpec("lbdp-sin-sampling", base.d, base.events, rates, base.init_sample,
-                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        base.init_pmf, base.focal_dim, rate_bounds=bounds,
                         bookkeeping_dims=base.bookkeeping_dims)
     n = 4000
     ens = gf.init_ensemble(spec, n, np.random.default_rng(3))
@@ -252,7 +252,7 @@ def test_a_total_rate_of_negative_zero_fires_nothing(bounded):
     spec = gf.ModelSpec("negative-zero", base.d, base.events,
                         [lambda t, x: np.where(x[..., 0] == 3, -0.0, -1.0)] * base.n_events,
                         base.init_sample,
-                        base.init_pmf, base.focal_size, rate_bounds=bounds if bounded else None,
+                        base.init_pmf, base.focal_dim, rate_bounds=bounds if bounded else None,
                         bookkeeping_dims=base.bookkeeping_dims)
     ens = gf.init_ensemble(spec, 50, np.random.default_rng(1))
     out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.4,
@@ -832,7 +832,7 @@ def test_negative_rate_is_a_model_error():
     base = lbdp(0.0, 1.0, 0.5, 2)
     spec = gf.ModelSpec("leaky", 2, base.events,
                         (base.rates[0], lambda t, x: 0.5 * x[..., 0] - 0.75, base.rates[2]),
-                        base.init_sample, base.init_pmf, base.focal_size,
+                        base.init_sample, base.init_pmf, base.focal_dim,
                         bookkeeping_dims=(1,))
     with pytest.raises(gf.SimulationError, match="'death' has rate -0.25"):
         gf.simulate(spec, 100.0, np.random.default_rng(3))
@@ -871,7 +871,7 @@ def declared_continuous(spec):
     beta_max = max(spec.params["transmission_rate"]["values"])
     bound = lambda t0, t1, x: beta_max * float(x[..., 0] * x[..., 1])
     return gf.ModelSpec(spec.name, spec.d, spec.events, spec.rates, spec.init_sample,
-                        spec.init_pmf, spec.focal_size, mu=spec.mu,
+                        spec.init_pmf, spec.focal_dim, mu=spec.mu,
                         rate_bounds=(bound, None, None),
                         bookkeeping_dims=spec.bookkeeping_dims)
 
@@ -1025,7 +1025,7 @@ def sinusoidal_sir(breakpoint=None, channel="infection"):
     rates, bounds = list(base.rates), [None] * base.n_events
     rates[k], bounds[k] = rate, bound
     return gf.ModelSpec(f"sir-sin-{channel}", base.d, base.events, rates,
-                        base.init_sample, base.init_pmf, base.focal_size,
+                        base.init_sample, base.init_pmf, base.focal_dim,
                         rate_bounds=bounds,
                         rate_breakpoints=() if breakpoint is None else (breakpoint,),
                         bookkeeping_dims=base.bookkeeping_dims)
@@ -1115,7 +1115,7 @@ def expected_jumps(spec, v, truncation):
     lattice = gf.StateLattice(active, active.shape[1])
     q = np.zeros(lattice.size)
     np.add.at(q, lattice.rows(active), spec.init_pmf(full))
-    size, n = spec.focal_sizes(lattice.states), lattice.size
+    size, n = lattice.states[:, spec.focal_dim], lattice.size
     jumps = 0.0
     for t, e, ell, kind, ell_post in gf.filtering._stretches(v):
         q[size < ell] = 0.0
@@ -1225,7 +1225,7 @@ def test_each_round_draws_only_for_the_particles_still_moving(monkeypatch, bound
         rates[1] = lambda t, x: 0.8 * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0]
         bounds[1] = lambda t0, t1, x: 1.2 * float(x[..., 0])
     spec = gf.ModelSpec("lbdp-thinned-death", base.d, base.events, rates, base.init_sample,
-                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        base.init_pmf, base.focal_dim, rate_bounds=bounds,
                         bookkeeping_dims=base.bookkeeping_dims)
     log = []
     read = gf.ModelSpec.rate_matrix
@@ -1284,7 +1284,7 @@ def test_rounds_and_jumps_count_the_kernel_work(monkeypatch, bounded):
         rates[1] = lambda t, x: 0.8 * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0]
         bounds[1] = lambda t0, t1, x: 1.2 * float(x[..., 0])
     spec = gf.ModelSpec("pure-death", base.d, base.events, rates, base.init_sample,
-                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        base.init_pmf, base.focal_dim, rate_bounds=bounds,
                         bookkeeping_dims=base.bookkeeping_dims)
     reads = []
     read = gf.ModelSpec.rate_matrix
@@ -1355,7 +1355,7 @@ def test_oracle_rejects_an_init_pmf_that_does_not_broadcast():
     base = lbdp(0.5, 0.3, 0.6, 2)
     scalar = gf.ModelSpec("scalar-pmf", 2, base.events, base.rates, base.init_sample,
                           lambda x: 1.0 if np.array_equal(x, [2, 0]) else 0.0,
-                          base.focal_size, bookkeeping_dims=(1,))
+                          base.focal_dim, bookkeeping_dims=(1,))
     truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
     with pytest.raises(gf.SimulationError, match=r"init_pmf gave shape \(\) for 31 states"):
         gf.oracle_loglik(scalar, two_leaf_visible(), truncation)
@@ -1366,7 +1366,7 @@ def test_oracle_rejects_a_negative_or_non_finite_init_pmf(bad):
     base = lbdp(0.5, 0.3, 0.6, 2)
     spec = gf.ModelSpec("bad-pmf", 2, base.events, base.rates, base.init_sample,
                         lambda x: np.where(x[..., 0] == 3, bad, 1.0 * (x[..., 0] == 2)),
-                        base.focal_size, bookkeeping_dims=(1,))
+                        base.focal_dim, bookkeeping_dims=(1,))
     truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
     with pytest.raises(gf.SimulationError, match=rf"init_pmf gave {bad} at state \(3, 0\)"):
         gf.oracle_loglik(spec, two_leaf_visible(), truncation)
@@ -1393,7 +1393,7 @@ def coo_generator(lattice, displacements, rates, inflow_scale=None):
 
 
 def coo_interval_generator(spec, lattice, t, ell, compat):
-    hidden = gf.hidden_birth_factor(spec.focal_sizes(lattice.states), ell)[:, None]
+    hidden = gf.hidden_birth_factor(lattice.states[:, spec.focal_dim], ell)[:, None]
     scale = np.where(spec.birth_mask, hidden, 1.0) * compat[:, None]
     scale[:, spec.sample_mask] = 0.0
     return coo_generator(lattice, spec.active_displacements,
@@ -1431,7 +1431,7 @@ def test_interval_generator_matches_the_coo_reference():
     for spec, truncation in grid_cases():
         full = np.array(truncation)
         lattice = gf.StateLattice(full[:, :len(spec.active_dims)], len(spec.active_dims))
-        size = spec.focal_sizes(lattice.states)
+        size = lattice.states[:, spec.focal_dim]
         masks = [size >= ell for ell in range(4)]
         # rows zeroed at random, and none kept: then every channel's scale is all zero
         masks += [rng.random(lattice.size) < 0.5, np.zeros(lattice.size, dtype=bool)]

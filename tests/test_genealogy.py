@@ -152,7 +152,7 @@ def test_blacks_track_inventory_along_trajectories():
         g, inv = gf.build_genealogy(spec, traj)
         assert inv == gf.fold_inventory(spec, traj)
         assert gf.inventory_of(g) == inv
-        assert len(inv) == spec.focal(gf.state_at(spec, traj, traj.t_end))
+        assert len(inv) == gf.state_at(spec, traj, traj.t_end)[spec.focal_dim]
 
 
 # ---------------------------------------------------------------------------

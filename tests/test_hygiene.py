@@ -152,7 +152,7 @@ _BOUNDED_SAMPLING = textwrap.dedent("""
              lambda t, x: 0.8 * (1.0 + 0.5 * math.sin(2 * math.pi * t)) * x[..., 0])
     bounds = (None, None, lambda t0, t1, x: 1.2 * float(x[..., 0]))
     spec = gf.ModelSpec("lbdp-sin-sampling", base.d, base.events, rates, base.init_sample,
-                        base.init_pmf, base.focal_size, rate_bounds=bounds,
+                        base.init_pmf, base.focal_dim, rate_bounds=bounds,
                         bookkeeping_dims=base.bookkeeping_dims)
     g = gf.apply_sample(gf.apply_sample(gf.apply_birth(gf.new_genealogy(1), 0, 0.2), 0, 0.4),
                         1, 0.6)
@@ -171,3 +171,12 @@ def test_the_filter_loads_no_scipy_on_a_bounded_sampling_channel():
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert done.returncode == 0, done.stderr
+
+
+def test_the_readme_library_example_runs_as_written(capsys):
+    """README's "Library use" block runs unchanged, so the docs keep up with the API."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, str(readme), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == code.count("print(")

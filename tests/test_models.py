@@ -9,11 +9,6 @@ import pytest
 import genfilter as gf
 
 
-def simplex(total):
-    return [(s, i, total - s - i, 0)
-            for s in range(total + 1) for i in range(total - s + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-constant rates
 
@@ -62,7 +57,7 @@ def test_lbdp_channels():
     assert spec.rate(0, 0.0, x) == pytest.approx(1.2 * 7)
     assert spec.rate(1, 0.0, x) == pytest.approx(0.7 * 7)
     assert spec.rate(2, 0.0, x) == pytest.approx(0.4 * 7)
-    assert spec.focal(x) == 7
+    assert x[spec.focal_dim] == 7
     assert spec.active_dims == (0,)
     assert not spec.any_time_dependent
 
@@ -73,7 +68,7 @@ def test_sir_channels():
     assert spec.rate(0, 0.0, x) == pytest.approx(0.3 * 5 * 4)
     assert spec.rate(1, 0.0, x) == pytest.approx(0.8 * 4)
     assert spec.rate(2, 0.0, x) == pytest.approx(0.5 * 4)
-    assert spec.focal(x) == 4
+    assert x[spec.focal_dim] == 4
     # infection and recovery shuffle individuals between compartments
     assert spec.displacements[:, :3].sum(axis=1).tolist() == [0, 0, 0]
     assert spec.active_dims == (0, 1, 2)
@@ -95,7 +90,7 @@ def test_s2ir_channels():
     assert spec.rate(1, 0.0, x) == pytest.approx(0.1 * 2 * 5)
     assert spec.rate(2, 0.0, x) == pytest.approx(0.8 * 5)
     assert spec.rate(3, 0.0, x) == pytest.approx(0.5 * 5)
-    assert spec.focal(x) == 5
+    assert x[spec.focal_dim] == 5
     assert [e.is_birth for e in spec.events] == [True, True, False, False]
     assert spec.active_dims == (0, 1, 2)
 
@@ -135,37 +130,50 @@ def test_a_base_rate_outside_0_to_inf_is_rejected(mu):
 
 
 # ---------------------------------------------------------------------------
-# Marker consistency probed over state grids
+# The focal coordinate and the markers, checked when a spec is built
 
 
-def test_validate_model_passes_for_all_builders():
-    cases = [
-        (gf.lbdp_spec(gf.LBDPParams(1.2, 0.7, 0.4, 3)),
-         [(n, 0) for n in range(6)]),
-        (gf.sir_spec(gf.SIRParams(0.3, 0.8, 0.5, 5, 4)), simplex(5)),
-        (gf.sirs_spec(gf.SIRSParams(0.3, 0.8, 0.5, 0.2, 5, 4)), simplex(5)),
-        (gf.s2ir_spec(gf.S2IRParams(0.4, 0.1, 0.8, 0.5, 2, 2, 1)),
-         gf.s2ir_truncation(gf.S2IRParams(0.4, 0.1, 0.8, 0.5, 2, 2, 1))),
-    ]
-    for spec, states in cases:
-        report = gf.validate_model(spec, states)
-        assert report.ok, report.violations
-        assert report.probed == len(states)
+def test_builders_name_their_focal_coordinate():
+    # n for lbdp, i for the epidemic models; building at all checks the markers
+    specs = [gf.lbdp_spec(gf.LBDPParams(1.2, 0.7, 0.4, 3)),
+             gf.sir_spec(gf.SIRParams(0.3, 0.8, 0.5, 5, 4)),
+             gf.sirs_spec(gf.SIRSParams(0.3, 0.8, 0.5, 0.2, 5, 4)),
+             gf.s2ir_spec(gf.S2IRParams(0.4, 0.1, 0.8, 0.5, 2, 2, 1))]
+    assert [spec.focal_dim for spec in specs] == [0, 1, 1, 2]
 
 
-def test_validate_model_flags_focal_size_mismatch():
-    spec = gf.ModelSpec(
-        name="broken",
-        d=1,
-        events=(gf.EventType("sampling", (1,), is_sample=True),),
-        rates=(lambda t, x: 1.0,),
-        init_sample=lambda rng, n: np.ones((n, 1), dtype=np.int64),
-        init_pmf=lambda x: 1.0,
-        focal_size=lambda x: x[..., 0],
-    )
-    report = gf.validate_model(spec, [(1,)])
-    assert not report.ok
-    assert "focal size changes by 1" in report.violations[0]
+def test_model_spec_rejects_a_sample_that_moves_the_focal_coordinate():
+    with pytest.raises(ValueError, match="event 'sampling': focal size changes by 1, "
+                                         "markers require 0"):
+        gf.ModelSpec(
+            name="broken",
+            d=1,
+            events=(gf.EventType("sampling", (1,), is_sample=True),),
+            rates=(lambda t, x: 1.0,),
+            init_sample=lambda rng, n: np.ones((n, 1), dtype=np.int64),
+            init_pmf=lambda x: 1.0,
+            focal_dim=0,
+        )
+
+
+def test_a_birth_of_two_is_rejected_when_built():
+    # before, the filter and the oracle both returned finite numbers for it
+    base = gf.lbdp_spec(gf.LBDPParams(1.0, 0.5, 0.5, 2))
+    events = (gf.EventType("birth", (2, 0), is_birth=True), *base.events[1:])
+    with pytest.raises(ValueError, match="event 'birth': focal size changes by 2, "
+                                         "markers require 1"):
+        gf.ModelSpec("lbdp+2", base.d, events, base.rates, base.init_sample,
+                     base.init_pmf, base.focal_dim, bookkeeping_dims=base.bookkeeping_dims)
+
+
+@pytest.mark.parametrize("focal_dim", [-1, 1, 2, True, 0.0, "0", None])
+def test_model_spec_needs_an_active_coordinate_as_focal_dim(focal_dim):
+    # lbdp's one active coordinate is n; its sampling counter is bookkeeping
+    base = gf.lbdp_spec(gf.LBDPParams(1.0, 0.5, 0.5, 2))
+    with pytest.raises(ValueError, match=f"focal_dim must be an index among the 1 active "
+                                         f"coordinates, got {focal_dim!r}"):
+        gf.ModelSpec("lbdp", base.d, base.events, base.rates, base.init_sample,
+                     base.init_pmf, focal_dim, bookkeeping_dims=base.bookkeeping_dims)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def lbdp(lam, delta, psi, n0, mu=1.0):
     return gf.lbdp_spec(gf.LBDPParams(lam, delta, psi, n0), mu=mu)
 
 
-def make_spec(events, rates, x0, focal, d=None, **kw):
+def make_spec(events, rates, x0, focal_dim, d=None, **kw):
     x0 = np.asarray(x0, dtype=np.int64)
     d = len(x0) if d is None else d
 
@@ -34,31 +34,23 @@ def make_spec(events, rates, x0, focal, d=None, **kw):
         return (np.asarray(x) == x0).all(axis=-1).astype(float)
 
     return gf.ModelSpec("adhoc", d, events, rates, init_sample, init_pmf,
-                        focal, **kw)
+                        focal_dim, **kw)
 
 
 # ---------------------------------------------------------------------------
-# Model validation
+# Model construction
 
 
-def test_validate_model_passes_for_lbdp():
-    spec = lbdp(1.5, 0.8, 1.0, 2)
-    report = gf.validate_model(spec, [(n, g) for n in range(6) for g in range(3)])
-    assert report.ok
-    assert report.probed == 18
-
-
-def test_validate_model_catches_marker_mismatch():
-    # the "birth" leaves the focal coordinate alone, which breaks the
-    # member-numbering convention
-    spec = make_spec(
-        (gf.EventType("bad_birth", (0, 1), is_birth=True),),
-        (lambda t, x: 1.0 + 0.0 * x[..., 0],),
-        (3, 0),
-        lambda x: x[..., 0])
-    report = gf.validate_model(spec, [(3, 0)])
-    assert not report.ok
-    assert "markers require" in report.violations[0]
+def test_model_spec_rejects_a_birth_that_leaves_the_focal_coordinate():
+    # the "birth" moves coordinate 1, not the focal coordinate 0, which breaks
+    # the member-numbering convention
+    with pytest.raises(ValueError, match="event 'bad_birth': focal size changes by 0, "
+                                         "markers require 1"):
+        make_spec(
+            (gf.EventType("bad_birth", (0, 1), is_birth=True),),
+            (lambda t, x: 1.0 + 0.0 * x[..., 0],),
+            (3, 0),
+            0)
 
 
 def test_event_type_rejects_conflicting_markers():
@@ -69,21 +61,21 @@ def test_event_type_rejects_conflicting_markers():
 
 
 def test_modelspec_rejects_duplicate_displacements():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate displacement"):
         make_spec(
-            (gf.EventType("a", (1, 0)), gf.EventType("b", (1, 0))),
+            (gf.EventType("a", (0, 1)), gf.EventType("b", (0, 1))),
             (lambda t, x: 1.0, lambda t, x: 2.0),
             (0, 0),
-            lambda x: x[..., 0])
+            0)
 
 
 def test_modelspec_rejects_interior_bookkeeping():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trailing block"):
         make_spec(
             (gf.EventType("a", (1, 0, 0)),),
             (lambda t, x: 1.0,),
             (0, 0, 0),
-            lambda x: x[..., 0],
+            0,
             bookkeeping_dims=(1,))
 
 
@@ -142,7 +134,7 @@ def test_simulate_marked_aux_lies_in_focal_range():
         x = np.asarray(traj.x0, dtype=np.int64)
         for j in traj.jumps:
             if spec.events[j.event].is_marked:
-                assert 0 <= j.aux < spec.focal(x)
+                assert 0 <= j.aux < x[spec.focal_dim]
             else:
                 assert j.aux == 0
             x = x + spec.displacements[j.event]
@@ -154,10 +146,12 @@ def test_simulate_jump_cap_raises():
         gf.simulate(spec, 50.0, np.random.default_rng(2), max_jumps=20)
 
 
-@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
 def test_simulate_rejects_a_negative_or_nan_horizon(horizon):
-    spec = lbdp(1.0, 0.5, 0.5, 2)
-    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+    # an infinite one too: the trajectory readers (state_at,
+    # history_log_density, loglik_lineages) reject it
+    spec = lbdp(0.0, 0.5, 0.5, 2)
+    with pytest.raises(ValueError, match=f"horizon must be nonnegative and finite, got {horizon}"):
         gf.simulate(spec, horizon, np.random.default_rng(1))
     assert gf.simulate(spec, 0.0, np.random.default_rng(1)).jumps == ()
 
@@ -211,20 +205,21 @@ def test_history_density_one_jump_quadrature_is_mu_invariant(mu):
 
 def test_history_density_two_jump_quadrature_matches_kfe():
     # a model hard-capped at two jumps so the path integral is finite-order:
-    # coordinate 1 counts jumps and gates the rates
+    # coordinate 1 counts jumps and gates the rates, and the focal
+    # coordinate 2 holds one individual that no channel moves
     lam, delta = 0.9, 0.6
     horizon = 0.8
-    events = (gf.EventType("up", (1, 1)), gf.EventType("down", (-1, 1)))
+    events = (gf.EventType("up", (1, 1, 0)), gf.EventType("down", (-1, 1, 0)))
     rates = (lambda t, x: lam * x[..., 0] * (x[..., 1] < 2),
              lambda t, x: delta * x[..., 0] * (x[..., 1] < 2))
-    spec = make_spec(events, rates, (1, 0), lambda x: 0 * x[..., 0] + 1)
-    trunc = [(n, c) for n in range(4) for c in range(3)]
-    pmf = gf.kfe_integrate(spec, trunc, {(1, 0): 1.0}, 0.0, horizon, tol=1e-10)
+    spec = make_spec(events, rates, (1, 0, 1), 2)
+    trunc = [(n, c, 1) for n in range(4) for c in range(3)]
+    pmf = gf.kfe_integrate(spec, trunc, {(1, 0, 1): 1.0}, 0.0, horizon, tol=1e-10)
     assert abs(sum(pmf.values()) - 1.0) < 1e-8
 
     def prob_path(ks):
         def dens(*times):
-            h = History(horizon, (1, 0), tuple(zip(times, ks)))
+            h = History(horizon, (1, 0, 1), tuple(zip(times, ks)))
             return math.exp(history_log_density(spec, h)) \
                 * spec.mu ** len(ks) * math.exp(-spec.mu * horizon)
         if not ks:
@@ -235,11 +230,11 @@ def test_history_density_two_jump_quadrature_matches_kfe():
                        0, horizon, lambda t1: t1, horizon, epsabs=1e-12)[0]
 
     by_path = {
-        (1, 0): prob_path(()),
-        (2, 1): prob_path((0,)),
-        (0, 1): prob_path((1,)),
-        (3, 2): prob_path((0, 0)),
-        (1, 2): prob_path((0, 1)) + prob_path((1, 0)),
+        (1, 0, 1): prob_path(()),
+        (2, 1, 1): prob_path((0,)),
+        (0, 1, 1): prob_path((1,)),
+        (3, 2, 1): prob_path((0, 0)),
+        (1, 2, 1): prob_path((0, 1)) + prob_path((1, 0)),
     }
     for state, expect in by_path.items():
         assert abs(pmf[state] - expect) < 1e-7, state
@@ -256,7 +251,7 @@ def test_jump_density_sums_to_history_density():
             continue
         marked = [i for i, j in enumerate(traj.jumps)
                   if spec.events[j.event].is_marked]
-        sizes = [spec.focal(state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf)))
+        sizes = [state_at(spec, traj, np.nextafter(traj.jumps[i].time, -np.inf))[spec.focal_dim]
                  for i in marked]
         total = 0.0
         for combo in itertools.product(*[range(s) for s in sizes]):
@@ -278,7 +273,7 @@ def test_jump_density_rejects_bad_aux():
     # unmarked events must carry aux 0
     events = (gf.EventType("tick", (0, 1)),)
     spec2 = make_spec(events, (lambda t, x: 1.0 + 0 * x[..., 0],), (1, 0),
-                      lambda x: x[..., 0])
+                      0)
     bad = JumpSequence((1, 0), (Jump(0.5, 0, 1),), 1.0)
     assert jump_log_density(spec2, bad) == -math.inf
 
@@ -309,7 +304,7 @@ def test_history_density_rejects_a_negative_or_non_finite_init_pmf(bad):
     # the same defect the oracle names, on the single-state read
     base = lbdp(1.0, 0.5, 0.5, 2)
     spec = gf.ModelSpec("bad-pmf", 2, base.events, base.rates, base.init_sample,
-                        lambda x: np.full(x.shape[:-1], bad), base.focal_size,
+                        lambda x: np.full(x.shape[:-1], bad), base.focal_dim,
                         bookkeeping_dims=(1,))
     with pytest.raises(SimulationError, match=rf"init_pmf gave {bad} at state \(2, 0\)"):
         history_log_density(spec, History(1.0, (2, 0), ((0.5, 0),)))
@@ -338,7 +333,7 @@ def leaky_death_spec():
     base = lbdp(0.0, 1.0, 0.5, 2)
     return gf.ModelSpec("leaky", 2, base.events,
                         (base.rates[0], lambda t, x: 0.5 * x[..., 0] - 0.75, base.rates[2]),
-                        base.init_sample, base.init_pmf, base.focal_size,
+                        base.init_sample, base.init_pmf, base.focal_dim,
                         bookkeeping_dims=(1,))
 
 
@@ -349,11 +344,6 @@ def test_history_density_rejects_negative_rates():
         history_log_density(spec, h)
     with pytest.raises(SimulationError, match="'death' has rate -0.25"):
         _rate_integral(spec, (1, 0), 0.5, 5.0)
-
-
-def test_validate_model_reports_negative_rates_with_plain_states():
-    report = gf.validate_model(leaky_death_spec(), [(1, 0), (2, 0)])
-    assert report.violations == ["state (1, 0), event 'death', t=0.0: negative rate -0.25"]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +616,7 @@ def test_kfe_time_dependent_survival():
     delta = gf.PiecewiseConstant(times=(0.6,), values=(2.0, 0.3))
     events = (gf.EventType("death", (-1,), is_death=True),)
     spec = make_spec(events, (lambda t, x: delta(t) * x[..., 0],), (1,),
-                     lambda x: x[..., 0],
+                     0,
                      rate_bounds=(lambda t0, t1, x: max(delta.values) * float(x[..., 0]),),
                      rate_breakpoints=delta.times)
     horizon = 1.4
@@ -654,7 +644,7 @@ def piecewise_death_spec(bounded=False):
     bound = lambda t0, t1, x: max(delta.values) * float(x[..., 0])
     return delta, make_spec(
         events, (lambda t, x: delta(t) * x[..., 0], lambda t, x: 0.25 + 0.0 * x[..., 0]),
-        (1, 0), lambda x: x[..., 0],
+        (1, 0), 0,
         rate_bounds=(bound if bounded else None, None), rate_breakpoints=delta.times)
 
 
@@ -809,7 +799,7 @@ def test_integrate_linear_names_the_failure_time():
 def test_thinning_detects_a_lying_bound():
     events = (gf.EventType("death", (-1,), is_death=True),)
     spec = make_spec(events, (lambda t, x: (2.0 + t) * x[..., 0],), (1,),
-                     lambda x: x[..., 0],
+                     0,
                      rate_bounds=(lambda t0, t1, x: 0.5,))
     with pytest.raises(SimulationError, match="exceeds its bound"):
         gf.simulate(spec, 5.0, np.random.default_rng(3))
@@ -823,7 +813,7 @@ def test_model_spec_needs_one_bound_entry_per_event():
     rates = (lambda t, x: 1.0 * x[..., 0],)
     for bounds in ((), (None, None), (0.5,)):
         with pytest.raises(ValueError, match="one callable or None per event"):
-            make_spec(events, rates, (1,), lambda x: x[..., 0], rate_bounds=bounds)
+            make_spec(events, rates, (1,), 0, rate_bounds=bounds)
 
 
 class NoCandidates(np.random.Generator):
@@ -836,7 +826,7 @@ class NoCandidates(np.random.Generator):
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
 def test_bad_rate_bound_is_a_model_error(value):
     events = (gf.EventType("death", (-1,), is_death=True),)
-    spec = make_spec(events, (lambda t, x: 2.0 * x[..., 0],), (3,), lambda x: x[..., 0],
+    spec = make_spec(events, (lambda t, x: 2.0 * x[..., 0],), (3,), 0,
                      rate_bounds=(lambda t0, t1, x: value,))
     message = rf"'death' has rate bound {value} on \[0.0, 5.0\] in state \(3,\)"
     with pytest.raises(SimulationError, match=message):
