@@ -3,13 +3,13 @@
 The package simulates continuous-time integer-lattice population models
 whose birth, death, and sampling events carry through to an individual-level
 genealogy, reduces that genealogy to the part visible from the samples, and
-computes its likelihood three ways: two closed-form routes on a fully
+computes its likelihood four ways: two closed-form routes on a fully
 observed trajectory, a deterministic truncated-grid recursion, and a
 particle filter that scales past what the grid can hold.
 """
 
-from .exact import (ExactError, QContext, event_factor, hidden_birth_factor,
-                    loglik_events, loglik_lineages, q_factor)
+from .exact import (ExactError, event_factor, hidden_birth_factor, loglik_events,
+                    loglik_lineages, q_factor)
 from .filtering import (Ensemble, EventDiagnostics, FilterConfig,
                         FilterDiagnostics, FilterError, ReplicateResult,
                         SMCResult, WeightGrid, boundary_flux, event_schedule,
@@ -31,6 +31,6 @@ from .population import (EventType, History, IntegrationError, Jump,
                          forward_generator, history_log_density, integrate_epochs,
                          integrate_linear, jump_log_density, kfe_integrate,
                          read_trajectory, simulate, state_at, to_history,
-                         write_history, write_trajectory)
+                         write_trajectory)
 
 __version__ = "0.1.0"

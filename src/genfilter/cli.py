@@ -29,9 +29,9 @@ from .filtering import (RESAMPLING_METHODS, FilterConfig, FilterError, boundary_
 from .genealogy import (GenealogyError, NewickError, build_genealogy, prune,
                         read_genealogy, to_newick, validate_genealogy, write_genealogy)
 from .models import MODELS, TRUNCATIONS, model_params
-from .population import (DEFAULT_MAX_JUMPS, History, IntegrationError, JumpSequence,
-                         SimulationError, _write_csv, _write_json, _write_text,
-                         read_trajectory, simulate, to_history, write_trajectory)
+from .population import (DEFAULT_MAX_JUMPS, IntegrationError, SimulationError, _write_csv,
+                         _write_json, _write_text, read_trajectory, simulate, to_history,
+                         write_trajectory)
 
 
 class ConfigError(ValueError):
@@ -100,7 +100,6 @@ _SCHEMA = {
                 "parameter": {"type": "string"},
                 "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
                 "include_oracle": {"type": "boolean"},
-                "n_max": {"type": "integer", "minimum": 0},
                 **_FILTER_PROPS,
             },
         },
@@ -224,7 +223,7 @@ def _read_genealogy(config):
 
 
 def _read_trajectory(path):
-    """`read_trajectory`; malformed content is a config error, like a history without aux."""
+    """`read_trajectory`; malformed content, or a header kind but "jumps", is a config error."""
     try:
         return read_trajectory(path)
     except (KeyError, TypeError, ValueError) as exc:
@@ -237,7 +236,9 @@ def _filter_config(section: dict, seed: int) -> FilterConfig:
     return FilterConfig(seed=seed, **{k: section[k] for k in keys if k in section})
 
 
-def _truncation(name: str, params, n_max: int | None):
+def _truncation(config, params):
+    """The model's truncation at ``config.oracle.n_max``, which lbdp requires."""
+    name, n_max = config["model"]["name"], config.get("oracle", {}).get("n_max")
     if n_max is None and name == "lbdp":
         raise ConfigError("config.oracle.n_max is required for model lbdp")
     return TRUNCATIONS[name](params, n_max)
@@ -303,10 +304,8 @@ def cmd_oracle(args, config, out: Path) -> int:
     params, spec = _build_model(config)
     seed = _resolve_seed(args, config)
     v = _read_genealogy(config)
-    section = config.get("oracle", {})
-    tol = section.get("tol", 1e-8)
-    truncation = _truncation(config["model"]["name"], params, section.get("n_max"))
-    loglik, grid = oracle_loglik(spec, v, truncation, tol=tol, return_grid=True)
+    tol = config.get("oracle", {}).get("tol", 1e-8)
+    loglik, grid = oracle_loglik(spec, v, _truncation(config, params), tol=tol, return_grid=True)
     flux = boundary_flux(spec, grid, t=v.time)
     result = {"loglik": loglik, "tol": tol, "n_states": int(len(grid.states)),
               "boundary_flux": flux, "provenance": _provenance(config, seed)}
@@ -319,9 +318,6 @@ def cmd_exact(args, config, out: Path) -> int:
     _, spec = _build_model(config)
     seed = _resolve_seed(args, config)
     traj, _header = _read_input(config, "trajectory", _read_trajectory)
-    if isinstance(traj, History) or not isinstance(traj, JumpSequence):
-        raise ConfigError("config.inputs.trajectory: full jump records with the "
-                          "aux column are required for the exact routes")
     by_lineage = loglik_lineages(spec, traj)
     g, _ = build_genealogy(spec, traj)
     visible = prune(g)
@@ -353,7 +349,6 @@ def cmd_profile(args, config, out: Path) -> int:
     sub_seeds = np.random.SeedSequence(seed).generate_state(len(values), dtype=np.uint64)
     n_reps = section.get("n_reps", 1)
     rows = []
-    n_max = section.get("n_max", config.get("oracle", {}).get("n_max"))
     for value, sub in zip(values, sub_seeds):
         params, spec = _build_model(config, {**model["params"], param: value},
                                     where="config.profile.values")
@@ -363,7 +358,7 @@ def cmd_profile(args, config, out: Path) -> int:
                "n_particles": fc.n_particles, "n_reps": n_reps,
                "collapsed": rep.collapse_count}
         if include_oracle:
-            row["oracle"] = oracle_loglik(spec, v, _truncation(name, params, n_max),
+            row["oracle"] = oracle_loglik(spec, v, _truncation(config, params),
                                           tol=config.get("oracle", {}).get("tol", 1e-8))
         rows.append(row)
     header = ["value", "mean", "se", "n_particles", "n_reps", "collapsed"]

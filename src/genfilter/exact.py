@@ -31,10 +31,8 @@ that the genealogy and the history do not fit each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .genealogy import Genealogy, LineageFunction, build_genealogy, embedded_chain, prune
 from .population import History, JumpSequence, ModelSpec, _path, to_history
@@ -79,48 +77,36 @@ def hidden_birth_factor(size, ell) -> np.ndarray:
     return np.where(size >= ell, 1.0 - _choose2(ell) / np.maximum(_choose2(size), 1.0), 0.0)
 
 
-@dataclass(frozen=True)
-class QContext:
-    """Everything `q_factor` needs about (lineage, history event) pairs.
-
-    ``focal`` is the focal size just after the event; ``lineages`` counts the
-    earlier samples' lineages crossing the event time.  The window is
-    [attachment, sample) of the current lineage; ``at_prior_attachment``
-    flags event times where an earlier lineage already attached.  Each field
-    may be a scalar or an array, describing one pair or, elementwise after
-    broadcasting, many pairs at once.
-    """
-
-    kind: ArrayLike            # "birth", "sample", or "other"
-    focal: ArrayLike
-    lineages: ArrayLike
-    in_window: ArrayLike
-    at_attachment: ArrayLike
-    at_prior_attachment: ArrayLike
-    attach_kind: ArrayLike = "root"  # of the current lineage: root/coalescence/direct
-
-
-def q_factor(ctx: QContext) -> tuple[float | np.ndarray, bool | np.ndarray]:
+def q_factor(kind, focal, lineages, in_window, at_attachment, at_prior_attachment,
+             attach_kind="root") -> tuple[float | np.ndarray, bool | np.ndarray]:
     """Probability that a history event is consistent with a lineage.
+
+    ``kind`` is the event's "birth", "sample" or "other"; ``focal`` is the
+    focal size just after it; ``lineages`` counts the earlier samples'
+    lineages crossing its time.  The window is [attachment, sample) of the
+    current lineage, whose ``attach_kind`` is root, coalescence or direct;
+    ``at_prior_attachment`` flags event times where an earlier lineage
+    already attached.  Each argument may be a scalar or an array, describing
+    one (lineage, event) pair or, elementwise after broadcasting, many.
 
     Returns ``(value, compatible)``; ``compatible`` is False when a counting
     denominator vanishes, meaning no assignment of the event's member choice
     can produce the genealogy (the value is then 0).  Branches are resolved
-    in a fixed order, earlier sections winning.  Array fields give arrays,
-    evaluated elementwise; scalar fields give a Python ``float`` and ``bool``.
+    in a fixed order, earlier sections winning.  Array arguments give arrays,
+    evaluated elementwise; scalar ones give a Python ``float`` and ``bool``.
     """
-    kind = np.asarray(ctx.kind)
-    focal = np.asarray(ctx.focal)
-    lineages = np.asarray(ctx.lineages)
-    at_attachment = np.asarray(ctx.at_attachment, dtype=bool)
-    neutral = ~np.asarray(ctx.in_window, dtype=bool) | (kind == "other") \
-        | np.asarray(ctx.at_prior_attachment, dtype=bool)
+    kind = np.asarray(kind)
+    focal = np.asarray(focal)
+    lineages = np.asarray(lineages)
+    at_attachment = np.asarray(at_attachment, dtype=bool)
+    neutral = ~np.asarray(in_window, dtype=bool) | (kind == "other") \
+        | np.asarray(at_prior_attachment, dtype=bool)
     sample = kind == "sample"
     free = focal - lineages
     pairs = _choose2(focal) - _choose2(lineages)
     # a sample picks one free individual, a birth one pair not both on lineages
     denom = np.where(sample, free, pairs)
-    hosts = np.where(sample, "direct", "coalescence") == np.asarray(ctx.attach_kind)
+    hosts = np.where(sample, "direct", "coalescence") == np.asarray(attach_kind)
     compatible = neutral | ((denom > 0) & (~at_attachment | hosts))
     # the floor only keeps the discarded branches of np.select finite
     floor = np.maximum(denom, 1)
@@ -163,15 +149,10 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
         t = times[lo:hi]
         prior = np.sort(attach[:j])
         attached = np.searchsorted(prior, t, side="right")
-        q, _ = q_factor(QContext(
-            kind=kinds[lo:hi],
-            focal=focal[lo:hi],
-            lineages=attached - np.searchsorted(np.sort(sample[:j]), t, side="right"),
-            in_window=True,
-            at_attachment=t == rec.attach_time,
-            at_prior_attachment=attached > np.searchsorted(prior, t, side="left"),
-            attach_kind=rec.attach_kind,
-        ))
+        q, _ = q_factor(kinds[lo:hi], focal[lo:hi],
+                        attached - np.searchsorted(np.sort(sample[:j]), t, side="right"),
+                        True, t == rec.attach_time,
+                        attached > np.searchsorted(prior, t, side="left"), rec.attach_kind)
         if not (q > 0.0).all():
             return -math.inf
         total += float(np.log(q).sum())

@@ -113,9 +113,6 @@ class Ensemble:
     states: np.ndarray
     log_weights: np.ndarray
 
-    def __len__(self):
-        return len(self.log_weights)
-
 
 class EventDiagnostics(NamedTuple):
     time: float
@@ -641,7 +638,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     by more than ``tol`` times the mass it started from raises
     `IntegrationError` naming the interval.  A ``tol`` that is not positive
     and finite raises ValueError, as does a truncation whose rows do not all
-    have ``spec.d`` entries (an ndarray truncation is read as it is).  An
+    have ``spec.d`` entries or hold an entry that is not a finite whole
+    number.  A state the truncation lists twice counts once.  An
     ``init_pmf`` that does not give one value per state, or gives a negative
     or non-finite one, is a defect of the model and raises `SimulationError`,
     as on every route.  A truncation that holds none of the initial mass
@@ -652,6 +650,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     n_active = len(spec.active_dims)
     full = _state_array(truncation, spec.d)
     proj = StateLattice(full[:, :n_active], n_active)
+    if proj.size < len(full):  # bookkeeping coordinates, or a state listed twice: read it once
+        full = full[np.sort(np.unique(full, axis=0, return_index=True)[1])]
     pmf = _initial_mass(spec, full)
     if not pmf.max() > 0.0:
         raise FilterError("the truncation holds none of the initial distribution's mass")
@@ -686,21 +686,16 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     return loglik
 
 
-def boundary_flux(spec: ModelSpec, weights, t: float = 0.0) -> float:
+def boundary_flux(spec: ModelSpec, weights: WeightGrid, t: float = 0.0) -> float:
     """Instantaneous probability flux out of the set of weighted states.
 
-    ``weights`` maps states to mass (a dict or a WeightGrid).  The flux is
-    mass times rate, summed over the rows each channel takes off the
-    `WeightGrid.lattice` of those states; a dict is read as a grid built by
-    hand, and the grid of `oracle_loglik` brings the oracle's own lattice,
-    whose transition maps are already built.  A WeightGrid contributes its
-    weights without their ``log_scale``, so the flux is relative to the
-    likelihood accumulated so far.  A large value relative to the
-    integration tolerance means the truncation is too small.
+    The flux is mass times rate, summed over the rows each channel takes off
+    the `WeightGrid.lattice` of ``weights``; the grid of `oracle_loglik`
+    brings the oracle's own lattice, whose transition maps are already
+    built.  The weights count without their ``log_scale``, so the flux is
+    relative to the likelihood accumulated so far.  A large value relative
+    to the integration tolerance means the truncation is too small.
     """
-    if not isinstance(weights, WeightGrid):
-        weights = WeightGrid(np.asarray(list(weights), dtype=np.int64),
-                             np.asarray(list(weights.values()), dtype=float), t)
     states, mass = weights.states, weights.weights
     if not len(mass):
         return 0.0

@@ -291,11 +291,11 @@ class _State:
         self.time = t
 
 
-def new_genealogy(n0: int, time: float = 0.0) -> Genealogy:
+def new_genealogy(n0: int) -> Genealogy:
     """n0 root nodes at time 0, each holding its own green and black ball."""
     if n0 < 0:
         raise ValueError("n0 must be nonnegative")
-    return Genealogy(time, tuple(Node(i, 0.0, frozenset({Ball(GREEN, i), Ball(BLACK, i)}))
+    return Genealogy(0.0, tuple(Node(i, 0.0, frozenset({Ball(GREEN, i), Ball(BLACK, i)}))
                                  for i in range(n0)))
 
 

@@ -326,12 +326,19 @@ def simulate(spec: ModelSpec, t_end: float, rng,
 
 
 def _initial_states(spec: ModelSpec, rng, n: int) -> np.ndarray:
-    """``n`` states drawn by ``spec.init_sample``; any shape but (n, d) is a `SimulationError`."""
-    states = np.asarray(spec.init_sample(ensure_rng(rng), n), dtype=np.int64)
-    if states.shape != (n, spec.d):
-        raise SimulationError(f"init_sample returned shape {states.shape}, "
+    """``n`` states drawn by ``spec.init_sample``, as an (n, d) int64 array.
+
+    A draw of another shape, or with an entry that is not a finite whole
+    number, is a `SimulationError` naming it.
+    """
+    raw = np.asarray(spec.init_sample(ensure_rng(rng), n))
+    if raw.shape != (n, spec.d):
+        raise SimulationError(f"init_sample returned shape {raw.shape}, "
                               f"expected ({n}, {spec.d})")
-    return states
+    try:
+        return _state_array(raw, spec.d)
+    except ValueError as exc:
+        raise SimulationError(f"init_sample: {exc}") from None
 
 
 def _initial_mass(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
@@ -543,22 +550,29 @@ class GeneratorPattern(NamedTuple):
 
 
 def _state_array(states, d: int) -> np.ndarray:
-    """``states`` as an (n, d) int64 array; an ndarray is taken as it is.
+    """``states`` as an (n, d) int64 array; an integer ndarray is taken as it is.
 
     Other input is a sequence of rows, read in one pass over their entries.
     Rows that do not all have ``d`` entries, of another width or ragged,
-    raise ValueError naming ``d``, as does an array of another shape.
+    raise ValueError naming ``d``, as does an array of another shape; a row
+    with an entry that is not a finite whole number raises ValueError naming
+    the row.
     """
     if isinstance(states, np.ndarray):
-        arr = np.atleast_2d(np.asarray(states, dtype=np.int64))
-        fits = arr.ndim == 2 and arr.shape[1] == d
+        raw = np.atleast_2d(states)
+        fits = raw.ndim == 2 and raw.shape[1] == d
     else:
         rows = list(states)
         fits = set(map(len, rows)) <= {d}
-        arr = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+        raw = np.fromiter(itertools.chain.from_iterable(rows), float,
                           len(rows) * d).reshape(len(rows), d) if fits else None
     if not fits:
         raise ValueError(f"states are not all of length {d}")
+    with np.errstate(invalid="ignore"):  # a NaN or infinite entry casts to garbage, caught below
+        arr = raw.astype(np.int64, copy=False)
+    if raw.dtype.kind not in "iu" and not np.array_equal(arr, raw):
+        i = int(np.argmin((arr == raw).all(axis=1)))
+        raise ValueError(f"state row {i} {raw[i].tolist()}: an entry is not a finite whole number")
     return arr
 
 
@@ -844,19 +858,20 @@ def _write_csv(path, header: str, rows: Iterable[str], provenance=None) -> Path:
     return _write_text(path, "\n".join([*lines, header, *rows]) + "\n")
 
 
-def _write_rows(base, spec: ModelSpec, kind: str, x0, horizon, rows, seed,
-                provenance) -> tuple[Path, Path]:
-    """Write ``base.csv`` from (time, channel, aux text) rows and ``base.json`` (header)."""
+def write_trajectory(base, spec: ModelSpec, traj: JumpSequence, seed=None,
+                     provenance: Mapping | None = None) -> tuple[Path, Path]:
+    """Write ``base.csv`` (time,event_name,aux) and ``base.json`` (header)."""
     base = Path(base)
     csv_path = _write_csv(base.with_suffix(".csv"), "time,event_name,aux",
-                          (f"{t:.17g},{spec.events[k].name},{aux}" for t, k, aux in rows))
+                          (f"{j.time:.17g},{spec.events[j.event].name},{j.aux}"
+                           for j in traj.jumps))
     head = {
-        "kind": kind,
+        "kind": "jumps",
         "model": spec.name,
         "params": spec.params,
         "seed": seed,
-        "x0": [int(v) for v in x0],
-        "t_end": horizon,
+        "x0": [int(v) for v in traj.x0],
+        "t_end": traj.t_end,
         "events": [ev.name for ev in spec.events],
     }
     if provenance:
@@ -864,29 +879,18 @@ def _write_rows(base, spec: ModelSpec, kind: str, x0, horizon, rows, seed,
     return csv_path, _write_json(base.with_suffix(".json"), head)
 
 
-def write_trajectory(base, spec: ModelSpec, traj: JumpSequence, seed=None,
-                     provenance: Mapping | None = None) -> tuple[Path, Path]:
-    """Write ``base.csv`` (time,event_name,aux) and ``base.json`` (header)."""
-    return _write_rows(base, spec, "jumps", traj.x0, traj.t_end,
-                       ((j.time, j.event, j.aux) for j in traj.jumps), seed, provenance)
+def read_trajectory(base) -> tuple[JumpSequence, dict]:
+    """Read a trajectory written by `write_trajectory`: ``(JumpSequence, header)``.
 
-
-def write_history(base, spec: ModelSpec, h: History, seed=None,
-                  provenance: Mapping | None = None) -> tuple[Path, Path]:
-    """Like `write_trajectory` but with the aux column left empty."""
-    return _write_rows(base, spec, "history", h.x0, h.horizon,
-                       ((t, k, "") for t, k in h.events), seed, provenance)
-
-
-def read_trajectory(base) -> tuple[JumpSequence | History, dict]:
-    """Read a trajectory or history written by the writers above.
-
-    Returns ``(JumpSequence, header)`` or ``(History, header)`` depending on
-    the header's ``kind``.  Event names are resolved through the header's
-    catalog listing, so no model object is needed.
+    Event names are resolved through the header's catalog listing, so no
+    model object is needed.  A header whose ``kind`` is not ``"jumps"``
+    raises ValueError naming it.
     """
     base = Path(base)
     head = json.loads(base.with_suffix(".json").read_text())
+    if head["kind"] != "jumps":
+        raise ValueError(f"{base.with_suffix('.json')}: trajectory kind {head['kind']!r} "
+                         f"is not 'jumps'")
     index = {name: k for k, name in enumerate(head["events"])}
     x0 = tuple(int(v) for v in head["x0"])
     horizon = float(head["t_end"])
@@ -903,8 +907,5 @@ def read_trajectory(base) -> tuple[JumpSequence | History, dict]:
         t, name, aux = parts
         if name not in index:
             raise ValueError(f"{base.with_suffix('.csv')}:{lineno}: unknown event {name!r}")
-        rows.append((float(t), index[name], aux))
-    if head["kind"] == "history":
-        return History(horizon, x0, tuple((t, k) for t, k, _ in rows)), head
-    jumps = tuple(Jump(t, k, int(aux)) for t, k, aux in rows)
-    return JumpSequence(x0, jumps, horizon), head
+        rows.append(Jump(float(t), index[name], int(aux)))
+    return JumpSequence(x0, tuple(rows), horizon), head

@@ -224,6 +224,17 @@ def test_event_at_time_zero_is_rejected_by_every_route(tmp_path, capsys, newick)
     assert "cannot precede the process" in capsys.readouterr().err
 
 
+def test_exact_rejects_a_history_file(tmp_path, capsys):
+    # a trajectory header of any kind but "jumps" is a malformed input
+    out = simulated(tmp_path)
+    head = out / "trajectory.json"
+    head.write_text(json.dumps({**json.loads(head.read_text()), "kind": "history"}))
+    config = write_config(tmp_path, name="exact.json",
+                          inputs={"trajectory": str(out / "trajectory")})
+    assert run("exact", "--config", config, "--out", tmp_path / "exact") == 2
+    assert "config.inputs.trajectory: malformed" in capsys.readouterr().err
+
+
 def test_exact_routes_agree(tmp_path):
     out = simulated(tmp_path)
     config = write_config(tmp_path, name="exact.json",
@@ -250,7 +261,8 @@ def test_profile_writes_csv(tmp_path):
         inputs={"genealogy": str(out / "genealogy_visible.json")},
         profile={"parameter": "birth_rate", "values": [1.0, 1.5],
                  "n_particles": 150, "n_reps": 2,
-                 "include_oracle": True, "n_max": 60})
+                 "include_oracle": True},
+        oracle={"n_max": 60})
     res_dir = tmp_path / "prof"
     assert run("profile", "--config", config, "--out", res_dir) == 0
     lines = (res_dir / "profile.csv").read_text().splitlines()
@@ -262,6 +274,19 @@ def test_profile_writes_csv(tmp_path):
         assert cells[3] == "150"
         # the noisy estimate tracks the deterministic one
         assert abs(float(cells[1]) - float(cells[6])) < 2.0
+
+
+def test_profile_reads_its_truncation_from_the_oracle_section(tmp_path, capsys):
+    # the oracle settings have one home: n_max in the profile section is an unknown key
+    out = simulated(tmp_path)
+    config = write_config(
+        tmp_path, name="profile.json",
+        inputs={"genealogy": str(out / "genealogy_visible.json")},
+        profile={"parameter": "birth_rate", "values": [1.0], "n_particles": 20,
+                 "include_oracle": True, "n_max": 60})
+    assert run("profile", "--config", config, "--out", tmp_path / "prof") == 2
+    err = capsys.readouterr().err
+    assert "config.profile:" in err and "'n_max'" in err
 
 
 def test_profile_rejects_unknown_parameter(tmp_path, capsys):

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import genfilter as gf
-from genfilter.exact import ExactError, QContext, q_factor
+from genfilter.exact import ExactError, q_factor
 from genfilter.population import History, Jump, JumpSequence, state_at
+from stochastic import z_verdict
 
 
 def lbdp(lam, delta, psi, n0):
@@ -39,53 +40,54 @@ def iter_transitions(spec, obj):
 # q_factor unit behavior
 
 
-def ctx(**kw):
+def q(**kw):
+    """`q_factor` on one (lineage, event) pair, the given fields over a neutral default."""
     base = dict(kind="other", focal=3, lineages=1, in_window=True,
                 at_attachment=False, at_prior_attachment=False,
                 attach_kind="root")
     base.update(kw)
-    return QContext(**base)
+    return q_factor(**base)
 
 
 def test_q_factor_neutral_cases_are_one():
-    assert q_factor(ctx(in_window=False, kind="sample")) == (1.0, True)
-    assert q_factor(ctx(kind="other")) == (1.0, True)
-    assert q_factor(ctx(kind="birth", at_prior_attachment=True)) == (1.0, True)
+    assert q(in_window=False, kind="sample") == (1.0, True)
+    assert q(kind="other") == (1.0, True)
+    assert q(kind="birth", at_prior_attachment=True) == (1.0, True)
 
 
 def test_q_factor_sample_interior():
-    value, ok = q_factor(ctx(kind="sample", focal=5, lineages=2))
+    value, ok = q(kind="sample", focal=5, lineages=2)
     assert ok and abs(value - 2.0 / 3.0) < 1e-15
 
 
 def test_q_factor_sample_at_attachment():
-    value, ok = q_factor(ctx(kind="sample", focal=5, lineages=2,
-                             at_attachment=True, attach_kind="direct"))
+    value, ok = q(kind="sample", focal=5, lineages=2,
+                  at_attachment=True, attach_kind="direct")
     assert ok and abs(value - 1.0 / 3.0) < 1e-15
     # a sample event cannot host a coalescence attachment
-    value, ok = q_factor(ctx(kind="sample", focal=5, lineages=2,
-                             at_attachment=True, attach_kind="coalescence"))
+    value, ok = q(kind="sample", focal=5, lineages=2,
+                  at_attachment=True, attach_kind="coalescence")
     assert (value, ok) == (0.0, False)
 
 
 def test_q_factor_birth_interior_and_at_attachment():
     # I=4 after the birth, one earlier lineage crossing
-    value, ok = q_factor(ctx(kind="birth", focal=4, lineages=1))
+    value, ok = q(kind="birth", focal=4, lineages=1)
     assert ok and abs(value - (1.0 - 1.0 / 6.0)) < 1e-15
-    value, ok = q_factor(ctx(kind="birth", focal=4, lineages=1,
-                             at_attachment=True, attach_kind="coalescence"))
+    value, ok = q(kind="birth", focal=4, lineages=1,
+                  at_attachment=True, attach_kind="coalescence")
     assert ok and abs(value - 1.0 / 6.0) < 1e-15
 
 
 def test_q_factor_counting_incompatibilities():
-    assert q_factor(ctx(kind="sample", focal=2, lineages=2)) == (0.0, False)
-    assert q_factor(ctx(kind="birth", focal=2, lineages=2)) == (0.0, False)
-    assert q_factor(ctx(kind="birth", focal=2, lineages=2,
-                        at_attachment=True, attach_kind="coalescence")) == (0.0, False)
+    assert q(kind="sample", focal=2, lineages=2) == (0.0, False)
+    assert q(kind="birth", focal=2, lineages=2) == (0.0, False)
+    assert q(kind="birth", focal=2, lineages=2,
+             at_attachment=True, attach_kind="coalescence") == (0.0, False)
 
 
 def test_q_factor_on_arrays_matches_scalar_calls():
-    # every combination of the context's fields, which covers each branch:
+    # every combination of the arguments, which covers each branch:
     # neutral, sample and birth in the interior and at the attachment, and
     # each counting incompatibility
     combos = list(itertools.product(
@@ -94,10 +96,10 @@ def test_q_factor_on_arrays_matches_scalar_calls():
     fields = ("kind", "focal", "lineages", "in_window", "at_attachment",
               "at_prior_attachment", "attach_kind")
     columns = {f: np.array(col) for f, col in zip(fields, zip(*combos))}
-    values, compatible = q_factor(QContext(**columns))
+    values, compatible = q_factor(**columns)
     assert values.shape == compatible.shape == (len(combos),)
     for i, combo in enumerate(combos):
-        value, ok = q_factor(QContext(*combo))
+        value, ok = q_factor(*combo)
         assert type(value) is float and type(ok) is bool
         assert (values[i], compatible[i]) == (value, ok), combo
     assert compatible.any() and not compatible.all()
@@ -285,6 +287,41 @@ def test_routes_agree_on_random_small_models(model):
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
+# examples of the filter-against-oracle check, and its family-wise false-alarm
+# rate, split evenly over them
+SMALL_MODEL_EXAMPLES = 20
+SMALL_MODEL_ALPHA = 1e-3
+
+
+@settings(max_examples=SMALL_MODEL_EXAMPLES, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(model=small_models(), margin=st.integers(10, 16))
+def test_filter_matches_the_oracle_on_random_small_models(model, margin):
+    # the box holds every coordinate from 0 to ``margin`` above the most the
+    # trajectory reached; a box that leaks is no reference and is set aside
+    spec, seed = model
+    try:
+        traj = gf.simulate(spec, 1.0, np.random.default_rng(seed), max_jumps=200)
+    except gf.SimulationError as err:
+        assert "jump count exceeded cap" in str(err)
+        assume(False)
+    visible = gf.prune(gf.build_genealogy(spec, traj)[0])
+    n = len(spec.active_dims)
+    steps = spec.displacements[[j.event for j in traj.jumps]].reshape(-1, spec.d)
+    states = np.vstack([traj.x0, traj.x0 + np.cumsum(steps, axis=0)])
+    top = states.max(axis=0)[:n] + margin
+    box = [(*x, 0) for x in itertools.product(*(range(h + 1) for h in top))]
+    oracle, grid = gf.oracle_loglik(spec, visible, box, return_grid=True)
+    assume(gf.boundary_flux(spec, grid, t=visible.time) < 1e-6)
+    estimates = gf.replicate_loglik(spec, visible, gf.FilterConfig(200, seed=seed), 40).estimates
+    if np.ptp(estimates) < 1e-9:
+        # no draw moves a weight, so every run is exact up to rounding
+        assert np.mean(estimates) == pytest.approx(oracle, abs=1e-6)
+        return
+    verdict = z_verdict([(estimates, oracle)], SMALL_MODEL_ALPHA / SMALL_MODEL_EXAMPLES)
+    assert verdict.ok, verdict
+
+
 def per_pair_loglik_lineages(spec, traj):
     """`loglik_lineages` as one scalar `q_factor` call per (lineage, event) pair."""
     visible = gf.prune(gf.build_genealogy(spec, traj)[0])
@@ -310,7 +347,7 @@ def per_pair_loglik_lineages(spec, traj):
             t_k = float(times[k])
             crossing = sum(1 for r in chain[:j]
                            if r.attach_time <= t_k < r.sample_time)
-            ctx = QContext(
+            value, _ = q_factor(
                 kind=kinds[k],
                 focal=focal[k],
                 lineages=crossing,
@@ -319,10 +356,9 @@ def per_pair_loglik_lineages(spec, traj):
                 at_prior_attachment=(t_k in prior_attachments),
                 attach_kind=rec.attach_kind,
             )
-            q, _ = q_factor(ctx)
-            if q <= 0.0:
+            if value <= 0.0:
                 return -math.inf
-            total += math.log(q)
+            total += math.log(value)
     return total
 
 
@@ -396,9 +432,9 @@ def test_lineage_route_calls_q_factor_once_per_lineage(monkeypatch):
     assert lineages >= 5
     calls = []
 
-    def counting(ctx):
-        calls.append(ctx)
-        return q_factor(ctx)
+    def counting(*args):
+        calls.append(args)
+        return q_factor(*args)
     monkeypatch.setattr(gf.exact, "q_factor", counting)
     assert math.isfinite(gf.loglik_lineages(spec, traj))
     assert len(calls) == lineages

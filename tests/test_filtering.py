@@ -1,6 +1,7 @@
 """Particle filter and truncated-grid oracle."""
 
 import math
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -139,6 +140,26 @@ def test_schedule_faults_are_named_errors_on_both_routes(nodes, message):
         gf.smc_loglik(spec, v, FilterConfig(10, seed=1))
     with pytest.raises(gf.GenealogyError, match=message):
         gf.oracle_loglik(spec, v, [(n, 0) for n in range(8)])
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_an_init_sample_draw_that_is_not_whole_is_a_model_error(bad):
+    # a draw of 2.5 was floored to 2, so simulate and the filter started from
+    # a state the initial law never gives; whole floats still read as integers
+    base = lbdp(1.0, 0.5, 0.2, 3)
+
+    def spec_drawing(first):
+        return gf.ModelSpec("float-start", base.d, base.events, base.rates,
+                            lambda rng, n: np.tile([first, 0.0], (n, 1)), base.init_pmf,
+                            base.focal_dim, bookkeeping_dims=(1,))
+    assert gf.simulate(spec_drawing(3.0), 0.5, np.random.default_rng(1)).x0 == (3, 0)
+    spec = spec_drawing(bad)
+    message = re.escape(f"init_sample: state row 0 {[bad, 0.0]}: an entry is not a finite "
+                        f"whole number")
+    with pytest.raises(gf.SimulationError, match=message):
+        gf.simulate(spec, 0.5, np.random.default_rng(1))
+    with pytest.raises(gf.SimulationError, match=message):
+        gf.smc_loglik(spec, two_leaf_visible(), gf.FilterConfig(20, seed=1))
 
 
 def test_init_ensemble_projects_bookkeeping():
@@ -689,12 +710,17 @@ def test_oracle_rejects_negative_mass_beyond_tolerance(monkeypatch, leak, raises
         assert math.isfinite(gf.oracle_loglik(spec, two_leaf_visible(), truncation))
 
 
-def test_boundary_flux_from_dict():
+def hand_grid(states, weights, t=0.0):
+    """A `WeightGrid` built by hand from state rows and their weights."""
+    return gf.WeightGrid(np.asarray(states, dtype=np.int64), np.asarray(weights, dtype=float), t)
+
+
+def test_boundary_flux_of_a_hand_built_grid():
     spec = lbdp(0.8, 0.3, 0.5, 1)
     # sampling only moves the bookkeeping coordinate, so it never leaves
-    assert gf.boundary_flux(spec, {(1,): 1.0}) == pytest.approx(1.1)
+    assert gf.boundary_flux(spec, hand_grid([(1,)], [1.0])) == pytest.approx(1.1)
     # death from 2 lands on 1, inside the set; birth from 1 lands on 2
-    flux = gf.boundary_flux(spec, {(1,): 0.5, (2,): 0.5})
+    flux = gf.boundary_flux(spec, hand_grid([(1,), (2,)], [0.5, 0.5]))
     assert flux == pytest.approx(0.5 * 0.3 + 0.5 * 1.6)
 
 
@@ -702,9 +728,9 @@ def test_boundary_flux_from_dict():
                                         ("piecewise", 1.3274653344538958)])
 def test_boundary_flux_is_one_value_on_every_path(beta, want):
     # infections leave the s >= 85 band of the SIR-100 simplex; the oracle's
-    # grid, a grid built by hand from its states and weights and the same
-    # weights as a dict, in either order, give one float, recorded before the
-    # grid carried the oracle's lattice
+    # grid and a grid built by hand from its states and weights, in either
+    # order, give one float, recorded before the grid carried the oracle's
+    # lattice
     params, _, v = sir100_visible(1.0)
     if beta == "piecewise":
         beta = gf.PiecewiseConstant((0.5,), (0.04, 0.02))
@@ -712,16 +738,15 @@ def test_boundary_flux_is_one_value_on_every_path(beta, want):
     band = [x for x in gf.sir_truncation(params) if x[0] >= 85]
     _, grid = gf.oracle_loglik(spec, v, band, return_grid=True)
     assert grid.lattice is grid.lattice and "lattice" not in repr(grid)
-    by_hand = gf.WeightGrid(grid.states.copy(), grid.weights.copy(), grid.time, grid.log_scale)
-    as_dict = dict(zip(map(tuple, grid.states.tolist()), grid.weights.tolist()))
-    reversed_dict = dict(reversed(as_dict.items()))
-    flux = [gf.boundary_flux(spec, w, t=v.time) for w in (grid, by_hand, as_dict, reversed_dict)]
-    assert flux == [want] * 4
+    by_hand = hand_grid(grid.states, grid.weights, grid.time)
+    reversed_grid = hand_grid(grid.states[::-1], grid.weights[::-1], grid.time)
+    flux = [gf.boundary_flux(spec, w, t=v.time) for w in (grid, by_hand, reversed_grid)]
+    assert flux == [want] * 3
     # states reassigned on the oracle's grid leave its lattice behind
+    head = hand_grid(grid.states[:50], grid.weights[:50], grid.time)
     grid.states, grid.weights = grid.states[:50], grid.weights[:50]
     assert grid.lattice.size == 50
-    assert gf.boundary_flux(spec, grid, t=v.time) == gf.boundary_flux(
-        spec, dict(list(as_dict.items())[:50]), t=v.time)
+    assert gf.boundary_flux(spec, grid, t=v.time) == gf.boundary_flux(spec, head, t=v.time)
 
 
 @pytest.mark.parametrize("shape", ["narrow", "wide", "ragged", "narrow-array", "wide-array"])
@@ -736,6 +761,34 @@ def test_oracle_names_the_width_of_a_malformed_truncation(shape):
     bad["narrow-array"], bad["wide-array"] = np.array(bad["narrow"]), np.array(bad["wide"])
     with pytest.raises(ValueError, match=f"states are not all of length {spec.d}"):
         gf.oracle_loglik(spec, coalescence_visible(), bad[shape])
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["rows", "array"])
+@pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+def test_oracle_names_a_truncation_row_that_is_not_whole(bad, array):
+    # a row (7.5, 0) was read as (7, 0), and the oracle gave a value for a
+    # state the model never gives; whole floats still read as their integers
+    params = gf.LBDPParams(1.0, 0.5, 0.8, 2)
+    spec, v = gf.lbdp_spec(params), two_leaf_visible()
+    rows = [(float(n), 0.0) for n in range(41)]
+    assert gf.oracle_loglik(spec, v, rows) == gf.oracle_loglik(spec, v, gf.lbdp_truncation(params, 40))
+    rows[7] = (7 + bad, 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"state row 7 {[7 + bad, 0.0]}: an entry is "
+                                                   f"not a finite whole number")):
+        gf.oracle_loglik(spec, v, np.array(rows) if array else rows)
+
+
+def test_oracle_reads_a_state_listed_twice_once():
+    # listing the start state (2, 0) twice added its initial mass twice, which
+    # put the value exactly log 2 too high
+    params = gf.LBDPParams(1.0, 0.5, 0.8, 2)
+    spec = gf.lbdp_spec(params)
+    v = gf.prune(gf.build_genealogy(spec, gf.simulate(spec, 1.0, np.random.default_rng(3)))[0])
+    rows = gf.lbdp_truncation(params, 40)
+    want = gf.oracle_loglik(spec, v, rows)
+    assert want == pytest.approx(-1.4088590597728734, abs=1e-9)
+    for listed in (rows + [(2, 0)], np.array([(2, 0)] + rows), rows + rows):
+        assert gf.oracle_loglik(spec, v, listed) == want
 
 
 def test_oracle_takes_an_array_truncation_as_it_is():

@@ -1,6 +1,8 @@
 """Source hygiene checks on the package itself."""
 
 import ast
+import json
+import math
 import os
 import subprocess
 import sys
@@ -180,3 +182,17 @@ def test_the_readme_library_example_runs_as_written(capsys):
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, str(readme), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == code.count("print(")
+
+
+def test_the_readme_command_line_example_runs_as_written(tmp_path):
+    """README's simulate-then-filter config runs through `simulate` and `filter` unchanged."""
+    from genfilter.cli import main
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("A config that simulates and then filters the result:", 1)[1]
+    config = tmp_path / "run.json"
+    config.write_text(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out/run")]) == 0
+    assert main(["filter", "--config", str(config), "--out", str(tmp_path / "out/flt")]) == 0
+    result = json.loads((tmp_path / "out/flt/result.json").read_text())
+    assert len(result["estimates"]) == 4
+    assert all(isinstance(x, float) and math.isfinite(x) for x in result["estimates"])

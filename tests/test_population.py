@@ -1,5 +1,6 @@
 """Simulation, path densities, and the master-equation integrator."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -853,15 +854,15 @@ def test_trajectory_round_trip(tmp_path):
     assert head["params"]["birth_rate"] == 1.4
 
 
-def test_history_round_trip(tmp_path):
+def test_read_trajectory_rejects_a_history_file(tmp_path):
+    # a trajectory file holds jumps: a header of another kind is refused even
+    # when the rows would read as jumps
     spec = lbdp(1.4, 0.6, 0.9, 3)
     traj = gf.simulate(spec, 2.0, np.random.default_rng(37))
-    h = to_history(traj)
-    gf.write_history(tmp_path / "run", spec, h)
-    back, head = gf.read_trajectory(tmp_path / "run")
-    assert isinstance(back, History)
-    assert back == h
-    assert head["kind"] == "history"
+    _, json_path = gf.write_trajectory(tmp_path / "run", spec, traj)
+    json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "kind": "history"}))
+    with pytest.raises(ValueError, match=r"run\.json: trajectory kind 'history' is not 'jumps'"):
+        gf.read_trajectory(tmp_path / "run")
 
 
 def test_read_trajectory_errors_name_the_line(tmp_path):
