@@ -317,7 +317,12 @@ def cmd_oracle(args, config, out: Path) -> int:
 def cmd_exact(args, config, out: Path) -> int:
     _, spec = _build_model(config)
     seed = _resolve_seed(args, config)
-    traj, _header = _read_input(config, "trajectory", _read_trajectory)
+    traj, header = _read_input(config, "trajectory", _read_trajectory)
+    names = [ev.name for ev in spec.events]
+    if header["events"] != names or len(traj.x0) != spec.d:
+        raise ConfigError(f"config.inputs.trajectory: events {header['events']} and a "
+                          f"{len(traj.x0)}-wide x0 do not fit model {spec.name!r}, "
+                          f"whose events are {names} on {spec.d}-wide states")
     by_lineage = loglik_lineages(spec, traj)
     g, _ = build_genealogy(spec, traj)
     visible = prune(g)

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .genealogy import Genealogy, LineageFunction, build_genealogy, embedded_chain, prune
-from .population import History, JumpSequence, ModelSpec, _path, to_history
+from .population import History, JumpSequence, ModelSpec, _path, _x0, to_history
 
 
 class ExactError(RuntimeError):
@@ -127,12 +127,15 @@ def loglik_lineages(spec: ModelSpec, traj: JumpSequence) -> float:
     independent check on `loglik_events`.  Earlier lineages crossing an
     event time t are counted from sorted prefixes of attachment and sample
     times, #{attach <= t} - #{sample <= t}, as none is sampled before it
-    attaches.  A trajectory with no samples gives 0 (empty product).  The
-    trajectory is read by `population._path` once its genealogy is built, so
-    a `GenealogyError` comes before the ValueError of a time fault.
+    attaches.  A trajectory with no samples gives 0 (empty product).  Its
+    x0 is read by `population._x0` first, and the rest by `population._path`
+    once its genealogy is built, so a `GenealogyError` comes before the
+    ValueError of a time fault.
     """
+    h = to_history(traj)
+    x0 = _x0(spec, h)
     visible = prune(build_genealogy(spec, traj)[0])
-    times, channels, states = _path(spec, to_history(traj))
+    times, channels, states = _path(spec, h, x0)
     chain = embedded_chain(visible)
     if not chain:
         return 0.0

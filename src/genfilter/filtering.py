@@ -24,8 +24,10 @@ Both routes weight with the same recursion as the closed form in
 and `hidden_birth_factor` at each birth between events.  Those factors are
 written once, in `genfilter.exact`; this module only applies them, to
 particles or to grid weights, and reads the between-events ones from one
-table per lineage count, `_jump_factors`.  Every rate is read through
-`ModelSpec.rate_matrix`, which rejects negative and non-finite rates.
+table per lineage count, `_jump_factors`.  Rates over many states at once
+are read through `ModelSpec.rate_matrix`, which rejects negative and
+non-finite rates; the filter kernel reads a channel with a rate bound one
+particle at a time, through `ModelSpec.rate_bound` and `ModelSpec.rate`.
 
 Both routes make one walk, `_stretches`, over `genealogy.event_schedule`: a
 stretch of constant lineage count, then its event.  The counts are
@@ -50,9 +52,9 @@ Its sparsity pattern is assembled once per oracle call, with the lattice
 (`StateLattice.pattern`); each epoch only refills the data, once for one
 exact uniformization step (`integrate_epochs`), or, when some channel has a
 bound, at every RK45 step.  The lattice is built once per call from the
-truncation, and the `WeightGrid` the oracle returns carries it, so
-`boundary_flux` on that grid reads the transition maps the oracle built.
-No lattice or generator outlives the grid it belongs to.
+truncation, and the `WeightGrid` the oracle returns is that lattice and
+its weights in row order, so `boundary_flux` on that grid reads the
+transition maps the oracle built.
 
 States with fewer focal individuals than the genealogy's lineages carry zero
 weight from each stretch's start.  Coordinates declared as bookkeeping on the
@@ -181,33 +183,24 @@ class ReplicateResult:
 
 @dataclass
 class WeightGrid:
-    """Partial weights over a truncation at a fixed time.
+    """Partial weights over a state lattice at a fixed time.
 
-    These are unnormalized filter weights, not a posterior over states:
-    ``exp(log_scale) * weights.sum()`` is the likelihood accumulated so far.
-    The scale is kept apart so that the weights stay representable on long
-    genealogies.
-
-    ``lattice`` is the `StateLattice` of ``states``.  A grid from
-    `oracle_loglik` carries the lattice the oracle ran on, with every
-    transition map it built but none of its generator patterns, for as
-    long as ``states`` are that lattice's rows in order; any other grid,
-    one built by hand, by `dataclasses.replace` or whose states were
-    reassigned, gets a new one from its states at each read.
+    ``weights[j]`` is the weight of ``lattice.states[j]``, which ``states``
+    returns.  These are unnormalized filter weights, not a posterior over
+    states: ``exp(log_scale) * weights.sum()`` is the likelihood accumulated
+    so far.  The scale is kept apart so that the weights stay representable
+    on long genealogies.  A grid from `oracle_loglik` holds the lattice the
+    oracle ran on, with every transition map and generator pattern it built.
     """
 
-    states: np.ndarray
+    lattice: StateLattice
     weights: np.ndarray
     time: float
     log_scale: float = 0.0
-    _lattice: StateLattice | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def lattice(self) -> StateLattice:
-        kept = self._lattice
-        if kept is not None and np.array_equal(kept.states, self.states):
-            return kept
-        return StateLattice(self.states, self.states.shape[1])
+    def states(self) -> np.ndarray:
+        return self.lattice.states
 
 
 def _stretches(v: Genealogy):
@@ -247,12 +240,14 @@ def _jump_factors(spec, ell, top: int) -> np.ndarray:
 
     As ``factors[k, s]`` for the sizes 0..top at lineage count ``ell``: a
     birth's `hidden_birth_factor`, 0 for a sample (a sample between events
-    is not in the genealogy) and 1 for any other channel.  The filter's
-    `_log_gains` and the oracle's `_interval_generator` both read it.
+    is not in the genealogy) and 1 for any other channel, and 0 for every
+    channel at a size below ``ell``, which cannot hold the lineages.  The
+    filter's `_log_gains` and the oracle's `_interval_generator` both read it.
     """
     factors = np.ones((spec.n_events, top + 1))
     factors[spec.birth_mask] = hidden_birth_factor(np.arange(top + 1), ell)
     factors[spec.sample_mask] = 0.0
+    factors[:, :ell] = 0.0
     return factors
 
 
@@ -260,15 +255,14 @@ def _log_gains(spec, ell, top: int) -> np.ndarray:
     """Log weight change of a jump by channel k to focal size s, as ``gains[k, s]``.
 
     The log of `_jump_factors` over the sizes 0..top, so a sample is fatal
-    (-inf), and so is a death below ``ell``; only a sampling channel with a
-    rate bound is on the clock to draw one.  The extra last row is a
-    rejected thinning candidate, which pays nothing.  Focal sizes, being
-    counts, index the columns directly.
+    (-inf), and so is a jump to fewer focal individuals than ``ell``; only a
+    sampling channel with a rate bound is on the clock to draw a sample.
+    The extra last row is a rejected thinning candidate, which pays nothing.
+    Focal sizes, being counts, index the columns directly.
     """
     gains = np.zeros((spec.n_events + 1, top + 1))
     with np.errstate(divide="ignore"):
         gains[:-1] = np.log(_jump_factors(spec, ell, top))
-    gains[:-1][spec.death_mask[:, None] & (np.arange(top + 1) < ell)] = -np.inf
     return gains
 
 
@@ -593,17 +587,17 @@ def replicate_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
 # ---------------------------------------------------------------------------
 # Deterministic truncated-grid oracle.
 
-def _interval_generator(spec, lattice, t, ell, compat):
+def _interval_generator(spec, lattice, t, ell):
     """Sparse operator for the between-events weight flow at lineage count ell.
 
     Each channel's inflow into a state is scaled by the `_jump_factors`
     entry at the state's focal size, so sampling channels act as pure
-    killing (outflow without inflow) and birth inflow is damped by the
-    no-coalescence probability; inflow into states inconsistent with the
-    lineage count (``compat`` false) is dropped.
+    killing (outflow without inflow), birth inflow is damped by the
+    no-coalescence probability and inflow into a state with fewer focal
+    individuals than ``ell`` is dropped.
     """
     size = lattice.states[:, spec.focal_dim]
-    scale = _jump_factors(spec, ell, int(size.max())).T[size] * compat[:, None]
+    scale = _jump_factors(spec, ell, int(size.max())).T[size]
     return _generator(lattice, spec.active_displacements,
                       spec.rate_matrix(t, lattice.states), scale)
 
@@ -644,7 +638,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     or non-finite one, is a defect of the model and raises `SimulationError`,
     as on every route.  A truncation that holds none of the initial mass
     raises `FilterError`: -inf is kept for an impossible genealogy.  The
-    grid of ``return_grid`` carries the call's lattice (`WeightGrid`).
+    grid of ``return_grid`` is the call's lattice and final weights
+    (`WeightGrid`), handed on without a copy.
     """
     _check_tol(tol)
     n_active = len(spec.active_dims)
@@ -660,10 +655,9 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     size = proj.states[:, spec.focal_dim]
     log_scale = 0.0
     for t, e, ell, kind, ell_post in _stretches(v):
-        compat = size >= ell
-        w[~compat] = 0.0
+        w[size < ell] = 0.0
         if e > t:
-            out = integrate_epochs(spec, lambda a: _interval_generator(spec, proj, a, ell, compat),
+            out = integrate_epochs(spec, lambda a: _interval_generator(spec, proj, a, ell),
                                    w, t, e, tol)
             if out.min() < -tol * w.sum():
                 raise IntegrationError(f"grid weight {out.min():.3g} on [{t}, {e}] is negative "
@@ -679,30 +673,22 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     total = float(w.sum())
     loglik = log_scale + math.log(total) if total > 0.0 else -math.inf
     if return_grid:
-        grid = WeightGrid(proj.states.copy(), w.copy(), v.time, log_scale)
-        proj._patterns.clear()  # the grid keeps only the transition maps boundary_flux reads
-        grid._lattice = proj
-        return loglik, grid
+        return loglik, WeightGrid(proj, w, v.time, log_scale)
     return loglik
 
 
-def boundary_flux(spec: ModelSpec, weights: WeightGrid, t: float = 0.0) -> float:
+def boundary_flux(spec: ModelSpec, grid: WeightGrid, t: float | None = None) -> float:
     """Instantaneous probability flux out of the set of weighted states.
 
     The flux is mass times rate, summed over the rows each channel takes off
-    the `WeightGrid.lattice` of ``weights``; the grid of `oracle_loglik`
-    brings the oracle's own lattice, whose transition maps are already
-    built.  The weights count without their ``log_scale``, so the flux is
-    relative to the likelihood accumulated so far.  A large value relative
-    to the integration tolerance means the truncation is too small.
+    the grid's lattice, with rates read at ``grid.time`` unless ``t`` is
+    given; the lattice of an `oracle_loglik` grid has its transition maps
+    already built.  The weights count without their ``log_scale``, so the
+    flux is relative to the likelihood accumulated so far.  A large value
+    relative to the integration tolerance means the truncation is too small.
     """
-    states, mass = weights.states, weights.weights
-    if not len(mass):
-        return 0.0
-    lattice = weights.lattice
-    w = np.zeros(lattice.size)
-    np.add.at(w, lattice.rows(states), mass)
-    rates = spec.rate_matrix(t, lattice.states)
+    lattice, w = grid.lattice, grid.weights
+    rates = spec.rate_matrix(grid.time if t is None else t, lattice.states)
     flux = 0.0
     for k in range(spec.n_events):
         off = np.ones(lattice.size, dtype=bool)

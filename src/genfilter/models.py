@@ -334,7 +334,11 @@ def build_model(name: str, params: Mapping, mu: float = 1.0) -> ModelSpec:
 
 
 def model_params(name: str, params: Mapping):
-    """The params dataclass of a registered model, from a plain mapping."""
+    """The params dataclass of a registered model, from a plain mapping.
+
+    Values are taken as given; the model's spec builder checks them, and
+    reads a mapping ``transmission_rate`` as a step function (`_as_rate`).
+    """
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}; choose from {sorted(MODELS)}")
     cls, _ = MODELS[name]
@@ -342,10 +346,7 @@ def model_params(name: str, params: Mapping):
     unknown = set(params) - fields
     if unknown:
         raise ValueError(f"model {name!r}: unknown parameters {sorted(unknown)}")
-    kwargs = dict(params)
-    if "transmission_rate" in kwargs:
-        kwargs["transmission_rate"] = _as_rate(kwargs["transmission_rate"])
     try:
-        return cls(**kwargs)
+        return cls(**params)
     except TypeError as exc:
         raise ValueError(f"model {name!r}: {exc}") from None

@@ -376,9 +376,9 @@ def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
     """State at time ``t`` (right-continuous).
 
     The left limit at ``t`` is the state at ``np.nextafter(t, -np.inf)``.
-    The trajectory is read by `_path`, like a history: a horizon that is not
-    finite or is below 0, or a jump outside (0, t_end] or out of order,
-    raises ValueError.
+    The trajectory is read by `_path`, like a history: an x0 that is not a
+    state of the model, a horizon that is not finite or is below 0, or a
+    jump outside (0, t_end] or out of order, raises ValueError.
     """
     times, _, states = _path(spec, to_history(traj))
     return states[np.searchsorted(times, t, side="right")]
@@ -412,13 +412,26 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> f
     return total
 
 
-def _path(spec: ModelSpec, h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _x0(spec: ModelSpec, h: History) -> np.ndarray:
+    """``h.x0`` as a (1, d) int64 array, read by `_state_array`.
+
+    An x0 that is not ``spec.d`` finite whole numbers raises ValueError naming it.
+    """
+    try:
+        return _state_array([h.x0], spec.d)
+    except ValueError:
+        raise ValueError(f"x0 {h.x0!r} is not a state of {spec.d} finite whole numbers") from None
+
+
+def _path(spec: ModelSpec, h: History, x0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The event times, channels and states of ``h``.
 
-    ``states[0]`` is ``x0`` and ``states[i]`` the state after event i - 1.
-    A horizon that is not finite or is below 0, or an event time outside
-    (0, horizon] or out of order, raises ValueError.
+    ``states[0]`` is ``x0``, as `_x0` reads it unless given, and
+    ``states[i]`` the state after event i - 1.  A horizon that is not finite
+    or is below 0, or an event time outside (0, horizon] or out of order,
+    raises ValueError.
     """
+    x0 = _x0(spec, h) if x0 is None else x0
     if not 0.0 <= h.horizon < math.inf:
         raise ValueError(f"history horizon {h.horizon} is not finite or is below 0")
     times = np.array([t for t, _ in h.events], dtype=float)
@@ -427,9 +440,7 @@ def _path(spec: ModelSpec, h: History) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {h.horizon}] "
                          f"or unordered")
     channels = np.array([k for _, k in h.events], dtype=np.int64)
-    x0 = np.asarray(h.x0, dtype=np.int64)
-    states = x0 + np.cumsum(np.vstack([np.zeros_like(x0)[None], spec.displacements[channels]]),
-                            axis=0)
+    states = x0 + np.cumsum(np.vstack([np.zeros_like(x0), spec.displacements[channels]]), axis=0)
     return times, channels, states
 
 
@@ -437,10 +448,11 @@ def history_log_density(spec: ModelSpec, h: History) -> float:
     """Log density of a history against the rate-``mu`` Poisson base measure.
 
     Returns -inf when the initial state has zero mass or some realized event
-    has zero rate at its own jump time.  The initial state's mass is read by
-    `_initial_mass`, before the event times are checked: a defect of the
-    initial law raises `SimulationError`, as on every route, and a time
-    fault raises ValueError (`_path`).  The history is read one epoch
+    has zero rate at its own jump time.  The initial state is read by `_x0`
+    and its mass by `_initial_mass`, before the event times are checked: an
+    x0 that is not a state of the model raises ValueError naming it, a
+    defect of the initial law raises `SimulationError`, as on every route,
+    and a time fault raises ValueError (`_path`).  The history is read one epoch
     (`ModelSpec.epochs`) at a time: one checked `rate_matrix` call over the
     states that dwell in the epoch gives each channel without a rate bound
     its survival (rates times dwell) and each jump out of them its rate.  A
@@ -451,11 +463,12 @@ def history_log_density(spec: ModelSpec, h: History) -> float:
     entered, so the `SimulationError` names the first bad state at that
     time, unless an impossible jump comes first.
     """
-    p0 = float(_initial_mass(spec, np.array([h.x0], dtype=np.int64))[0])
+    x0 = _x0(spec, h)
+    p0 = float(_initial_mass(spec, x0)[0])
     if p0 <= 0.0:
         return -math.inf
     # state i holds on [starts[i], ends[i]] and is left by jump i
-    times, channels, states = _path(spec, h)
+    times, channels, states = _path(spec, h, x0)
     starts = np.concatenate(([0.0], times))
     ends = np.append(times, h.horizon)
     bounded = np.flatnonzero(spec.bound_mask).tolist()
@@ -883,8 +896,9 @@ def read_trajectory(base) -> tuple[JumpSequence, dict]:
     """Read a trajectory written by `write_trajectory`: ``(JumpSequence, header)``.
 
     Event names are resolved through the header's catalog listing, so no
-    model object is needed.  A header whose ``kind`` is not ``"jumps"``
-    raises ValueError naming it.
+    model object is needed.  A header whose ``kind`` is not ``"jumps"``, or
+    whose ``x0`` holds an entry that is not a finite whole number, raises
+    ValueError naming it.
     """
     base = Path(base)
     head = json.loads(base.with_suffix(".json").read_text())
@@ -892,7 +906,11 @@ def read_trajectory(base) -> tuple[JumpSequence, dict]:
         raise ValueError(f"{base.with_suffix('.json')}: trajectory kind {head['kind']!r} "
                          f"is not 'jumps'")
     index = {name: k for k, name in enumerate(head["events"])}
-    x0 = tuple(int(v) for v in head["x0"])
+    try:
+        x0 = tuple(_state_array([head["x0"]], len(head["x0"]))[0].tolist())
+    except ValueError:
+        raise ValueError(f"{base.with_suffix('.json')}: x0 {head['x0']!r} is not "
+                         f"a list of finite whole numbers") from None
     horizon = float(head["t_end"])
     rows = []
     text = base.with_suffix(".csv").read_text().splitlines()

@@ -235,6 +235,34 @@ def test_exact_rejects_a_history_file(tmp_path, capsys):
     assert "config.inputs.trajectory: malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,x0,message", [
+    ("lbdp", [2.5, 0], "is not a list of finite whole numbers"),
+    ("lbdp", [2], "1-wide x0 do not fit model 'lbdp'"),
+    ("sir", None, "do not fit model 'sir'"),
+])
+def test_exact_rejects_a_trajectory_that_does_not_fit_the_model(tmp_path, capsys, model, x0,
+                                                                 message):
+    # a whole x0 of the wrong width, or a sirs trajectory (its waning channel
+    # has no index under sir), ended in a traceback; x0 2.5 was read as 2
+    if model == "sir":
+        sirs = {"transmission_rate": 0.1, "recovery_rate": 0.3, "sampling_rate": 0.5,
+                "waning_rate": 2.0, "s0": 8, "i0": 3}
+        params = {k: v for k, v in sirs.items() if k != "waning_rate"}
+        sim = write_config(tmp_path, name="sirs.json", model={"name": "sirs", "params": sirs})
+        assert run("simulate", "--config", sim, "--out", tmp_path / "sim") == 0
+        traj = tmp_path / "sim" / "trajectory"
+        assert "waning" in traj.with_suffix(".csv").read_text()
+    else:
+        params, traj = LBDP_PARAMS, simulated(tmp_path) / "trajectory"
+        head = traj.with_suffix(".json")
+        head.write_text(json.dumps({**json.loads(head.read_text()), "x0": x0}))
+    config = write_config(tmp_path, name="exact.json", model={"name": model, "params": params},
+                          inputs={"trajectory": str(traj)})
+    assert run("exact", "--config", config, "--out", tmp_path / "exact") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.inputs.trajectory: ") and message in err
+
+
 def test_exact_routes_agree(tmp_path):
     out = simulated(tmp_path)
     config = write_config(tmp_path, name="exact.json",

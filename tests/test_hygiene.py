@@ -196,3 +196,15 @@ def test_the_readme_command_line_example_runs_as_written(tmp_path):
     result = json.loads((tmp_path / "out/flt/result.json").read_text())
     assert len(result["estimates"]) == 4
     assert all(isinstance(x, float) and math.isfinite(x) for x in result["estimates"])
+
+
+def test_the_line_counter_runs_and_agrees_with_a_plain_line_total():
+    """``tools/src_lines.py`` counts every line of the package, and codes fewer."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+    done = subprocess.run([sys.executable, str(tool), str(PACKAGE)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts = {key: int(value) for key, value in map(str.split, done.stdout.splitlines())}
+    total = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert counts["total"] == total
+    assert 0 < counts["code_only"] < total

@@ -322,6 +322,21 @@ def test_state_at_reads_a_trajectory_like_a_history():
         state_at(spec, unordered, 0.7)
 
 
+@pytest.mark.parametrize("x0", [(2.5, 0), (2,), (2, 0, 0), (math.nan, 0)])
+def test_every_path_reader_names_an_x0_that_is_not_a_state(x0):
+    # lbdp states are 2 wide and whole; casting (2.5, 0) to int gave the (2, 0)
+    # value, and (2,) gave -inf or an unnamed numpy error
+    spec = lbdp(1.0, 0.5, 0.5, 2)
+    traj = JumpSequence(x0, (Jump(0.5, 0),), 1.0)
+    h = to_history(traj)
+    readers = [lambda: history_log_density(spec, h), lambda: jump_log_density(spec, traj),
+               lambda: state_at(spec, traj, 0.7), lambda: gf.loglik_lineages(spec, traj),
+               lambda: gf.loglik_events(spec, h, gf.prune(gf.new_genealogy(2)))]
+    for read in readers:
+        with pytest.raises(ValueError, match=r"x0 .* is not a state of 2 finite whole numbers"):
+            read()
+
+
 def test_history_density_zero_rate_event_is_impossible():
     spec = lbdp(0.0, 1.0, 0.0, 1)
     birth = 0
