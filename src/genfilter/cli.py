@@ -306,7 +306,7 @@ def cmd_oracle(args, config, out: Path) -> int:
     v = _read_genealogy(config)
     tol = config.get("oracle", {}).get("tol", 1e-8)
     loglik, grid = oracle_loglik(spec, v, _truncation(config, params), tol=tol, return_grid=True)
-    flux = boundary_flux(spec, grid, t=v.time)
+    flux = boundary_flux(spec, grid)
     result = {"loglik": loglik, "tol": tol, "n_states": int(len(grid.states)),
               "boundary_flux": flux, "provenance": _provenance(config, seed)}
     _write_json(out / "result.json", _jsonable(result))

@@ -177,7 +177,7 @@ def loglik_events(spec: ModelSpec, h: History, visible: Genealogy) -> float:
     lineages) give -inf.  The pass only classifies events; each factor is
     then evaluated once, on the arrays of every event of its kind.
     """
-    times, _, states = _path(spec, h)
+    times, _, states = _path(spec, h, _x0(spec, h))
     lineages = LineageFunction(visible)
     pending = dict(lineages.schedule)
     by_kind: dict[str, list[int]] = {"hidden birth": [], "coalescence": [],

@@ -375,8 +375,9 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
 
     The lineage count, `LineageFunction`'s, is constant on such a stretch;
     every simulated birth reweights by the probability that it was not a
-    coalescence of tracked lineages, and a particle whose focal size falls
-    below the lineage count is zeroed out.  A sampling channel pays as in
+    coalescence of tracked lineages, and a particle whose focal size is
+    below the lineage count on entry, or falls below it by any jump, is
+    zeroed out, as in `smc_loglik`.  A sampling channel pays as in
     `smc_loglik`: off the clock by its survival weight without a rate bound,
     thinned and fatal when it samples with one.  A genealogy event strictly
     inside (t0, t1), or a genealogy `LineageFunction` rejects (an unpruned
@@ -392,6 +393,7 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     ell = lineages(t0)
     states = particles.states.copy()
     logw = particles.log_weights.copy()
+    logw[states[:, spec.focal_dim] < ell] = -np.inf
     if t1 > t0:
         states, logw, _ = _propagate(spec, states, logw, t0, t1, ell, [ensure_rng(rng)])
     return Ensemble(states, logw)

@@ -380,7 +380,8 @@ def state_at(spec: ModelSpec, traj: JumpSequence, t: float) -> np.ndarray:
     state of the model, a horizon that is not finite or is below 0, or a
     jump outside (0, t_end] or out of order, raises ValueError.
     """
-    times, _, states = _path(spec, to_history(traj))
+    h = to_history(traj)
+    times, _, states = _path(spec, h, _x0(spec, h))
     return states[np.searchsorted(times, t, side="right")]
 
 
@@ -423,15 +424,14 @@ def _x0(spec: ModelSpec, h: History) -> np.ndarray:
         raise ValueError(f"x0 {h.x0!r} is not a state of {spec.d} finite whole numbers") from None
 
 
-def _path(spec: ModelSpec, h: History, x0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _path(spec: ModelSpec, h: History, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The event times, channels and states of ``h``.
 
-    ``states[0]`` is ``x0``, as `_x0` reads it unless given, and
+    ``states[0]`` is ``x0``, as the caller read it with `_x0`, and
     ``states[i]`` the state after event i - 1.  A horizon that is not finite
     or is below 0, or an event time outside (0, horizon] or out of order,
     raises ValueError.
     """
-    x0 = _x0(spec, h) if x0 is None else x0
     if not 0.0 <= h.horizon < math.inf:
         raise ValueError(f"history horizon {h.horizon} is not finite or is below 0")
     times = np.array([t for t, _ in h.events], dtype=float)

@@ -251,6 +251,17 @@ def test_propagate_kills_deaths_below_lineage_count():
     assert abs(alive.mean() - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
+def test_propagate_zeroes_particles_that_start_below_the_lineage_count():
+    # one infected against two tracked lineages: every particle is dead on
+    # entry, whether or not an unmarked waning jump fires in the stretch
+    spec = gf.sirs_spec(gf.SIRSParams(0.0, 0.0, 0.0, 1.0, 3, 1, 4))
+    ens = gf.init_ensemble(spec, 200, np.random.default_rng(9))
+    out = gf.propagate_interval(spec, ens, two_leaf_visible(), 0.0, 0.4,
+                                np.random.default_rng(10))
+    assert (out.log_weights == -np.inf).all()
+    assert (out.states == ens.states).all()
+
+
 def test_propagate_reweights_hidden_births():
     # every simulated birth pays the chance it was not a tracked coalescence
     spec = lbdp(1.0, 0.0, 0.0, 2)

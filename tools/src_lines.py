@@ -1,11 +1,11 @@
 """Count the lines of the package source: in all, and code only.
 
-    python3 tools/src_lines.py [package directory, default src/genfilter]
+    python3 tools/src_lines.py
 
-Prints ``total <n>`` and ``code_only <n>`` for the ``*.py`` files of the
-directory.  A code-only line is a physical line that is not blank, not a
-comment line and not inside a docstring (the first string statement of a
-module, class or function), found with the `ast` module: the rule the
+Prints ``total <n>`` and ``code_only <n>`` for the ``*.py`` files of
+``src/genfilter``.  A code-only line is a physical line that is not blank,
+not a comment line and not inside a docstring (the first string statement
+of a module, class or function), found with the `ast` module: the rule the
 ``src_genfilter_lines`` entries of the ``BENCH_<n>.json`` files state.
 Standard library only.
 """
@@ -40,8 +40,8 @@ def count(path: Path) -> tuple[int, int]:
     return len(lines), len(code)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "genfilter"
+def main() -> int:
+    root = Path(__file__).resolve().parents[1] / "src" / "genfilter"
     counts = [count(p) for p in sorted(root.glob("*.py"))]
     print(f"total {sum(t for t, _ in counts)}")
     print(f"code_only {sum(c for _, c in counts)}")
@@ -49,4 +49,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
