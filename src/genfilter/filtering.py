@@ -48,10 +48,12 @@ channels with a bound are thinned, and they alone are read again at each
 candidate time.  The oracle's generator is `forward_generator`'s assembly
 with its inflow scaled per state and channel, which keeps it a
 sub-generator: nonnegative off the diagonal, columns summing to at most 0.
-Its sparsity pattern is assembled once per oracle call, with the lattice
-(`StateLattice.pattern`); each epoch only refills the data, once for one
-exact uniformization step (`integrate_epochs`), or, when some channel has a
-bound, at every RK45 step.  The lattice is built once per call from the
+Its sparsity pattern, with each row's diagonal cell, is assembled once per
+oracle call, with the lattice (`StateLattice.pattern`); each epoch only
+refills the data (a `population.Generator`, no scipy matrix), once for one
+exact uniformization step (`integrate_epochs`), which forms its series
+matrix on the same pattern, or, when some channel has a bound, at every
+RK45 step.  The lattice is built once per call from the
 truncation, and the `WeightGrid` the oracle returns is that lattice and
 its weights in row order, so `boundary_flux` on that grid reads the
 transition maps the oracle built.
@@ -599,7 +601,7 @@ def _interval_generator(spec, lattice, t, ell):
     individuals than ``ell`` is dropped.
     """
     size = lattice.states[:, spec.focal_dim]
-    scale = _jump_factors(spec, ell, int(size.max())).T[size]
+    scale = _jump_factors(spec, ell, int(size.max())).T.take(size, axis=0)
     return _generator(lattice, spec.active_displacements,
                       spec.rate_matrix(t, lattice.states), scale)
 

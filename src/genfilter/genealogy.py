@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .population import JumpSequence, ModelSpec, _write_json
+from .population import JumpSequence, ModelSpec, _write_json, _x0
 
 GREEN = "green"
 BLACK = "black"
@@ -321,9 +321,11 @@ def build_genealogy(spec: ModelSpec, traj: JumpSequence) -> tuple[Genealogy, Inv
     """Replay a trajectory's marked events into a genealogy.
 
     Returns the genealogy at the trajectory horizon together with the final
-    inventory (which always equals the sorted black-ball names).
+    inventory (which always equals the sorted black-ball names).  An x0 that
+    is not ``spec.d`` finite whole numbers raises ValueError naming it
+    (`population._x0`).
     """
-    st = _State.from_genealogy(new_genealogy(int(traj.x0[spec.focal_dim])))
+    st = _State.from_genealogy(new_genealogy(int(_x0(spec, traj)[0, spec.focal_dim])))
     for idx, j in enumerate(traj.jumps):
         ev = spec.events[j.event]
         try:
@@ -340,8 +342,11 @@ def build_genealogy(spec: ModelSpec, traj: JumpSequence) -> tuple[Genealogy, Inv
 
 
 def fold_inventory(spec: ModelSpec, traj: JumpSequence) -> Inventory:
-    """Fold the inventory recursion over a trajectory, bypassing genealogies."""
-    inv = Inventory(tuple(range(int(traj.x0[spec.focal_dim]))))
+    """Fold the inventory recursion over a trajectory, bypassing genealogies.
+
+    x0 is read as `build_genealogy` reads it.
+    """
+    inv = Inventory(tuple(range(int(_x0(spec, traj)[0, spec.focal_dim]))))
     for j in traj.jumps:
         ev = spec.events[j.event]
         if ev.is_birth:

@@ -413,7 +413,7 @@ def _rate_integral(spec: ModelSpec, x, t0: float, t1: float, channels=None) -> f
     return total
 
 
-def _x0(spec: ModelSpec, h: History) -> np.ndarray:
+def _x0(spec: ModelSpec, h: History | JumpSequence) -> np.ndarray:
     """``h.x0`` as a (1, d) int64 array, read by `_state_array`.
 
     An x0 that is not ``spec.d`` finite whole numbers raises ValueError naming it.
@@ -551,8 +551,10 @@ class GeneratorPattern(NamedTuple):
     by channel, then each row's outflow.  ``rate_at`` and ``scale_at`` give
     each inflow entry its flat (src, k) and (dst, k) position in a rows x
     channels array, and ``cell`` gives each contribution, inflow entries
-    then outflows, its cell.  Several meet in one cell where a channel's
-    displacement vanishes on the lattice or two channels share one there.
+    then outflows, its cell; ``diagonal``, the outflows' part of ``cell``,
+    gives each row its diagonal cell.  Several meet in one cell where a
+    channel's displacement vanishes on the lattice or two channels share
+    one there.
     """
 
     indptr: np.ndarray
@@ -560,6 +562,36 @@ class GeneratorPattern(NamedTuple):
     rate_at: np.ndarray
     scale_at: np.ndarray
     cell: np.ndarray
+    diagonal: np.ndarray
+
+
+class Generator(NamedTuple):
+    """A sparse generator as its data on a `GeneratorPattern`: ``data[j]`` is cell j's entry.
+
+    ``G @ w`` is the product scipy's CSR matrix `tocsr` gives, bit for bit.
+    """
+
+    pattern: GeneratorPattern
+    data: np.ndarray
+
+    def check(self, w) -> int:
+        """The generator's row count; a ``w`` of another shape than (rows,) raises ValueError."""
+        n = len(self.pattern.indptr) - 1
+        if np.shape(w) != (n,):
+            raise ValueError(f"a vector of shape {np.shape(w)} does not fit a generator of {n} rows")
+        return n
+
+    def __matmul__(self, w) -> np.ndarray:
+        from scipy.sparse._sparsetools import csr_matvec  # imported here: `import genfilter` does not load it
+        n = self.check(w)  # the kernel reads w by the pattern's column indices
+        out = np.zeros(n)
+        csr_matvec(n, n, self.pattern.indptr, self.pattern.indices, self.data, w, out)
+        return out
+
+    def tocsr(self):
+        from scipy.sparse import csr_matrix  # imported here: `import genfilter` does not load it
+        n = len(self.pattern.indptr) - 1
+        return csr_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(n, n))
 
 
 def _state_array(states, d: int) -> np.ndarray:
@@ -663,7 +695,7 @@ def _assemble_pattern(size: int, moves, n_channels: int) -> GeneratorPattern:
     cells, cell = np.unique(np.concatenate([dst * size + src for _, src, dst in moves]
                                            + [np.arange(size) * (size + 1)]), return_inverse=True)
     arrays = [np.searchsorted(cells, np.arange(size + 1) * size), cells % size,
-              rate_at, scale_at, cell]
+              rate_at, scale_at, cell, cell[len(rate_at):]]
     index = np.int32 if max(len(cell), size * n_channels) < 2 ** 31 else np.int64
     for i, a in enumerate(arrays):
         arrays[i] = a.astype(index)
@@ -675,13 +707,14 @@ def forward_generator(spec: ModelSpec, lattice: StateLattice, t: float):
     """Sparse master-equation generator A with (A w)(x) = sum_u inflow - outflow.
 
     Probability flowing to states outside the lattice is discarded, so the
-    truncated solution is a lower bound on the true law.
+    truncated solution is a lower bound on the true law.  A is a scipy CSR
+    matrix, the `tocsr` of the `Generator` that `kfe_integrate` steps with.
     """
-    return _generator(lattice, spec.displacements, spec.rate_matrix(t, lattice.states))
+    return _generator(lattice, spec.displacements, spec.rate_matrix(t, lattice.states)).tocsr()
 
 
-def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
-    """Sparse generator from rows x channels ``rates``: every row loses its total rate.
+def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None) -> Generator:
+    """Generator from rows x channels ``rates``: every row loses its total rate.
 
     Channel k carries ``rates[src, k]`` from row src to src + its
     displacement, times ``inflow_scale[dst, k]`` when a scale is given; a
@@ -691,7 +724,6 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
     channel order and the row's outflow added last.  An entry whose value
     is zero is kept as an explicit zero.
     """
-    from scipy.sparse import csr_matrix  # imported here: `import genfilter` does not load it
     n_channels = rates.shape[1]
     channels = [k for k in range(n_channels)
                 if inflow_scale is None or inflow_scale[:, k].any()]
@@ -704,7 +736,7 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None):
         outflow -= rates[:, k]
     data = np.bincount(p.cell, weights=np.concatenate([inflow, outflow]),
                        minlength=len(p.indices))
-    return csr_matrix((data, p.indices, p.indptr), shape=(lattice.size, lattice.size))
+    return Generator(p, data)
 
 
 def _check_tol(tol) -> None:
@@ -747,53 +779,71 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
     """exp(dt * A) @ w by uniformization (Jensen 1953; Grassmann 1977).
 
     ``A`` must have nonnegative off-diagonal entries and columns that sum to
-    at most 0.  With lam the largest total outflow, ``max(-A.diagonal())``,
-    P = I + A / lam is then nonnegative with columns summing to at most 1,
-    and exp(dt A) w = sum_k Poisson(k; lam dt) P^k w.  Every term has the
-    sign of ``w``, so a nonnegative ``w`` stays nonnegative, and no term has
-    a larger 1-norm than ``w``.  The series stops once the Poisson tail after
-    term k, at most p_{k+1} (k + 2) / (k + 2 - lam dt), is within
-    ``tol * 1e-6``: the mass left out is at most that share of ``w``'s
-    1-norm.  The step is cut into equal substeps only where lam dt would
-    exceed 500, so that exp(-lam dt) stays far from underflow.
+    at most 0.  With lam the largest total outflow, the largest of A's
+    negated diagonal entries, P = I + A / lam is then nonnegative with
+    columns summing to at most 1, and exp(dt A) w = sum_k p_k P^k w with
+    p_k = Poisson(k; lam dt).  The series stops at the first K whose tail,
+    at most p_{K+1} (K + 2) / (K + 2 - lam dt), is within ``tol * 1e-6``:
+    the mass left out is at most that share of ``w``'s 1-norm.  K is found
+    from the weights alone, before any product, and the sum is taken by
+    Horner's rule, acc = p_K w and then acc = p_k w + P acc for k = K - 1
+    down to 0: one product per term, into a buffer that holds p_k w, as
+    scipy's CSR kernel adds each row's sum to what its output holds.  Every
+    term has the sign of ``w``, so a nonnegative ``w`` stays nonnegative.
+    The step is cut into equal substeps only where lam dt would exceed 500,
+    so that exp(-lam dt) stays far from underflow.
 
-    ``A`` is a CSR matrix.  P is A scaled by 1 / lam with 1 added to its
-    diagonal in place; a diagonal entry that ``A`` does not store is
-    inserted, which a generator from `_generator` never needs.  Each product
-    P^k w is scipy's own CSR kernel, the one ``P @ term`` runs, called into
-    one of two preallocated buffers, and each term is added as ``p * term``
-    through a third, so the series allocates nothing per term and gives
-    what ``out += p * (P @ term)`` gives, bit for bit.
+    ``A`` is a `Generator`, whose pattern gives each row's diagonal cell, so
+    P's data is A's scaled by 1 / lam with 1 added at those cells.  Any
+    other sparse matrix is first read onto a pattern of its own stored
+    cells and its diagonal (`_on_pattern`), which inserts a diagonal entry
+    that it does not store.
     """
-    diagonal = A.diagonal()
-    lam = float(-diagonal.min())
+    if not isinstance(A, Generator):
+        A = _on_pattern(A)
+    n, diagonal = A.check(w), A.pattern.diagonal
+    lam = float(-A.data.take(diagonal).min())
     if lam <= 0.0 or dt <= 0.0:
         return w.copy()
     n_sub = math.ceil(lam * dt / _MAX_POISSON_MEAN)
     mean = lam * dt / n_sub
     target = tol * _TAIL_SHARE / n_sub
     from scipy.sparse._sparsetools import csr_matvec  # imported here: `import genfilter` does not load it
-    P = A * (1.0 / lam)
-    P.setdiag(diagonal * (1.0 / lam) + 1.0)
-    n, indptr, indices, data = P.shape[0], P.indptr, P.indices, P.data
-    buffers, scaled = np.empty((2, n)), np.empty(n)
+    data = A.data * (1.0 / lam)
+    data[diagonal] += 1.0
+    p = math.exp(-mean)
+    weights = [p]  # p_0 .. p_K, one list for every substep
+    k = 0
+    while True:
+        p *= mean / (k + 1)
+        if k + 2 > mean and p * (k + 2) / (k + 2 - mean) <= target:
+            break
+        k += 1
+        weights.append(p)
+    indptr, indices = A.pattern.indptr, A.pattern.indices
     for _ in range(n_sub):
-        p = math.exp(-mean)
-        term, out = w, p * w
-        k = 0
-        while True:
-            p *= mean / (k + 1)
-            if k + 2 > mean and p * (k + 2) / (k + 2 - mean) <= target:
-                break
-            k += 1
-            nxt = buffers[k % 2]
-            nxt.fill(0.0)  # the kernel adds each row's sum to what the output holds
-            csr_matvec(n, n, indptr, indices, data, term, nxt)
-            term = nxt
-            np.multiply(term, p, out=scaled)
-            out += scaled
-        w = out
+        acc, buf = w * weights[-1], np.empty(n)
+        for p_k in weights[-2::-1]:
+            np.multiply(w, p_k, out=buf)
+            csr_matvec(n, n, indptr, indices, data, acc, buf)
+            acc, buf = buf, acc
+        w = acc
     return w
+
+
+def _on_pattern(A) -> Generator:
+    """A square sparse matrix as a `Generator` on its stored cells and its diagonal.
+
+    Entries stored twice in one cell are summed; a diagonal cell that ``A``
+    does not store holds 0.0.
+    """
+    A = A.tocoo()
+    # int64: the pattern's cell keys, dst * rows + src, pass 2**31 past 46340 rows
+    src, dst = A.col.astype(np.int64), A.row.astype(np.int64)
+    p = _assemble_pattern(A.shape[0], [(0, src, dst)], 1)
+    data = np.bincount(p.cell, weights=np.concatenate([A.data, np.zeros(A.shape[0])]),
+                       minlength=len(p.indices))
+    return Generator(p, data)
 
 
 def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
@@ -807,10 +857,11 @@ def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
     is one exact step, `_uniformized`, that leaves out at most ``tol * 1e-6``
     of the mass.  Where some channel has a bound the operator changes within
     the epoch; it is called at every right-hand-side evaluation of
-    `integrate_linear` with relative tolerance ``tol``.  The generators of
-    this module (`forward_generator`, and the oracle's through `_generator`)
-    keep one sparsity pattern per lattice, so each call refills only the
-    data of that pattern.  ``t1 < t0`` raises ValueError, as in
+    `integrate_linear` with relative tolerance ``tol``.  The `Generator`s
+    that `_generator` builds, for `kfe_integrate` and the oracle, keep one
+    sparsity pattern per lattice, so each call refills only the data of
+    that pattern; any scipy sparse matrix, such as `forward_generator`'s,
+    is accepted too.  ``t1 < t0`` raises ValueError, as in
     `integrate_linear`.
     """
     _check_tol(tol)
@@ -841,7 +892,9 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
     if (rows < 0).any():
         raise ValueError(f"w0 state {list(w0)[np.argmax(rows < 0)]} is outside the truncation")
     w[rows] = list(w0.values())
-    w = integrate_epochs(spec, lambda t: forward_generator(spec, lattice, t), w, t0, t1, tol)
+    w = integrate_epochs(spec, lambda t: _generator(lattice, spec.displacements,
+                                                    spec.rate_matrix(t, lattice.states)),
+                         w, t0, t1, tol)
     return dict(zip(map(tuple, lattice.states.tolist()), w.tolist()))
 
 
@@ -897,7 +950,8 @@ def read_trajectory(base) -> tuple[JumpSequence, dict]:
 
     Event names are resolved through the header's catalog listing, so no
     model object is needed.  A header whose ``kind`` is not ``"jumps"``, or
-    whose ``x0`` holds an entry that is not a finite whole number, raises
+    whose ``x0`` is not a list of JSON numbers that are finite and whole (a
+    ``true``, a string or a bare number among what it rejects), raises
     ValueError naming it.
     """
     base = Path(base)
@@ -907,6 +961,9 @@ def read_trajectory(base) -> tuple[JumpSequence, dict]:
                          f"is not 'jumps'")
     index = {name: k for k, name in enumerate(head["events"])}
     try:
+        # only a list of JSON numbers: numpy reads a bool as an int, a string by its characters
+        if not isinstance(head["x0"], list) or any(type(v) not in (int, float) for v in head["x0"]):
+            raise ValueError
         x0 = tuple(_state_array([head["x0"]], len(head["x0"]))[0].tolist())
     except ValueError:
         raise ValueError(f"{base.with_suffix('.json')}: x0 {head['x0']!r} is not "

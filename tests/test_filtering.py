@@ -739,14 +739,14 @@ def test_boundary_flux_of_a_hand_built_grid():
     assert flux == pytest.approx(0.5 * 0.3 + 0.5 * 1.6)
 
 
-@pytest.mark.parametrize("beta, want", [(0.04, 2.616855910419927),
-                                        ("piecewise", 1.3274653344538958)])
+@pytest.mark.parametrize("beta, want", [(0.04, 2.6168559104199276),
+                                        ("piecewise", 1.3274653344538954)])
 def test_boundary_flux_is_one_value_on_every_path(beta, want):
     # infections leave the s >= 85 band of the SIR-100 simplex; the oracle's
     # grid and a grid built by hand from its states and weights, in either
-    # order, give one float, recorded before the grid held a lattice; without
-    # t the rates are read at the grid's time, not at 0, where the piecewise
-    # beta is twice as large
+    # order, give one float (RK45 at tol 1e-12 gives 2.616855910419997 and
+    # 1.32746533445387); without t the rates are read at the grid's time,
+    # not at 0, where the piecewise beta is twice as large
     params, _, v = sir100_visible(1.0)
     if beta == "piecewise":
         beta = gf.PiecewiseConstant((0.5,), (0.04, 0.02))
@@ -1133,12 +1133,13 @@ def test_sir100_seed101_values_are_pinned():
 
     loglik, grid = gf.oracle_loglik(spec, v, gf.sir_truncation(params), return_grid=True)
     # RK45 at tol 1e-12 gives 0.2930492140330583, log scale 1.437719515271477
-    assert (loglik, grid.log_scale) == (0.29304921403290485, 1.4377195152714253)
+    assert (loglik, grid.log_scale) == (0.2930492140329062, 1.4377195152714266)
     # the full simplex is closed under every displacement, so no flux leaves it
     assert gf.boundary_flux(spec, grid, t=v.time) == 0.0
-    # the epoch path: one uniformization step per epoch on each side of t=0.5
+    # the epoch path: one uniformization step per epoch on each side of t=0.5;
+    # RK45 at tol 1e-12 gives -0.2745236725987974, log scale 0.4446123078641644
     loglik, grid = gf.oracle_loglik(varying, v, gf.sir_truncation(params), return_grid=True)
-    assert (loglik, grid.log_scale) == (-0.2745236725990511, 0.4446123078639419)
+    assert (loglik, grid.log_scale) == (-0.2745236725990504, 0.4446123078639428)
     assert gf.boundary_flux(varying, grid, t=v.time) == 0.0
     assert gf.loglik_events(spec, gf.to_history(traj), v) == -10.778129199009985
 
@@ -1469,10 +1470,15 @@ def coo_interval_generator(spec, lattice, t, ell):
 def assert_same_operator(got, want, rng):
     """Equal entries bit for bit (a stored zero equals a missing entry), equal products."""
     n = want.shape[0]
-    assert got.has_canonical_format and got.indices.dtype == np.int32
-    stored = got.tocoo()
+    csr = got.tocsr()
+    assert csr.has_canonical_format and csr.indices.dtype == np.int32
+    stored = csr.tocoo()
     assert (stored.row == stored.col).sum() == n  # every diagonal entry is stored
-    assert (got.toarray() + 0.0).tobytes() == (want.toarray() + 0.0).tobytes()
+    assert (csr.toarray() + 0.0).tobytes() == (want.toarray() + 0.0).tobytes()
+    if isinstance(got, gf.population.Generator):  # the pattern names each row's diagonal cell
+        diagonal = got.pattern.diagonal
+        assert np.array_equal(csr.indices[diagonal], np.arange(n))
+        assert np.array_equal(np.searchsorted(csr.indptr, diagonal, side="right") - 1, np.arange(n))
     w = rng.random(n)
     assert (got @ w).tobytes() == (want @ w).tobytes()
 
@@ -1509,6 +1515,25 @@ def test_interval_generator_matches_the_coo_reference():
                                            spec.rate_matrix(0.3, full_lattice.states)), rng)
 
 
+def test_uniformized_steps_a_generator_as_its_csr_matrix():
+    # the oracle's generators fill P on their pattern; any other CSR matrix
+    # is read onto one first, and the two give one result, bit for bit
+    rng = np.random.default_rng(10)
+    for spec, truncation in grid_cases():
+        full = np.array(truncation)
+        lattice = gf.StateLattice(full[:, :len(spec.active_dims)], len(spec.active_dims))
+        G = gf.filtering._interval_generator(spec, lattice, 0.3, 1)
+        w = rng.random(lattice.size)
+        for dt in (0.05, 2.0):
+            got = gf.population._uniformized(G, w, dt, 1e-8)
+            assert got.tobytes() == gf.population._uniformized(G.tocsr(), w, dt, 1e-8).tobytes()
+        for bad in (np.ones(lattice.size + 1), np.ones((lattice.size, 1))):
+            with pytest.raises(ValueError, match="does not fit a generator"):
+                G @ bad
+            with pytest.raises(ValueError, match="does not fit a generator"):
+                gf.population._uniformized(G, bad, 0.05, 1e-8)
+
+
 def test_generator_sums_entries_that_share_a_cell_in_channel_order():
     # channel 1 stays in place and channels 2 and 3 share a displacement, so
     # their entries meet in one cell; channel 4's scale is all zero
@@ -1533,7 +1558,7 @@ def test_oracle_assembles_the_pattern_once_per_call(monkeypatch):
     monkeypatch.setattr(gf.population, "_assemble_pattern", counting)
     params, spec, v = sir100_visible(1.0)
     for _ in range(2):
-        assert gf.oracle_loglik(spec, v, gf.sir_truncation(params)) == 0.29304921403290485
+        assert gf.oracle_loglik(spec, v, gf.sir_truncation(params)) == 0.2930492140329062
     assert built == [5151, 5151]
     # a bounded channel refills the data at every RK45 evaluation, from one pattern
     built.clear()

@@ -155,6 +155,15 @@ def test_blacks_track_inventory_along_trajectories():
         assert len(inv) == gf.state_at(spec, traj, traj.t_end)[spec.focal_dim]
 
 
+@pytest.mark.parametrize("x0", [(2.5, 0), (2,), (2, 0, 0), (math.nan, 0)])
+@pytest.mark.parametrize("builder", [gf.build_genealogy, gf.fold_inventory])
+def test_builders_name_an_x0_that_is_not_a_state(builder, x0):
+    # lbdp states are 2 wide and whole; (2.5, 0) and (2,) each gave 2 individuals
+    spec = lbdp(1.0, 0.5, 0.5, 2)
+    with pytest.raises(ValueError, match=r"x0 .* is not a state of 2 finite whole numbers"):
+        builder(spec, gf.JumpSequence(x0, (gf.Jump(0.5, 0, 2),), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # Pruning
 

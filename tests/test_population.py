@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.linalg import expm
-from scipy.sparse import _sparsetools, csr_matrix
+from scipy.sparse import _sparsetools, csr_matrix, hstack, identity
 from scipy.stats import binom
 
 import genfilter as gf
@@ -453,8 +453,14 @@ def test_uniformized_matches_the_pure_death_law():
 
 
 def reference_uniformized(A, w, dt, tol):
-    """The series by scipy's public ``P @ term`` and a new array per term, which
-    `_uniformized` must match bit for bit."""
+    """The series by Horner's rule in scipy's public operations, which
+    `_uniformized` must match bit for bit.
+
+    acc = p_K w, then acc = p_k w + P acc for k = K - 1 down to 0.  Each step
+    is one product by the stacked matrix [I P] with [p_k w; acc], so that
+    each row's sum starts from p_k w_i and adds P's entries in column order,
+    the order of the library's kernel, which adds into a buffer holding p_k w.
+    """
     diagonal = A.diagonal()
     lam = float(-diagonal.min())
     if lam <= 0.0 or dt <= 0.0:
@@ -464,19 +470,31 @@ def reference_uniformized(A, w, dt, tol):
     target = tol * 1e-6 / n_sub
     P = A * (1.0 / lam)
     P.setdiag(diagonal * (1.0 / lam) + 1.0)
+    stacked = hstack([identity(A.shape[0]), P], format="csr")
     for _ in range(n_sub):
         p = math.exp(-mean)
-        term, out = w, p * w
+        weights = [p]
         k = 0
         while True:
             p *= mean / (k + 1)
             if k + 2 > mean and p * (k + 2) / (k + 2 - mean) <= target:
                 break
             k += 1
-            term = P @ term
-            out += p * term
-        w = out
+            weights.append(p)
+        acc = weights[-1] * w
+        for p_k in weights[-2::-1]:
+            acc = stacked @ np.concatenate([p_k * w, acc])
+        w = acc
     return w
+
+
+def bit_for_bit_case(seed):
+    """A 40-state generator with a zeroed column, whose diagonal entry is
+    unstored, and a weight vector with some zeros."""
+    rng = np.random.default_rng(seed)
+    dense = random_generator(rng, 40, rng.random(40) * (rng.random(40) < 0.5))
+    dense[:, 7] = 0.0
+    return dense, rng.random(40) * (rng.random(40) < 0.8)
 
 
 # lam dt of 1300 is cut into three substeps; a zeroed column leaves a
@@ -484,12 +502,9 @@ def reference_uniformized(A, w, dt, tol):
 @pytest.mark.parametrize("mean", [0.02, 3.0, 140.0, 499.0, 1300.0])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_uniformized_is_the_reference_series_bit_for_bit(seed, mean):
-    rng = np.random.default_rng(seed)
-    dense = random_generator(rng, 40, rng.random(40) * (rng.random(40) < 0.5))
-    dense[:, 7] = 0.0
+    dense, w = bit_for_bit_case(seed)
     A = csr_matrix(dense)
     lam = -A.diagonal().min()
-    w = rng.random(40) * (rng.random(40) < 0.8)
     for tol in (1e-8, 1e-12):
         got = _uniformized(A, w, mean / lam, tol)
         want = reference_uniformized(A, w, mean / lam, tol)
@@ -497,9 +512,23 @@ def test_uniformized_is_the_reference_series_bit_for_bit(seed, mean):
     assert np.array_equal(A.toarray(), dense)
 
 
+# the tail bound is a share of w's 1-norm, so w carries unit mass, as the
+# oracle's weights do after each event
+@pytest.mark.parametrize("mean", [0.02, 3.0, 140.0, 499.0, 1300.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uniformized_matches_expm_on_the_bit_for_bit_generators(seed, mean):
+    dense, w = bit_for_bit_case(seed)
+    w = w / w.sum()
+    dt = mean / -dense.diagonal().min()
+    for tol in (1e-8, 1e-12):
+        got = _uniformized(csr_matrix(dense), w, dt, tol)
+        assert np.abs(got - expm(dt * dense) @ w).max() < 1e-13
+        assert (got >= 0.0).all()
+
+
 def test_uniformized_inserts_missing_diagonal_entries_without_a_warning():
     # pure death of 600: the empty state's diagonal entry is not stored, and
-    # so few are missing that scipy inserts it in place
+    # reading A onto a pattern of its cells and its diagonal inserts it
     n, delta, t = 600, 0.01, 0.5
     k = np.arange(1, n + 1)
     A = csr_matrix((np.concatenate([-delta * k, delta * k]),
@@ -877,6 +906,17 @@ def test_read_trajectory_rejects_a_history_file(tmp_path):
     _, json_path = gf.write_trajectory(tmp_path / "run", spec, traj)
     json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "kind": "history"}))
     with pytest.raises(ValueError, match=r"run\.json: trajectory kind 'history' is not 'jumps'"):
+        gf.read_trajectory(tmp_path / "run")
+
+
+@pytest.mark.parametrize("x0", [[True, 0], [1, False], "12", 5, None])
+def test_read_trajectory_rejects_an_x0_that_is_not_a_list_of_numbers(tmp_path, x0):
+    # a JSON true was read as 1 and "12" as (1, 2); 5 and null raised TypeError
+    spec = lbdp(1.0, 1.0, 0.0, 1)
+    traj = gf.simulate(spec, 0.5, np.random.default_rng(2))
+    _, json_path = gf.write_trajectory(tmp_path / "run", spec, traj)
+    json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "x0": x0}))
+    with pytest.raises(ValueError, match=r"run\.json: x0 .* is not a list of finite whole numbers"):
         gf.read_trajectory(tmp_path / "run")
 
 
