@@ -1,13 +1,23 @@
 """Command-line interface.
 
 All subcommands take a JSON config file plus a few overriding flags and
-write their results into an output directory.  Runs are deterministic for
-a fixed seed: reruns produce byte-identical outputs, so no timestamps are
-written.  Provenance (tool version, config digest, effective seed) goes
-into every JSON output.
+write their results into an output directory.  `main` does the work they
+share: it loads the config, resolves the seed, makes ``--out``, writes
+``result.json`` (a command's result plus provenance) and prints the
+command's summary line.  Each ``cmd_*`` computes and writes only its own
+further files.
+
+Runs are deterministic for a fixed seed: reruns produce byte-identical
+outputs, so no timestamps are written.  Provenance (tool version, config
+digest, effective seed) goes into every JSON output.  ``simulate``, ``filter``
+and ``profile`` draw random numbers and take a fresh seed when neither
+``--seed`` nor ``config.seed`` gives one; ``prune``, ``exact`` and
+``oracle`` draw none and record the seed as given, or null, so their
+unseeded reruns are byte-identical too.
 
 Exit codes: 0 on success (a -inf log likelihood is still a success), 2 for
-config errors, 1 for runtime failures in simulation or inference.
+config errors, a negative ``--seed`` and an ``--out`` that cannot be made
+a directory among them, 1 for runtime failures in simulation or inference.
 """
 
 from __future__ import annotations
@@ -171,20 +181,6 @@ def _jsonable(obj):
     return obj
 
 
-def _resolve_seed(args, config) -> int:
-    if args.seed is not None:
-        return args.seed
-    if config.get("seed") is not None:
-        return int(config["seed"])
-    return int(np.random.SeedSequence().entropy) % (2 ** 63)
-
-
-def _provenance(config, seed: int) -> dict:
-    return {"tool": f"genfilter {__version__}",
-            "config_sha256": config["_sha256"],
-            "seed": seed}
-
-
 def _build_model(config, params=None, where: str = "config.model.params"):
     """The model's params dataclass and spec; ``params`` replaces the config's mapping."""
     model = config["model"]
@@ -195,22 +191,23 @@ def _build_model(config, params=None, where: str = "config.model.params"):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _input_path(config, key: str) -> Path:
+def _read_input(config, key: str, reader):
+    """``reader(path)`` on ``config.inputs.<key>``, resolved against the config's directory.
+
+    A missing key, a path that cannot be read, and content ``reader``
+    rejects with KeyError, TypeError or ValueError are config errors.
+    """
     inputs = config.get("inputs", {})
     if key not in inputs:
         raise ConfigError(f"config.inputs.{key} is required for this command")
-    p = Path(inputs[key])
-    return p if p.is_absolute() else config["_dir"] / p
-
-
-def _read_input(config, key: str, reader):
-    """``reader(path)`` on ``config.inputs.<key>``; a path that cannot be read is a config error."""
-    path = _input_path(config, key)
+    path = config["_dir"] / inputs[key]
     try:
         return reader(path)
     except OSError as exc:
         raise ConfigError(f"config.inputs.{key}: cannot read {path}: "
                           f"{exc.strerror or exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config.inputs.{key}: malformed {path}: {exc}") from None
 
 
 def _read_genealogy(config):
@@ -222,26 +219,25 @@ def _read_genealogy(config):
     return g
 
 
-def _read_trajectory(path):
-    """`read_trajectory`; malformed content, or a header kind but "jumps", is a config error."""
-    try:
-        return read_trajectory(path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config.inputs.trajectory: malformed {path}: {exc}") from None
-
-
 def _filter_config(section: dict, seed: int) -> FilterConfig:
     """The filter settings the section gives; `FilterConfig` supplies the rest."""
     keys = ("n_particles", "ess_threshold", "resampling")
     return FilterConfig(seed=seed, **{k: section[k] for k in keys if k in section})
 
 
-def _truncation(config, params):
-    """The model's truncation at ``config.oracle.n_max``, which lbdp requires."""
+def _truncation(config):
+    """``params -> truncation`` of the config's model.
+
+    ``config.oracle.n_max`` sizes lbdp's truncation, which requires it; the
+    other models truncate to their own bounded state space, so for them the
+    key is a config error rather than a setting no run reads.
+    """
     name, n_max = config["model"]["name"], config.get("oracle", {}).get("n_max")
     if n_max is None and name == "lbdp":
         raise ConfigError("config.oracle.n_max is required for model lbdp")
-    return TRUNCATIONS[name](params, n_max)
+    if n_max is not None and name != "lbdp":
+        raise ConfigError(f"config.oracle.n_max is read for model lbdp only, not {name!r}")
+    return lambda params: TRUNCATIONS[name](params, n_max)
 
 
 def _write_visible(out: Path, visible, prov: dict) -> None:
@@ -250,40 +246,32 @@ def _write_visible(out: Path, visible, prov: dict) -> None:
     _write_text(out / "genealogy_visible.nwk", to_newick(visible))
 
 
-def cmd_simulate(args, config, out: Path) -> int:
+def cmd_simulate(config, seed, prov: dict, out: Path):
     if "simulate" not in config:
         raise ConfigError("config.simulate is required for this command")
     _, spec = _build_model(config)
-    seed = _resolve_seed(args, config)
-    prov = _provenance(config, seed)
-    rng = np.random.default_rng(seed)
     horizon = config["simulate"]["horizon"]
-    traj = simulate(spec, horizon, rng,
+    traj = simulate(spec, horizon, np.random.default_rng(seed),
                     max_jumps=config["simulate"].get("max_jumps", DEFAULT_MAX_JUMPS))
     write_trajectory(out / "trajectory", spec, traj, seed=seed, provenance=prov)
     g, _ = build_genealogy(spec, traj)
     write_genealogy(out / "genealogy_full.json", g, provenance=prov)
     _write_visible(out, prune(g), prov)
-    print(f"simulated {len(traj.jumps)} jumps over [0, {horizon}] -> {out}")
-    return 0
+    return None, f"simulated {len(traj.jumps)} jumps over [0, {horizon}]"
 
 
-def cmd_prune(args, config, out: Path) -> int:
-    seed = _resolve_seed(args, config)
-    _write_visible(out, prune(_read_genealogy(config)), _provenance(config, seed))
-    print(f"pruned genealogy -> {out}")
-    return 0
+def cmd_prune(config, seed, prov: dict, out: Path):
+    _write_visible(out, prune(_read_genealogy(config)), prov)
+    return None, "pruned genealogy"
 
 
-def cmd_filter(args, config, out: Path) -> int:
+def cmd_filter(config, seed, prov: dict, out: Path):
     _, spec = _build_model(config)
-    seed = _resolve_seed(args, config)
     section = config.get("filter", {})
     fc = _filter_config(section, seed)
     v = _read_genealogy(config)
     n_reps = section.get("n_reps", 1)
-    prov = _provenance(config, seed)
-    result = {"n_particles": fc.n_particles, "n_reps": n_reps, "provenance": prov}
+    result = {"n_particles": fc.n_particles, "n_reps": n_reps}
     if n_reps == 1:
         res = smc_loglik(spec, v, fc)
         diagnostics, shown = res.diagnostics, res.loglik
@@ -295,29 +283,22 @@ def cmd_filter(args, config, out: Path) -> int:
         result.update(mean=rep.mean, se=rep.se, estimates=list(rep.estimates),
                       collapse_count=rep.collapse_count)
     diagnostics.to_csv(out / "diagnostics.csv", provenance=prov)
-    _write_json(out / "result.json", _jsonable(result))
-    print(f"filter loglik {shown} ({fc.n_particles} particles, {n_reps} reps) -> {out}")
-    return 0
+    return result, f"filter loglik {shown} ({fc.n_particles} particles, {n_reps} reps)"
 
 
-def cmd_oracle(args, config, out: Path) -> int:
+def cmd_oracle(config, seed, prov: dict, out: Path):
     params, spec = _build_model(config)
-    seed = _resolve_seed(args, config)
     v = _read_genealogy(config)
     tol = config.get("oracle", {}).get("tol", 1e-8)
-    loglik, grid = oracle_loglik(spec, v, _truncation(config, params), tol=tol, return_grid=True)
-    flux = boundary_flux(spec, grid)
+    loglik, grid = oracle_loglik(spec, v, _truncation(config)(params), tol=tol, return_grid=True)
     result = {"loglik": loglik, "tol": tol, "n_states": int(len(grid.states)),
-              "boundary_flux": flux, "provenance": _provenance(config, seed)}
-    _write_json(out / "result.json", _jsonable(result))
-    print(f"oracle loglik {loglik} ({len(grid.states)} states) -> {out}")
-    return 0
+              "boundary_flux": boundary_flux(spec, grid)}
+    return result, f"oracle loglik {loglik} ({len(grid.states)} states)"
 
 
-def cmd_exact(args, config, out: Path) -> int:
+def cmd_exact(config, seed, prov: dict, out: Path):
     _, spec = _build_model(config)
-    seed = _resolve_seed(args, config)
-    traj, header = _read_input(config, "trajectory", _read_trajectory)
+    traj, header = _read_input(config, "trajectory", read_trajectory)
     names = [ev.name for ev in spec.events]
     if header["events"] != names or len(traj.x0) != spec.d:
         raise ConfigError(f"config.inputs.trajectory: events {header['events']} and a "
@@ -329,28 +310,24 @@ def cmd_exact(args, config, out: Path) -> int:
     by_events = loglik_events(spec, to_history(traj), visible)
     diff = abs(by_lineage - by_events) if math.isfinite(by_lineage) and \
         math.isfinite(by_events) else (0.0 if by_lineage == by_events else math.inf)
-    result = {"loglik_lineages": by_lineage, "loglik_events": by_events,
-              "difference": diff, "provenance": _provenance(config, seed)}
-    _write_json(out / "result.json", _jsonable(result))
-    print(f"exact loglik {by_lineage} (routes differ by {diff}) -> {out}")
-    return 0
+    result = {"loglik_lineages": by_lineage, "loglik_events": by_events, "difference": diff}
+    return result, f"exact loglik {by_lineage} (routes differ by {diff})"
 
 
-def cmd_profile(args, config, out: Path) -> int:
+def cmd_profile(config, seed, prov: dict, out: Path):
     if "profile" not in config:
         raise ConfigError("config.profile is required for this command")
     section = config["profile"]
     model = config["model"]
     name = model["name"]
     param = section["parameter"]
-    cls, _ = MODELS[name]
-    if param not in cls.__dataclass_fields__:
+    if param not in MODELS[name][0].__dataclass_fields__:
         raise ConfigError(f"config.profile.parameter: model {name!r} has no "
                           f"parameter {param!r}")
-    seed = _resolve_seed(args, config)
     v = _read_genealogy(config)
     values = section["values"]
     include_oracle = section.get("include_oracle", False)
+    truncation = _truncation(config) if include_oracle else None
     sub_seeds = np.random.SeedSequence(seed).generate_state(len(values), dtype=np.uint64)
     n_reps = section.get("n_reps", 1)
     rows = []
@@ -359,27 +336,14 @@ def cmd_profile(args, config, out: Path) -> int:
                                     where="config.profile.values")
         fc = _filter_config(section, int(sub))
         rep = replicate_loglik(spec, v, fc, n_reps)
-        row = {"value": value, "mean": rep.mean, "se": rep.se,
-               "n_particles": fc.n_particles, "n_reps": n_reps,
-               "collapsed": rep.collapse_count}
+        cells = [value, rep.mean, rep.se, fc.n_particles, n_reps, rep.collapse_count]
         if include_oracle:
-            row["oracle"] = oracle_loglik(spec, v, _truncation(config, params),
-                                          tol=config.get("oracle", {}).get("tol", 1e-8))
-        rows.append(row)
-    header = ["value", "mean", "se", "n_particles", "n_reps", "collapsed"]
-    if include_oracle:
-        header.append("oracle")
-    _write_csv(out / "profile.csv", ",".join(header),
-               (",".join(_csv_cell(row[h]) for h in header) for row in rows),
-               _provenance(config, seed))
-    print(f"profiled {param} at {len(values)} values -> {out}")
-    return 0
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+            cells.append(oracle_loglik(spec, v, truncation(params),
+                                       tol=config.get("oracle", {}).get("tol", 1e-8)))
+        rows.append(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells))
+    header = "value,mean,se,n_particles,n_reps,collapsed" + (",oracle" if include_oracle else "")
+    _write_csv(out / "profile.csv", header, rows, prov)
+    return None, f"profiled {param} at {len(values)} values"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,9 +375,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: {args.seed} is less than the minimum of 0")
+        seed = args.seed if args.seed is not None else config.get("seed")
+        # only the commands that draw random numbers need a seed when none is given
+        if seed is None and args.command in ("simulate", "filter", "profile"):
+            seed = int(np.random.SeedSequence().entropy) % (2 ** 63)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, config, out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot make directory {out}: {exc.strerror}") from None
+        prov = {"tool": f"genfilter {__version__}", "config_sha256": config["_sha256"],
+                "seed": seed}
+        result, message = args.func(config, seed, prov, out)
+        if result is not None:
+            _write_json(out / "result.json", _jsonable({**result, "provenance": prov}))
+        print(f"{message} -> {out}")
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

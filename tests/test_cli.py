@@ -64,13 +64,56 @@ def test_simulate_writes_all_outputs(tmp_path):
     assert len(parsed.nodes) == len(v.nodes)
 
 
-def test_simulate_rerun_is_byte_identical(tmp_path):
-    config = write_config(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run("simulate", "--config", config, "--out", out1) == 0
-    assert run("simulate", "--config", config, "--out", out2) == 0
-    for child in sorted(out1.iterdir()):
-        assert child.read_bytes() == (out2 / child.name).read_bytes(), child.name
+VISIBLE = ("genealogy_visible.json", "genealogy_visible.nwk")
+
+# command -> (config sections beside the simulated inputs, the files it writes)
+RERUN = {
+    "simulate": ({}, ("trajectory.csv", "trajectory.json", "genealogy_full.json", *VISIBLE)),
+    "prune": ({}, VISIBLE),
+    "exact": ({}, ("result.json",)),
+    "filter": ({"filter": {"n_particles": 200}}, ("diagnostics.csv", "result.json")),
+    "oracle": ({"oracle": {"n_max": 40}}, ("result.json",)),
+    "profile": ({"oracle": {"n_max": 40},
+                 "profile": {"parameter": "birth_rate", "values": [1.0, 1.5], "n_particles": 50,
+                             "n_reps": 2, "include_oracle": True}}, ("profile.csv",)),
+}
+
+
+@pytest.mark.parametrize("command, seeded", [
+    *((command, True) for command in RERUN),
+    *((command, False) for command in ("simulate", "prune", "exact", "oracle")),
+])
+def test_rerun_is_byte_identical(tmp_path, command, seeded):
+    """Two runs of one config write the same files, byte for byte.
+
+    Unseeded, a command that draws nothing records its seed as null, and
+    `simulate` records the seed it drew: given as ``--seed``, it writes the
+    same files again.
+    """
+    sim = simulated(tmp_path)
+    genealogy = "genealogy_full.json" if command == "prune" else VISIBLE[0]
+    inputs = {"trajectory": str(sim / "trajectory"), "genealogy": str(sim / genealogy)}
+    sections, files = RERUN[command]
+    config = write_config(tmp_path, name="rerun.json", inputs=inputs, **sections)
+    if not seeded:
+        config.write_text(json.dumps({k: v for k, v in json.loads(config.read_text()).items()
+                                      if k != "seed"}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(command, "--config", config, "--out", a) == 0
+    again = []
+    if not seeded:
+        stamped = next(name for name in files if name.endswith(".json"))
+        seed = json.loads((a / stamped).read_text())["provenance"]["seed"]
+        if command == "simulate":
+            assert isinstance(seed, int) and seed >= 0
+            again = ["--seed", seed]
+        else:
+            assert seed is None
+    assert run(command, "--config", config, "--out", b, *again) == 0
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir()) == \
+        sorted(files)
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_prune_matches_simulate_output(tmp_path):
@@ -136,18 +179,6 @@ def test_filter_replicates(tmp_path):
         (tmp_path / "want.csv").read_text().splitlines()
 
 
-def test_filter_rerun_is_byte_identical(tmp_path):
-    out = simulated(tmp_path)
-    config = write_config(tmp_path, name="filter.json",
-                          inputs={"genealogy": str(out / "genealogy_visible.json")},
-                          filter={"n_particles": 200})
-    a, b = tmp_path / "fa", tmp_path / "fb"
-    assert run("filter", "--config", config, "--out", a) == 0
-    assert run("filter", "--config", config, "--out", b) == 0
-    assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
-    assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
-
-
 def test_filter_seed_flag_overrides_config(tmp_path):
     out = simulated(tmp_path)
     config = write_config(tmp_path, name="filter.json",
@@ -189,6 +220,29 @@ def test_oracle_requires_n_max_for_lbdp(tmp_path, capsys):
                           inputs={"genealogy": str(out / "genealogy_visible.json")})
     assert run("oracle", "--config", config, "--out", tmp_path / "o") == 2
     assert "config.oracle.n_max" in capsys.readouterr().err
+
+
+SIR_PARAMS = {"transmission_rate": 0.1, "recovery_rate": 0.3, "sampling_rate": 0.5,
+              "s0": 8, "i0": 3}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("oracle", {}),
+    ("profile", {"profile": {"parameter": "transmission_rate", "values": [0.1],
+                             "n_particles": 20, "include_oracle": True}}),
+], ids=["oracle", "profile"])
+def test_oracle_refuses_n_max_for_a_model_that_does_not_read_it(tmp_path, capsys, command,
+                                                                section):
+    # sir's truncation is its whole simplex, so n_max 5 was ignored without a word
+    model = {"name": "sir", "params": SIR_PARAMS}
+    sim = write_config(tmp_path, name="sim.json", model=model)
+    assert run("simulate", "--config", sim, "--out", tmp_path / "sim") == 0
+    config = write_config(tmp_path, name="n_max.json", model=model, oracle={"n_max": 5},
+                          inputs={"genealogy": str(tmp_path / "sim" / VISIBLE[0])}, **section)
+    assert run(command, "--config", config, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == \
+        "error: config.oracle.n_max is read for model lbdp only, not 'sir'\n"
+    assert not list((tmp_path / "o").iterdir())
 
 
 def test_oracle_rejects_tied_event_times(tmp_path, capsys):
@@ -393,6 +447,25 @@ def test_a_weighting_key_is_a_config_error(tmp_path, capsys, command, section, w
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and "'weighting' was unexpected" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_a_negative_seed_flag_is_a_config_error(tmp_path, capsys, command):
+    # config.seed must be at least 0 and the flag went unchecked: simulate
+    # died in a ValueError traceback, oracle recorded the seed -3
+    out = simulated(tmp_path)
+    config = write_config(tmp_path, name="seed.json", oracle={"n_max": 20},
+                          inputs={"genealogy": str(out / VISIBLE[0])})
+    assert run(command, "--config", config, "--out", tmp_path / "o", "--seed", -3) == 2
+    assert capsys.readouterr().err == "error: --seed: -3 is less than the minimum of 0\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run("simulate", "--config", write_config(tmp_path), "--out", taken) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out: cannot make directory {taken}: ")
 
 
 def test_missing_input_is_config_error(tmp_path, capsys):
