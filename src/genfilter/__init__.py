@@ -28,9 +28,8 @@ from .models import (MODELS, TRUNCATIONS, LBDPParams, PiecewiseConstant,
                      sir_spec, sir_truncation, sirs_spec, sirs_truncation)
 from .population import (EventType, History, IntegrationError, Jump,
                          JumpSequence, ModelSpec, SimulationError, StateLattice,
-                         forward_generator, history_log_density, integrate_epochs,
-                         integrate_linear, jump_log_density, kfe_integrate,
-                         read_trajectory, simulate, state_at, to_history,
-                         write_trajectory)
+                         forward_generator, history_log_density, integrate_linear,
+                         jump_log_density, kfe_integrate, read_trajectory,
+                         simulate, state_at, to_history, write_trajectory)
 
 __version__ = "0.1.0"

@@ -225,19 +225,20 @@ def _filter_config(section: dict, seed: int) -> FilterConfig:
     return FilterConfig(seed=seed, **{k: section[k] for k in keys if k in section})
 
 
-def _truncation(config):
-    """``params -> truncation`` of the config's model.
+def _oracle_settings(config):
+    """``(params -> truncation, tol)`` of the config's model and oracle section.
 
     ``config.oracle.n_max`` sizes lbdp's truncation, which requires it; the
     other models truncate to their own bounded state space, so for them the
     key is a config error rather than a setting no run reads.
     """
-    name, n_max = config["model"]["name"], config.get("oracle", {}).get("n_max")
+    name, section = config["model"]["name"], config.get("oracle", {})
+    n_max = section.get("n_max")
     if n_max is None and name == "lbdp":
         raise ConfigError("config.oracle.n_max is required for model lbdp")
     if n_max is not None and name != "lbdp":
         raise ConfigError(f"config.oracle.n_max is read for model lbdp only, not {name!r}")
-    return lambda params: TRUNCATIONS[name](params, n_max)
+    return (lambda params: TRUNCATIONS[name](params, n_max)), section.get("tol", 1e-8)
 
 
 def _write_visible(out: Path, visible, prov: dict) -> None:
@@ -289,8 +290,8 @@ def cmd_filter(config, seed, prov: dict, out: Path):
 def cmd_oracle(config, seed, prov: dict, out: Path):
     params, spec = _build_model(config)
     v = _read_genealogy(config)
-    tol = config.get("oracle", {}).get("tol", 1e-8)
-    loglik, grid = oracle_loglik(spec, v, _truncation(config)(params), tol=tol, return_grid=True)
+    truncation, tol = _oracle_settings(config)
+    loglik, grid = oracle_loglik(spec, v, truncation(params), tol=tol, return_grid=True)
     result = {"loglik": loglik, "tol": tol, "n_states": int(len(grid.states)),
               "boundary_flux": boundary_flux(spec, grid)}
     return result, f"oracle loglik {loglik} ({len(grid.states)} states)"
@@ -327,7 +328,7 @@ def cmd_profile(config, seed, prov: dict, out: Path):
     v = _read_genealogy(config)
     values = section["values"]
     include_oracle = section.get("include_oracle", False)
-    truncation = _truncation(config) if include_oracle else None
+    truncation, tol = _oracle_settings(config) if include_oracle else (None, None)
     sub_seeds = np.random.SeedSequence(seed).generate_state(len(values), dtype=np.uint64)
     n_reps = section.get("n_reps", 1)
     rows = []
@@ -338,8 +339,7 @@ def cmd_profile(config, seed, prov: dict, out: Path):
         rep = replicate_loglik(spec, v, fc, n_reps)
         cells = [value, rep.mean, rep.se, fc.n_particles, n_reps, rep.collapse_count]
         if include_oracle:
-            cells.append(oracle_loglik(spec, v, truncation(params),
-                                       tol=config.get("oracle", {}).get("tol", 1e-8)))
+            cells.append(oracle_loglik(spec, v, truncation(params), tol=tol))
         rows.append(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells))
     header = "value,mean,se,n_particles,n_reps,collapsed" + (",oracle" if include_oracle else "")
     _write_csv(out / "profile.csv", header, rows, prov)

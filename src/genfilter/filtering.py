@@ -48,12 +48,14 @@ channels with a bound are thinned, and they alone are read again at each
 candidate time.  The oracle's generator is `forward_generator`'s assembly
 with its inflow scaled per state and channel, which keeps it a
 sub-generator: nonnegative off the diagonal, columns summing to at most 0.
-Its sparsity pattern, with each row's diagonal cell, is assembled once per
-oracle call, with the lattice (`StateLattice.pattern`); each epoch only
-refills the data (a `population.Generator`, no scipy matrix), once for one
-exact uniformization step (`integrate_epochs`), which forms its series
-matrix on the same pattern, or, when some channel has a bound, at every
-RK45 step.  The lattice is built once per call from the
+A channel whose inflow is scaled to zero, as every sampling channel's is
+between events, keeps its cells as explicit zeros, so every lineage count
+steps one sparsity pattern, with each row's diagonal cell, assembled once
+per oracle call with the lattice (`StateLattice.pattern`).  Each epoch only
+refills its data (a `population.Generator`, no scipy matrix), once for one
+exact uniformization step (`population._integrate_epochs`), which forms its
+series matrix on the same pattern, or, when some channel has a bound, at
+every RK45 step.  The lattice is built once per call from the
 truncation, and the `WeightGrid` the oracle returns is that lattice and
 its weights in row order, so `boundary_flux` on that grid reads the
 transition maps the oracle built.
@@ -76,8 +78,8 @@ import numpy as np
 from .exact import event_factor, hidden_birth_factor
 from .genealogy import Genealogy, GenealogyError, LineageFunction, event_schedule
 from .population import (IntegrationError, ModelSpec, StateLattice, _check_bound, _check_tol,
-                         _generator, _initial_mass, _initial_states, _state_array, _write_csv,
-                         ensure_rng, integrate_epochs)
+                         _generator, _initial_mass, _initial_states, _integrate_epochs,
+                         _state_array, _write_csv, ensure_rng)
 
 RESAMPLING_METHODS = ("systematic", "multinomial")
 
@@ -621,7 +623,7 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
 
     Starts from the initial distribution restricted to the truncation,
     read by one `population._initial_mass` call over all its states, advances the
-    between-events flow with `integrate_epochs` and applies the exact event
+    between-events flow with `_integrate_epochs` and applies the exact event
     updates.  Each epoch of constant rates is one uniformization step whose
     series leaves out at most ``tol * 1e-6`` of the mass; an epoch where a
     channel has a rate bound is integrated by RK45 at relative tolerance
@@ -661,8 +663,8 @@ def oracle_loglik(spec: ModelSpec, v: Genealogy, truncation, tol: float = 1e-8,
     for t, e, ell, kind, ell_post in _stretches(v):
         w[size < ell] = 0.0
         if e > t:
-            out = integrate_epochs(spec, lambda a: _interval_generator(spec, proj, a, ell),
-                                   w, t, e, tol)
+            out = _integrate_epochs(spec, lambda a: _interval_generator(spec, proj, a, ell),
+                                    w, t, e, tol)
             if out.min() < -tol * w.sum():
                 raise IntegrationError(f"grid weight {out.min():.3g} on [{t}, {e}] is negative "
                                        f"beyond tolerance {tol} of the mass {w.sum():.3g}")

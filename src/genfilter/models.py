@@ -226,8 +226,8 @@ def _sir_family(name: str, params, mu: float, waning=()) -> ModelSpec:
 
 
 def sir_truncation(params: SIRParams) -> list[tuple[int, int, int, int]]:
-    """All states reachable under s + i + r conservation."""
-    total = params.s0 + params.i0 + params.r0
+    """All states reachable under s + i + r conservation; counts are read by `_check_count`."""
+    total = sum(_check_count(name, getattr(params, name)) for name in ("s0", "i0", "r0"))
     return [(s, i, total - s - i, 0)
             for s in range(total + 1)
             for i in range(total - s + 1)]
@@ -300,10 +300,12 @@ def s2ir_spec(params: S2IRParams, mu: float = 1.0) -> ModelSpec:
 
 
 def s2ir_truncation(params: S2IRParams) -> list[tuple[int, int, int, int]]:
+    """All states reachable from the initial counts, which are read by `_check_count`."""
+    s1_0, s2_0, i0 = (_check_count(name, getattr(params, name)) for name in ("s1_0", "s2_0", "i0"))
     out = []
-    for s1 in range(params.s1_0 + 1):
-        for s2 in range(params.s2_0 + 1):
-            i_max = params.i0 + (params.s1_0 - s1) + (params.s2_0 - s2)
+    for s1 in range(s1_0 + 1):
+        for s2 in range(s2_0 + 1):
+            i_max = i0 + (s1_0 - s1) + (s2_0 - s2)
             out.extend((s1, s2, i, 0) for i in range(i_max + 1))
     return out
 

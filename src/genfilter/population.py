@@ -424,21 +424,31 @@ def _x0(spec: ModelSpec, h: History | JumpSequence) -> np.ndarray:
         raise ValueError(f"x0 {h.x0!r} is not a state of {spec.d} finite whole numbers") from None
 
 
+def _event_times(times, horizon: float) -> np.ndarray:
+    """Event ``times`` as a float array, checked against the ``horizon``.
+
+    A horizon that is not finite or is below 0, or a time outside
+    (0, horizon] or out of order, raises ValueError: the rule of every
+    reader of a path, and of `read_trajectory`.
+    """
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"history horizon {horizon} is not finite or is below 0")
+    times = np.array(times, dtype=float)
+    ok = (times > 0.0) & (times <= horizon) & (np.diff(times, prepend=0.0) >= 0.0)
+    if not ok.all():
+        raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {horizon}] "
+                         f"or unordered")
+    return times
+
+
 def _path(spec: ModelSpec, h: History, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The event times, channels and states of ``h``.
 
     ``states[0]`` is ``x0``, as the caller read it with `_x0`, and
-    ``states[i]`` the state after event i - 1.  A horizon that is not finite
-    or is below 0, or an event time outside (0, horizon] or out of order,
-    raises ValueError.
+    ``states[i]`` the state after event i - 1.  The times are read by
+    `_event_times`.
     """
-    if not 0.0 <= h.horizon < math.inf:
-        raise ValueError(f"history horizon {h.horizon} is not finite or is below 0")
-    times = np.array([t for t, _ in h.events], dtype=float)
-    ok = (times > 0.0) & (times <= h.horizon) & (np.diff(times, prepend=0.0) >= 0.0)
-    if not ok.all():
-        raise ValueError(f"event time {times[np.argmin(ok)]} is outside (0, {h.horizon}] "
-                         f"or unordered")
+    times = _event_times([t for t, _ in h.events], h.horizon)
     channels = np.array([k for _, k in h.events], dtype=np.int64)
     states = x0 + np.cumsum(np.vstack([np.zeros_like(x0), spec.displacements[channels]]), axis=0)
     return times, channels, states
@@ -543,18 +553,18 @@ def jump_log_density(spec: ModelSpec, traj: JumpSequence) -> float:
 
 
 class GeneratorPattern(NamedTuple):
-    """The CSR structure of a generator on one lattice for one channel set.
+    """The CSR structure of a generator on one lattice for one displacement set.
 
-    ``indptr`` and ``indices`` are canonical: one entry per cell, sorted by
-    row and then column, with every diagonal cell present.  A generator's
-    data is summed from its contributions: first each inflow entry, channel
-    by channel, then each row's outflow.  ``rate_at`` and ``scale_at`` give
-    each inflow entry its flat (src, k) and (dst, k) position in a rows x
-    channels array, and ``cell`` gives each contribution, inflow entries
-    then outflows, its cell; ``diagonal``, the outflows' part of ``cell``,
-    gives each row its diagonal cell.  Several meet in one cell where a
-    channel's displacement vanishes on the lattice or two channels share
-    one there.
+    Every channel is in it, whatever its rates.  ``indptr`` and ``indices``
+    are canonical: one entry per cell, sorted by row and then column, with
+    every diagonal cell present.  A generator's data is summed from its
+    contributions: first each inflow entry, channel by channel, then each
+    row's outflow.  ``rate_at`` and ``scale_at`` give each inflow entry its
+    flat (src, k) and (dst, k) position in a rows x channels array, and
+    ``cell`` gives each contribution, inflow entries then outflows, its
+    cell; ``diagonal``, the outflows' part of ``cell``, gives each row its
+    diagonal cell.  Several meet in one cell where a channel's displacement
+    vanishes on the lattice or two channels share one there.
     """
 
     indptr: np.ndarray
@@ -668,31 +678,31 @@ class StateLattice:
         self._transitions[key] = out
         return out
 
-    def pattern(self, displacements, channels) -> GeneratorPattern:
-        """The `GeneratorPattern` of ``channels``, indices into ``displacements``.
+    def pattern(self, displacements) -> GeneratorPattern:
+        """The `GeneratorPattern` of one channel per row of ``displacements``.
 
-        Built once per channel set and kept with the lattice; its flat
+        Built once per displacement set and kept with the lattice; its flat
         positions index a rates array of one column per displacement.
         """
-        key = (len(displacements), tuple((int(k), tuple(int(v) for v in displacements[k]))
-                                         for k in channels))
+        key = tuple(tuple(int(v) for v in disp) for disp in displacements)
         cached = self._patterns.get(key)
         if cached is None:
-            moves = [(k, *self.transition(disp)) for k, disp in key[1]]
-            cached = self._patterns[key] = _assemble_pattern(self.size, moves, key[0])
+            cached = self._patterns[key] = _assemble_pattern(
+                self.size, [self.transition(disp) for disp in key])
         return cached
 
 
-def _assemble_pattern(size: int, moves, n_channels: int) -> GeneratorPattern:
-    """`GeneratorPattern` of ``size`` rows from ``(k, src, dst)``, one per channel.
+def _assemble_pattern(size: int, moves) -> GeneratorPattern:
+    """`GeneratorPattern` of ``size`` rows from ``(src, dst)``, one per channel in order.
 
     The arrays take scipy's index dtype, int32 while every index fits, and
     are read-only, since every generator on the lattice shares them.
     """
+    n_channels = len(moves)
     none = [np.empty(0, np.int64)]
-    rate_at = np.concatenate([src * n_channels + k for k, src, _ in moves] + none)
-    scale_at = np.concatenate([dst * n_channels + k for k, _, dst in moves] + none)
-    cells, cell = np.unique(np.concatenate([dst * size + src for _, src, dst in moves]
+    rate_at = np.concatenate([src * n_channels + k for k, (src, _) in enumerate(moves)] + none)
+    scale_at = np.concatenate([dst * n_channels + k for k, (_, dst) in enumerate(moves)] + none)
+    cells, cell = np.unique(np.concatenate([dst * size + src for src, dst in moves]
                                            + [np.arange(size) * (size + 1)]), return_inverse=True)
     arrays = [np.searchsorted(cells, np.arange(size + 1) * size), cells % size,
               rate_at, scale_at, cell, cell[len(rate_at):]]
@@ -717,22 +727,19 @@ def _generator(lattice: StateLattice, displacements, rates, inflow_scale=None) -
     """Generator from rows x channels ``rates``: every row loses its total rate.
 
     Channel k carries ``rates[src, k]`` from row src to src + its
-    displacement, times ``inflow_scale[dst, k]`` when a scale is given; a
-    channel whose scale is all zero adds no entries.  The structure is the
-    lattice's `GeneratorPattern` for the channels that add entries; only
-    the data is filled here, each cell's contributions summed from 0.0 in
-    channel order and the row's outflow added last.  An entry whose value
-    is zero is kept as an explicit zero.
+    displacement, times ``inflow_scale[dst, k]`` when a scale is given.  The
+    structure is the lattice's one `GeneratorPattern` for ``displacements``,
+    with every channel in it; only the data is filled here, each cell's
+    contributions summed from 0.0 in channel order and the row's outflow
+    added last.  An entry whose value is zero, such as every entry of a
+    channel whose scale is zero, is kept as an explicit zero.
     """
-    n_channels = rates.shape[1]
-    channels = [k for k in range(n_channels)
-                if inflow_scale is None or inflow_scale[:, k].any()]
-    p = lattice.pattern(displacements, channels)
+    p = lattice.pattern(displacements)
     inflow = rates.take(p.rate_at)
     if inflow_scale is not None:
         inflow *= inflow_scale.take(p.scale_at)
     outflow = np.zeros(lattice.size)
-    for k in range(n_channels):  # channel by channel, the order rates.sum(axis=1) adds in
+    for k in range(rates.shape[1]):  # channel by channel, the order rates.sum(axis=1) adds in
         outflow -= rates[:, k]
     data = np.bincount(p.cell, weights=np.concatenate([inflow, outflow]),
                        minlength=len(p.indices))
@@ -775,7 +782,7 @@ _MAX_POISSON_MEAN = 500.0
 _TAIL_SHARE = 1e-6
 
 
-def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
+def _uniformized(A: Generator, w, dt: float, tol: float) -> np.ndarray:
     """exp(dt * A) @ w by uniformization (Jensen 1953; Grassmann 1977).
 
     ``A`` must have nonnegative off-diagonal entries and columns that sum to
@@ -794,13 +801,9 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
     so that exp(-lam dt) stays far from underflow.
 
     ``A`` is a `Generator`, whose pattern gives each row's diagonal cell, so
-    P's data is A's scaled by 1 / lam with 1 added at those cells.  Any
-    other sparse matrix is first read onto a pattern of its own stored
-    cells and its diagonal (`_on_pattern`), which inserts a diagonal entry
-    that it does not store.
+    P's data is A's scaled by 1 / lam with 1 added at those cells, on A's
+    own pattern.
     """
-    if not isinstance(A, Generator):
-        A = _on_pattern(A)
     n, diagonal = A.check(w), A.pattern.diagonal
     lam = float(-A.data.take(diagonal).min())
     if lam <= 0.0 or dt <= 0.0:
@@ -831,37 +834,20 @@ def _uniformized(A, w, dt: float, tol: float) -> np.ndarray:
     return w
 
 
-def _on_pattern(A) -> Generator:
-    """A square sparse matrix as a `Generator` on its stored cells and its diagonal.
-
-    Entries stored twice in one cell are summed; a diagonal cell that ``A``
-    does not store holds 0.0.
-    """
-    A = A.tocoo()
-    # int64: the pattern's cell keys, dst * rows + src, pass 2**31 past 46340 rows
-    src, dst = A.col.astype(np.int64), A.row.astype(np.int64)
-    p = _assemble_pattern(A.shape[0], [(0, src, dst)], 1)
-    data = np.bincount(p.cell, weights=np.concatenate([A.data, np.zeros(A.shape[0])]),
-                       minlength=len(p.indices))
-    return Generator(p, data)
-
-
-def integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
-                     tol: float) -> np.ndarray:
+def _integrate_epochs(spec: ModelSpec, generator, w, t0: float, t1: float,
+                      tol: float) -> np.ndarray:
     """Advance w' = generator(t) @ w from t0 to t1, one epoch of ``spec`` at a time.
 
-    ``generator(t)`` builds the sparse operator at time ``t``: nonnegative
-    off the diagonal, with columns that sum to at most 0, as a forward
-    generator with lost or damped inflow is.  On an epoch where no channel
-    has a rate bound it is called once, at the epoch's start, and the epoch
-    is one exact step, `_uniformized`, that leaves out at most ``tol * 1e-6``
-    of the mass.  Where some channel has a bound the operator changes within
-    the epoch; it is called at every right-hand-side evaluation of
-    `integrate_linear` with relative tolerance ``tol``.  The `Generator`s
-    that `_generator` builds, for `kfe_integrate` and the oracle, keep one
-    sparsity pattern per lattice, so each call refills only the data of
-    that pattern; any scipy sparse matrix, such as `forward_generator`'s,
-    is accepted too.  ``t1 < t0`` raises ValueError, as in
+    ``generator(t)`` is the `Generator` at time ``t`` that `_generator`
+    builds, for `kfe_integrate` and the oracle: nonnegative off the
+    diagonal, with columns that sum to at most 0, as a forward generator
+    with lost or damped inflow is.  Every call refills only the data of the
+    lattice's one pattern.  On an epoch where no channel has a rate bound it
+    is called once, at the epoch's start, and the epoch is one exact step,
+    `_uniformized`, that leaves out at most ``tol * 1e-6`` of the mass.
+    Where some channel has a bound the operator changes within the epoch;
+    it is called at every right-hand-side evaluation of `integrate_linear`
+    with relative tolerance ``tol``.  ``t1 < t0`` raises ValueError, as in
     `integrate_linear`.
     """
     _check_tol(tol)
@@ -884,7 +870,7 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
     that loses negligible probability flux.  Each epoch of constant rates is
     one exact step that leaves out at most ``tol * 1e-6`` of the mass;
     epochs where a channel has a rate bound are integrated by RK45 with
-    relative tolerance ``tol`` (`integrate_epochs`).
+    relative tolerance ``tol`` (`_integrate_epochs`).
     """
     lattice = StateLattice(truncation, spec.d)
     w = np.zeros(lattice.size)
@@ -892,9 +878,9 @@ def kfe_integrate(spec: ModelSpec, truncation, w0: Mapping, t0: float, t1: float
     if (rows < 0).any():
         raise ValueError(f"w0 state {list(w0)[np.argmax(rows < 0)]} is outside the truncation")
     w[rows] = list(w0.values())
-    w = integrate_epochs(spec, lambda t: _generator(lattice, spec.displacements,
-                                                    spec.rate_matrix(t, lattice.states)),
-                         w, t0, t1, tol)
+    w = _integrate_epochs(spec, lambda t: _generator(lattice, spec.displacements,
+                                                     spec.rate_matrix(t, lattice.states)),
+                          w, t0, t1, tol)
     return dict(zip(map(tuple, lattice.states.tolist()), w.tolist()))
 
 
@@ -952,7 +938,8 @@ def read_trajectory(base) -> tuple[JumpSequence, dict]:
     model object is needed.  A header whose ``kind`` is not ``"jumps"``, or
     whose ``x0`` is not a list of JSON numbers that are finite and whole (a
     ``true``, a string or a bare number among what it rejects), raises
-    ValueError naming it.
+    ValueError naming it, and so do jump times that `_event_times` rejects
+    for the header's ``t_end``.
     """
     base = Path(base)
     head = json.loads(base.with_suffix(".json").read_text())
@@ -983,4 +970,5 @@ def read_trajectory(base) -> tuple[JumpSequence, dict]:
         if name not in index:
             raise ValueError(f"{base.with_suffix('.csv')}:{lineno}: unknown event {name!r}")
         rows.append(Jump(float(t), index[name], int(aux)))
+    _event_times([j.time for j in rows], horizon)
     return JumpSequence(x0, tuple(rows), horizon), head

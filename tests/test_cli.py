@@ -245,6 +245,26 @@ def test_oracle_refuses_n_max_for_a_model_that_does_not_read_it(tmp_path, capsys
     assert not list((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("command", ["oracle", "profile"])
+def test_oracle_takes_a_whole_float_count(tmp_path, command):
+    # the spec reads "s0": 8.0 as 8, and so must the truncation: the files
+    # then differ only in the config's digest
+    model = {"name": "sir", "params": SIR_PARAMS}
+    sim = write_config(tmp_path, name="sim.json", model=model)
+    assert run("simulate", "--config", sim, "--out", tmp_path / "sim") == 0
+    written = []
+    for s0 in (8, 8.0):
+        profile = {"profile": {"parameter": "s0", "values": [s0], "n_particles": 20,
+                               "include_oracle": True}} if command == "profile" else {}
+        config = write_config(tmp_path, model={"name": "sir", "params": {**SIR_PARAMS, "s0": s0}},
+                              inputs={"genealogy": str(tmp_path / "sim" / VISIBLE[0])}, **profile)
+        out = tmp_path / f"{command}-{s0}"
+        assert run(command, "--config", config, "--out", out) == 0
+        text = (out / ("result.json" if command == "oracle" else "profile.csv")).read_text()
+        written.append([line for line in text.splitlines() if "config_sha256" not in line])
+    assert written[0] == written[1]
+
+
 def test_oracle_rejects_tied_event_times(tmp_path, capsys):
     # both leaves at t=0.7: each needs the lineage count the other leaves behind
     path = gf.write_genealogy(tmp_path / "tied.json",
@@ -501,6 +521,8 @@ NOT_A_GENEALOGY = {"time": 1.0, "nodes": [
     ("prune", "genealogy", json.dumps(NOT_A_GENEALOGY), 1),
     ("exact", "trajectory", None, 2),
     ("exact", "trajectory", "time,event,aux\n", 2),
+    ("exact", "trajectory", "time,event_name,aux\n0.5,birth,0\n5.0,birth,0\n", 2),
+    ("exact", "trajectory", "time,event_name,aux\n0.6,birth,0\n0.4,birth,0\n", 2),
 ])
 def test_bad_input_file_is_a_named_error(tmp_path, command, key, content, code):
     """Unreadable paths are config errors; malformed content fails the run; no traceback."""
@@ -509,7 +531,8 @@ def test_bad_input_file_is_a_named_error(tmp_path, command, key, content, code):
         target.write_text(content)
     elif content is not None:
         target.with_suffix(".json").write_text(json.dumps(
-            {"kind": "jumps", "events": ["birth"], "x0": [1, 0], "t_end": 1.0}))
+            {"kind": "jumps", "events": ["birth", "death", "sampling"], "x0": [1, 0],
+             "t_end": 1.0}))
         target.with_suffix(".csv").write_text(content)
     config = write_config(tmp_path, name="bad.json", inputs={key: str(target)},
                           oracle={"n_max": 20})
@@ -519,7 +542,7 @@ def test_bad_input_file_is_a_named_error(tmp_path, command, key, content, code):
     assert proc.returncode == code, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
-    if content is None:
+    if code == 2:
         assert f"config.inputs.{key}" in proc.stderr
 
 

@@ -707,13 +707,13 @@ def test_oracle_converges_in_tol_on_a_medium_genealogy():
 def test_oracle_rejects_negative_mass_beyond_tolerance(monkeypatch, leak, raises):
     spec = lbdp(0.5, 0.3, 0.6, 2)
     truncation = gf.lbdp_truncation(gf.LBDPParams(0.5, 0.3, 0.6, 2), 30)
-    integrate = gf.filtering.integrate_epochs
+    integrate = gf.filtering._integrate_epochs
 
     def leaky(*args):
         out = integrate(*args)
         out[0] -= leak
         return out
-    monkeypatch.setattr(gf.filtering, "integrate_epochs", leaky)
+    monkeypatch.setattr(gf.filtering, "_integrate_epochs", leaky)
     if raises:
         with pytest.raises(gf.IntegrationError, match=r"on \[0.0, 0.5\] is negative"):
             gf.oracle_loglik(spec, two_leaf_visible(), truncation)
@@ -1515,18 +1515,11 @@ def test_interval_generator_matches_the_coo_reference():
                                            spec.rate_matrix(0.3, full_lattice.states)), rng)
 
 
-def test_uniformized_steps_a_generator_as_its_csr_matrix():
-    # the oracle's generators fill P on their pattern; any other CSR matrix
-    # is read onto one first, and the two give one result, bit for bit
-    rng = np.random.default_rng(10)
+def test_a_generator_and_its_step_reject_a_vector_that_does_not_fit():
     for spec, truncation in grid_cases():
         full = np.array(truncation)
         lattice = gf.StateLattice(full[:, :len(spec.active_dims)], len(spec.active_dims))
         G = gf.filtering._interval_generator(spec, lattice, 0.3, 1)
-        w = rng.random(lattice.size)
-        for dt in (0.05, 2.0):
-            got = gf.population._uniformized(G, w, dt, 1e-8)
-            assert got.tobytes() == gf.population._uniformized(G.tocsr(), w, dt, 1e-8).tobytes()
         for bad in (np.ones(lattice.size + 1), np.ones((lattice.size, 1))):
             with pytest.raises(ValueError, match="does not fit a generator"):
                 G @ bad
@@ -1552,9 +1545,9 @@ def test_oracle_assembles_the_pattern_once_per_call(monkeypatch):
     built = []
     assemble = gf.population._assemble_pattern
 
-    def counting(size, moves, n_channels):
+    def counting(size, moves):
         built.append(size)
-        return assemble(size, moves, n_channels)
+        return assemble(size, moves)
     monkeypatch.setattr(gf.population, "_assemble_pattern", counting)
     params, spec, v = sir100_visible(1.0)
     for _ in range(2):
@@ -1565,3 +1558,17 @@ def test_oracle_assembles_the_pattern_once_per_call(monkeypatch):
     gf.oracle_loglik(sinusoidal_sir(0.5), piecewise_visible(),
                      gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2)))
     assert built == [45]
+
+
+def test_one_lattice_holds_one_pattern_at_every_lineage_count():
+    # a channel scaled to zero, as sampling is between events and every
+    # channel is above the largest focal size, keeps its cells as zeros
+    spec = sir(0.9, 0.5, 0.6, 6, 2)
+    full = np.array(gf.sir_truncation(gf.SIRParams(0.9, 0.5, 0.6, 6, 2)))
+    lattice = gf.StateLattice(full[:, :len(spec.active_dims)], len(spec.active_dims))
+    top = int(lattice.states[:, spec.focal_dim].max())
+    for ell in (*range(4), top, top + 1):
+        gf.filtering._interval_generator(spec, lattice, 0.3, ell)
+        assert len(lattice._patterns) == 1
+    _, grid = gf.oracle_loglik(spec, piecewise_visible(), full, return_grid=True)
+    assert len(grid.lattice._patterns) == 1

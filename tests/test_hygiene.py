@@ -199,13 +199,16 @@ def test_the_readme_command_line_example_runs_as_written(tmp_path):
 
 
 def test_the_line_counter_runs_and_agrees_with_a_plain_line_total():
-    """``tools/src_lines.py`` counts every line of the package, and codes fewer."""
+    """``tools/src_lines.py`` counts every line of the package, codes fewer,
+    and splits the code lines by file."""
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, str(root / "tools" / "src_lines.py")],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     counts = {key: int(value) for key, value in map(str.split, done.stdout.splitlines())}
-    sources = (root / "src" / "genfilter").glob("*.py")
+    sources = sorted((root / "src" / "genfilter").glob("*.py"))
     total = sum(len(path.read_text().splitlines()) for path in sources)
     assert counts["total"] == total
     assert 0 < counts["code_only"] < total
+    assert list(counts)[2:] == [path.name for path in sources]
+    assert sum(counts[path.name] for path in sources) == counts["code_only"]

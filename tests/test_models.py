@@ -319,3 +319,18 @@ def test_s2ir_truncation_bounds():
     for s1, s2, i, g in states:
         assert 0 <= s1 <= 2 and 0 <= s2 <= 1 and g == 0
         assert 0 <= i <= 1 + (2 - s1) + (1 - s2)
+
+
+@pytest.mark.parametrize("name, counts", [("sir", {"s0": 4.0, "i0": 2.0, "r0": 1.0}),
+                                          ("sirs", {"s0": 4.0, "i0": 2.0}),
+                                          ("s2ir", {"s1_0": 3.0, "s2_0": 2.0, "i0": 1.0})])
+def test_a_truncation_takes_whole_float_counts(name, counts):
+    # the spec builders take a count written as a whole float; so do the truncations
+    rates = {"sir": SIR_MAPPING, "sirs": {**SIR_MAPPING, "waning_rate": 0.2},
+             "s2ir": {"transmission_rate_1": 0.4, "transmission_rate_2": 0.1,
+                      "recovery_rate": 0.8, "sampling_rate": 0.5}}[name]
+    floats = gf.model_params(name, {**rates, **counts})
+    ints = gf.model_params(name, {**rates, **{k: int(v) for k, v in counts.items()}})
+    got = gf.TRUNCATIONS[name](floats, None)
+    assert got == gf.TRUNCATIONS[name](ints, None)
+    assert all(type(v) is int for state in got for v in state)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.linalg import expm
-from scipy.sparse import _sparsetools, csr_matrix, hstack, identity
-from scipy.stats import binom
+from scipy.sparse import _sparsetools, hstack, identity
 
 import genfilter as gf
 from genfilter.population import (Jump, JumpSequence, History, SimulationError,
@@ -418,12 +416,22 @@ def random_generator(rng, n, leak):
     return A
 
 
+def as_generator(A):
+    """Dense square ``A`` as a `Generator`, entry for entry: one channel on
+    its nonzero cells off the diagonal, and the diagonal."""
+    dst, src = np.nonzero((A != 0.0) & ~np.eye(len(A), dtype=bool))
+    p = gf.population._assemble_pattern(len(A), [(src, dst)])
+    data = np.bincount(p.cell, weights=np.concatenate([A[dst, src], np.diag(A)]),
+                       minlength=len(p.indices))
+    return gf.population.Generator(p, data)
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.7, 4.0])
 def test_uniformized_matches_expm_on_a_dense_generator(dt):
     rng = np.random.default_rng(17)
     A = random_generator(rng, 6, rng.random(6))
     w = rng.random(6)
-    got = _uniformized(csr_matrix(A), w, dt, 1e-8)
+    got = _uniformized(as_generator(A), w, dt, 1e-8)
     want = expm(dt * A) @ w
     assert np.abs(got - want).max() < 1e-13
     assert (got >= 0.0).all()
@@ -433,7 +441,7 @@ def test_uniformized_splits_a_long_step():
     # lam * dt = 1200 is cut into three substeps of mean 400; in one step
     # exp(-1200) would underflow to 0 and so would the result
     A = np.array([[-2.0, 1.0], [2.0, -1.0]])
-    got = _uniformized(csr_matrix(A), np.array([0.3, 0.7]), 600.0, 1e-8)
+    got = _uniformized(as_generator(A), np.array([0.3, 0.7]), 600.0, 1e-8)
     assert np.abs(got - [1 / 3, 2 / 3]).max() < 1e-13
 
 
@@ -446,7 +454,7 @@ def test_uniformized_matches_the_pure_death_law():
         A[k - 1, k] = delta * k
     w = np.zeros(n + 1)
     w[n] = 1.0
-    got = _uniformized(csr_matrix(A), w, t, 1e-8)
+    got = _uniformized(as_generator(A), w, t, 1e-8)
     p = math.exp(-delta * t)
     want = [math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
     assert np.abs(got - want).max() < 1e-13
@@ -490,23 +498,24 @@ def reference_uniformized(A, w, dt, tol):
 
 def bit_for_bit_case(seed):
     """A 40-state generator with a zeroed column, whose diagonal entry is
-    unstored, and a weight vector with some zeros."""
+    zero, and a weight vector with some zeros."""
     rng = np.random.default_rng(seed)
     dense = random_generator(rng, 40, rng.random(40) * (rng.random(40) < 0.5))
     dense[:, 7] = 0.0
     return dense, rng.random(40) * (rng.random(40) < 0.8)
 
 
-# lam dt of 1300 is cut into three substeps; a zeroed column leaves a
-# diagonal entry unstored, which both sides insert
+# lam dt of 1300 is cut into three substeps; a zeroed column's diagonal
+# cell holds an explicit zero, to which both sides add 1
 @pytest.mark.parametrize("mean", [0.02, 3.0, 140.0, 499.0, 1300.0])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_uniformized_is_the_reference_series_bit_for_bit(seed, mean):
     dense, w = bit_for_bit_case(seed)
-    A = csr_matrix(dense)
+    G = as_generator(dense)
+    A = G.tocsr()
     lam = -A.diagonal().min()
     for tol in (1e-8, 1e-12):
-        got = _uniformized(A, w, mean / lam, tol)
+        got = _uniformized(G, w, mean / lam, tol)
         want = reference_uniformized(A, w, mean / lam, tol)
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(A.toarray(), dense)
@@ -521,33 +530,17 @@ def test_uniformized_matches_expm_on_the_bit_for_bit_generators(seed, mean):
     w = w / w.sum()
     dt = mean / -dense.diagonal().min()
     for tol in (1e-8, 1e-12):
-        got = _uniformized(csr_matrix(dense), w, dt, tol)
+        got = _uniformized(as_generator(dense), w, dt, tol)
         assert np.abs(got - expm(dt * dense) @ w).max() < 1e-13
         assert (got >= 0.0).all()
-
-
-def test_uniformized_inserts_missing_diagonal_entries_without_a_warning():
-    # pure death of 600: the empty state's diagonal entry is not stored, and
-    # reading A onto a pattern of its cells and its diagonal inserts it
-    n, delta, t = 600, 0.01, 0.5
-    k = np.arange(1, n + 1)
-    A = csr_matrix((np.concatenate([-delta * k, delta * k]),
-                    (np.concatenate([k, k - 1]), np.concatenate([k, k]))), shape=(n + 1, n + 1))
-    assert A.has_canonical_format and A.nnz == 2 * n
-    w = np.zeros(n + 1)
-    w[n] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _uniformized(A, w, t, 1e-8)
-    want = binom.pmf(np.arange(n + 1), n, math.exp(-delta * t))
-    assert np.abs(got - want).max() < 1e-13
 
 
 def test_uniformized_stops_at_a_tiny_tol(monkeypatch):
     # lam * dt is about 11; the Poisson weights fall below the smallest
     # double near term 314, so the series cannot run on
     rng = np.random.default_rng(5)
-    A = csr_matrix(random_generator(rng, 5, 0.0))
+    A = random_generator(rng, 5, 0.0)
+    G = as_generator(A)
     products = []
     matvec = _sparsetools.csr_matvec
 
@@ -556,7 +549,7 @@ def test_uniformized_stops_at_a_tiny_tol(monkeypatch):
         return matvec(*args)
     monkeypatch.setattr(_sparsetools, "csr_matvec", counting)  # read by each call
     mean = -A.diagonal().min() * 2.0
-    got = _uniformized(A, np.full(5, 0.2), 2.0, 1e-300)
+    got = _uniformized(G, np.full(5, 0.2), 2.0, 1e-300)
     assert np.isfinite(got).all()
     assert mean < len(products) <= 320
 
@@ -582,8 +575,10 @@ def test_kfe_integrate_rejects_a_reversed_interval():
         gf.kfe_integrate(spec, trunc, {(1, 0): 1.0}, 1.0, 0.5)
     lattice = gf.StateLattice(trunc, spec.d)
     with pytest.raises(ValueError, match="t1 < t0"):
-        gf.integrate_epochs(spec, lambda t: gf.forward_generator(spec, lattice, t),
-                            np.array([0.0, 1.0]), 1.0, 0.5, 1e-8)
+        gf.population._integrate_epochs(
+            spec, lambda t: gf.population._generator(lattice, spec.displacements,
+                                                     spec.rate_matrix(t, lattice.states)),
+            np.array([0.0, 1.0]), 1.0, 0.5, 1e-8)
     assert gf.kfe_integrate(spec, trunc, {(1, 0): 1.0}, 0.5, 0.5) == {(0, 0): 0.0, (1, 0): 1.0}
 
 

@@ -3,9 +3,10 @@
     python3 tools/src_lines.py
 
 Prints ``total <n>`` and ``code_only <n>`` for the ``*.py`` files of
-``src/genfilter``.  A code-only line is a physical line that is not blank,
-not a comment line and not inside a docstring (the first string statement
-of a module, class or function), found with the `ast` module: the rule the
+``src/genfilter``, then one ``<file> <code_only>`` line per file.  A
+code-only line is a physical line that is not blank, not a comment line and
+not inside a docstring (the first string statement of a module, class or
+function), found with the `ast` module: the rule the
 ``src_genfilter_lines`` entries of the ``BENCH_<n>.json`` files state.
 Standard library only.
 """
@@ -42,9 +43,12 @@ def count(path: Path) -> tuple[int, int]:
 
 def main() -> int:
     root = Path(__file__).resolve().parents[1] / "src" / "genfilter"
-    counts = [count(p) for p in sorted(root.glob("*.py"))]
+    paths = sorted(root.glob("*.py"))
+    counts = [count(p) for p in paths]
     print(f"total {sum(t for t, _ in counts)}")
     print(f"code_only {sum(c for _, c in counts)}")
+    for path, (_, code) in zip(paths, counts):
+        print(f"{path.name} {code}")
     return 0
 
 
