@@ -1144,6 +1144,42 @@ def test_sir100_seed101_values_are_pinned():
     assert gf.loglik_events(spec, gf.to_history(traj), v) == -10.778129199009985
 
 
+# the filter's random stream at 300 particles and seed 11, as the repr of
+# smc_loglik's (loglik, rounds, jumps, resample_count, estimates of a
+# 3-replicate replicate_loglik); a change that claims bit-identity leaves them equal
+FILTER_STREAM_PINS = {
+    "sir100-constant": "(0.5121485726316095, 143, 10840, 2, "
+                       "[0.13620580094335288, 0.31796255781119953, 0.1464847030423151])",
+    "sir100-piecewise": "(-0.12635525497666755, 114, 7641, 3, "
+                        "[-0.42653876491451737, -0.28724136054893634, -0.46371968590987667])",
+    "constant": "(-4.491909441890717, 100, 3971, 2, "
+                "[-4.509321472891774, -4.561835558859733, -4.6303133788774])",
+    "bounded-infection": "(-6.9674515543783455, 38, 3125, 1, "
+                         "[-6.046175672159, -5.62833120261999, -6.050571438590843])",
+    "bounded-sampling": "(-0.6648730279810922, 34, 2244, 2, "
+                        "[-0.7399360886117163, -0.6564018703391721, -0.6605775311592641])",
+    "two-birth-channels": "(-4.529533606019845, 30, 2958, 1, "
+                          "[-4.5994569695215795, -4.422244241225521, -4.544491703126872])",
+}
+
+
+@pytest.mark.parametrize("case", list(FILTER_STREAM_PINS))
+def test_filter_stream_is_pinned(case):
+    if case.startswith("sir100"):
+        params, spec, v = sir100_visible(1.0)
+        if case == "sir100-piecewise":
+            spec = gf.sir_spec(replace(params, transmission_rate=gf.PiecewiseConstant(
+                (0.5,), (0.04, 0.02))))
+    else:
+        spec, v = bit_identity_case(case)
+    config = FilterConfig(300, seed=11)
+    res = gf.smc_loglik(spec, v, config)
+    estimates = [float(e) for e in gf.replicate_loglik(spec, v, config, 3).estimates]
+    d = res.diagnostics
+    assert repr((res.loglik, d.rounds, d.jumps, d.resample_count, estimates)) \
+        == FILTER_STREAM_PINS[case]
+
+
 # the filter on the seed-101 genealogy, as (beta, seed, particles, replicates):
 # constant beta, and the piecewise beta's epoch path
 SIR100_FILTER_RUNS = [
