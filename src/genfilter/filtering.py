@@ -15,6 +15,12 @@ Two routes, useful as cross-checks on each other:
   `smc_loglik` is the R = 1 case.  Each block draws from its own generator,
   and each propagation round only for its particles still moving, so every
   replicate is bit-identical to its own run.
+  A propagation round reads the rates once, rows by channels, and sums only
+  the channels on the clock, in place; the off-clock sampling channels are
+  read for the survival weight alone.  The draw names a channel by its rank
+  on the clock, which indexes a move table and a table of weight gains per
+  lineage count (`_KernelTables`); the driver builds those tables once per
+  run, and `propagate_interval` once per call, never per epoch.
 * `oracle_loglik` evaluates the same unnormalized filtering recursion
   deterministically over a finite state truncation, which makes it an
   accuracy oracle at small scale.
@@ -88,13 +94,20 @@ class FilterError(RuntimeError):
     """Raised on configuration or structural errors in the filter."""
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Particle-filter settings.
 
     ``ess_threshold`` is the fraction of the particle count below which the
     ensemble is resampled after an event update.  ``n_particles`` must be an
-    integer of at least 1 (ValueError).
+    integer of at least 1 and ``seed`` None or a nonnegative integer; a bool
+    is neither, nor is it an ``ess_threshold`` (ValueError naming the field).
+    Integers are stored as Python ints, so a NumPy small int cannot overflow.
     """
 
     n_particles: int = 1000
@@ -103,11 +116,15 @@ class FilterConfig:
     resampling: str = "systematic"
 
     def __post_init__(self):
-        n = self.n_particles
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        n, seed, ess = self.n_particles, self.seed, self.ess_threshold
+        if not _is_int(n) or n < 1:
             raise ValueError(f"n_particles must be an integer of at least 1, got {n!r}")
-        if not 0.0 <= self.ess_threshold <= 1.0:
-            raise ValueError("ess_threshold is a fraction of n_particles")
+        if seed is not None and (not _is_int(seed) or seed < 0):
+            raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, "n_particles", int(n))
+        object.__setattr__(self, "seed", None if seed is None else int(seed))
+        if isinstance(ess, bool) or not 0.0 <= ess <= 1.0:
+            raise ValueError(f"ess_threshold is a fraction of n_particles, got {ess!r}")
         if self.resampling not in RESAMPLING_METHODS:
             raise ValueError(f"resampling must be one of {RESAMPLING_METHODS}")
 
@@ -270,15 +287,37 @@ def _log_gains(spec, ell, top: int) -> np.ndarray:
     return gains
 
 
-def _cumsum_channels(rates: np.ndarray) -> np.ndarray:
-    """``np.cumsum(rates, axis=0)``, by the same additions row by row, which is faster."""
-    cum = rates.copy()
-    for k in range(1, len(cum)):
-        cum[k] += cum[k - 1]
-    return cum
+class _KernelTables:
+    """What `_propagate_epoch` reads of a spec, built once per run.
+
+    ``on_clock`` lists the channels on the clock, in channel order, and
+    ``off_clock`` the sampling channels without a rate bound, which only
+    weigh survival; ``thinned`` the channels with a rate bound.  A channel
+    drawn on the clock is named by its on-clock rank, and the rank after the
+    last is a rejected thinning candidate.  ``moves`` and ``log_gains[ell]``
+    (`_log_gains`' rows at lineage count ``ell``) are indexed by that rank,
+    with the rejected candidate last; a gains table grows when a larger
+    focal size appears.
+    """
+
+    def __init__(self, spec):
+        off = spec.sample_mask & ~spec.bound_mask
+        self.thinned = np.flatnonzero(spec.bound_mask).tolist()
+        self.off_clock = np.flatnonzero(off).tolist()
+        self.on_clock = np.flatnonzero(~off).tolist()
+        self.moves = np.vstack([spec.active_displacements[~off],
+                                np.zeros_like(spec.active_displacements[:1])])
+        self.log_gains = {}
 
 
-def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs):
+def _clock(rates, on):
+    """Sum the on-clock columns ``on`` of ``rates`` in place, left to right; the total column."""
+    for a, b in zip(on, on[1:]):
+        rates[:, b] += rates[:, a]
+    return rates[:, on[-1]] if on else np.zeros(len(rates))
+
+
+def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs, tables=None):
     """Simulation of the live particles across one epoch [t0, t1], in place.
 
     Works on the index set of live (finite log weight) particles that have
@@ -287,17 +326,21 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs):
     kills it.  Their states are carried from round to round and written back
     through a view of one item per row, which scatters several times faster.
 
-    Each round, a channel without a rate bound runs at its rate at t0 and a
-    channel with one at `ModelSpec.rate_bound` on [t, t1]: the bounded
-    channels are thinned (Lewis & Shedler 1979).  One cumulative sum over the
-    channels gives the clock's total and, with the channel uniform u, the
-    channel; a candidate is rejected, and stays in the set at its time, when
-    u times the total exceeds the summed rates there, where only the bounded
-    channels are read again (a rate above its bound raises `SimulationError`).
-    A sampling channel without a bound is off the clock and leaves the log
-    weight as its rate times each round's stretch; one with a bound is
-    thinned like any other channel.  Jumps pay `_log_gains`, so an accepted
-    sample kills the particle.
+    Each round reads the rates once, as ``spec.rate_matrix`` returns them
+    (rows by channels).  A channel without a rate bound runs at its rate at
+    t0 and a channel with one at `ModelSpec.rate_bound` on [t, t1]: the
+    bounded channels are thinned (Lewis & Shedler 1979).  A sampling channel
+    without a bound is off the clock: its rate only leaves the log weight as
+    its rate times each round's stretch.  The on-clock channels are summed
+    in place, in channel order, which gives the clock's total and, with the
+    channel uniform u, the channel's on-clock rank; a candidate is rejected,
+    and stays in the set at its time, when u times the total exceeds the
+    summed rates there, where only the bounded channels are read again (a
+    rate above its bound raises `SimulationError`).  The rank picks the move
+    and the `_log_gains` entry, so an accepted sample, which only a bounded
+    sampling channel draws, kills the particle.  ``tables`` (`_KernelTables`)
+    holds the index sets, the move table and one gains table per lineage
+    count for a whole run; without it, the epoch builds its own.
 
     The particles form one block of equal size per generator in ``rngs``.
     Each round, a block with m particles in the set draws from its own
@@ -306,69 +349,71 @@ def _propagate_epoch(spec, states, logw, t0, t1, ell, rngs):
     nothing, so a block takes the draws it would take alone.
     Also returns each block's rounds and accepted jumps, shape (2, blocks).
     """
-    n, rejected = len(logw) // len(rngs), spec.n_events
-    thinned = np.flatnonzero(spec.bound_mask).tolist()
-    off_clock = np.flatnonzero(spec.sample_mask & ~spec.bound_mask).tolist()
-    moves = np.vstack([spec.active_displacements, np.zeros_like(spec.active_displacements[:1])])
-    gains = np.empty((rejected + 1, 0))
+    tables = tables or _KernelTables(spec)
+    thinned, off, on, moves = tables.thinned, tables.off_clock, tables.on_clock, tables.moves
+    n, rejected, one = len(logw) // len(rngs), len(on), len(rngs) == 1
+    gains = tables.log_gains.get(ell, np.empty((rejected + 1, 0)))
     edges, rounds, jumps = np.arange(len(rngs) + 1) * n, [0] * len(rngs), [0] * len(rngs)
     idx = np.flatnonzero(np.isfinite(logw))
     waits, uniforms = np.empty(len(idx)), np.empty(len(idx))
     x, t = states[idx], np.full(len(idx), t0)
     rows = states.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
-    while len(idx):
-        bounds = np.searchsorted(idx, edges).tolist()
-        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if hi > lo:
-                rngs[r].standard_exponential(out=waits[lo:hi])
-                rngs[r].random(out=uniforms[lo:hi])
-                rounds[r] += 1
-        rates = spec.rate_matrix(t0, x).T  # channel-major: one row per channel
-        g_rate = rates[off_clock].sum(axis=0)
-        rates[off_clock] = 0.0
-        for k in thinned:
-            rates[k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
-        rates, cum = rates if thinned else None, _cumsum_channels(rates)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t + waits[:len(idx)] / np.abs(cum[-1])
-        fired = (t_next < t1).nonzero()[0]
-        # stop lives to the round's end, like the arrays freed below: freeing it
-        # at once made the sir100-crosscheck workload's filter 6% slower (2 CPUs)
-        stop = np.fmin(t_next, t1)
-        np.subtract.at(logw, idx, g_rate * (stop - t))
-        start = t
-        idx, t, x, cum = idx[fired], t_next[fired], x.take(fired, axis=0), cum.take(fired, axis=1)
-        u = uniforms[fired] * cum[-1]
-        if thinned:
-            rates = rates.take(fired, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(idx):
+            bounds = [0, len(idx)] if one else np.searchsorted(idx, edges).tolist()
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if hi > lo:
+                    rngs[r].standard_exponential(out=waits[lo:hi])
+                    rngs[r].random(out=uniforms[lo:hi])
+                    rounds[r] += 1
+            rates = spec.rate_matrix(t0, x)
+            g_rate = sum(rates[:, k] for k in off)
             for k in thinned:
-                rates[k] = [spec.rate(k, a, xi) for a, xi in zip(t, x)]
-            bound, cum = cum[-1], _cumsum_channels(rates)
-            _check_bound(cum[-1], bound, start[fired], t1)
-        # cum[k-1] < u <= cum[k] picks channel k; u above every entry is a rejection
-        choice = (u > cum).sum(axis=0)
-        x += moves.take(choice, axis=0)
-        rows[idx] = x.view(rows.dtype)[:, 0]
-        moved = np.searchsorted(idx[choice < rejected] if thinned else idx, edges).tolist()
-        jumps = [j + b - a for j, a, b in zip(jumps, moved, moved[1:])]
-        if (size := x[:, spec.focal_dim]).max(initial=-1) >= gains.shape[1]:
-            gains = _log_gains(spec, ell, 2 * int(size.max()))
-        gain = gains[choice, size]
-        np.add.at(logw, idx, gain)
-        if gain.min(initial=0.0) == -np.inf:
-            live = (gain > -np.inf).nonzero()[0]
-            idx, t, x = idx[live], t[live], x.take(live, axis=0)
-        # free this round's arrays before the next round makes its own
-        rates = cum = t_next = fired = stop = start = u = choice = None
-        size = gain = g_rate = None
+                rates[:, k] = [spec.rate_bound(k, a, t1, xi) for a, xi in zip(t, x)]
+            total = _clock(rates.copy() if thinned else rates, on)
+            t_next = t + waits[:len(idx)] / np.abs(total)
+            fired = (t_next < t1).nonzero()[0]
+            # stop lives to the round's end, like the arrays freed below: freeing it
+            # at once made the sir100-crosscheck workload's filter 6% slower (2 CPUs)
+            stop = np.fmin(t_next, t1)
+            np.subtract.at(logw, idx, g_rate * (stop - t))
+            start = t
+            idx, t, x, total = idx[fired], t_next[fired], x.take(fired, axis=0), total[fired]
+            cum = rates.take(fired, axis=0)
+            u = uniforms[fired] * total
+            if thinned:
+                for k in thinned:
+                    cum[:, k] = [spec.rate(k, a, xi) for a, xi in zip(t, x)]
+                _check_bound(_clock(cum, on), total, start[fired], t1)
+            # cum[k-1] < u <= cum[k] picks on-clock rank k; u above every entry is a
+            # rejection, which only a thinned clock draws: elsewhere u <= the total
+            choice = np.zeros(len(u), dtype=np.intp)
+            for k in on if thinned else on[:-1]:
+                choice += u > cum[:, k]
+            x += moves.take(choice, axis=0)
+            rows[idx] = x.view(rows.dtype)[:, 0]
+            moved = idx[choice < rejected] if thinned else idx
+            tally = [0, len(moved)] if one else np.searchsorted(moved, edges).tolist()
+            jumps = [j + b - a for j, a, b in zip(jumps, tally, tally[1:])]
+            if (size := x[:, spec.focal_dim]).max(initial=-1) >= gains.shape[1]:
+                gains = tables.log_gains[ell] = _log_gains(spec, ell, 2 * int(size.max()))[
+                    [*on, -1]]
+            gain = gains[choice, size]
+            np.add.at(logw, idx, gain)
+            if gain.min(initial=0.0) == -np.inf:
+                live = (gain > -np.inf).nonzero()[0]
+                idx, t, x = idx[live], t[live], x.take(live, axis=0)
+            # free this round's arrays before the next round makes its own
+            rates = cum = t_next = fired = stop = start = u = choice = None
+            size = gain = g_rate = total = None
     return states, logw, np.array([rounds, jumps])
 
 
-def _propagate(spec, states, logw, t0, t1, ell, rngs):
+def _propagate(spec, states, logw, t0, t1, ell, rngs, tables):
     """Advance particles across [t0, t1] one epoch at a time; also sums the epochs' tallies."""
     tally = np.zeros((2, len(rngs)), dtype=np.int64)
     for a, b in spec.epochs(t0, t1):
-        states, logw, counts = _propagate_epoch(spec, states, logw, a, b, ell, rngs)
+        states, logw, counts = _propagate_epoch(spec, states, logw, a, b, ell, rngs, tables)
         tally += counts
     return states, logw, tally
 
@@ -385,8 +430,11 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     `smc_loglik`: off the clock by its survival weight without a rate bound,
     thinned and fatal when it samples with one.  A genealogy event strictly
     inside (t0, t1), or a genealogy `LineageFunction` rejects (an unpruned
-    one, say), raises `GenealogyError`.
+    one, say), raises `GenealogyError`; a ``t0`` or ``t1`` that is not
+    finite, or ``t1 < t0``, raises ValueError.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got [{t0}, {t1}]")
     if t1 < t0:
         raise ValueError("t1 < t0")
     lineages = LineageFunction(v)
@@ -399,7 +447,8 @@ def propagate_interval(spec: ModelSpec, particles: Ensemble, v: Genealogy,
     logw = particles.log_weights.copy()
     logw[states[:, spec.focal_dim] < ell] = -np.inf
     if t1 > t0:
-        states, logw, _ = _propagate(spec, states, logw, t0, t1, ell, [ensure_rng(rng)])
+        states, logw, _ = _propagate(spec, states, logw, t0, t1, ell, [ensure_rng(rng)],
+                                      _KernelTables(spec))
     return Ensemble(states, logw)
 
 
@@ -421,20 +470,17 @@ def _apply_event(spec, states, logw, e, kind, ell_post, rngs):
     channel uniform per particle from its own generator in ``rngs``.
     """
     channels, terms = _event_terms(spec, states, e, kind, ell_post)
-    total = terms.sum(axis=1)
+    total = terms[:, 0] if len(channels) == 1 else terms.sum(axis=1)
     with np.errstate(divide="ignore"):
         logw += np.log(total)
-    if len(channels) == 1:
-        choice = np.zeros(len(states), dtype=np.intp)
-    else:
+    move = spec.active_displacements[channels]
+    if len(channels) > 1:
         n = len(states) // len(rngs)
         u = np.concatenate([rng.random(n) for rng in rngs])
         cum = np.cumsum(terms, axis=1)
         choice = (u[:, None] * total[:, None] > cum).sum(axis=1)
-        np.minimum(choice, len(channels) - 1, out=choice)
-    moves = spec.active_displacements[channels]
-    live = np.isfinite(logw)
-    states[live] += moves[choice[live]]
+        move = move.take(np.minimum(choice, len(channels) - 1), axis=0)
+    states += np.isfinite(logw)[:, None] * move
     return states, logw
 
 
@@ -511,10 +557,11 @@ def _run_filters(spec, v, config, rngs) -> list[SMCResult]:
     runs = running = [SMCResult(0.0, FilterDiagnostics()) for _ in rngs]
     states = np.concatenate([init_ensemble(spec, n, rng).states for rng in rngs])
     logw = np.zeros(len(states))
+    tables = _KernelTables(spec)
     for t, e, ell, kind, ell_post in _stretches(v):
         logw[states[:, spec.focal_dim] < ell] = -np.inf
         if e > t:
-            states, logw, tally = _propagate(spec, states, logw, t, e, ell, rngs)
+            states, logw, tally = _propagate(spec, states, logw, t, e, ell, rngs, tables)
             for run, (rounds, jumps) in zip(running, tally.T.tolist()):
                 run.diagnostics.rounds += rounds
                 run.diagnostics.jumps += jumps
@@ -575,7 +622,7 @@ def replicate_loglik(spec: ModelSpec, v: Genealogy, config: FilterConfig,
     recorded and excluded from the mean.  ``n_reps`` must be an integer of
     at least 1 (ValueError).
     """
-    if isinstance(n_reps, bool) or not isinstance(n_reps, (int, np.integer)) or n_reps < 1:
+    if not _is_int(n_reps) or n_reps < 1:
         raise ValueError(f"n_reps must be an integer of at least 1, got {n_reps!r}")
     seeds = np.random.SeedSequence(config.seed).spawn(n_reps)
     runs = _run_filters(spec, v, config, [np.random.default_rng(s) for s in seeds])

@@ -98,6 +98,24 @@ def test_filter_config_validation():
         FilterConfig(10, resampling="stratified")
 
 
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", -1), ("seed", 1.5),
+                                          ("ess_threshold", True)])
+def test_filter_config_names_a_bad_seed_or_threshold(field, value):
+    # at construction, not inside a filter run or as a number taken for a bool
+    with pytest.raises(ValueError, match=f"^{field} "):
+        FilterConfig(10, **{field: value})
+
+
+@pytest.mark.parametrize("n", [np.int8(100), np.uint8(200)], ids=["int8", "uint8"])
+def test_filter_config_stores_a_numpy_small_int_as_an_int(n):
+    # the replicate driver's block offsets j * n overflowed a NumPy small int
+    spec, v, _ = lbdp_case()
+    config = FilterConfig(n, seed=4)
+    assert type(config.n_particles) is int and config.n_particles == n
+    want = gf.replicate_loglik(spec, v, FilterConfig(int(n), seed=4), 3).estimates
+    assert gf.replicate_loglik(spec, v, config, 3).estimates == want
+
+
 def test_event_schedule_kinds():
     assert gf.event_schedule(empty_visible(2.0)) == ()
     assert gf.event_schedule(two_leaf_visible()) == ((0.5, "leaf"), (0.6, "leaf"))
@@ -353,6 +371,16 @@ def test_propagate_interval_validates():
     with pytest.raises(ValueError, match="t1"):
         gf.propagate_interval(spec, ens, two_leaf_visible(), 0.5, 0.1,
                               np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 0.5), (0.0, math.inf),
+                                    (-math.inf, 0.5)])
+def test_propagate_interval_rejects_a_time_that_is_not_finite(t0, t1):
+    # a NaN end compared false with everything and returned the ensemble unchanged
+    spec = lbdp(1.0, 0.5, 0.2, 2)
+    ens = gf.init_ensemble(spec, 4, np.random.default_rng(9))
+    with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+        gf.propagate_interval(spec, ens, two_leaf_visible(), t0, t1, np.random.default_rng(9))
 
 
 def unpruned():
