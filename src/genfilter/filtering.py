@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -105,8 +106,9 @@ class FilterConfig:
 
     ``ess_threshold`` is the fraction of the particle count below which the
     ensemble is resampled after an event update.  ``n_particles`` must be an
-    integer of at least 1 and ``seed`` None or a nonnegative integer; a bool
-    is neither, nor is it an ``ess_threshold`` (ValueError naming the field).
+    integer of at least 1, ``seed`` None or a nonnegative integer and
+    ``ess_threshold`` a real number in [0, 1]; a bool is none of these
+    (ValueError naming the field).
     Integers are stored as Python ints, so a NumPy small int cannot overflow.
     """
 
@@ -123,7 +125,7 @@ class FilterConfig:
             raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
         object.__setattr__(self, "n_particles", int(n))
         object.__setattr__(self, "seed", None if seed is None else int(seed))
-        if isinstance(ess, bool) or not 0.0 <= ess <= 1.0:
+        if isinstance(ess, bool) or not isinstance(ess, numbers.Real) or not 0.0 <= ess <= 1.0:
             raise ValueError(f"ess_threshold is a fraction of n_particles, got {ess!r}")
         if self.resampling not in RESAMPLING_METHODS:
             raise ValueError(f"resampling must be one of {RESAMPLING_METHODS}")

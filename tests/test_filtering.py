@@ -99,7 +99,7 @@ def test_filter_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("seed", True), ("seed", -1), ("seed", 1.5),
-                                          ("ess_threshold", True)])
+                                          ("ess_threshold", True), ("ess_threshold", "0.5")])
 def test_filter_config_names_a_bad_seed_or_threshold(field, value):
     # at construction, not inside a filter run or as a number taken for a bool
     with pytest.raises(ValueError, match=f"^{field} "):
